@@ -24,7 +24,6 @@ from ozonet.calibrate import (
     apply_correction,
     decompose,
     moment_match,
-    quadratic_trend,
 )
 from ozonet.errors import (
     ConfigError,
@@ -32,7 +31,6 @@ from ozonet.errors import (
     InsufficientDataError,
     OzonetError,
 )
-from ozonet.kernels import BACKEND as KERNEL_BACKEND
 from ozonet.kstest import Ecdf, KsResult, ecdf, ks_pvalue, ks_statistic, ks_test
 from ozonet.metrics import (
     BuddyCheck,
@@ -48,7 +46,6 @@ from ozonet.proxy import (
     SiteRecord,
     evaluate_proxy,
     nearest_reference,
-    network_median,
     network_median_series,
     similar_aadt,
 )
@@ -77,15 +74,15 @@ __version__ = "0.1.0"
 __all__ = [
     "AlarmLedger", "BreachFlags", "BuddyCheck", "CalibrationEstimate",
     "ConfigError", "DegenerateWindowError", "DriftSegment", "Ecdf",
-    "EstimateHistory", "GridField", "InsufficientDataError", "KERNEL_BACKEND",
-    "KsResult", "Observation", "OzonetError", "PairMetrics", "ProxyAssignment",
+    "EstimateHistory", "GridField", "InsufficientDataError", "KsResult",
+    "Observation", "OzonetError", "PairMetrics", "ProxyAssignment",
     "ProxyScore", "Scenario", "ScenarioResult", "SensorModel", "SiteEngine",
     "SiteRecord", "SiteRunResult", "SiteSpec", "Thresholds", "TimeSeries",
     "TruthModel", "WindowSlice", "align", "apply_correction",
     "apply_sensor_model", "buddy_check", "decide_correction", "decompose",
     "ecdf", "evaluate_breaches", "evaluate_proxy", "generate_truth",
     "idw_grid", "ks_pvalue", "ks_statistic", "ks_test", "moment_match",
-    "nearest_reference", "network_median", "network_median_series",
-    "pair_metrics", "quadratic_trend", "resample_hourly", "run_scenario",
-    "run_site", "similar_aadt", "update_persistence", "window",
+    "nearest_reference", "network_median_series", "pair_metrics",
+    "resample_hourly", "run_scenario", "run_site", "similar_aadt",
+    "update_persistence", "window",
 ]

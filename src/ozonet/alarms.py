@@ -24,12 +24,12 @@ import numpy as np
 
 from ozonet import kernels
 from ozonet.calibrate import (
-    DEGENERATE_VAR_EPS,
-    RAW,
     CalibrationEstimate,
     EstimateHistory,
     apply_correction,
+    estimate_from_samples,
 )
+from ozonet.errors import DegenerateWindowError
 from ozonet.kstest import ks_pvalue
 from ozonet.timeseries import VALUE_MAX, VALUE_MIN, TimeSeries, to_epoch_hour
 
@@ -175,11 +175,6 @@ def decide_correction(ledger: AlarmLedger, th: Thresholds) -> bool:
     return ledger.latched_count() >= th.correction_alarm_count
 
 
-def _estimate_from_moments(stamp, mean_y, var_y, mean_z, var_z) -> CalibrationEstimate:
-    gain = float(np.sqrt(var_z / var_y))
-    return CalibrationEstimate(stamp, mean_z - gain * mean_y, gain, RAW)
-
-
 @dataclass
 class SiteRunResult:
     site_id: str
@@ -260,38 +255,33 @@ class SiteEngine:
         n_y = self._s_hi - self._s_lo
         n_z = self._p_hi - self._p_lo
         need = th.completeness_min * th.td_hours
-        if n_y < need or n_z < need:
-            return self._finish_row(stamp, STATUS_INSUFFICIENT, None, None,
-                                    FROZEN, raw_value)
+        status, p, raw_est, flags = STATUS_INSUFFICIENT, None, None, FROZEN
+        trended = False
+        if n_y >= need and n_z >= need:
+            y = self.sensor.values[self._s_lo:self._s_hi]
+            z = self.proxy.values[self._p_lo:self._p_hi]
+            d = kernels.ks_distance(y, z)
+            p = ks_pvalue(d, n_y, n_z)
+            try:
+                raw_est = estimate_from_samples(self.site_id, stamp, y, z)
+            except DegenerateWindowError:
+                # flat-lined sensor: no estimate; gain test breaches outright,
+                # the offset test cannot be evaluated and freezes
+                status = STATUS_DEGENERATE
+                flags = BreachFlags(ks=p <= th.p_ks_min, offset=None, gain=True)
+            else:
+                status = STATUS_OK
+                trended = (TREND_GAIN_MIN <= raw_est.gain <= TREND_GAIN_MAX
+                           and abs(raw_est.offset) <= TREND_OFFSET_CAP)
+                if trended:
+                    self.history.append(raw_est)
 
-        y = self.sensor.values[self._s_lo:self._s_hi]
-        z = self.proxy.values[self._p_lo:self._p_hi]
-        d = kernels.ks_distance(y, z)
-        p = ks_pvalue(d, n_y, n_z)
-
-        mean_y, var_y = kernels.window_moments(y)
-        mean_z, var_z = kernels.window_moments(z)
-        if var_y <= DEGENERATE_VAR_EPS:
-            # flat-lined sensor: no estimate; gain test breaches outright,
-            # the offset test cannot be evaluated and freezes
-            flags = BreachFlags(ks=p <= th.p_ks_min, offset=None, gain=True)
-            return self._finish_row(stamp, STATUS_DEGENERATE, p, None,
-                                    flags, raw_value)
-
-        raw_est = _estimate_from_moments(stamp, mean_y, var_y, mean_z, var_z)
-        if (TREND_GAIN_MIN <= raw_est.gain <= TREND_GAIN_MAX
-                and abs(raw_est.offset) <= TREND_OFFSET_CAP):
-            self.history.append(raw_est)
-            assess = self.history.trend_at(stamp)
-        else:
-            # estimate unusable for calibration; assess it directly so the
+        # one trend evaluation per hour serves assessment, correction and chart
+        trend = self.history.trend_at(stamp) if len(self.history) else None
+        if status == STATUS_OK:
+            # an estimate kept out of the trend is assessed directly, so the
             # breach fires without contaminating the trend
-            assess = raw_est
-        flags = evaluate_breaches(p, assess, th)
-        return self._finish_row(stamp, STATUS_OK, p, raw_est, flags, raw_value)
-
-    def _finish_row(self, stamp, status, p, raw_est, flags, raw_value) -> HistoryRow:
-        th = self.thresholds
+            flags = evaluate_breaches(p, trend if trended else raw_est, th)
         if status == STATUS_INSUFFICIENT:
             # clocks frozen entirely; do not touch the ledger beyond ordering
             if self.ledger.last_stamp is None or stamp > self.ledger.last_stamp:
@@ -302,17 +292,11 @@ class SiteEngine:
         corrected = False
         output_value = raw_value
         if status != STATUS_INSUFFICIENT and decide_correction(self.ledger, th) \
-                and raw_value is not None and len(self.history):
-            est = self.history.trend_at(stamp)
+                and raw_value is not None and trend is not None:
             # corrected readings clip to the physical reporting range
-            output_value = float(np.clip(apply_correction(est, raw_value),
+            output_value = float(np.clip(apply_correction(trend, raw_value),
                                          VALUE_MIN, VALUE_MAX))
             corrected = True
-
-        trend_offset = trend_gain = None
-        if len(self.history):
-            trend_est = self.history.trend_at(stamp)
-            trend_offset, trend_gain = trend_est.offset, trend_est.gain
 
         row = HistoryRow(
             stamp=stamp,
@@ -320,8 +304,8 @@ class SiteEngine:
             p_ks=p,
             offset_raw=None if raw_est is None else raw_est.offset,
             gain_raw=None if raw_est is None else raw_est.gain,
-            offset_trend=trend_offset,
-            gain_trend=trend_gain,
+            offset_trend=None if trend is None else trend.offset,
+            gain_trend=None if trend is None else trend.gain,
             breach_ks=flags.ks,
             breach_offset=flags.offset,
             breach_gain=flags.gain,

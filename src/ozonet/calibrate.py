@@ -56,13 +56,29 @@ class CalibrationEstimate:
             raise ValueError("gain must be nonnegative")
 
 
+def estimate_from_samples(site_id: str, stamp: int, sensor, proxy) -> CalibrationEstimate:
+    """Raw gain/offset estimate at `stamp` from sensor and proxy window samples.
+
+    Raises DegenerateWindowError when the sensor samples have zero variance
+    (flat-lined instrument); the alarm engine treats that as a gain breach
+    rather than a crash.
+    """
+    mean_y, var_y = kernels.window_moments(sensor)
+    mean_z, var_z = kernels.window_moments(proxy)
+    if var_y <= DEGENERATE_VAR_EPS:
+        raise DegenerateWindowError(
+            f"degenerate sensor window at {site_id}: zero variance"
+        )
+    gain = math.sqrt(var_z / var_y)
+    return CalibrationEstimate(stamp, mean_z - gain * mean_y, gain, RAW)
+
+
 def moment_match(sensor_win: WindowSlice, proxy_win: WindowSlice,
                  completeness_min: float = 0.75) -> CalibrationEstimate:
     """Raw gain/offset estimate from one pair of windows.
 
-    Raises DegenerateWindowError when the sensor window has zero variance
-    (flat-lined instrument); the alarm engine treats that as a gain breach
-    rather than a crash.
+    Raises InsufficientDataError when either window misses the completeness
+    threshold, and DegenerateWindowError as estimate_from_samples does.
     """
     for win in (sensor_win, proxy_win):
         if not win.sufficient(completeness_min):
@@ -70,14 +86,8 @@ def moment_match(sensor_win: WindowSlice, proxy_win: WindowSlice,
                 f"insufficient data: window {win.site_id} completeness "
                 f"{win.completeness:.2f} < {completeness_min}"
             )
-    mean_y, var_y = kernels.window_moments(sensor_win.samples)
-    mean_z, var_z = kernels.window_moments(proxy_win.samples)
-    if var_y <= DEGENERATE_VAR_EPS:
-        raise DegenerateWindowError(
-            f"degenerate sensor window at {sensor_win.site_id}: zero variance"
-        )
-    gain = math.sqrt(var_z / var_y)
-    return CalibrationEstimate(sensor_win.end, mean_z - gain * mean_y, gain, RAW)
+    return estimate_from_samples(sensor_win.site_id, sensor_win.end,
+                                 sensor_win.samples, proxy_win.samples)
 
 
 def apply_correction(est: CalibrationEstimate, reading):
@@ -209,38 +219,6 @@ class EstimateHistory:
         if offset is None or gain is None:
             return self.latest_raw()
         return CalibrationEstimate(stamp, offset, max(0.0, gain), TREND)
-
-
-def quadratic_trend(history: EstimateHistory, stamp) -> CalibrationEstimate:
-    """Trend estimate at `stamp` from the raw estimates up to that time.
-
-    Unlike EstimateHistory.trend_at (incremental, always at the newest
-    point) this refits from scratch over the subset with stamps <= stamp,
-    so it can be asked about any past time.
-    """
-    stamp = to_epoch_hour(stamp)
-    if not history.stamps:
-        raise InsufficientDataError("no raw estimates recorded")
-    stamps = np.asarray(history.stamps, dtype=np.int64)
-    k = int(np.searchsorted(stamps, stamp, side="right"))
-    if k < 3:
-        if k == 0:
-            raise InsufficientDataError("no raw estimates at or before the requested time")
-        return CalibrationEstimate(history.stamps[k - 1], history.offsets[k - 1],
-                                   history.gains[k - 1], RAW)
-    fit_o, fit_g = ExpandingQuadFit(), ExpandingQuadFit()
-    t0 = history.stamps[0]
-    for i in range(k):
-        tau = float(history.stamps[i] - t0)
-        fit_o.push(tau, history.offsets[i])
-        fit_g.push(tau, history.gains[i])
-    tau_eval = float(min(stamp, history.stamps[k - 1]) - t0)
-    offset = fit_o.predict(tau_eval)
-    gain = fit_g.predict(tau_eval)
-    if offset is None or gain is None:
-        return CalibrationEstimate(history.stamps[k - 1], history.offsets[k - 1],
-                                   history.gains[k - 1], RAW)
-    return CalibrationEstimate(stamp, offset, max(0.0, gain), TREND)
 
 
 def decompose(history: EstimateHistory, which: str = "gain"):

@@ -10,6 +10,7 @@ variable, else the config.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import os
@@ -59,7 +60,10 @@ def _apply_threshold_flags(th: Thresholds, args) -> Thresholds:
         updates["correction_alarm_count"] = args.alarm_count
     if args.completeness_min is not None:
         updates["completeness_min"] = args.completeness_min
-    return dataclasses.replace(th, **updates) if updates else th
+    try:
+        return dataclasses.replace(th, **updates) if updates else th
+    except ValueError as exc:
+        raise ConfigError(f"bad threshold flag: {exc}") from exc
 
 
 def _series_paths(config_path: Path, config, extra) -> list:
@@ -78,18 +82,21 @@ def _out_dir(args, config) -> Path:
     return Path(config.output_dir)
 
 
-def _resolve_proxy_series(site, config, series_map):
-    """Returns (label, proxy TimeSeries or None)."""
-    policy = config.proxy
-    if site.site_id in policy.overrides:
-        pid = policy.overrides[site.site_id]
-        return pid, series_map.get(pid)
-    if policy.strategy == STRATEGY_MEDIAN:
+def _proxy_series(site, strategy, config, series_map, medians):
+    """(label, proxy TimeSeries or None) for `site` under one strategy.
+
+    Network medians are built once per exclude set and kept in `medians`.
+    Raises InsufficientDataError when no eligible reference exists.
+    """
+    if strategy == STRATEGY_MEDIAN:
+        policy = config.proxy
         exclude = (site.site_id,) if policy.median_exclude_self else ()
-        med = network_median_series(list(series_map.values()),
-                                    policy.median_min_reporters, exclude)
-        return "network_median", med if len(med) else None
-    if policy.strategy == STRATEGY_AADT:
+        if exclude not in medians:
+            medians[exclude] = network_median_series(
+                list(series_map.values()), policy.median_min_reporters, exclude)
+        med = medians[exclude]
+        return STRATEGY_MEDIAN, med if len(med) else None
+    if strategy == STRATEGY_AADT:
         assignment = similar_aadt(site, config.sites)
     else:
         assignment = nearest_reference(site, config.sites)
@@ -124,6 +131,8 @@ def cmd_run(args) -> int:
     series_map = ozio.read_series_csv(_series_paths(config_path, config, args.series))
     out = _out_dir(args, config)
 
+    overrides = config.proxy.overrides
+    medians = {}
     summary = []
     failures = 0
     ran = 0
@@ -136,7 +145,12 @@ def cmd_run(args) -> int:
             failures += 1
             continue
         try:
-            proxy_label, proxy_series = _resolve_proxy_series(site, config, series_map)
+            if site.site_id in overrides:
+                proxy_label = overrides[site.site_id]
+                proxy_series = series_map.get(proxy_label)
+            else:
+                proxy_label, proxy_series = _proxy_series(
+                    site, config.proxy.strategy, config, series_map, medians)
         except InsufficientDataError as exc:
             summary.append((site.site_id, "-", 0, 0.0, 0.0, 0.0, 0.0, str(exc)))
             failures += 1
@@ -164,12 +178,13 @@ def cmd_run(args) -> int:
                      f"{100 * a0:>7.1f}{100 * a1:>7.1f}{100 * corr:>7.1f}  {note}")
     print("\n".join(lines))
     (out / "summary.csv").parent.mkdir(parents=True, exist_ok=True)
-    with open(out / "summary.csv", "w") as handle:
-        handle.write("site_id,proxy,monitored_hours,alarm_frac_ks,alarm_frac_a0,"
-                     "alarm_frac_a1,corrected_frac,note\n")
+    with open(out / "summary.csv", "w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(["site_id", "proxy", "monitored_hours", "alarm_frac_ks",
+                         "alarm_frac_a0", "alarm_frac_a1", "corrected_frac", "note"])
         for sid, proxy_label, hours, ks, a0, a1, corr, note in summary:
-            handle.write(f"{sid},{proxy_label},{hours},{ks:.4f},{a0:.4f},"
-                         f"{a1:.4f},{corr:.4f},{note}\n")
+            writer.writerow([sid, proxy_label, hours, f"{ks:.4f}", f"{a0:.4f}",
+                             f"{a1:.4f}", f"{corr:.4f}", note])
     if ran == 0:
         print("error: no site could be monitored", file=sys.stderr)
         return EXIT_RUNTIME
@@ -191,6 +206,7 @@ def cmd_proxy_eval(args) -> int:
               file=sys.stderr)
         return EXIT_INPUT
 
+    medians = {}
     scores = []
     for site in refs:
         test_series = series_map.get(site.site_id)
@@ -198,23 +214,11 @@ def cmd_proxy_eval(args) -> int:
             print(f"warning: no data for reference {site.site_id}, skipped",
                   file=sys.stderr)
             continue
-        candidates = []
-        try:
-            a = nearest_reference(site, config.sites)
-            candidates.append((STRATEGY_NEAREST, series_map.get(a.proxy_site_id)))
-        except InsufficientDataError:
-            pass
-        exclude = (site.site_id,) if config.proxy.median_exclude_self else ()
-        med = network_median_series(list(series_map.values()),
-                                    config.proxy.median_min_reporters, exclude)
-        if len(med):
-            candidates.append((STRATEGY_MEDIAN, med))
-        try:
-            a = similar_aadt(site, config.sites)
-            candidates.append((STRATEGY_AADT, series_map.get(a.proxy_site_id)))
-        except InsufficientDataError:
-            pass
-        for strategy, proxy_series in candidates:
+        for strategy in (STRATEGY_NEAREST, STRATEGY_MEDIAN, STRATEGY_AADT):
+            try:
+                _, proxy_series = _proxy_series(site, strategy, config, series_map, medians)
+            except InsufficientDataError:
+                continue
             if proxy_series is None or not len(proxy_series):
                 print(f"warning: {strategy} proxy for {site.site_id} has no data",
                       file=sys.stderr)
@@ -304,8 +308,11 @@ def cmd_map(args) -> int:
         pad = max(args.cell, 0.02)
         bbox = (min(lats) - pad, max(lats) + pad, min(lons) - pad, max(lons) + pad)
 
-    full = idw_grid([(r.latitude, r.longitude, v) for r, v in points],
-                    *bbox, cell_deg=args.cell, power=args.power)
+    try:
+        full = idw_grid([(r.latitude, r.longitude, v) for r, v in points],
+                        *bbox, cell_deg=args.cell, power=args.power)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     ozio.write_grid_csv(out / "grid.csv", full)
     panels = [("all sites", full)]
     if args.split:

@@ -19,7 +19,7 @@ from ozonet.alarms import SiteEngine, Thresholds
 from ozonet.errors import InsufficientDataError
 from ozonet.geo import haversine_km
 from ozonet.metrics import pair_metrics
-from ozonet.timeseries import TimeSeries, WindowSlice, to_epoch_hour
+from ozonet.timeseries import TimeSeries
 
 ROLE_REFERENCE = "reference"
 ROLE_LOW_COST = "low-cost"
@@ -130,21 +130,6 @@ def network_median_series(series_list: list[TimeSeries], min_reporters: int = 3,
     med = np.nanmedian(grid[:, keep], axis=0)
     hours = (np.arange(lo, hi + 1, dtype=np.int64))[keep]
     return TimeSeries(MEDIAN_SITE_ID, hours, med)
-
-
-def network_median(series_list: list[TimeSeries], end, td_hours: int,
-                   min_reporters: int = 3, exclude: tuple = ()) -> WindowSlice:
-    """Synthetic proxy window from the network median over (end - td, end]."""
-    end = to_epoch_hour(end)
-    start = end - int(td_hours)
-    clipped = [s.restrict(start + 1, end) for s in series_list]
-    med = network_median_series(clipped, min_reporters, exclude)
-    if len(med) == 0:
-        raise InsufficientDataError(
-            f"insufficient data: fewer than {min_reporters} reporters across "
-            f"({start}, {end}]"
-        )
-    return WindowSlice(MEDIAN_SITE_ID, start, end, med.hours, med.values)
 
 
 @dataclass(frozen=True)

@@ -13,8 +13,6 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from ozonet.errors import InsufficientDataError
-
 SECONDS_PER_HOUR = 3600
 VALUE_MIN = -10.0   # slight negative allowed for instrument noise
 VALUE_MAX = 500.0
@@ -191,8 +189,3 @@ def align(a: TimeSeries, b: TimeSeries, start: int | None = None, end: int | Non
         keep = common <= to_epoch_hour(end)
         common, av, bv = common[keep], av[keep], bv[keep]
     return common, av, bv
-
-
-def require_samples(values: np.ndarray, minimum: int = 1, what: str = "sample"):
-    if np.asarray(values).size < minimum:
-        raise InsufficientDataError(f"need at least {minimum} {what}(s), got {np.asarray(values).size}")

@@ -11,7 +11,6 @@ from ozonet import (
     apply_correction,
     decompose,
     moment_match,
-    quadratic_trend,
     window,
 )
 from ozonet.timeseries import TimeSeries
@@ -127,12 +126,13 @@ class TestApplyCorrection:
 
 class TestQuadraticTrend:
     def test_constant_history_stays_constant(self):
-        stamps = np.arange(0, 720, 1)
-        h = history_from(stamps, np.zeros(stamps.size), np.ones(stamps.size))
-        for t in (10, 300, 719):
-            est = quadratic_trend(h, t)
-            assert est.gain == pytest.approx(1.0, abs=1e-12)
-            assert est.offset == pytest.approx(0.0, abs=1e-12)
+        h = EstimateHistory("site")
+        for t in range(720):
+            h.append(CalibrationEstimate(t, 0.0, 1.0))
+            if t in (10, 300, 719):
+                est = h.trend_at(t)
+                assert est.gain == pytest.approx(1.0, abs=1e-12)
+                assert est.offset == pytest.approx(0.0, abs=1e-12)
 
     def test_quadratic_nests_linear(self):
         stamps = np.arange(0, 500)
@@ -166,17 +166,23 @@ class TestQuadraticTrend:
         h = history_from(stamps, offsets, np.clip(gains, 0.1, None))
         final = int(stamps[-1])
         a = h.trend_at(final)
-        b = quadratic_trend(h, final)
-        assert a.offset == pytest.approx(b.offset, abs=1e-9)
-        assert a.gain == pytest.approx(b.gain, abs=1e-9)
+        # independent least-squares refit over every point
+        tau = (stamps - stamps[0]).astype(float)
+        tau_final = float(final - stamps[0])
+        offset = np.polyval(np.polyfit(tau, h.offsets, 2), tau_final)
+        gain = np.polyval(np.polyfit(tau, h.gains, 2), tau_final)
+        assert a.offset == pytest.approx(offset, abs=1e-9)
+        assert a.gain == pytest.approx(gain, abs=1e-9)
 
     def test_standalone_refit_uses_only_past_points(self):
         stamps = [0, 10, 20, 1000]
         h = history_from(stamps, [0, 0, 0, 50.0], [1, 1, 1, 3.0])
-        est = quadratic_trend(h, 25)
-        # the wild point at 1000 is in the future and must not matter
-        assert abs(est.offset) < 1e-9
-        assert est.gain == pytest.approx(1.0, abs=1e-12)
+        # the trend shown at hour 20 is the fit through hour 20; the wild
+        # point at 1000 is in its future and must not matter
+        _, offset_trend, _ = decompose(h, "offset")
+        _, gain_trend, _ = decompose(h, "gain")
+        assert abs(offset_trend[2]) < 1e-9
+        assert gain_trend[2] == pytest.approx(1.0, abs=1e-12)
 
     def test_trend_clamps_beyond_last_estimate(self):
         stamps = np.arange(0, 200)

@@ -233,6 +233,22 @@ class TestRunCommand:
                      "--td-hours", "48", "--tf-hours", "72",
                      "--alarm-count", "2", "--completeness-min", "0.5"]) == 0
 
+    def test_summary_quotes_site_id_with_comma(self, sim_dir):
+        network = sim_dir / "network.json"
+        config = json.loads(network.read_text())
+        extra = dict(config["sites"][-1], site_id="LC,east", name="lc east")
+        config["sites"].append(extra)
+        network.write_text(json.dumps(config))
+        out = sim_dir / "comma"
+        assert main(["run", str(network), "--out", str(out)]) == 0
+        text = (out / "summary.csv").read_text()
+        assert '\n"LC,east",-,0,' in text
+        assert "\nLC,REF," in text          # plain ids stay unquoted
+        with open(out / "summary.csv", newline="") as handle:
+            rows = {r["site_id"]: r for r in csv.DictReader(handle)}
+        assert rows["LC,east"]["note"] == "no sensor data"
+        assert rows["LC"]["proxy"] == "REF"
+
     def test_env_var_output_dir(self, sim_dir, monkeypatch):
         target = sim_dir / "via_env"
         monkeypatch.setenv("OZONET_OUT_DIR", str(target))
@@ -274,6 +290,26 @@ class TestProxyEvalCommand:
     def test_needs_two_references(self, sim_dir):
         assert main(["proxy-eval", str(sim_dir / "network.json"),
                      "--out", str(sim_dir / "pe")]) == 1
+
+
+class TestBadFlags:
+    @pytest.mark.parametrize("command", ["run", "proxy-eval"])
+    @pytest.mark.parametrize("flag", [["--td-hours", "-1"], ["--alarm-count", "0"]])
+    def test_bad_threshold_flag_is_input_error(self, sim_dir, capsys, command, flag):
+        code = main([command, str(sim_dir / "network.json"),
+                     "--out", str(sim_dir / "bad"), *flag])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad threshold flag")
+        assert "Traceback" not in err
+
+    def test_nonpositive_map_cell_is_input_error(self, sim_dir, capsys):
+        code = main(["map", str(sim_dir / "network.json"),
+                     "--hour", "2018-01-27T12:00:00Z", "--cell", "0",
+                     "--out", str(sim_dir / "badmap")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not (sim_dir / "badmap" / "grid.csv").exists()
 
 
 class TestMapCommand:

@@ -1,66 +1,23 @@
-"""Backend interchangeability: compiled and pure kernels must agree."""
+"""Hot kernels: input checks and window moments against numpy."""
 
 import numpy as np
 import pytest
 
-from ozonet.kernels import BACKEND, _pure
-
-try:
-    from ozonet.kernels import _fast
-except ImportError:
-    _fast = None
-
-needs_compiled = pytest.mark.skipif(_fast is None, reason="compiled kernel not built")
-
-
-def test_backend_identifier():
-    assert BACKEND in ("pure", "compiled")
+from ozonet import kernels
 
 
 def test_pure_distance_rejects_empty():
     with pytest.raises(ValueError):
-        _pure.ks_distance([], [1.0])
+        kernels.ks_distance([], [1.0])
+    with pytest.raises(ValueError):
+        kernels.window_moments([])
 
 
 def test_pure_moments_match_numpy():
     rng = np.random.default_rng(1)
     for n in (1, 2, 5, 72):
         x = rng.normal(30, 8, n)
-        mean, var = _pure.window_moments(x)
+        mean, var = kernels.window_moments(x)
         assert mean == pytest.approx(np.mean(x), abs=1e-12)
         expected_var = 0.0 if n < 2 else np.var(x, ddof=1)
         assert var == pytest.approx(expected_var, abs=1e-12)
-
-
-@needs_compiled
-def test_distance_backends_agree_exactly():
-    rng = np.random.default_rng(2)
-    for _ in range(400):
-        m, n = rng.integers(1, 80, size=2)
-        a = rng.uniform(0, 100, m)
-        b = rng.uniform(0, 100, n)
-        assert _fast.ks_distance(a, b) == _pure.ks_distance(a, b)
-    # heavy ties
-    for _ in range(200):
-        a = rng.integers(0, 4, 30).astype(float)
-        b = rng.integers(0, 4, 25).astype(float)
-        assert _fast.ks_distance(a, b) == _pure.ks_distance(a, b)
-
-
-@needs_compiled
-def test_moment_backends_agree():
-    rng = np.random.default_rng(3)
-    for n in (1, 2, 7, 72, 500):
-        x = rng.normal(30, 8, n)
-        m_fast, v_fast = _fast.window_moments(x)
-        m_pure, v_pure = _pure.window_moments(x)
-        assert m_fast == pytest.approx(m_pure, rel=1e-13, abs=1e-13)
-        assert v_fast == pytest.approx(v_pure, rel=1e-11, abs=1e-13)
-
-
-@needs_compiled
-def test_compiled_rejects_empty():
-    with pytest.raises(ValueError):
-        _fast.ks_distance(np.array([]), np.array([1.0]))
-    with pytest.raises(ValueError):
-        _fast.window_moments(np.array([]))

@@ -82,9 +82,10 @@ class TestSupDistance:
             ks_statistic([], [1.0])
 
     def test_matches_oracle_on_random_cases(self):
+        # sizes span the operating window of 54-72 hourly samples
         rng = np.random.default_rng(42)
         for _ in range(300):
-            m, n = rng.integers(1, 20, size=2)
+            m, n = rng.integers(1, 81, size=2)
             a = rng.uniform(0, 100, m)
             b = rng.uniform(0, 100, n)
             assert ks_statistic(a, b) == oracle_sup_distance(a, b)
@@ -92,7 +93,7 @@ class TestSupDistance:
     def test_matches_oracle_with_ties(self):
         rng = np.random.default_rng(43)
         for _ in range(200):
-            m, n = rng.integers(1, 15, size=2)
+            m, n = rng.integers(1, 81, size=2)
             a = rng.integers(0, 6, m).astype(float)   # heavy ties
             b = rng.integers(0, 6, n).astype(float)
             assert ks_statistic(a, b) == oracle_sup_distance(a, b)
@@ -161,6 +162,22 @@ class TestPvalue:
         ne = 36.0   # m = n = 72
         d = lam / (np.sqrt(ne) + 0.12 + 0.11 / np.sqrt(ne))
         assert ks_pvalue(d, 72, 72) == pytest.approx(expected, rel=1e-9)
+
+    def test_matches_scipy_kolmogorov_at_operating_sizes(self):
+        # independent oracle: scipy's Kolmogorov survival function at the
+        # size-adjusted lambda; below lambda 0.2 the p-value is clamped to 1
+        pytest.importorskip("scipy")
+        from scipy.special import kolmogorov
+
+        grid = np.linspace(0.0, 1.0, 301)
+        for m in range(54, 73):
+            for n in range(54, 73):
+                root = np.sqrt(m * n / (m + n))
+                lams = (root + 0.12 + 0.11 / root) * grid
+                expected = np.where(lams < 0.2, 1.0, kolmogorov(lams))
+                got = np.array([ks_pvalue(float(d), m, n) for d in grid])
+                assert np.all(got[lams < 0.2] == 1.0)
+                assert np.abs(got - expected).max() <= 1e-12
 
 
 class TestWindowTest:

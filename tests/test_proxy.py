@@ -9,7 +9,6 @@ from ozonet import (
     Thresholds,
     TimeSeries,
     evaluate_proxy,
-    network_median,
     network_median_series,
     nearest_reference,
     similar_aadt,
@@ -142,8 +141,8 @@ class TestNetworkMedian:
 
     def test_windowed_median_requires_reporters(self):
         series = [hourly("a", 0, [1.0] * 80), hourly("b", 0, [2.0] * 80)]
-        with pytest.raises(InsufficientDataError):
-            network_median(series, 72, 72, min_reporters=3)
+        med = network_median_series([s.restrict(1, 72) for s in series], min_reporters=3)
+        assert len(med) == 0
 
     def test_bounded_by_per_hour_extremes(self):
         rng = np.random.default_rng(12)
