@@ -24,10 +24,12 @@ import numpy as np
 
 from ozonet import kernels
 from ozonet.calibrate import (
+    DEGENERATE_VAR_EPS,
     CalibrationEstimate,
     EstimateHistory,
     apply_correction,
     estimate_from_samples,
+    match_moments,
 )
 from ozonet.errors import DegenerateWindowError
 from ozonet.kstest import ks_pvalue
@@ -98,11 +100,14 @@ FROZEN = BreachFlags(None, None, None)
 
 def evaluate_breaches(p_ks: float, est: CalibrationEstimate, th: Thresholds) -> BreachFlags:
     """Instantaneous breach flags; bounds themselves count as breaches."""
-    return BreachFlags(
-        ks=p_ks <= th.p_ks_min,
-        offset=est.offset <= th.offset_low or est.offset >= th.offset_high,
-        gain=est.gain <= th.gain_low or est.gain >= th.gain_high,
-    )
+    return BreachFlags(*_breaches(p_ks, est.offset, est.gain, th))
+
+
+def _breaches(p_ks, offset, gain, th: Thresholds):
+    """(ks, offset, gain) breach flags, for floats or elementwise over arrays."""
+    return (p_ks <= th.p_ks_min,
+            (offset <= th.offset_low) | (offset >= th.offset_high),
+            (gain <= th.gain_low) | (gain >= th.gain_high))
 
 
 @dataclass
@@ -320,14 +325,164 @@ class SiteEngine:
         return row
 
     def run(self, start=None, end=None) -> SiteRunResult:
-        """Step every hour of the sensor's span (or the given range)."""
+        """Evaluate every hour of the sensor's span (or the given range).
+
+        Gives the rows that stepping each hour in turn gives, and leaves the
+        engine in the same state, so `step` can carry on after it. The
+        window statistics of the whole span come from array passes; one
+        loop then advances the persistence clocks and decides corrections.
+        """
         if len(self.sensor) == 0:
             return SiteRunResult(self.site_id, [])
         first = to_epoch_hour(start) if start is not None else int(self.sensor.hours[0])
         last = to_epoch_hour(end) if end is not None else int(self.sensor.hours[-1])
-        for stamp in range(first, last + 1):
-            self.step(stamp)
+        if first > last:
+            return SiteRunResult(self.site_id, self.ledger.history)
+        if self._cursor is not None and first <= self._cursor:
+            raise ValueError("steps must advance in time")
+        th = self.thresholds
+        stamps = np.arange(first, last + 1, dtype=np.int64)
+        s_lo, s_hi = _window_bounds(self.sensor.hours, stamps, th.td_hours)
+        p_lo, p_hi = _window_bounds(self.proxy.hours, stamps, th.td_hours)
+        n_y, n_z = s_hi - s_lo, p_hi - p_lo
+        need = th.completeness_min * th.td_hours
+        assessed = np.flatnonzero((n_y >= need) & (n_z >= need))
+        n_y, n_z = n_y[assessed], n_z[assessed]
+        d, mean_y, var_y, mean_z, var_z = _window_stats(
+            self.sensor.values, s_lo[assessed], n_y, self.proxy.values, p_lo[assessed], n_z)
+        keys = list(zip(d.tolist(), n_y.tolist(), n_z.tolist()))
+        p_of = {key: ks_pvalue(*key) for key in set(keys)}
+        p = np.array([p_of[key] for key in keys])
+
+        # raw estimates as estimate_from_samples makes them; NaN where degenerate
+        degenerate = var_y <= DEGENERATE_VAR_EPS
+        ok = ~degenerate
+        offset = np.full(assessed.size, np.nan)
+        gain = np.full(assessed.size, np.nan)
+        offset[ok], gain[ok] = match_moments(mean_y[ok], var_y[ok], mean_z[ok], var_z[ok])
+        trended = ((TREND_GAIN_MIN <= gain) & (gain <= TREND_GAIN_MAX)
+                   & (np.abs(offset) <= TREND_OFFSET_CAP))
+
+        # the trend each hour sees: the one left by the estimates appended so far
+        before = self.history.trend_at(first) if len(self.history) else None
+        new_offset, new_gain = self.history.extend(
+            stamps[assessed[trended]], offset[trended], gain[trended])
+        appended = np.zeros(stamps.size, dtype=np.int64)
+        appended[assessed[trended]] = 1
+        state = np.cumsum(appended)
+        has_trend = (state > 0) | (before is not None)
+        held = (np.nan, np.nan) if before is None else (before.offset, before.gain)
+        trend_offset = np.concatenate(([held[0]], new_offset))[state]
+        trend_gain = np.concatenate(([held[1]], new_gain))[state]
+
+        # an estimate kept out of the trend is assessed directly, as in step
+        breach_ks, breach_offset, breach_gain = _breaches(
+            p, np.where(trended, trend_offset[assessed], offset),
+            np.where(trended, trend_gain[assessed], gain), th)
+
+        last_in = np.maximum(s_hi - 1, 0)
+        has_raw = (s_hi > s_lo) & (self.sensor.hours[last_in] == stamps)
+        raw = self.sensor.values[last_in]
+        # apply_correction for every hour at once; corrected readings clip
+        # to the physical reporting range
+        corrected_values = np.clip(trend_offset + trend_gain * raw, VALUE_MIN, VALUE_MAX)
+
+        is_assessed = np.zeros(stamps.size, dtype=bool)
+        is_assessed[assessed] = True
+        per_assessed = zip(p.tolist(), degenerate.tolist(), offset.tolist(), gain.tolist(),
+                           breach_ks.tolist(), breach_offset.tolist(), breach_gain.tolist())
+        ledger = self.ledger
+        for stamp, here, raw_value, t_offset, t_gain, corrected_value in zip(
+                stamps.tolist(), is_assessed.tolist(), _optional(raw, has_raw),
+                _optional(trend_offset, has_trend), _optional(trend_gain, has_trend),
+                corrected_values.tolist()):
+            if here:
+                p_ks, flat, o_raw, g_raw, b_ks, b_offset, b_gain = next(per_assessed)
+                if flat:
+                    status, o_raw, g_raw = STATUS_DEGENERATE, None, None
+                    flags = BreachFlags(ks=b_ks, offset=None, gain=True)
+                else:
+                    status = STATUS_OK
+                    flags = BreachFlags(b_ks, b_offset, b_gain)
+                update_persistence(ledger, stamp, flags, th)
+                corrected = (decide_correction(ledger, th) and raw_value is not None
+                             and t_offset is not None)
+            else:
+                status, p_ks, o_raw, g_raw, flags, corrected = (
+                    STATUS_INSUFFICIENT, None, None, None, FROZEN, False)
+                if ledger.last_stamp is None or stamp > ledger.last_stamp:
+                    ledger.last_stamp = stamp
+            ledger.history.append(HistoryRow(
+                stamp=stamp,
+                status=status,
+                p_ks=p_ks,
+                offset_raw=o_raw,
+                gain_raw=g_raw,
+                offset_trend=t_offset,
+                gain_trend=t_gain,
+                breach_ks=flags.ks,
+                breach_offset=flags.offset,
+                breach_gain=flags.gain,
+                alarm_ks=ledger.latched[0],
+                alarm_offset=ledger.latched[1],
+                alarm_gain=ledger.latched[2],
+                corrected=corrected,
+                raw_value=raw_value,
+                output_value=corrected_value if corrected else raw_value,
+            ))
+
+        self._cursor = last
+        self._s_lo, self._s_hi = int(s_lo[-1]), int(s_hi[-1])
+        self._p_lo, self._p_hi = int(p_lo[-1]), int(p_hi[-1])
         return SiteRunResult(self.site_id, self.ledger.history)
+
+
+# Assessed hours per block of window statistics in SiteEngine.run: bounds
+# the padded window arrays to a few hundred kB whatever the span's length.
+_BLOCK_HOURS = 128
+
+
+def _window_bounds(hours: np.ndarray, stamps: np.ndarray, td_hours: int):
+    """Index range [lo, hi) of each stamp's window (stamp - td_hours, stamp]."""
+    return (np.searchsorted(hours, stamps - td_hours, side="right"),
+            np.searchsorted(hours, stamps, side="right"))
+
+
+def _window_stats(y_values, y_lo, y_n, z_values, z_lo, z_n):
+    """KS distance and the moments of both windows, for each window pair
+    given by its first index and length in the two series."""
+    d, mean_y, var_y, mean_z, var_z = (np.empty(y_n.size) for _ in range(5))
+    for lo in range(0, y_n.size, _BLOCK_HOURS):
+        block = slice(lo, lo + _BLOCK_HOURS)
+        y = _padded_windows(y_values, y_lo[block], y_n[block])
+        z = _padded_windows(z_values, z_lo[block], z_n[block])
+        d[block] = kernels.ks_distance_rows(y, z, y_n[block], z_n[block])
+        mean_y[block], var_y[block] = _moments_by_length(y, y_n[block])
+        mean_z[block], var_z[block] = _moments_by_length(z, z_n[block])
+    return d, mean_y, var_y, mean_z, var_z
+
+
+def _padded_windows(values: np.ndarray, lo: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """values[lo[r]:lo[r] + count[r]] as row r, padded with +inf."""
+    cols = np.arange(count.max())
+    inside = cols < count[:, None]
+    return np.where(inside, values[np.where(inside, lo[:, None] + cols, 0)], np.inf)
+
+
+def _moments_by_length(windows: np.ndarray, count: np.ndarray):
+    """window_moments of each row's samples, one call per distinct length
+    (numpy's pairwise sum depends on the length)."""
+    mean = np.empty(count.size)
+    var = np.empty(count.size)
+    for size in np.unique(count).tolist():
+        rows = count == size
+        mean[rows], var[rows] = kernels.window_moments(windows[rows, :size])
+    return mean, var
+
+
+def _optional(values: np.ndarray, present: np.ndarray) -> list:
+    """values as Python floats, None where not present."""
+    return [v if here else None for v, here in zip(values.tolist(), present.tolist())]
 
 
 def run_site(site_id: str, sensor: TimeSeries, proxy: TimeSeries,

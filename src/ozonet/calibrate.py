@@ -69,8 +69,16 @@ def estimate_from_samples(site_id: str, stamp: int, sensor, proxy) -> Calibratio
         raise DegenerateWindowError(
             f"degenerate sensor window at {site_id}: zero variance"
         )
-    gain = math.sqrt(var_z / var_y)
-    return CalibrationEstimate(stamp, mean_z - gain * mean_y, gain, RAW)
+    offset, gain = match_moments(mean_y, var_y, mean_z, var_z)
+    return CalibrationEstimate(stamp, float(offset), float(gain), RAW)
+
+
+def match_moments(mean_y, var_y, mean_z, var_z):
+    """(offset, gain) that map the sensor moments onto the proxy's, for
+    floats or arrays alike; the sensor variance must be above
+    DEGENERATE_VAR_EPS."""
+    gain = np.sqrt(var_z / var_y)
+    return mean_z - gain * mean_y, gain
 
 
 def moment_match(sensor_win: WindowSlice, proxy_win: WindowSlice,
@@ -96,6 +104,36 @@ def apply_correction(est: CalibrationEstimate, reading):
     Accepts a scalar or an array of readings.
     """
     return est.offset + est.gain * reading
+
+
+def _running(start: float, terms: np.ndarray) -> np.ndarray:
+    """start + terms[0], then + terms[1], ...: np.cumsum adds in order, so
+    each entry equals the running total of repeated `+=`."""
+    return np.cumsum(np.concatenate(([start], terms)))[1:]
+
+
+def _solve_quadratic(a, s1, s2, s3, s4, t0, t1, t2):
+    """Normal equations of the least-squares quadratic, solved by Cramer's
+    rule, for floats or elementwise over arrays.
+
+    Returns (c0, c1, c2, determined); `a` is the point count as a float.
+    Coefficients where `determined` is false are meaningless.
+    """
+    b, c = s1, s2
+    d, e, f = s1, s2, s3
+    g, h, i = s2, s3, s4
+    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    if isinstance(det, np.ndarray):
+        determined = (a >= 3.0) & ~(np.abs(det) < 1e-12 * np.maximum(1.0, a * e * i))
+        det = np.where(determined, det, 1.0)
+    else:
+        determined = a >= 3.0 and not abs(det) < 1e-12 * max(1.0, a * e * i)
+        if not determined:
+            return None, None, None, False
+    c0 = (t0 * (e * i - f * h) - b * (t1 * i - f * t2) + c * (t1 * h - e * t2)) / det
+    c1 = (a * (t1 * i - f * t2) - t0 * (d * i - f * g) + c * (d * t2 - t1 * g)) / det
+    c2 = (a * (e * t2 - t1 * h) - b * (d * t2 - t1 * g) + t0 * (d * h - e * g)) / det
+    return c0, c1, c2, determined
 
 
 class ExpandingQuadFit:
@@ -125,23 +163,30 @@ class ExpandingQuadFit:
         self.t1 += value * u
         self.t2 += value * u2
 
+    def extend(self, taus, values):
+        """Push each (tau, value) in order, leaving the sums bit for bit as
+        repeated `push` would, and return (fit, determined): the fit's
+        prediction at each tau just after that point was pushed, and whether
+        the fit was determined there."""
+        u = np.asarray(taus, dtype=np.float64) * _TAU_SCALE
+        values = np.asarray(values, dtype=np.float64)
+        u2 = u * u
+        names = ("s1", "s2", "s3", "s4", "t0", "t1", "t2")
+        terms = (u, u2, u2 * u, u2 * u2, values, values * u, values * u2)
+        sums = [_running(getattr(self, name), term) for name, term in zip(names, terms)]
+        count = self.n + np.arange(1, u.size + 1, dtype=np.float64)
+        if u.size:
+            self.n += u.size
+            for name, running in zip(names, sums):
+                setattr(self, name, float(running[-1]))
+        c0, c1, c2, determined = _solve_quadratic(count, *sums)
+        return c0 + c1 * u + c2 * u * u, determined
+
     def coefficients(self):
         """(c0, c1, c2) in scaled tau, or None when underdetermined."""
-        if self.n < 3:
-            return None
-        a, b, c = float(self.n), self.s1, self.s2
-        d, e, f = self.s1, self.s2, self.s3
-        g, h, i = self.s2, self.s3, self.s4
-        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-        if abs(det) < 1e-12 * max(1.0, a * e * i):
-            return None
-        c0 = (self.t0 * (e * i - f * h) - b * (self.t1 * i - f * self.t2)
-              + c * (self.t1 * h - e * self.t2)) / det
-        c1 = (a * (self.t1 * i - f * self.t2) - self.t0 * (d * i - f * g)
-              + c * (d * self.t2 - self.t1 * g)) / det
-        c2 = (a * (e * self.t2 - self.t1 * h) - b * (d * self.t2 - self.t1 * g)
-              + self.t0 * (d * h - e * g)) / det
-        return c0, c1, c2
+        c0, c1, c2, determined = _solve_quadratic(
+            float(self.n), self.s1, self.s2, self.s3, self.s4, self.t0, self.t1, self.t2)
+        return (c0, c1, c2) if determined else None
 
     def predict(self, tau: float):
         coef = self.coefficients()
@@ -184,6 +229,32 @@ class EstimateHistory:
         tau = float(est.stamp - self.stamps[0])
         self._offset_fit.push(tau, est.offset)
         self._gain_fit.push(tau, est.gain)
+
+    def extend(self, stamps, offsets, gains):
+        """Append raw estimates in bulk, leaving the history bit for bit as
+        repeated `append` would.
+
+        Returns (offset, gain) arrays: for each new estimate, what
+        `trend_at` gives from its stamp until the next estimate arrives.
+        """
+        stamps = np.asarray(stamps, dtype=np.int64)
+        offsets = np.asarray(offsets, dtype=np.float64)
+        gains = np.asarray(gains, dtype=np.float64)
+        if stamps.size == 0:
+            return offsets, gains
+        if np.any(np.diff(stamps) <= 0) or (self.stamps and stamps[0] <= self.stamps[-1]):
+            raise ValueError("estimates must arrive in increasing time order")
+        self.stamps.extend(stamps.tolist())
+        self.offsets.extend(offsets.tolist())
+        self.gains.extend(gains.tolist())
+        taus = (stamps - self.stamps[0]).astype(np.float64)
+        offset_fit, offset_ok = self._offset_fit.extend(taus, offsets)
+        gain_fit, gain_ok = self._gain_fit.extend(taus, gains)
+        # as in trend_at: the raw estimate stands in until the fit is
+        # determined, and a fitted gain is floored at zero
+        fitted = offset_ok & gain_ok
+        return (np.where(fitted, offset_fit, offsets),
+                np.where(fitted, np.where(gain_fit > 0.0, gain_fit, 0.0), gains))
 
     def latest_raw(self) -> CalibrationEstimate:
         if not self.stamps:
@@ -234,12 +305,6 @@ def decompose(history: EstimateHistory, which: str = "gain"):
         raise InsufficientDataError("no raw estimates recorded")
     raw = np.asarray(history.gains if which == "gain" else history.offsets, dtype=np.float64)
     stamps = np.asarray(history.stamps, dtype=np.int64)
-    t0 = stamps[0]
-    fit = ExpandingQuadFit()
-    trend = np.empty_like(raw)
-    for i, (s, v) in enumerate(zip(stamps, raw)):
-        tau = float(s - t0)
-        fit.push(tau, v)
-        pred = fit.predict(tau)
-        trend[i] = v if pred is None else pred
+    fit, determined = ExpandingQuadFit().extend((stamps - stamps[0]).astype(np.float64), raw)
+    trend = np.where(determined, fit, raw)
     return stamps, trend, raw - trend

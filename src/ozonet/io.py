@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,6 +47,14 @@ PROXY_SCORE_HEADER = [
 ]
 
 _VALID_STRATEGIES = (STRATEGY_NEAREST, STRATEGY_MEDIAN, STRATEGY_AADT, STRATEGY_EXPLICIT)
+
+
+# Bounded, but above a multi-year span: writers visit hours in order, so a
+# span longer than the cache would evict every entry before its reuse.
+@functools.lru_cache(maxsize=1 << 15)
+def _iso_hour(hour: int) -> str:
+    """format_iso_hour, computed once per distinct hour in a process."""
+    return format_iso_hour(hour)
 
 
 def _fmt_value(v: float) -> str:
@@ -105,8 +114,8 @@ class ValidationReport:
         lines.append(f"{'site':<16}{'hours':>8}{'first':>22}{'last':>22}{'complete':>10}")
         for row in sorted(self.coverage, key=lambda r: r.site_id):
             lines.append(
-                f"{row.site_id:<16}{row.n_hours:>8}{format_iso_hour(row.first):>22}"
-                f"{format_iso_hour(row.last):>22}{row.completeness:>10.3f}"
+                f"{row.site_id:<16}{row.n_hours:>8}{_iso_hour(row.first):>22}"
+                f"{_iso_hour(row.last):>22}{row.completeness:>10.3f}"
             )
         return "\n".join(lines)
 
@@ -122,6 +131,7 @@ def scan_series_csv(paths) -> tuple[dict, ValidationReport]:
         paths = [paths]
     issues: list[SeriesIssue] = []
     seen: dict[tuple, tuple] = {}     # (site, hour) -> (path, line)
+    hour_of: dict[str, int] = {}      # stamp text -> hour, parsed successfully once
     per_site: dict[str, list] = {}
 
     for path in paths:
@@ -151,11 +161,13 @@ def scan_series_csv(paths) -> tuple[dict, ValidationReport]:
                                               f"expected 3 fields, got {len(row)}"))
                     continue
                 stamp_text, site_id, value_text = (f.strip() for f in row)
-                try:
-                    hour = parse_iso_hour(stamp_text)
-                except ValueError as exc:
-                    issues.append(SeriesIssue(path, lineno, "timestamp", str(exc)))
-                    continue
+                hour = hour_of.get(stamp_text)
+                if hour is None:
+                    try:
+                        hour = hour_of[stamp_text] = parse_iso_hour(stamp_text)
+                    except ValueError as exc:
+                        issues.append(SeriesIssue(path, lineno, "timestamp", str(exc)))
+                        continue
                 if not site_id:
                     issues.append(SeriesIssue(path, lineno, "site_id", "empty site id"))
                     continue
@@ -210,7 +222,7 @@ def write_series_csv(path, series_map: dict):
         for site_id in sorted(series_map):
             ts = series_map[site_id]
             for hour, value in zip(ts.hours.tolist(), ts.values.tolist()):
-                writer.writerow([format_iso_hour(hour), site_id, _fmt_value(value)])
+                writer.writerow([_iso_hour(hour), site_id, _fmt_value(value)])
 
 
 # ------------------------------------------------------------ result exports
@@ -224,7 +236,7 @@ def write_chart_csv(path, rows):
         writer.writerow(CHART_HEADER)
         for r in rows:
             writer.writerow([
-                format_iso_hour(r.stamp),
+                _iso_hour(r.stamp),
                 _fmt_stat(r.p_ks),
                 _fmt_stat(r.offset_raw), _fmt_stat(r.gain_raw),
                 _fmt_stat(r.offset_trend), _fmt_stat(r.gain_trend),
@@ -246,7 +258,7 @@ def write_corrected_csv(path, rows):
             if r.raw_value is None:
                 continue
             writer.writerow([
-                format_iso_hour(r.stamp),
+                _iso_hour(r.stamp),
                 _fmt_value(r.raw_value),
                 _fmt_value(r.output_value),
                 str(int(r.corrected)),

@@ -25,11 +25,45 @@ def ks_distance(a, b) -> float:
     return float(np.abs(fa - fb).max())
 
 
-def window_moments(x) -> tuple[float, float]:
-    """(mean, unbiased variance) of a window sample; variance 0.0 when n < 2."""
+def ks_distance_rows(a, b, m, n) -> np.ndarray:
+    """`ks_distance` of each row pair, bit for bit.
+
+    Row r of `a` holds m[r] finite samples followed by +inf padding, and
+    likewise `b` with n[r]. Each side is sorted on its own, so a stable
+    argsort of the pooled row only merges two sorted runs. The running
+    count of a-samples at the last element of a tie run is the right limit
+    `searchsorted(av, x, side="right")` at that value x; the padding sorts
+    last and is left out.
+    """
+    a = np.sort(np.asarray(a, dtype=np.float64), axis=1)
+    b = np.sort(np.asarray(b, dtype=np.float64), axis=1)
+    m = np.asarray(m)
+    n = np.asarray(n)
+    if m.size and (m.min() < 1 or n.min() < 1):
+        raise ValueError("samples must be non-empty")
+    pooled = np.concatenate((a, b), axis=1)
+    count_a = np.cumsum(np.argsort(pooled, axis=1, kind="stable") < a.shape[1], axis=1)
+    count_b = np.arange(1, pooled.shape[1] + 1) - count_a
+    values = np.sort(pooled, axis=1)
+    run_end = np.isfinite(values)
+    run_end[:, :-1] &= values[:, :-1] != values[:, 1:]
+    gap = np.abs(count_a / (m[:, None] + 1.0) - count_b / (n[:, None] + 1.0))
+    return np.where(run_end, gap, 0.0).max(axis=1)
+
+
+def window_moments(x):
+    """(mean, unbiased variance) of a window sample; variance 0.0 when n < 2.
+
+    A 2-D input holds one window per row, all of one length, and gives
+    arrays; each row's figures equal those of the row passed alone, since
+    numpy reduces each row of a contiguous block by the same pairwise sum.
+    """
     xv = np.asarray(x, dtype=np.float64)
-    if xv.size == 0:
+    size = xv.shape[-1]
+    if size == 0:
         raise ValueError("sample must be non-empty")
-    mean = float(xv.mean())
-    var = float(xv.var(ddof=1)) if xv.size > 1 else 0.0
+    mean = xv.mean(axis=-1)
+    var = xv.var(axis=-1, ddof=1) if size > 1 else np.zeros_like(mean)
+    if xv.ndim == 1:
+        return float(mean), float(var)
     return mean, var

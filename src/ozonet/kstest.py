@@ -14,6 +14,7 @@ consistent threshold at the operating sample size (~72).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -71,6 +72,9 @@ def ks_statistic(a, b) -> float:
     return kernels.ks_distance(a, b)
 
 
+# A network replay meets far fewer distinct (d, m, n) than hours: at m = n = 72
+# the distance takes at most 73 values.
+@functools.lru_cache(maxsize=4096)
 def ks_pvalue(d: float, m: int, n: int) -> float:
     """Asymptotic tail probability of the sup distance, with the
     small-sample size adjustment, clamped to [0, 1].

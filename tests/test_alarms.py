@@ -9,14 +9,19 @@ from ozonet import (
     AlarmLedger,
     BreachFlags,
     CalibrationEstimate,
+    DriftSegment,
+    Scenario,
+    SensorModel,
     SiteEngine,
+    SiteRecord,
+    SiteSpec,
     Thresholds,
     TimeSeries,
     decide_correction,
     evaluate_breaches,
     update_persistence,
 )
-from netsim_cases import pair_scenario
+from netsim_cases import START_HOUR, monitor_truth, pair_scenario
 from ozonet.simulate import run_scenario
 
 
@@ -231,3 +236,124 @@ class TestEngine:
         ps = np.array([r.p_ks for r in result.rows if r.p_ks is not None])
         rate = float(np.mean(ps < 0.05))
         assert 0.03 <= rate <= 0.07
+
+
+def faulty_network():
+    """One reference and four sensors (gain ramp, offset ramp, flatline,
+    clean) over 40 days, each series with outage blocks cut out."""
+    truth = monitor_truth()
+    sensors = {
+        "GAIN": (DriftSegment(24 * 8, 24 * 30, "gain_ramp", 2.0),),
+        "OFFSET": (DriftSegment(24 * 8, 24 * 30, "offset_ramp", 12.0),),
+        "FLAT": (DriftSegment(24 * 25, 24 * 40, "flatline"),),
+        "CLEAN": (),
+    }
+    sites = [SiteSpec(SiteRecord("REF", "ref", "reference", 34.0, -117.0), truth)]
+    for i, (sid, drift) in enumerate(sensors.items()):
+        record = SiteRecord(sid, sid.lower(), "low-cost", 34.0 + 0.01 * (i + 1), -117.0)
+        sites.append(SiteSpec(record, truth, SensorModel(noise_sigma=1.0, drift=drift)))
+    res = run_scenario(Scenario(seed=11, start_hour=START_HOUR, duration_hours=24 * 40,
+                                sites=sites, regional_sigma=0.5, regional_bound=6.0,
+                                reference_noise_sigma=0.5))
+    rng = np.random.default_rng(5)
+    cut = {}
+    for sid, series in res.observed.items():
+        keep = np.ones(len(series), dtype=bool)
+        for _ in range(4):
+            start = int(rng.integers(0, len(series) - 40))
+            keep[start:start + int(rng.integers(3, 40))] = False
+        cut[sid] = TimeSeries(sid, series.hours[keep], series.values[keep])
+    return cut
+
+
+def engine_state(engine):
+    fits = (engine.history._offset_fit, engine.history._gain_fit)
+    return (
+        engine.ledger.breach_hours, engine.ledger.breach_start, engine.ledger.latched,
+        engine.ledger.last_stamp, engine.ledger.history,
+        engine.history.stamps, engine.history.offsets, engine.history.gains,
+        [[getattr(fit, name) for name in fit.__slots__] for fit in fits],
+        engine._s_lo, engine._s_hi, engine._p_lo, engine._p_hi, engine._cursor,
+    )
+
+
+def stepped(engine, first, last):
+    for stamp in range(first, last + 1):
+        engine.step(stamp)
+    return engine
+
+
+BATCH_THRESHOLDS = [
+    Thresholds(),
+    Thresholds(td_hours=48, completeness_min=0.9, correction_alarm_count=2),
+]
+
+
+@pytest.fixture(scope="module")
+def network():
+    return faulty_network()
+
+
+class TestBatchRun:
+    """run() replays a span in array passes; it must equal stepping exactly."""
+
+    @pytest.mark.parametrize("th", BATCH_THRESHOLDS)
+    def test_run_equals_stepping_row_for_row(self, network, th):
+        for sid in ("GAIN", "OFFSET", "FLAT", "CLEAN"):
+            sensor, proxy = network[sid], network["REF"]
+            batch = SiteEngine(sid, sensor, proxy, th)
+            rows = batch.run().rows
+            single = stepped(SiteEngine(sid, sensor, proxy, th),
+                             int(sensor.hours[0]), int(sensor.hours[-1]))
+            assert rows == single.ledger.history, sid
+            assert engine_state(batch) == engine_state(single), sid
+        statuses = {r.status for r in rows}
+        assert statuses == {"ok", "insufficient"}
+
+    def test_network_covers_every_path(self, network):
+        seen = set()
+        for sid in ("GAIN", "OFFSET", "FLAT"):
+            rows = SiteEngine(sid, network[sid], network["REF"]).run().rows
+            seen |= {r.status for r in rows}
+            assert any(r.corrected for r in rows), sid
+        assert seen == {"ok", "insufficient", "degenerate"}
+
+    @pytest.mark.parametrize("th", BATCH_THRESHOLDS)
+    def test_step_after_run_continues(self, network, th):
+        sensor, proxy = network["GAIN"], network["REF"]
+        first, last = int(sensor.hours[0]), int(sensor.hours[-1])
+        middle = first + 24 * 20
+        batch = SiteEngine("GAIN", sensor, proxy, th)
+        batch.run(first, middle)
+        stepped(batch, middle + 1, last)
+        single = stepped(SiteEngine("GAIN", sensor, proxy, th), first, last)
+        assert engine_state(batch) == engine_state(single)
+
+    @pytest.mark.parametrize("th", BATCH_THRESHOLDS)
+    def test_run_after_steps_continues(self, network, th):
+        # the run starts from a history, fit sums and clocks left by step
+        sensor, proxy = network["OFFSET"], network["REF"]
+        first, last = int(sensor.hours[0]), int(sensor.hours[-1])
+        middle = first + 24 * 15
+        batch = stepped(SiteEngine("OFFSET", sensor, proxy, th), first, middle)
+        assert len(batch.history) >= 3
+        batch.run(middle + 1, last)
+        single = stepped(SiteEngine("OFFSET", sensor, proxy, th), first, last)
+        assert engine_state(batch) == engine_state(single)
+
+    def test_run_on_sub_range(self, network):
+        sensor, proxy = network["FLAT"], network["REF"]
+        start, end = int(sensor.hours[0]) + 100, int(sensor.hours[-1]) - 50
+        batch = SiteEngine("FLAT", sensor, proxy)
+        rows = batch.run(start, end).rows
+        single = stepped(SiteEngine("FLAT", sensor, proxy), start, end)
+        assert rows[0].stamp == start and rows[-1].stamp == end
+        assert engine_state(batch) == engine_state(single)
+
+    def test_run_after_step_must_advance(self, network):
+        sensor, proxy = network["CLEAN"], network["REF"]
+        engine = SiteEngine("CLEAN", sensor, proxy)
+        engine.step(int(sensor.hours[0]) + 5)
+        with pytest.raises(ValueError, match="advance"):
+            engine.run()
+        assert len(engine.ledger.history) == 1

@@ -13,6 +13,7 @@ from ozonet import (
     moment_match,
     window,
 )
+from ozonet.calibrate import ExpandingQuadFit
 from ozonet.timeseries import TimeSeries
 
 
@@ -215,6 +216,27 @@ class TestQuadraticTrend:
         with pytest.raises(ValueError, match="increasing"):
             h.append(CalibrationEstimate(1, 0.0, 1.0))
 
+    def test_extend_equals_appending_one_by_one(self):
+        rng = np.random.default_rng(12)
+        stamps = np.sort(rng.choice(np.arange(3000), size=300, replace=False))
+        offsets = rng.normal(0, 4, 300)
+        gains = np.abs(1 + rng.normal(0, 0.5, 300))
+        one_by_one = history_from(stamps[:40], offsets[:40], gains[:40])
+        bulk = history_from(stamps[:40], offsets[:40], gains[:40])
+        seen = []
+        for s, o, g in zip(stamps[40:], offsets[40:], gains[40:]):
+            one_by_one.append(CalibrationEstimate(int(s), float(o), float(g)))
+            trend = one_by_one.trend_at(int(s))
+            seen.append((trend.offset, trend.gain))
+        offset, gain = bulk.extend(stamps[40:], offsets[40:], gains[40:])
+        assert list(zip(offset.tolist(), gain.tolist())) == seen
+        for a, b in ((one_by_one, bulk), (one_by_one._offset_fit, bulk._offset_fit),
+                     (one_by_one._gain_fit, bulk._gain_fit)):
+            names = a.__slots__ if hasattr(a, "__slots__") else ("stamps", "offsets", "gains")
+            assert [getattr(a, k) for k in names] == [getattr(b, k) for k in names]
+        with pytest.raises(ValueError, match="increasing"):
+            bulk.extend([int(stamps[-1])], [0.0], [1.0])
+
 
 class TestDecompose:
     def test_constant_history_zero_residuals(self):
@@ -230,6 +252,23 @@ class TestDecompose:
         _, trend, resid = decompose(h, "gain")
         np.testing.assert_allclose(trend + resid, np.asarray(h.gains),
                                    rtol=0, atol=1e-12)
+
+    def test_equals_push_predict_loop(self):
+        rng = np.random.default_rng(13)
+        stamps = np.sort(rng.choice(np.arange(4000), size=250, replace=False))
+        gains = np.clip(1 + 0.0002 * stamps + rng.normal(0, 0.1, 250), 0.1, None)
+        h = history_from(stamps, rng.normal(0, 2, 250), gains)
+        for which, raw in (("gain", h.gains), ("offset", h.offsets)):
+            fit = ExpandingQuadFit()
+            expected = []
+            for s, v in zip(h.stamps, raw):
+                tau = float(s - h.stamps[0])
+                fit.push(tau, v)
+                pred = fit.predict(tau)
+                expected.append(v if pred is None else pred)
+            _, trend, resid = decompose(h, which)
+            assert trend.tolist() == expected
+            assert resid.tolist() == (np.asarray(raw) - np.asarray(expected)).tolist()
 
     def test_which_argument_validated(self):
         h = history_from([0], [0], [1])

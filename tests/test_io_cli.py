@@ -85,6 +85,19 @@ class TestSeriesCsv:
         _, report = scan_series_csv(path)
         assert not report.ok
 
+    def test_repeated_stamps_parse_alike_and_bad_ones_report_every_line(self, tmp_path):
+        path = tmp_path / "repeat.csv"
+        write_rows(path, [
+            "2018-01-01T00:00:00Z,a,10.0",
+            "2018-01-01T00:30:00Z,a,11.0",
+            "2018-01-01T00:00:00Z,b,12.0",
+            "2018-01-01T00:30:00Z,b,13.0",
+        ])
+        series, report = scan_series_csv(path)
+        assert [(i.line, i.column) for i in report.issues] == [(3, "timestamp"), (5, "timestamp")]
+        assert str(report.issues[0]).split("] ")[1] == str(report.issues[1]).split("] ")[1]
+        assert series["a"].hours.tolist() == series["b"].hours.tolist() == [420768]
+
     def test_bad_value_and_range(self, tmp_path):
         path = tmp_path / "val.csv"
         write_rows(path, [

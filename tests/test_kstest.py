@@ -153,6 +153,14 @@ class TestPvalue:
         with pytest.raises(ValueError):
             ks_pvalue(1.5, 10, 10)
 
+    def test_memo_is_bounded_and_transparent(self):
+        assert ks_pvalue.cache_info().maxsize is not None
+        for _ in range(2):      # the second pass is served from the memo
+            for d, m, n in ((0.3, 72, 70), (0.05, 60, 72), (0.9, 3, 4)):
+                assert ks_pvalue(d, m, n) == ks_pvalue.__wrapped__(d, m, n)
+            with pytest.raises(ValueError):     # failures are not memoised
+                ks_pvalue(0.5, 0, 10)
+
     def test_known_tail_value(self):
         # independent evaluation of the tail series at lambda = 1.0:
         # 2*(e^-2 - e^-8 + e^-18 - ...) = 0.26999967...
