@@ -19,6 +19,7 @@ parallel. Replaying the same inputs reproduces the identical ledger.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +28,6 @@ from ozonet.calibrate import (
     DEGENERATE_VAR_EPS,
     CalibrationEstimate,
     EstimateHistory,
-    apply_correction,
     estimate_from_samples,
     match_moments,
 )
@@ -103,8 +103,8 @@ def evaluate_breaches(p_ks: float, est: CalibrationEstimate, th: Thresholds) -> 
     return BreachFlags(*_breaches(p_ks, est.offset, est.gain, th))
 
 
-def _breaches(p_ks, offset, gain, th: Thresholds):
-    """(ks, offset, gain) breach flags, for floats or elementwise over arrays."""
+def _breaches(p_ks: float, offset: float, gain: float, th: Thresholds):
+    """(ks, offset, gain) breach flags."""
     return (p_ks <= th.p_ks_min,
             (offset <= th.offset_low) | (offset >= th.offset_high),
             (gain <= th.gain_low) | (gain >= th.gain_high))
@@ -211,6 +211,30 @@ class SiteRunResult:
         return TimeSeries.from_pairs(self.site_id, pairs)
 
 
+class _Measurement(NamedTuple):
+    """What one hour's windows give, before the alarm policy acts on it.
+
+    The raw estimate is None unless the status is ok; the trend is the one
+    left after this hour's estimate entered (None while the history is empty).
+    """
+
+    raw_value: float | None
+    status: str
+    p_ks: float | None
+    offset_raw: float | None
+    gain_raw: float | None
+    trended: bool
+    offset_trend: float | None
+    gain_trend: float | None
+
+
+def _trended(offset, gain):
+    """Whether a raw estimate enters the trend fit (the sanity band above),
+    for floats or elementwise over arrays."""
+    return ((TREND_GAIN_MIN <= gain) & (gain <= TREND_GAIN_MAX)
+            & (abs(offset) <= TREND_OFFSET_CAP))
+
+
 class SiteEngine:
     """Per-hour monitoring pipeline for one sensor against one proxy.
 
@@ -241,14 +265,76 @@ class SiteEngine:
             lo += 1
         return lo, hi
 
-    def step(self, stamp) -> HistoryRow:
-        """Evaluate one hour; appends and returns the history row."""
+    def step(self, stamp, measured: _Measurement | None = None) -> HistoryRow:
+        """Evaluate one hour; appends and returns the history row.
+
+        The hour's windows are measured here, unless `measured` holds what
+        `run` already measured for it in its array passes. Either way this
+        is the one place where measurements become breaches, clock updates
+        and a correction.
+        """
         stamp = to_epoch_hour(stamp)
         if self._cursor is not None and stamp <= self._cursor:
             raise ValueError("steps must advance in time")
         self._cursor = stamp
         th = self.thresholds
+        m = self._measure(stamp) if measured is None else measured
+        status = m.status
 
+        if status == STATUS_OK:
+            # an estimate kept out of the trend is assessed directly, so the
+            # breach fires without contaminating the trend
+            offset, gain = ((m.offset_trend, m.gain_trend) if m.trended
+                            else (m.offset_raw, m.gain_raw))
+            flags = BreachFlags(*_breaches(m.p_ks, offset, gain, th))
+        elif status == STATUS_DEGENERATE:
+            # flat-lined sensor: no estimate; gain test breaches outright,
+            # the offset test cannot be evaluated and freezes
+            flags = BreachFlags(ks=m.p_ks <= th.p_ks_min, offset=None, gain=True)
+        else:
+            flags = FROZEN
+        ledger = self.ledger
+        if status == STATUS_INSUFFICIENT:
+            # clocks frozen entirely; do not touch the ledger beyond ordering
+            if ledger.last_stamp is None or stamp > ledger.last_stamp:
+                ledger.last_stamp = stamp
+        else:
+            update_persistence(ledger, stamp, flags, th)
+
+        raw_value = output_value = m.raw_value
+        corrected = (status != STATUS_INSUFFICIENT and decide_correction(ledger, th)
+                     and raw_value is not None and m.offset_trend is not None)
+        if corrected:
+            # apply_correction with the trend; corrected readings clip to
+            # the physical reporting range
+            output_value = min(max(m.offset_trend + m.gain_trend * raw_value, VALUE_MIN),
+                               VALUE_MAX)
+
+        row = HistoryRow(
+            stamp=stamp,
+            status=status,
+            p_ks=m.p_ks,
+            offset_raw=m.offset_raw,
+            gain_raw=m.gain_raw,
+            offset_trend=m.offset_trend,
+            gain_trend=m.gain_trend,
+            breach_ks=flags.ks,
+            breach_offset=flags.offset,
+            breach_gain=flags.gain,
+            alarm_ks=ledger.latched[0],
+            alarm_offset=ledger.latched[1],
+            alarm_gain=ledger.latched[2],
+            corrected=corrected,
+            raw_value=raw_value,
+            output_value=output_value,
+        )
+        ledger.history.append(row)
+        return row
+
+    def _measure(self, stamp: int) -> _Measurement:
+        """Advance the window cursors to `stamp` and measure the hour's
+        windows; an estimate inside the sanity band enters the history."""
+        th = self.thresholds
         self._s_lo, self._s_hi = self._advance(self.sensor.hours, self._s_lo, self._s_hi,
                                                stamp, th.td_hours)
         self._p_lo, self._p_hi = self._advance(self.proxy.hours, self._p_lo, self._p_hi,
@@ -260,77 +346,34 @@ class SiteEngine:
         n_y = self._s_hi - self._s_lo
         n_z = self._p_hi - self._p_lo
         need = th.completeness_min * th.td_hours
-        status, p, raw_est, flags = STATUS_INSUFFICIENT, None, None, FROZEN
-        trended = False
+        status, p, offset, gain, trended = STATUS_INSUFFICIENT, None, None, None, False
         if n_y >= need and n_z >= need:
             y = self.sensor.values[self._s_lo:self._s_hi]
             z = self.proxy.values[self._p_lo:self._p_hi]
-            d = kernels.ks_distance(y, z)
-            p = ks_pvalue(d, n_y, n_z)
+            p = ks_pvalue(kernels.ks_distance(y, z), n_y, n_z)
             try:
                 raw_est = estimate_from_samples(self.site_id, stamp, y, z)
             except DegenerateWindowError:
-                # flat-lined sensor: no estimate; gain test breaches outright,
-                # the offset test cannot be evaluated and freezes
                 status = STATUS_DEGENERATE
-                flags = BreachFlags(ks=p <= th.p_ks_min, offset=None, gain=True)
             else:
-                status = STATUS_OK
-                trended = (TREND_GAIN_MIN <= raw_est.gain <= TREND_GAIN_MAX
-                           and abs(raw_est.offset) <= TREND_OFFSET_CAP)
+                status, offset, gain = STATUS_OK, raw_est.offset, raw_est.gain
+                trended = _trended(offset, gain)
                 if trended:
                     self.history.append(raw_est)
 
         # one trend evaluation per hour serves assessment, correction and chart
         trend = self.history.trend_at(stamp) if len(self.history) else None
-        if status == STATUS_OK:
-            # an estimate kept out of the trend is assessed directly, so the
-            # breach fires without contaminating the trend
-            flags = evaluate_breaches(p, trend if trended else raw_est, th)
-        if status == STATUS_INSUFFICIENT:
-            # clocks frozen entirely; do not touch the ledger beyond ordering
-            if self.ledger.last_stamp is None or stamp > self.ledger.last_stamp:
-                self.ledger.last_stamp = stamp
-        else:
-            update_persistence(self.ledger, stamp, flags, th)
-
-        corrected = False
-        output_value = raw_value
-        if status != STATUS_INSUFFICIENT and decide_correction(self.ledger, th) \
-                and raw_value is not None and trend is not None:
-            # corrected readings clip to the physical reporting range
-            output_value = float(np.clip(apply_correction(trend, raw_value),
-                                         VALUE_MIN, VALUE_MAX))
-            corrected = True
-
-        row = HistoryRow(
-            stamp=stamp,
-            status=status,
-            p_ks=p,
-            offset_raw=None if raw_est is None else raw_est.offset,
-            gain_raw=None if raw_est is None else raw_est.gain,
-            offset_trend=None if trend is None else trend.offset,
-            gain_trend=None if trend is None else trend.gain,
-            breach_ks=flags.ks,
-            breach_offset=flags.offset,
-            breach_gain=flags.gain,
-            alarm_ks=self.ledger.latched[0],
-            alarm_offset=self.ledger.latched[1],
-            alarm_gain=self.ledger.latched[2],
-            corrected=corrected,
-            raw_value=raw_value,
-            output_value=output_value,
-        )
-        self.ledger.history.append(row)
-        return row
+        return _Measurement(raw_value, status, p, offset, gain, trended,
+                            None if trend is None else trend.offset,
+                            None if trend is None else trend.gain)
 
     def run(self, start=None, end=None) -> SiteRunResult:
         """Evaluate every hour of the sensor's span (or the given range).
 
         Gives the rows that stepping each hour in turn gives, and leaves the
         engine in the same state, so `step` can carry on after it. The
-        window statistics of the whole span come from array passes; one
-        loop then advances the persistence clocks and decides corrections.
+        window statistics of the whole span come from array passes; each
+        hour's measurement then goes through `step`.
         """
         if len(self.sensor) == 0:
             return SiteRunResult(self.site_id, [])
@@ -350,9 +393,7 @@ class SiteEngine:
         n_y, n_z = n_y[assessed], n_z[assessed]
         d, mean_y, var_y, mean_z, var_z = _window_stats(
             self.sensor.values, s_lo[assessed], n_y, self.proxy.values, p_lo[assessed], n_z)
-        keys = list(zip(d.tolist(), n_y.tolist(), n_z.tolist()))
-        p_of = {key: ks_pvalue(*key) for key in set(keys)}
-        p = np.array([p_of[key] for key in keys])
+        p = [ks_pvalue(*key) for key in zip(d.tolist(), n_y.tolist(), n_z.tolist())]
 
         # raw estimates as estimate_from_samples makes them; NaN where degenerate
         degenerate = var_y <= DEGENERATE_VAR_EPS
@@ -360,8 +401,7 @@ class SiteEngine:
         offset = np.full(assessed.size, np.nan)
         gain = np.full(assessed.size, np.nan)
         offset[ok], gain[ok] = match_moments(mean_y[ok], var_y[ok], mean_z[ok], var_z[ok])
-        trended = ((TREND_GAIN_MIN <= gain) & (gain <= TREND_GAIN_MAX)
-                   & (np.abs(offset) <= TREND_OFFSET_CAP))
+        trended = _trended(offset, gain)
 
         # the trend each hour sees: the one left by the estimates appended so far
         before = self.history.trend_at(first) if len(self.history) else None
@@ -375,63 +415,30 @@ class SiteEngine:
         trend_offset = np.concatenate(([held[0]], new_offset))[state]
         trend_gain = np.concatenate(([held[1]], new_gain))[state]
 
-        # an estimate kept out of the trend is assessed directly, as in step
-        breach_ks, breach_offset, breach_gain = _breaches(
-            p, np.where(trended, trend_offset[assessed], offset),
-            np.where(trended, trend_gain[assessed], gain), th)
-
         last_in = np.maximum(s_hi - 1, 0)
         has_raw = (s_hi > s_lo) & (self.sensor.hours[last_in] == stamps)
         raw = self.sensor.values[last_in]
-        # apply_correction for every hour at once; corrected readings clip
-        # to the physical reporting range
-        corrected_values = np.clip(trend_offset + trend_gain * raw, VALUE_MIN, VALUE_MAX)
 
         is_assessed = np.zeros(stamps.size, dtype=bool)
         is_assessed[assessed] = True
-        per_assessed = zip(p.tolist(), degenerate.tolist(), offset.tolist(), gain.tolist(),
-                           breach_ks.tolist(), breach_offset.tolist(), breach_gain.tolist())
-        ledger = self.ledger
-        for stamp, here, raw_value, t_offset, t_gain, corrected_value in zip(
+        per_assessed = zip(p, degenerate.tolist(), offset.tolist(), gain.tolist(),
+                           trended.tolist())
+        step = self.step
+        for stamp, here, raw_value, t_offset, t_gain in zip(
                 stamps.tolist(), is_assessed.tolist(), _optional(raw, has_raw),
-                _optional(trend_offset, has_trend), _optional(trend_gain, has_trend),
-                corrected_values.tolist()):
-            if here:
-                p_ks, flat, o_raw, g_raw, b_ks, b_offset, b_gain = next(per_assessed)
-                if flat:
-                    status, o_raw, g_raw = STATUS_DEGENERATE, None, None
-                    flags = BreachFlags(ks=b_ks, offset=None, gain=True)
-                else:
-                    status = STATUS_OK
-                    flags = BreachFlags(b_ks, b_offset, b_gain)
-                update_persistence(ledger, stamp, flags, th)
-                corrected = (decide_correction(ledger, th) and raw_value is not None
-                             and t_offset is not None)
+                _optional(trend_offset, has_trend), _optional(trend_gain, has_trend)):
+            if not here:
+                step(stamp, _Measurement(raw_value, STATUS_INSUFFICIENT, None, None, None,
+                                         False, t_offset, t_gain))
+                continue
+            p_ks, flat, o_raw, g_raw, in_trend = next(per_assessed)
+            if flat:
+                step(stamp, _Measurement(raw_value, STATUS_DEGENERATE, p_ks, None, None,
+                                         False, t_offset, t_gain))
             else:
-                status, p_ks, o_raw, g_raw, flags, corrected = (
-                    STATUS_INSUFFICIENT, None, None, None, FROZEN, False)
-                if ledger.last_stamp is None or stamp > ledger.last_stamp:
-                    ledger.last_stamp = stamp
-            ledger.history.append(HistoryRow(
-                stamp=stamp,
-                status=status,
-                p_ks=p_ks,
-                offset_raw=o_raw,
-                gain_raw=g_raw,
-                offset_trend=t_offset,
-                gain_trend=t_gain,
-                breach_ks=flags.ks,
-                breach_offset=flags.offset,
-                breach_gain=flags.gain,
-                alarm_ks=ledger.latched[0],
-                alarm_offset=ledger.latched[1],
-                alarm_gain=ledger.latched[2],
-                corrected=corrected,
-                raw_value=raw_value,
-                output_value=corrected_value if corrected else raw_value,
-            ))
+                step(stamp, _Measurement(raw_value, STATUS_OK, p_ks, o_raw, g_raw,
+                                         in_trend, t_offset, t_gain))
 
-        self._cursor = last
         self._s_lo, self._s_hi = int(s_lo[-1]), int(s_hi[-1])
         self._p_lo, self._p_hi = int(p_lo[-1]), int(p_hi[-1])
         return SiteRunResult(self.site_id, self.ledger.history)

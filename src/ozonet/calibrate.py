@@ -250,11 +250,7 @@ class EstimateHistory:
         taus = (stamps - self.stamps[0]).astype(np.float64)
         offset_fit, offset_ok = self._offset_fit.extend(taus, offsets)
         gain_fit, gain_ok = self._gain_fit.extend(taus, gains)
-        # as in trend_at: the raw estimate stands in until the fit is
-        # determined, and a fitted gain is floored at zero
-        fitted = offset_ok & gain_ok
-        return (np.where(fitted, offset_fit, offsets),
-                np.where(fitted, np.where(gain_fit > 0.0, gain_fit, 0.0), gains))
+        return _trend_or_raw(offset_ok & gain_ok, offset_fit, gain_fit, offsets, gains)
 
     def latest_raw(self) -> CalibrationEstimate:
         if not self.stamps:
@@ -287,9 +283,23 @@ class EstimateHistory:
         tau = float(min(stamp, self.stamps[-1]) - self.stamps[0])
         offset = self._offset_fit.predict(tau)
         gain = self._gain_fit.predict(tau)
-        if offset is None or gain is None:
-            return self.latest_raw()
-        return CalibrationEstimate(stamp, offset, max(0.0, gain), TREND)
+        fitted = offset is not None and gain is not None
+        offset, gain = _trend_or_raw(fitted, offset, gain, self.offsets[-1], self.gains[-1])
+        if not fitted:
+            return CalibrationEstimate(self.stamps[-1], offset, gain, RAW)
+        return CalibrationEstimate(stamp, offset, gain, TREND)
+
+
+def _trend_or_raw(fitted, fit_offset, fit_gain, raw_offset, raw_gain):
+    """The trend's (offset, gain): the fit where it is determined, with the
+    gain floored at zero, else the latest raw estimate; for floats or
+    elementwise over arrays."""
+    if isinstance(fitted, np.ndarray):
+        return (np.where(fitted, fit_offset, raw_offset),
+                np.where(fitted, np.where(fit_gain > 0.0, fit_gain, 0.0), raw_gain))
+    if not fitted:
+        return raw_offset, raw_gain
+    return fit_offset, fit_gain if fit_gain > 0.0 else 0.0
 
 
 def decompose(history: EstimateHistory, which: str = "gain"):

@@ -22,6 +22,7 @@ from ozonet import (
     update_persistence,
 )
 from netsim_cases import START_HOUR, monitor_truth, pair_scenario
+from ozonet.alarms import TREND_GAIN_MAX, TREND_GAIN_MIN, TREND_OFFSET_CAP
 from ozonet.simulate import run_scenario
 
 
@@ -318,6 +319,20 @@ class TestBatchRun:
             assert any(r.corrected for r in rows), sid
         assert seen == {"ok", "insufficient", "degenerate"}
 
+    def test_trended_estimates_are_assessed_on_the_trend(self, network):
+        th = Thresholds()
+        rows = SiteEngine("GAIN", network["GAIN"], network["REF"], th).run().rows
+
+        def gain_breach(gain):
+            return gain <= th.gain_low or gain >= th.gain_high
+
+        in_band = [r for r in rows if r.status == "ok"
+                   and TREND_GAIN_MIN <= r.gain_raw <= TREND_GAIN_MAX
+                   and abs(r.offset_raw) <= TREND_OFFSET_CAP]
+        assert all(r.breach_gain == gain_breach(r.gain_trend) for r in in_band)
+        # the raw estimates alone would breach on other hours
+        assert any(r.breach_gain != gain_breach(r.gain_raw) for r in in_band)
+
     @pytest.mark.parametrize("th", BATCH_THRESHOLDS)
     def test_step_after_run_continues(self, network, th):
         sensor, proxy = network["GAIN"], network["REF"]
@@ -349,6 +364,22 @@ class TestBatchRun:
         single = stepped(SiteEngine("FLAT", sensor, proxy), start, end)
         assert rows[0].stamp == start and rows[-1].stamp == end
         assert engine_state(batch) == engine_state(single)
+
+    def test_run_passes_every_hour_through_step(self, network, monkeypatch):
+        # a wrapper on step sees the whole replay, as it sees a stream
+        sensor, proxy = network["FLAT"], network["REF"]
+        seen = []
+        step = SiteEngine.step
+
+        def watched(engine, stamp, *rest):
+            row = step(engine, stamp, *rest)
+            seen.append(row)
+            return row
+
+        monkeypatch.setattr(SiteEngine, "step", watched)
+        rows = SiteEngine("FLAT", sensor, proxy).run().rows
+        assert seen == rows
+        assert len(rows) == int(sensor.hours[-1]) - int(sensor.hours[0]) + 1
 
     def test_run_after_step_must_advance(self, network):
         sensor, proxy = network["CLEAN"], network["REF"]

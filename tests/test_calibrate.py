@@ -237,6 +237,16 @@ class TestQuadraticTrend:
         with pytest.raises(ValueError, match="increasing"):
             bulk.extend([int(stamps[-1])], [0.0], [1.0])
 
+    def test_fitted_gain_is_floored_at_zero(self):
+        # the expanding quadratic through these gains dips below zero at the
+        # last point; trend_at and extend both report zero there
+        stamps, offsets, gains = [0, 10, 20, 30, 40], [0.0] * 5, [0.0, 3.0, 3.0, 0.0, 0.0]
+        h = history_from(stamps, offsets, gains)
+        assert h._gain_fit.predict(40.0) < 0.0
+        assert h.trend_at(40) == CalibrationEstimate(40, 0.0, 0.0, "trend")
+        _, gain = EstimateHistory("s").extend(stamps, offsets, gains)
+        assert gain[-1] == 0.0
+
 
 class TestDecompose:
     def test_constant_history_zero_residuals(self):
