@@ -177,8 +177,7 @@ def cmd_run(args) -> int:
         lines.append(f"{sid:<14}{proxy_label:<18}{hours:>7}{100 * ks:>7.1f}"
                      f"{100 * a0:>7.1f}{100 * a1:>7.1f}{100 * corr:>7.1f}  {note}")
     print("\n".join(lines))
-    (out / "summary.csv").parent.mkdir(parents=True, exist_ok=True)
-    with open(out / "summary.csv", "w", newline="") as handle:
+    with ozio.atomic_write(out / "summary.csv", newline="") as handle:
         writer = csv.writer(handle, lineterminator="\n")
         writer.writerow(["site_id", "proxy", "monitored_hours", "alarm_frac_ks",
                          "alarm_frac_a0", "alarm_frac_a1", "corrected_frac", "note"])

@@ -8,10 +8,12 @@ Configuration is a single JSON document, documented in the README.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import functools
 import json
+import os
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -55,6 +57,22 @@ _VALID_STRATEGIES = (STRATEGY_NEAREST, STRATEGY_MEDIAN, STRATEGY_AADT, STRATEGY_
 def _iso_hour(hour: int) -> str:
     """format_iso_hour, computed once per distinct hour in a process."""
     return format_iso_hour(hour)
+
+
+@contextlib.contextmanager
+def atomic_write(path, newline=None):
+    """Open `path` for writing text through a sibling temporary file, which
+    replaces `path` only once the block completes: a write that fails
+    leaves the old file (or none) and no temporary file behind."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", newline=newline) as handle:
+            yield handle
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def _fmt_value(v: float) -> str:
@@ -214,9 +232,7 @@ def read_series_csv(paths) -> dict:
 
 def write_series_csv(path, series_map: dict):
     """Write all series sorted by (site_id, timestamp)."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
+    with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(SERIES_HEADER)
         for site_id in sorted(series_map):
@@ -229,9 +245,7 @@ def write_series_csv(path, series_map: dict):
 
 def write_chart_csv(path, rows):
     """Control-chart history export, one row per stepped hour."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
+    with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CHART_HEADER)
         for r in rows:
@@ -249,9 +263,7 @@ def write_chart_csv(path, rows):
 
 def write_corrected_csv(path, rows):
     """Per-site corrected output; hours without a sensor reading are gaps."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
+    with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(CORRECTED_HEADER)
         for r in rows:
@@ -266,9 +278,7 @@ def write_corrected_csv(path, rows):
 
 
 def write_proxy_scores_csv(path, scores):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
+    with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(PROXY_SCORE_HEADER)
         for s in scores:
@@ -282,9 +292,7 @@ def write_proxy_scores_csv(path, scores):
 
 
 def write_grid_csv(path, grid):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as handle:
+    with atomic_write(path, newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(["lat", "lon", "value_ppb"])
         for lat, lon, value in grid.cells():
@@ -292,9 +300,7 @@ def write_grid_csv(path, grid):
 
 
 def write_json(path, payload: dict):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as handle:
+    with atomic_write(path) as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
 

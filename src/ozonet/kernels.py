@@ -14,15 +14,18 @@ def ks_distance(a, b) -> float:
     right limit at the previous breakpoint (both curves start at 0), so the
     right limits alone give the sup.
     """
-    av = np.sort(np.asarray(a, dtype=np.float64))
-    bv = np.sort(np.asarray(b, dtype=np.float64))
+    # sorted copies: the samples are often views into a series
+    av = np.array(a, dtype=np.float64)
+    bv = np.array(b, dtype=np.float64)
     m, n = av.size, bv.size
     if m == 0 or n == 0:
         raise ValueError("samples must be non-empty")
+    av.sort()
+    bv.sort()
     pooled = np.concatenate((av, bv))
-    fa = np.searchsorted(av, pooled, side="right") / (m + 1.0)
-    fb = np.searchsorted(bv, pooled, side="right") / (n + 1.0)
-    return float(np.abs(fa - fb).max())
+    fa = av.searchsorted(pooled, side="right") / (m + 1.0)
+    fb = bv.searchsorted(pooled, side="right") / (n + 1.0)
+    return float(np.maximum.reduce(np.abs(fa - fb)))
 
 
 def ks_distance_rows(a, b, m, n) -> np.ndarray:
@@ -55,15 +58,22 @@ def window_moments(x):
     """(mean, unbiased variance) of a window sample; variance 0.0 when n < 2.
 
     A 2-D input holds one window per row, all of one length, and gives
-    arrays; each row's figures equal those of the row passed alone, since
-    numpy reduces each row of a contiguous block by the same pairwise sum.
+    arrays. Both ranks go through one formula, the ufunc reductions that
+    np.mean and np.var(ddof=1) perform without their Python wrappers, so
+    the figures equal numpy's bit for bit; each row's equal those of the
+    row passed alone, since numpy reduces each row of a contiguous block
+    by the same pairwise sum.
     """
     xv = np.asarray(x, dtype=np.float64)
     size = xv.shape[-1]
     if size == 0:
         raise ValueError("sample must be non-empty")
-    mean = xv.mean(axis=-1)
-    var = xv.var(axis=-1, ddof=1) if size > 1 else np.zeros_like(mean)
+    mean = np.add.reduce(xv, axis=-1) / size
+    if size > 1:
+        dev = xv - mean[..., None]
+        var = np.add.reduce(dev * dev, axis=-1) / (size - 1)
+    else:
+        var = np.zeros_like(mean)
     if xv.ndim == 1:
         return float(mean), float(var)
     return mean, var

@@ -222,9 +222,11 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        regional = data.get("regional", {})
+        _object(data, "scenario")
+        regional = _object(data.get("regional", {}), "regional")
         sites = []
         for raw in data["sites"]:
+            _object(raw, "site")
             record = SiteRecord(
                 site_id=raw["site_id"],
                 name=raw.get("name", raw["site_id"]),
@@ -235,7 +237,7 @@ class Scenario:
                 aadt_5km=raw.get("aadt_5km"),
                 land_use=raw.get("land_use"),
             )
-            t = raw["truth"]
+            t = _object(raw["truth"], "truth")
             truth = TruthModel(
                 baseline=t["baseline"],
                 amplitude=t["amplitude"],
@@ -248,7 +250,7 @@ class Scenario:
             )
             sensor = None
             if raw.get("sensor") is not None:
-                sr = raw["sensor"]
+                sr = _object(raw["sensor"], "sensor")
                 sensor = SensorModel(
                     offset=sr.get("offset", 0.0),
                     gain=sr.get("gain", 1.0),
@@ -273,6 +275,13 @@ class Scenario:
     def config_sha256(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _object(value, what: str) -> dict:
+    """`value` if it is a JSON object, else ValueError naming `what`."""
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
+    return value
 
 
 def generate_regional(scenario: Scenario) -> np.ndarray:

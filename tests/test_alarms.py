@@ -24,6 +24,7 @@ from ozonet import (
 from netsim_cases import START_HOUR, monitor_truth, pair_scenario
 from ozonet.alarms import TREND_GAIN_MAX, TREND_GAIN_MIN, TREND_OFFSET_CAP
 from ozonet.simulate import run_scenario
+from ozonet.timeseries import VALUE_MAX, VALUE_MIN
 
 
 def oracle_episode_latches(pattern, tf):
@@ -222,6 +223,21 @@ class TestEngine:
         engine.step(5)
         with pytest.raises(ValueError, match="advance"):
             engine.step(5)
+
+    @pytest.mark.parametrize("to_sensor, spike, bound", [
+        (lambda z: z / 3.0, 300.0, VALUE_MAX),   # gain 3 latched: 3 * 300 > 500
+        (lambda z: z + 50.0, 0.0, VALUE_MIN),    # offset -50 latched: -50 + 0 < -10
+    ])
+    def test_corrected_readings_clip_to_reporting_range(self, to_sensor, spike, bound):
+        proxy = sim_series("p", 0, 300, 6)
+        values = to_sensor(proxy.values)
+        values[-1] = spike
+        sensor = TimeSeries("s", proxy.hours, values)
+        last = SiteEngine("s", sensor, proxy).run().rows[-1]
+        assert last.corrected and last.raw_value == spike
+        unclipped = last.offset_trend + last.gain_trend * spike
+        assert not VALUE_MIN <= unclipped <= VALUE_MAX
+        assert last.output_value == bound
 
     def test_null_long_run_breach_rate_calibrated(self):
         # sensor and proxy drawn independently from the same distribution:

@@ -7,16 +7,19 @@ import numpy as np
 import pytest
 
 from ozonet import SiteRecord, Thresholds, TimeSeries
+from ozonet.alarms import HistoryRow
 from ozonet.cli import main
 from ozonet.errors import ConfigError
 from ozonet.io import (
     CHART_HEADER,
     NetworkConfig,
     ProxyPolicy,
+    atomic_write,
     load_network_config,
     read_series_csv,
     save_network_config,
     scan_series_csv,
+    write_chart_csv,
     write_series_csv,
 )
 from netsim_cases import pair_scenario
@@ -121,6 +124,34 @@ class TestSeriesCsv:
             read_series_csv(path)
 
 
+class TestAtomicWrites:
+    def test_failed_chart_write_leaves_old_file_and_no_temporary(self, tmp_path):
+        def row(stamp):
+            return HistoryRow(stamp, "insufficient", None, None, None, None, None,
+                              None, None, None, False, False, False, False, 30.0, 30.0)
+
+        path = tmp_path / "charts" / "LC.csv"
+        write_chart_csv(path, [row(h) for h in range(3)])
+        before = path.read_bytes()
+
+        def rows():
+            # enough rows that the writer flushes some to disk before failing
+            yield from (row(h) for h in range(5000))
+            raise RuntimeError("engine failed mid-span")
+
+        with pytest.raises(RuntimeError):
+            write_chart_csv(path, rows())
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == ["LC.csv"]
+
+    def test_failed_first_write_leaves_nothing(self, tmp_path):
+        with pytest.raises(ZeroDivisionError):
+            with atomic_write(tmp_path / "new.csv") as handle:
+                handle.write("partial\n")
+                1 / 0
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestNetworkConfig:
     def make_config(self):
         sites = [SiteRecord("R1", "ref one", "reference", 34.0, -118.0),
@@ -196,6 +227,25 @@ class TestSimulateCommand:
         spath = tmp_path / "s.json"
         spath.write_text(json.dumps({"seed": 1}))
         assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
+
+    @pytest.mark.parametrize("payload, what", [
+        ([1, 2], "scenario"),
+        ("text", "scenario"),
+        ({"seed": 1, "sites": [[1]]}, "site"),
+        ({"seed": 1, "sites": ["REF"]}, "site"),
+        ({"seed": 1, "sites": [{"site_id": "LC", "role": "low-cost", "latitude": 34.0,
+                                "longitude": -117.0,
+                                "truth": {"baseline": 30.0, "amplitude": 9.0},
+                                "sensor": [1.0, 0.0]}]}, "sensor"),
+    ])
+    def test_scenario_that_is_not_an_object_is_input_error(self, tmp_path, capsys,
+                                                           payload, what):
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(payload))
+        assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad scenario {spath}: {what} must be a JSON object")
+        assert "Traceback" not in err
 
 
 class TestValidateCommand:

@@ -16,16 +16,6 @@ def test_pure_distance_rejects_empty():
         kernels.window_moments([])
 
 
-def test_pure_moments_match_numpy():
-    rng = np.random.default_rng(1)
-    for n in (1, 2, 5, 72):
-        x = rng.normal(30, 8, n)
-        mean, var = kernels.window_moments(x)
-        assert mean == pytest.approx(np.mean(x), abs=1e-12)
-        expected_var = 0.0 if n < 2 else np.var(x, ddof=1)
-        assert var == pytest.approx(expected_var, abs=1e-12)
-
-
 def _padded(rows):
     out = np.full((len(rows), max(len(r) for r in rows)), np.inf)
     for i, row in enumerate(rows):
@@ -40,6 +30,36 @@ def _window(kind, size, seed):
     if kind == "rounded":
         return np.round(rng.normal(30, 8, size))
     return rng.normal(30, 8, size)
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(["normal", "ties", "rounded"]), st.integers(1, 80),
+       st.integers(1, 6), st.sampled_from([1e-3, 1e-2, 0.1, 1.0, 10.0, 100.0, 1e3]),
+       st.integers(0, 2**32 - 1))
+def test_pure_moments_match_numpy(kind, size, count, scale, seed):
+    block = np.stack([_window(kind, size, seed + i) * scale for i in range(count)])
+    expected_mean = np.mean(block, axis=-1)
+    expected_var = (np.var(block, axis=-1, ddof=1) if size > 1
+                    else np.zeros(count))
+    mean, var = kernels.window_moments(block)
+    assert mean.tolist() == expected_mean.tolist()
+    assert var.tolist() == expected_var.tolist()
+    singles = [kernels.window_moments(row) for row in block]
+    assert singles == list(zip(expected_mean.tolist(), expected_var.tolist()))
+
+
+def test_kernels_leave_caller_arrays_unchanged():
+    # the engine passes views into a series' values; sorting one in place
+    # would reorder the series itself
+    series = np.random.default_rng(3).normal(30, 8, 200)
+    before = series.copy()
+    a, b = series[10:82], series[120:190]
+    kernels.ks_distance(a, b)
+    kernels.window_moments(a)
+    kernels.window_moments(series[:150].reshape(3, 50))
+    kernels.ks_distance_rows(series[:144].reshape(2, 72), series[50:194].reshape(2, 72),
+                             np.array([72, 72]), np.array([72, 72]))
+    assert series.tobytes() == before.tobytes()
 
 
 window_specs = st.lists(
