@@ -15,7 +15,6 @@ from ozonet.alarms import (
     Thresholds,
     decide_correction,
     evaluate_breaches,
-    run_site,
     update_persistence,
 )
 from ozonet.calibrate import (
@@ -83,6 +82,6 @@ __all__ = [
     "ecdf", "evaluate_breaches", "evaluate_proxy", "generate_truth",
     "idw_grid", "ks_pvalue", "ks_statistic", "ks_test", "moment_match",
     "nearest_reference", "network_median_series", "pair_metrics",
-    "resample_hourly", "run_scenario", "run_site", "similar_aadt",
+    "resample_hourly", "run_scenario", "similar_aadt",
     "update_persistence", "window",
 ]

@@ -33,7 +33,7 @@ from ozonet.calibrate import (
 )
 from ozonet.errors import DegenerateWindowError
 from ozonet.kstest import ks_pvalue
-from ozonet.timeseries import VALUE_MAX, VALUE_MIN, TimeSeries, to_epoch_hour
+from ozonet.timeseries import VALUE_MAX, VALUE_MIN, TimeSeries, to_epoch_hour, window_bounds
 
 TEST_NAMES = ("ks", "offset", "gain")
 
@@ -214,16 +214,16 @@ class SiteRunResult:
 class _Measurement(NamedTuple):
     """What one hour's windows give, before the alarm policy acts on it.
 
-    The raw estimate is None unless the status is ok; the trend is the one
-    left after this hour's estimate entered (None while the history is empty).
+    p_ks is None when the windows are insufficient; the raw estimate is
+    None when they are insufficient or the sensor window is degenerate. The
+    trend is the one left after this hour's estimate entered (None while the
+    history is empty).
     """
 
     raw_value: float | None
-    status: str
     p_ks: float | None
     offset_raw: float | None
     gain_raw: float | None
-    trended: bool
     offset_trend: float | None
     gain_trend: float | None
 
@@ -251,19 +251,7 @@ class SiteEngine:
         self.proxy = proxy
         self.history = EstimateHistory(site_id)
         self.ledger = AlarmLedger(site_id)
-        # rolling window cursors, advanced monotonically
-        self._s_lo = self._s_hi = 0
-        self._p_lo = self._p_hi = 0
         self._cursor = None
-
-    def _advance(self, hours: np.ndarray, lo: int, hi: int, stamp: int, td: int):
-        n = hours.size
-        while hi < n and hours[hi] <= stamp:
-            hi += 1
-        floor = stamp - td
-        while lo < hi and hours[lo] <= floor:
-            lo += 1
-        return lo, hi
 
     def step(self, stamp, measured: _Measurement | None = None) -> HistoryRow:
         """Evaluate one hour; appends and returns the history row.
@@ -278,46 +266,43 @@ class SiteEngine:
             raise ValueError("steps must advance in time")
         self._cursor = stamp
         th = self.thresholds
-        m = self._measure(stamp) if measured is None else measured
-        status = m.status
+        raw_value, p_ks, offset_raw, gain_raw, offset_trend, gain_trend = (
+            self._measure(stamp) if measured is None else measured)
 
-        if status == STATUS_OK:
-            # an estimate kept out of the trend is assessed directly, so the
-            # breach fires without contaminating the trend
-            offset, gain = ((m.offset_trend, m.gain_trend) if m.trended
-                            else (m.offset_raw, m.gain_raw))
-            flags = BreachFlags(*_breaches(m.p_ks, offset, gain, th))
-        elif status == STATUS_DEGENERATE:
+        if p_ks is None:
+            # insufficient windows: every clock freezes
+            status, flags = STATUS_INSUFFICIENT, FROZEN
+        elif offset_raw is None:
             # flat-lined sensor: no estimate; gain test breaches outright,
             # the offset test cannot be evaluated and freezes
-            flags = BreachFlags(ks=m.p_ks <= th.p_ks_min, offset=None, gain=True)
+            status = STATUS_DEGENERATE
+            flags = BreachFlags(ks=p_ks <= th.p_ks_min, offset=None, gain=True)
         else:
-            flags = FROZEN
-        ledger = self.ledger
-        if status == STATUS_INSUFFICIENT:
-            # clocks frozen entirely; do not touch the ledger beyond ordering
-            if ledger.last_stamp is None or stamp > ledger.last_stamp:
-                ledger.last_stamp = stamp
-        else:
-            update_persistence(ledger, stamp, flags, th)
+            # an estimate kept out of the trend is assessed directly, so the
+            # breach fires without contaminating the trend
+            status = STATUS_OK
+            offset, gain = ((offset_trend, gain_trend) if _trended(offset_raw, gain_raw)
+                            else (offset_raw, gain_raw))
+            flags = BreachFlags(*_breaches(p_ks, offset, gain, th))
+        ledger = update_persistence(self.ledger, stamp, flags, th)
 
-        raw_value = output_value = m.raw_value
-        corrected = (status != STATUS_INSUFFICIENT and decide_correction(ledger, th)
-                     and raw_value is not None and m.offset_trend is not None)
+        output_value = raw_value
+        corrected = (p_ks is not None and decide_correction(ledger, th)
+                     and raw_value is not None and offset_trend is not None)
         if corrected:
             # apply_correction with the trend; corrected readings clip to
             # the physical reporting range
-            output_value = min(max(m.offset_trend + m.gain_trend * raw_value, VALUE_MIN),
+            output_value = min(max(offset_trend + gain_trend * raw_value, VALUE_MIN),
                                VALUE_MAX)
 
         row = HistoryRow(
             stamp=stamp,
             status=status,
-            p_ks=m.p_ks,
-            offset_raw=m.offset_raw,
-            gain_raw=m.gain_raw,
-            offset_trend=m.offset_trend,
-            gain_trend=m.gain_trend,
+            p_ks=p_ks,
+            offset_raw=offset_raw,
+            gain_raw=gain_raw,
+            offset_trend=offset_trend,
+            gain_trend=gain_trend,
             breach_ks=flags.ks,
             breach_offset=flags.offset,
             breach_gain=flags.gain,
@@ -332,38 +317,36 @@ class SiteEngine:
         return row
 
     def _measure(self, stamp: int) -> _Measurement:
-        """Advance the window cursors to `stamp` and measure the hour's
-        windows; an estimate inside the sanity band enters the history."""
+        """Measure the windows that end at `stamp`; an estimate inside the
+        sanity band enters the history."""
         th = self.thresholds
-        self._s_lo, self._s_hi = self._advance(self.sensor.hours, self._s_lo, self._s_hi,
-                                               stamp, th.td_hours)
-        self._p_lo, self._p_hi = self._advance(self.proxy.hours, self._p_lo, self._p_hi,
-                                               stamp, th.td_hours)
+        sensor, proxy = self.sensor, self.proxy
+        # plain ints: numpy scalars make the slicing and comparisons below slower
+        s_lo, s_hi = window_bounds(sensor.hours, stamp, th.td_hours).tolist()
+        p_lo, p_hi = window_bounds(proxy.hours, stamp, th.td_hours).tolist()
         raw_value = None
-        if self._s_hi > self._s_lo and self.sensor.hours[self._s_hi - 1] == stamp:
-            raw_value = float(self.sensor.values[self._s_hi - 1])
+        if s_hi > s_lo and sensor.hours[s_hi - 1] == stamp:
+            raw_value = float(sensor.values[s_hi - 1])
 
-        n_y = self._s_hi - self._s_lo
-        n_z = self._p_hi - self._p_lo
+        n_y, n_z = s_hi - s_lo, p_hi - p_lo
         need = th.completeness_min * th.td_hours
-        status, p, offset, gain, trended = STATUS_INSUFFICIENT, None, None, None, False
+        p = offset = gain = None
         if n_y >= need and n_z >= need:
-            y = self.sensor.values[self._s_lo:self._s_hi]
-            z = self.proxy.values[self._p_lo:self._p_hi]
+            y = sensor.values[s_lo:s_hi]
+            z = proxy.values[p_lo:p_hi]
             p = ks_pvalue(kernels.ks_distance(y, z), n_y, n_z)
             try:
                 raw_est = estimate_from_samples(self.site_id, stamp, y, z)
             except DegenerateWindowError:
-                status = STATUS_DEGENERATE
+                pass
             else:
-                status, offset, gain = STATUS_OK, raw_est.offset, raw_est.gain
-                trended = _trended(offset, gain)
-                if trended:
+                offset, gain = raw_est.offset, raw_est.gain
+                if _trended(offset, gain):
                     self.history.append(raw_est)
 
         # one trend evaluation per hour serves assessment, correction and chart
         trend = self.history.trend_at(stamp) if len(self.history) else None
-        return _Measurement(raw_value, status, p, offset, gain, trended,
+        return _Measurement(raw_value, p, offset, gain,
                             None if trend is None else trend.offset,
                             None if trend is None else trend.gain)
 
@@ -385,74 +368,49 @@ class SiteEngine:
             raise ValueError("steps must advance in time")
         th = self.thresholds
         stamps = np.arange(first, last + 1, dtype=np.int64)
-        s_lo, s_hi = _window_bounds(self.sensor.hours, stamps, th.td_hours)
-        p_lo, p_hi = _window_bounds(self.proxy.hours, stamps, th.td_hours)
+        s_lo, s_hi = window_bounds(self.sensor.hours, stamps, th.td_hours)
+        p_lo, p_hi = window_bounds(self.proxy.hours, stamps, th.td_hours)
         n_y, n_z = s_hi - s_lo, p_hi - p_lo
         need = th.completeness_min * th.td_hours
         assessed = np.flatnonzero((n_y >= need) & (n_z >= need))
         n_y, n_z = n_y[assessed], n_z[assessed]
         d, mean_y, var_y, mean_z, var_z = _window_stats(
             self.sensor.values, s_lo[assessed], n_y, self.proxy.values, p_lo[assessed], n_z)
-        p = [ks_pvalue(*key) for key in zip(d.tolist(), n_y.tolist(), n_z.tolist())]
 
-        # raw estimates as estimate_from_samples makes them; NaN where degenerate
-        degenerate = var_y <= DEGENERATE_VAR_EPS
-        ok = ~degenerate
-        offset = np.full(assessed.size, np.nan)
-        gain = np.full(assessed.size, np.nan)
-        offset[ok], gain[ok] = match_moments(mean_y[ok], var_y[ok], mean_z[ok], var_z[ok])
-        trended = _trended(offset, gain)
+        # full-span columns of each hour's measurement, NaN where absent (a
+        # present value is finite: readings are, and so is an estimate, which
+        # exists only above DEGENERATE_VAR_EPS)
+        p_ks, offset, gain = np.full((3, stamps.size), np.nan)
+        p_ks[assessed] = [ks_pvalue(*key) for key in zip(d.tolist(), n_y.tolist(), n_z.tolist())]
+        # raw estimates as estimate_from_samples makes them
+        ok = var_y > DEGENERATE_VAR_EPS
+        offset[assessed[ok]], gain[assessed[ok]] = match_moments(
+            mean_y[ok], var_y[ok], mean_z[ok], var_z[ok])
+        trended = np.flatnonzero(_trended(offset, gain))
 
         # the trend each hour sees: the one left by the estimates appended so far
         before = self.history.trend_at(first) if len(self.history) else None
         new_offset, new_gain = self.history.extend(
-            stamps[assessed[trended]], offset[trended], gain[trended])
-        appended = np.zeros(stamps.size, dtype=np.int64)
-        appended[assessed[trended]] = 1
-        state = np.cumsum(appended)
-        has_trend = (state > 0) | (before is not None)
+            stamps[trended], offset[trended], gain[trended])
+        state = trended.searchsorted(np.arange(stamps.size), "right")
         held = (np.nan, np.nan) if before is None else (before.offset, before.gain)
         trend_offset = np.concatenate(([held[0]], new_offset))[state]
         trend_gain = np.concatenate(([held[1]], new_gain))[state]
 
         last_in = np.maximum(s_hi - 1, 0)
-        has_raw = (s_hi > s_lo) & (self.sensor.hours[last_in] == stamps)
-        raw = self.sensor.values[last_in]
+        raw = np.where((s_hi > s_lo) & (self.sensor.hours[last_in] == stamps),
+                       self.sensor.values[last_in], np.nan)
 
-        is_assessed = np.zeros(stamps.size, dtype=bool)
-        is_assessed[assessed] = True
-        per_assessed = zip(p, degenerate.tolist(), offset.tolist(), gain.tolist(),
-                           trended.tolist())
-        step = self.step
-        for stamp, here, raw_value, t_offset, t_gain in zip(
-                stamps.tolist(), is_assessed.tolist(), _optional(raw, has_raw),
-                _optional(trend_offset, has_trend), _optional(trend_gain, has_trend)):
-            if not here:
-                step(stamp, _Measurement(raw_value, STATUS_INSUFFICIENT, None, None, None,
-                                         False, t_offset, t_gain))
-                continue
-            p_ks, flat, o_raw, g_raw, in_trend = next(per_assessed)
-            if flat:
-                step(stamp, _Measurement(raw_value, STATUS_DEGENERATE, p_ks, None, None,
-                                         False, t_offset, t_gain))
-            else:
-                step(stamp, _Measurement(raw_value, STATUS_OK, p_ks, o_raw, g_raw,
-                                         in_trend, t_offset, t_gain))
-
-        self._s_lo, self._s_hi = int(s_lo[-1]), int(s_hi[-1])
-        self._p_lo, self._p_hi = int(p_lo[-1]), int(p_hi[-1])
+        columns = (raw, p_ks, offset, gain, trend_offset, trend_gain)
+        step, make = self.step, _Measurement._make
+        for stamp, measured in zip(stamps.tolist(), zip(*map(_or_none, columns))):
+            step(stamp, make(measured))
         return SiteRunResult(self.site_id, self.ledger.history)
 
 
 # Assessed hours per block of window statistics in SiteEngine.run: bounds
 # the padded window arrays to a few hundred kB whatever the span's length.
 _BLOCK_HOURS = 128
-
-
-def _window_bounds(hours: np.ndarray, stamps: np.ndarray, td_hours: int):
-    """Index range [lo, hi) of each stamp's window (stamp - td_hours, stamp]."""
-    return (np.searchsorted(hours, stamps - td_hours, side="right"),
-            np.searchsorted(hours, stamps, side="right"))
 
 
 def _window_stats(y_values, y_lo, y_n, z_values, z_lo, z_n):
@@ -487,12 +445,6 @@ def _moments_by_length(windows: np.ndarray, count: np.ndarray):
     return mean, var
 
 
-def _optional(values: np.ndarray, present: np.ndarray) -> list:
-    """values as Python floats, None where not present."""
-    return [v if here else None for v, here in zip(values.tolist(), present.tolist())]
-
-
-def run_site(site_id: str, sensor: TimeSeries, proxy: TimeSeries,
-             thresholds: Thresholds | None = None) -> SiteRunResult:
-    """Convenience wrapper: build an engine and run the sensor's full span."""
-    return SiteEngine(site_id, sensor, proxy, thresholds).run()
+def _or_none(values: np.ndarray) -> list:
+    """values as Python floats, None where NaN."""
+    return [None if v != v else v for v in values.tolist()]

@@ -214,10 +214,6 @@ class EstimateHistory:
     def __len__(self):
         return len(self.stamps)
 
-    @property
-    def anchor(self) -> int | None:
-        return self.stamps[0] if self.stamps else None
-
     def append(self, est: CalibrationEstimate):
         if est.source != RAW:
             raise ValueError("history stores raw estimates only")
@@ -251,11 +247,6 @@ class EstimateHistory:
         offset_fit, offset_ok = self._offset_fit.extend(taus, offsets)
         gain_fit, gain_ok = self._gain_fit.extend(taus, gains)
         return _trend_or_raw(offset_ok & gain_ok, offset_fit, gain_fit, offsets, gains)
-
-    def latest_raw(self) -> CalibrationEstimate:
-        if not self.stamps:
-            raise InsufficientDataError("no raw estimates recorded")
-        return CalibrationEstimate(self.stamps[-1], self.offsets[-1], self.gains[-1], RAW)
 
     def trend_coefficients(self, which: str = "gain"):
         """(c0, c1, c2) of the current fit in per-hour units, or None while

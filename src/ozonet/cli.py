@@ -25,6 +25,7 @@ from ozonet.proxy import (
     ROLE_LOW_COST,
     ROLE_REFERENCE,
     STRATEGY_AADT,
+    STRATEGY_EXPLICIT,
     STRATEGY_MEDIAN,
     STRATEGY_NEAREST,
     evaluate_proxy,
@@ -86,8 +87,12 @@ def _proxy_series(site, strategy, config, series_map, medians):
     """(label, proxy TimeSeries or None) for `site` under one strategy.
 
     Network medians are built once per exclude set and kept in `medians`.
-    Raises InsufficientDataError when no eligible reference exists.
+    Raises InsufficientDataError when no eligible reference exists, and
+    under the explicit strategy, which uses overrides only.
     """
+    if strategy == STRATEGY_EXPLICIT:
+        raise InsufficientDataError(
+            f"no proxy override for {site.site_id} under the explicit strategy")
     if strategy == STRATEGY_MEDIAN:
         policy = config.proxy
         exclude = (site.site_id,) if policy.median_exclude_self else ()

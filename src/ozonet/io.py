@@ -351,18 +351,37 @@ class NetworkConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkConfig":
         try:
-            sites = [SiteRecord(**raw) for raw in data["sites"]]
+            _json(data, dict, "the configuration")
+            if "sites" not in data:
+                raise ValueError("'sites' is missing")
+            sites = [SiteRecord(**raw) for raw in _json(data["sites"], list, "'sites'")]
             thresholds = Thresholds(**data.get("thresholds", {}))
             proxy = ProxyPolicy(**data.get("proxy", {}))
+            _json(proxy.overrides, dict, "'proxy.overrides'")
+            series = _json(data.get("series", []), list, "'series'")
+            for path in series:
+                _json(path, str, "each 'series' entry")
+            output_dir = _json(data.get("output_dir", "out"), str, "'output_dir'")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad configuration: {exc}") from exc
         return cls(
             sites=sites,
             thresholds=thresholds,
             proxy=proxy,
-            series=list(data.get("series", [])),
-            output_dir=data.get("output_dir", "out"),
+            series=series,
+            output_dir=output_dir,
         )
+
+
+_JSON_KINDS = {dict: "object", list: "array", str: "string"}
+
+
+def _json(value, kind: type, what: str):
+    """`value` if it is a JSON `kind`, else ValueError naming `what`."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, "
+                         f"got {type(value).__name__}")
+    return value
 
 
 def load_network_config(path) -> NetworkConfig:

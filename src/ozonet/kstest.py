@@ -38,10 +38,6 @@ class Ecdf:
     values: np.ndarray   # sorted, ascending
     n: int
 
-    @property
-    def normalization(self) -> float:
-        return 1.0 / (self.n + 1)
-
     def __call__(self, x) -> float | np.ndarray:
         counts = np.searchsorted(self.values, x, side="left")
         result = counts / (self.n + 1.0)

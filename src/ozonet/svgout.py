@@ -6,9 +6,9 @@ office tool can open, with no plotting-stack dependency.
 
 from __future__ import annotations
 
-from pathlib import Path
-
 import numpy as np
+
+from ozonet.io import atomic_write
 
 # blue -> pale yellow -> red
 _STOPS = ((0.0, (44, 123, 182)), (0.5, (255, 255, 191)), (1.0, (215, 25, 28)))
@@ -76,9 +76,8 @@ def heatmap_svg(panels, path, sites=None, panel_px: int = 360):
             f'{vmin:.1f} - {vmax:.1f} ppb</text>'
         )
     parts.append("</svg>")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(parts) + "\n")
+    with atomic_write(path) as handle:
+        handle.write("\n".join(parts) + "\n")
 
 
 _BAR_COLORS = {"ks": "#1b9e77", "offset": "#d95f02", "gain": "#7570b3"}
@@ -125,6 +124,5 @@ def proxy_eval_svg(scores, path):
             r2 = "" if score.r2 is None else f" r2={score.r2:.2f}"
             parts.append(f'<text x="{gx}" y="{base + 24}">mab={score.mab:.1f}{r2}</text>')
     parts.append("</svg>")
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(parts) + "\n")
+    with atomic_write(path) as handle:
+        handle.write("\n".join(parts) + "\n")

@@ -102,10 +102,6 @@ class TimeSeries:
     def __len__(self) -> int:
         return int(self.hours.size)
 
-    def observations(self):
-        for h, v in zip(self.hours.tolist(), self.values.tolist()):
-            yield Observation(h, v)
-
     def value_at(self, hour: int) -> float | None:
         i = np.searchsorted(self.hours, hour)
         if i < self.hours.size and self.hours[i] == hour:
@@ -141,14 +137,19 @@ class WindowSlice:
         return self.completeness >= completeness_min
 
 
+def window_bounds(hours: np.ndarray, ends, td_hours: int) -> np.ndarray:
+    """Index range [lo, hi) of the window (end - td_hours, end] in `hours`:
+    [lo, hi] for one end, [lo_array, hi_array] for an array of ends."""
+    return hours.searchsorted((ends - td_hours, ends), "right")
+
+
 def window(series: TimeSeries, end, td_hours: int) -> WindowSlice:
     """Slice of `series` over (end - td_hours, end]. An empty window is valid."""
     if td_hours <= 0:
         raise ValueError("window length must be positive")
     end = to_epoch_hour(end)
     start = end - int(td_hours)
-    lo = int(np.searchsorted(series.hours, start, side="right"))
-    hi = int(np.searchsorted(series.hours, end, side="right"))
+    lo, hi = window_bounds(series.hours, end, int(td_hours)).tolist()
     return WindowSlice(series.site_id, start, end, series.hours[lo:hi], series.values[lo:hi])
 
 

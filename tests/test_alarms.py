@@ -144,6 +144,27 @@ class TestPersistence:
         _, ever = run_pattern(pattern, 7)
         assert ever == oracle_episode_latches(pattern, 7)
 
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.sampled_from([True, False, None]), max_size=40),
+           st.lists(st.tuples(st.integers(min_value=0), st.integers(1, 6)), max_size=6))
+    def test_inserted_gap_hours_change_no_clock(self, pattern, gaps):
+        # PAPER.md: a gap hour (every test unevaluable) freezes the clocks
+        hours = [(flag, True) for flag in pattern]
+        for where, length in gaps:
+            where %= len(hours) + 1
+            hours[where:where] = [(None, False)] * length
+        th = Thresholds(tf_hours=5)
+
+        def states(flags):
+            ledger = AlarmLedger("x")
+            for hour, (flag, kept) in enumerate(flags):
+                other = None if flag is None else not flag
+                update_persistence(ledger, hour, BreachFlags(flag, other, flag), th)
+                if kept:
+                    yield list(ledger.breach_hours), list(ledger.latched)
+
+        assert list(states(hours)) == list(states((flag, True) for flag in pattern))
+
 
 class TestDecision:
     def test_single_latch_with_default_threshold(self):
@@ -290,7 +311,7 @@ def engine_state(engine):
         engine.ledger.last_stamp, engine.ledger.history,
         engine.history.stamps, engine.history.offsets, engine.history.gains,
         [[getattr(fit, name) for name in fit.__slots__] for fit in fits],
-        engine._s_lo, engine._s_hi, engine._p_lo, engine._p_hi, engine._cursor,
+        engine._cursor,
     )
 
 
@@ -396,6 +417,29 @@ class TestBatchRun:
         rows = SiteEngine("FLAT", sensor, proxy).run().rows
         assert seen == rows
         assert len(rows) == int(sensor.hours[-1]) - int(sensor.hours[0]) + 1
+
+    @pytest.mark.parametrize("sid", ["GAIN", "FLAT"])
+    def test_sparse_steps_measure_as_run(self, network, sid):
+        # status, p value, raw estimate and reading depend only on the hour's
+        # windows, so stepping any increasing hours gives run()'s values there:
+        # hours before the first reading, after the last, inside outages, and
+        # jumps of many windows ahead
+        sensor, proxy = network[sid], network["REF"]
+        first, last = int(sensor.hours[0]) - 30, int(sensor.hours[-1]) + 100
+        by_run = {r.stamp: r for r in SiteEngine(sid, sensor, proxy).run(first, last).rows}
+        rng = np.random.default_rng(7)
+        hours = np.unique(np.concatenate((
+            [first, first + 1, last], rng.choice(np.arange(first, last + 1), 120, replace=False),
+            np.arange(first + 400, first + 420))))
+        engine = SiteEngine(sid, sensor, proxy)
+        fields = ("status", "p_ks", "offset_raw", "gain_raw", "raw_value")
+        for stamp in hours.tolist():
+            row, want = engine.step(stamp), by_run[stamp]
+            assert [getattr(row, f) for f in fields] == [getattr(want, f) for f in fields]
+        seen = {r.status for r in engine.ledger.history}
+        assert seen == ({"ok", "insufficient", "degenerate"} if sid == "FLAT"
+                        else {"ok", "insufficient"})
+        assert any(r.raw_value is None and r.status == "ok" for r in engine.ledger.history)
 
     def test_run_after_step_must_advance(self, network):
         sensor, proxy = network["CLEAN"], network["REF"]

@@ -10,6 +10,9 @@ from ozonet import SiteRecord, Thresholds, TimeSeries
 from ozonet.alarms import HistoryRow
 from ozonet.cli import main
 from ozonet.errors import ConfigError
+from ozonet.metrics import idw_grid
+from ozonet.proxy import ProxyScore
+from ozonet.svgout import heatmap_svg, proxy_eval_svg
 from ozonet.io import (
     CHART_HEADER,
     NetworkConfig,
@@ -144,6 +147,27 @@ class TestAtomicWrites:
         assert path.read_bytes() == before
         assert sorted(p.name for p in path.parent.iterdir()) == ["LC.csv"]
 
+    @pytest.mark.parametrize("draw", ["proxy_eval", "heatmap"])
+    def test_failed_svg_write_leaves_old_file_and_no_temporary(self, tmp_path, draw):
+        grid = idw_grid([(34.0, -118.0, 30.0), (34.1, -118.1, 40.0)],
+                        33.95, 34.15, -118.15, -117.95, cell_deg=0.05)
+        path = tmp_path / "figs" / "out.svg"
+
+        def write(label):
+            if draw == "heatmap":
+                heatmap_svg([(label, grid)], path)
+            else:
+                proxy_eval_svg([ProxyScore(label, "nearest", 0.1, 0.2, 0.3, 0.0, 1.5,
+                                           None, 100)], path)
+
+        write("R1")
+        before = path.read_bytes()
+        # a lone surrogate cannot be encoded, so the write fails part way
+        with pytest.raises(UnicodeEncodeError):
+            write("R\udc801")
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in path.parent.iterdir()) == ["out.svg"]
+
     def test_failed_first_write_leaves_nothing(self, tmp_path):
         with pytest.raises(ZeroDivisionError):
             with atomic_write(tmp_path / "new.csv") as handle:
@@ -195,6 +219,25 @@ class TestNetworkConfig:
         path.write_text("{not json")
         with pytest.raises(ConfigError):
             load_network_config(path)
+
+    @pytest.mark.parametrize("change, message", [
+        ({"sites": None}, "'sites' is missing"),
+        ({"proxy": {"overrides": [1]}}, "'proxy.overrides' must be a JSON object, got list"),
+        ({"series": "obs.csv"}, "'series' must be a JSON array, got str"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_bad_shape_is_input_error(self, sim_dir, capsys, change, message, command):
+        network = sim_dir / "network.json"
+        config = json.loads(network.read_text())
+        for key, value in change.items():
+            if value is None:
+                del config[key]
+            else:
+                config[key] = value
+        network.write_text(json.dumps(config))
+        assert main([command, str(network)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: bad configuration: {message}\n"
 
 
 class TestSimulateCommand:
@@ -328,6 +371,31 @@ class TestRunCommand:
         code = main(["run", str(sim_dir / "network.json"), "--out", str(out)])
         assert code == 2            # the only site failed, so the run failed
         assert "no proxy data" in capsys.readouterr().out
+
+
+    def test_explicit_strategy_uses_overrides_only(self, sim_dir, capsys):
+        network = sim_dir / "network.json"
+        config = json.loads(network.read_text())
+        config["proxy"] = {"strategy": "explicit", "overrides": {}}
+        network.write_text(json.dumps(config))
+        out = sim_dir / "explicit"
+        code = main(["run", str(network), "--out", str(out)])
+        assert code == 2            # the only site has no override, so nothing ran
+        assert "error: no site could be monitored" in capsys.readouterr().err
+        with open(out / "summary.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert [(r["site_id"], r["proxy"], r["monitored_hours"]) for r in rows] == [
+            ("LC", "-", "0")]
+        assert "no proxy override" in rows[0]["note"]
+        assert not (out / "charts").exists()
+
+        # with the override in place the same site runs against it
+        config["proxy"]["overrides"] = {"LC": "REF"}
+        network.write_text(json.dumps(config))
+        assert main(["run", str(network), "--out", str(out)]) == 0
+        with open(out / "summary.csv", newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert rows[0]["proxy"] == "REF" and rows[0]["note"] == ""
 
 
 class TestProxyEvalCommand:
