@@ -83,8 +83,7 @@ class Thresholds:
             raise ValueError("correction_alarm_count must be >= 1")
 
 
-@dataclass(frozen=True)
-class BreachFlags:
+class BreachFlags(NamedTuple):
     """Per-test breach state for one hour; None means not evaluable."""
 
     ks: bool | None
@@ -92,7 +91,7 @@ class BreachFlags:
     gain: bool | None
 
     def as_tuple(self):
-        return (self.ks, self.offset, self.gain)
+        return tuple(self)
 
 
 FROZEN = BreachFlags(None, None, None)
@@ -110,9 +109,9 @@ def _breaches(p_ks: float, offset: float, gain: float, th: Thresholds):
             (gain <= th.gain_low) | (gain >= th.gain_high))
 
 
-@dataclass
-class HistoryRow:
-    """One control-chart row; None marks fields that could not be computed."""
+class HistoryRow(NamedTuple):
+    """One control-chart row, immutable; None marks fields that could not be
+    computed. Fields read by name or by position."""
 
     stamp: int
     status: str
@@ -143,9 +142,6 @@ class AlarmLedger:
     history: list = field(default_factory=list)
     last_stamp: int | None = None
 
-    def latched_count(self) -> int:
-        return sum(self.latched)
-
 
 def update_persistence(ledger: AlarmLedger, stamp, flags: BreachFlags, th: Thresholds) -> AlarmLedger:
     """Advance the per-test clocks by one evaluated hour.
@@ -159,7 +155,7 @@ def update_persistence(ledger: AlarmLedger, stamp, flags: BreachFlags, th: Thres
     if ledger.last_stamp is not None and stamp <= ledger.last_stamp:
         raise ValueError(f"out-of-order update: {stamp} after {ledger.last_stamp}")
     ledger.last_stamp = stamp
-    for i, flag in enumerate(flags.as_tuple()):
+    for i, flag in enumerate(flags):
         if flag is None:
             continue
         if flag:
@@ -177,30 +173,32 @@ def update_persistence(ledger: AlarmLedger, stamp, flags: BreachFlags, th: Thres
 
 def decide_correction(ledger: AlarmLedger, th: Thresholds) -> bool:
     """Correct once at least correction_alarm_count alarms are latched."""
-    return ledger.latched_count() >= th.correction_alarm_count
+    return sum(ledger.latched) >= th.correction_alarm_count
 
 
 @dataclass
 class SiteRunResult:
+    """A site's history rows. `monitored` counts the hours with a p value;
+    the fractions are shares of those hours (0.0 when there are none),
+    counted in one pass when the result is made."""
+
     site_id: str
     rows: list
+    monitored: int = field(init=False)
+    _shares: tuple = field(init=False, repr=False)
 
-    @property
-    def monitored(self) -> list:
-        return [r for r in self.rows if r.p_ks is not None]
-
-    def fraction(self, attr: str) -> float:
-        """Fraction of monitored hours where a boolean row attribute held."""
-        monitored = self.monitored
-        if not monitored:
-            return 0.0
-        return sum(bool(getattr(r, attr)) for r in monitored) / len(monitored)
+    def __post_init__(self):
+        held = [(r.alarm_ks, r.alarm_offset, r.alarm_gain, r.corrected)
+                for r in self.rows if r.p_ks is not None]
+        self.monitored = len(held)
+        self._shares = (tuple(sum(column) / len(held) for column in zip(*held)) if held
+                        else (0.0,) * 4)
 
     def alarm_fractions(self) -> dict:
-        return {name: self.fraction(f"alarm_{name}") for name in TEST_NAMES}
+        return dict(zip(TEST_NAMES, self._shares))
 
     def corrected_fraction(self) -> float:
-        return self.fraction("corrected")
+        return self._shares[3]
 
     def output_series(self) -> TimeSeries:
         pairs = [(r.stamp, r.output_value) for r in self.rows if r.output_value is not None]
@@ -295,24 +293,8 @@ class SiteEngine:
             output_value = min(max(offset_trend + gain_trend * raw_value, VALUE_MIN),
                                VALUE_MAX)
 
-        row = HistoryRow(
-            stamp=stamp,
-            status=status,
-            p_ks=p_ks,
-            offset_raw=offset_raw,
-            gain_raw=gain_raw,
-            offset_trend=offset_trend,
-            gain_trend=gain_trend,
-            breach_ks=flags.ks,
-            breach_offset=flags.offset,
-            breach_gain=flags.gain,
-            alarm_ks=ledger.latched[0],
-            alarm_offset=ledger.latched[1],
-            alarm_gain=ledger.latched[2],
-            corrected=corrected,
-            raw_value=raw_value,
-            output_value=output_value,
-        )
+        row = HistoryRow(stamp, status, p_ks, offset_raw, gain_raw, offset_trend, gain_trend,
+                         *flags, *ledger.latched, corrected, raw_value, output_value)
         ledger.history.append(row)
         return row
 
@@ -356,14 +338,15 @@ class SiteEngine:
         Gives the rows that stepping each hour in turn gives, and leaves the
         engine in the same state, so `step` can carry on after it. The
         window statistics of the whole span come from array passes; each
-        hour's measurement then goes through `step`.
+        hour's measurement then goes through `step`. The result holds the
+        engine's history rows as they stand at the end of the run.
         """
         if len(self.sensor) == 0:
             return SiteRunResult(self.site_id, [])
         first = to_epoch_hour(start) if start is not None else int(self.sensor.hours[0])
         last = to_epoch_hour(end) if end is not None else int(self.sensor.hours[-1])
         if first > last:
-            return SiteRunResult(self.site_id, self.ledger.history)
+            return SiteRunResult(self.site_id, list(self.ledger.history))
         if self._cursor is not None and first <= self._cursor:
             raise ValueError("steps must advance in time")
         th = self.thresholds
@@ -405,7 +388,7 @@ class SiteEngine:
         step, make = self.step, _Measurement._make
         for stamp, measured in zip(stamps.tolist(), zip(*map(_or_none, columns))):
             step(stamp, make(measured))
-        return SiteRunResult(self.site_id, self.ledger.history)
+        return SiteRunResult(self.site_id, list(self.ledger.history))
 
 
 # Assessed hours per block of window statistics in SiteEngine.run: bounds

@@ -168,11 +168,9 @@ def cmd_run(args) -> int:
         result = SiteEngine(site.site_id, sensor, proxy_series, th).run()
         ozio.write_corrected_csv(out / "corrected" / f"{site.site_id}.csv", result.rows)
         ozio.write_chart_csv(out / "charts" / f"{site.site_id}.csv", result.rows)
-        fr = result.alarm_fractions()
         note = "" if result.monitored else "no monitored hours"
-        summary.append((site.site_id, proxy_label, len(result.monitored),
-                        fr["ks"], fr["offset"], fr["gain"],
-                        result.corrected_fraction(), note))
+        summary.append((site.site_id, proxy_label, result.monitored,
+                        *result.alarm_fractions().values(), result.corrected_fraction(), note))
         ran += 1
 
     header = (f"{'site':<14}{'proxy':<18}{'hours':>7}{'ks%':>7}{'a0%':>7}"

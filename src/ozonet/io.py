@@ -13,13 +13,15 @@ import csv
 import dataclasses
 import functools
 import json
+import math
 import os
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ozonet.alarms import Thresholds
+from ozonet.alarms import HistoryRow, Thresholds
 from ozonet.errors import ConfigError
 from ozonet.proxy import (
     STRATEGY_AADT,
@@ -79,12 +81,19 @@ def _fmt_value(v: float) -> str:
     return f"{v:.4f}"
 
 
-def _fmt_stat(v) -> str:
-    return "" if v is None else f"{v:.6g}"
+def _stats(column) -> list:
+    return ["" if v is None else f"{v:.6g}" for v in column]
 
 
-def _fmt_flag(v) -> str:
-    return "" if v is None else str(int(v))
+def _flags(column) -> list:
+    return ["" if v is None else "1" if v else "0" for v in column]
+
+
+def _write_columns(path, header, columns):
+    """CSV of `columns` (one sequence of strings per field) under `header`.
+    No field may need quoting; lines end in "\r\n", as csv.writer ends them."""
+    with atomic_write(path, newline="") as handle:
+        handle.write("\r\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
 
 
 # ---------------------------------------------------------------- series CSV
@@ -178,7 +187,7 @@ def scan_series_csv(paths) -> tuple[dict, ValidationReport]:
                     issues.append(SeriesIssue(path, lineno, "-",
                                               f"expected 3 fields, got {len(row)}"))
                     continue
-                stamp_text, site_id, value_text = (f.strip() for f in row)
+                stamp_text, site_id, value_text = row[0].strip(), row[1].strip(), row[2].strip()
                 hour = hour_of.get(stamp_text)
                 if hour is None:
                     try:
@@ -195,7 +204,7 @@ def scan_series_csv(paths) -> tuple[dict, ValidationReport]:
                     issues.append(SeriesIssue(path, lineno, "value_ppb",
                                               f"not a number: {value_text!r}"))
                     continue
-                if not np.isfinite(value) or not VALUE_MIN <= value <= VALUE_MAX:
+                if not math.isfinite(value) or not VALUE_MIN <= value <= VALUE_MAX:
                     issues.append(SeriesIssue(
                         path, lineno, "value_ppb",
                         f"value {value} outside [{VALUE_MIN}, {VALUE_MAX}]"))
@@ -244,37 +253,21 @@ def write_series_csv(path, series_map: dict):
 # ------------------------------------------------------------ result exports
 
 def write_chart_csv(path, rows):
-    """Control-chart history export, one row per stepped hour."""
-    with atomic_write(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CHART_HEADER)
-        for r in rows:
-            writer.writerow([
-                _iso_hour(r.stamp),
-                _fmt_stat(r.p_ks),
-                _fmt_stat(r.offset_raw), _fmt_stat(r.gain_raw),
-                _fmt_stat(r.offset_trend), _fmt_stat(r.gain_trend),
-                _fmt_flag(r.breach_ks), _fmt_flag(r.breach_offset), _fmt_flag(r.breach_gain),
-                _fmt_flag(r.alarm_ks), _fmt_flag(r.alarm_offset), _fmt_flag(r.alarm_gain),
-                _fmt_flag(r.corrected),
-                _fmt_stat(r.raw_value), _fmt_stat(r.output_value),
-            ])
+    """Control-chart history export, one row per stepped hour: the
+    HistoryRow fields in order, without the status."""
+    columns = list(zip(*rows)) or [()] * len(HistoryRow._fields)
+    _write_columns(path, CHART_HEADER, [
+        list(map(_iso_hour, columns[0])), *map(_stats, columns[2:7]),
+        *map(_flags, columns[7:14]), *map(_stats, columns[14:])])
 
 
 def write_corrected_csv(path, rows):
     """Per-site corrected output; hours without a sensor reading are gaps."""
-    with atomic_write(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(CORRECTED_HEADER)
-        for r in rows:
-            if r.raw_value is None:
-                continue
-            writer.writerow([
-                _iso_hour(r.stamp),
-                _fmt_value(r.raw_value),
-                _fmt_value(r.output_value),
-                str(int(r.corrected)),
-            ])
+    rows = [r for r in rows if r.raw_value is not None]
+    stamp, *_, corrected, raw, output = list(zip(*rows)) or [()] * len(HistoryRow._fields)
+    _write_columns(path, CORRECTED_HEADER, [
+        list(map(_iso_hour, stamp)), [f"{v:.4f}" for v in raw], [f"{v:.4f}" for v in output],
+        _flags(corrected)])
 
 
 def write_proxy_scores_csv(path, scores):
@@ -354,10 +347,10 @@ class NetworkConfig:
             _json(data, dict, "the configuration")
             if "sites" not in data:
                 raise ValueError("'sites' is missing")
-            sites = [SiteRecord(**raw) for raw in _json(data["sites"], list, "'sites'")]
-            thresholds = Thresholds(**data.get("thresholds", {}))
-            proxy = ProxyPolicy(**data.get("proxy", {}))
-            _json(proxy.overrides, dict, "'proxy.overrides'")
+            sites = [_typed(SiteRecord, raw, f"sites[{i}]")
+                     for i, raw in enumerate(_json(data["sites"], list, "'sites'"))]
+            thresholds = _typed(Thresholds, data.get("thresholds", {}), "thresholds")
+            proxy = _typed(ProxyPolicy, data.get("proxy", {}), "proxy")
             series = _json(data.get("series", []), list, "'series'")
             for path in series:
                 _json(path, str, "each 'series' entry")
@@ -373,15 +366,37 @@ class NetworkConfig:
         )
 
 
-_JSON_KINDS = {dict: "object", list: "array", str: "string"}
+_JSON_KINDS = {dict: "object", list: "array", str: "string", bool: "boolean",
+               int: "integer", float: "number"}
 
 
 def _json(value, kind: type, what: str):
-    """`value` if it is a JSON `kind`, else ValueError naming `what`."""
-    if not isinstance(value, kind):
-        raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, "
-                         f"got {type(value).__name__}")
-    return value
+    """`value` if it is a JSON `kind`, else ValueError naming `what`. A bool
+    is no number; a whole float passes as an int, and comes back as one."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if kind is int and number and value % 1 == 0:
+        return int(value)
+    if (kind is float and number) or (kind not in (int, float) and isinstance(value, kind)):
+        return value
+    raise ValueError(f"{what} must be a JSON {_JSON_KINDS[kind]}, "
+                     f"got {type(value).__name__}")
+
+
+# the JSON kinds each config record's fields accept (NoneType: null), by annotation
+_FIELD_KINDS = {cls: {name: typing.get_args(hint) or (hint,)
+                      for name, hint in typing.get_type_hints(cls).items()}
+                for cls in (Thresholds, ProxyPolicy, SiteRecord)}
+
+
+def _typed(cls, raw, what: str):
+    """cls(**raw), once `raw` is a JSON object and each field in it has a
+    kind that _FIELD_KINDS allows; `what` names the object in errors. An
+    unknown field is left for cls to reject."""
+    fields = dict(_json(raw, dict, f"'{what}'"))
+    for name, kinds in _FIELD_KINDS[cls].items():
+        if name in fields and not (fields[name] is None and type(None) in kinds):
+            fields[name] = _json(fields[name], kinds[0], f"'{what}.{name}'")
+    return cls(**fields)
 
 
 def load_network_config(path) -> NetworkConfig:

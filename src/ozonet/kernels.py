@@ -36,7 +36,8 @@ def ks_distance_rows(a, b, m, n) -> np.ndarray:
     argsort of the pooled row only merges two sorted runs. The running
     count of a-samples at the last element of a tie run is the right limit
     `searchsorted(av, x, side="right")` at that value x; the padding sorts
-    last and is left out.
+    last and is left out. Tie runs are found with `!=`, so the order of
+    -0.0 and 0.0 within a run does not matter.
     """
     a = np.sort(np.asarray(a, dtype=np.float64), axis=1)
     b = np.sort(np.asarray(b, dtype=np.float64), axis=1)
@@ -45,9 +46,10 @@ def ks_distance_rows(a, b, m, n) -> np.ndarray:
     if m.size and (m.min() < 1 or n.min() < 1):
         raise ValueError("samples must be non-empty")
     pooled = np.concatenate((a, b), axis=1)
-    count_a = np.cumsum(np.argsort(pooled, axis=1, kind="stable") < a.shape[1], axis=1)
+    order = np.argsort(pooled, axis=1, kind="stable")
+    count_a = np.cumsum(order < a.shape[1], axis=1)
     count_b = np.arange(1, pooled.shape[1] + 1) - count_a
-    values = np.sort(pooled, axis=1)
+    values = np.take_along_axis(pooled, order, axis=1)
     run_end = np.isfinite(values)
     run_end[:, :-1] &= values[:, :-1] != values[:, 1:]
     gap = np.abs(count_a / (m[:, None] + 1.0) - count_b / (n[:, None] + 1.0))

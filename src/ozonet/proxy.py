@@ -173,5 +173,5 @@ def evaluate_proxy(test: TimeSeries, proxy: TimeSeries, thresholds: Thresholds |
         corrected_fraction=result.corrected_fraction(),
         mab=metrics.mab,
         r2=metrics.r2,
-        monitored_hours=len(result.monitored),
+        monitored_hours=result.monitored,
     )

@@ -441,6 +441,28 @@ class TestBatchRun:
                         else {"ok", "insufficient"})
         assert any(r.raw_value is None and r.status == "ok" for r in engine.ledger.history)
 
+    def test_summary_equals_counts_over_rows(self, network):
+        # brute force per attribute; the 30-hour site never has full windows
+        short = TimeSeries("SHORT", network["CLEAN"].hours[:30], network["CLEAN"].values[:30])
+        results = [SiteEngine(sid, network[sid], network["REF"]).run()
+                   for sid in ("GAIN", "OFFSET", "FLAT", "CLEAN")]
+        results.append(SiteEngine("SHORT", short, network["REF"]).run())
+        for result in results:
+            monitored = [r for r in result.rows if r.p_ks is not None]
+            assert result.monitored == len(monitored)
+
+            def share(attr):
+                held = [getattr(r, attr) for r in monitored]
+                return held.count(True) / len(held) if held else 0.0
+
+            assert result.alarm_fractions() == {
+                "ks": share("alarm_ks"), "offset": share("alarm_offset"),
+                "gain": share("alarm_gain")}
+            assert result.corrected_fraction() == share("corrected")
+        assert results[-1].rows and results[-1].monitored == 0
+        assert list(results[-1].alarm_fractions().values()) == [0.0] * 3
+        assert 0.0 < results[0].corrected_fraction() < 1.0
+
     def test_run_after_step_must_advance(self, network):
         sensor, proxy = network["CLEAN"], network["REF"]
         engine = SiteEngine("CLEAN", sensor, proxy)

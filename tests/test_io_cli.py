@@ -1,10 +1,13 @@
 """File formats and the command-line pipeline."""
 
 import csv
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ozonet import SiteRecord, Thresholds, TimeSeries
 from ozonet.alarms import HistoryRow
@@ -13,6 +16,7 @@ from ozonet.errors import ConfigError
 from ozonet.metrics import idw_grid
 from ozonet.proxy import ProxyScore
 from ozonet.svgout import heatmap_svg, proxy_eval_svg
+from ozonet.timeseries import format_iso_hour
 from ozonet.io import (
     CHART_HEADER,
     NetworkConfig,
@@ -23,6 +27,7 @@ from ozonet.io import (
     save_network_config,
     scan_series_csv,
     write_chart_csv,
+    write_corrected_csv,
     write_series_csv,
 )
 from netsim_cases import pair_scenario
@@ -125,6 +130,56 @@ class TestSeriesCsv:
         write_rows(path, ["not-a-time,a,10.0"])
         with pytest.raises(ConfigError):
             read_series_csv(path)
+
+
+_stats = (st.none() | st.floats()
+          | st.sampled_from([-0.0, 5e-324, 1e-310, -1e-7, 123456.5, 1e300, -1e300]))
+_flags = st.none() | st.booleans()
+_history_rows = st.builds(
+    lambda head, flags, alarms, reading: HistoryRow(*head, *flags, *alarms, *reading),
+    st.tuples(st.integers(0, 10**6), st.sampled_from(["ok", "insufficient", "degenerate"]),
+              _stats, _stats, _stats, _stats, _stats),
+    st.tuples(_flags, _flags, _flags),
+    st.tuples(*[st.booleans()] * 4),
+    # a reading and its output are present together, as the engine gives them
+    st.just((None, None)) | st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)))
+
+
+def _csv_writer_bytes(header, lines):
+    out = io.StringIO()
+    writer = csv.writer(out)
+    writer.writerow(header)
+    writer.writerows(lines)
+    return out.getvalue().encode()
+
+
+class TestResultWriters:
+    """The chart and corrected files against csv.writer with per-field formats."""
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.lists(_history_rows, max_size=30), st.booleans())
+    @example([], False)
+    @example([], True)
+    def test_bytes_equal_csv_writer(self, tmp_path_factory, rows, as_generator):
+        def stat(v):
+            return "" if v is None else f"{v:.6g}"
+
+        def flag(v):
+            return "" if v is None else str(int(v))
+
+        chart = [[format_iso_hour(r.stamp), stat(r.p_ks), stat(r.offset_raw), stat(r.gain_raw),
+                  stat(r.offset_trend), stat(r.gain_trend), flag(r.breach_ks),
+                  flag(r.breach_offset), flag(r.breach_gain), flag(r.alarm_ks),
+                  flag(r.alarm_offset), flag(r.alarm_gain), flag(r.corrected),
+                  stat(r.raw_value), stat(r.output_value)] for r in rows]
+        corrected = [[format_iso_hour(r.stamp), f"{r.raw_value:.4f}", f"{r.output_value:.4f}",
+                      str(int(r.corrected))] for r in rows if r.raw_value is not None]
+        out = tmp_path_factory.mktemp("writers")
+        for write, lines, header in ((write_chart_csv, chart, CHART_HEADER),
+                                     (write_corrected_csv, corrected,
+                                      ["timestamp", "raw", "output", "corrected_flag"])):
+            write(out / "site.csv", (r for r in rows) if as_generator else rows)
+            assert (out / "site.csv").read_bytes() == _csv_writer_bytes(header, lines)
 
 
 class TestAtomicWrites:
@@ -238,6 +293,39 @@ class TestNetworkConfig:
         assert main([command, str(network)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: bad configuration: {message}\n"
+
+
+    @pytest.mark.parametrize("section, name, value, message", [
+        ("proxy", "median_min_reporters", "3",
+         "'proxy.median_min_reporters' must be a JSON integer, got str"),
+        ("proxy", "median_exclude_self", "no",
+         "'proxy.median_exclude_self' must be a JSON boolean, got str"),
+        ("thresholds", "td_hours", 24.5, "'thresholds.td_hours' must be a JSON integer, got float"),
+        ("thresholds", "tf_hours", True, "'thresholds.tf_hours' must be a JSON integer, got bool"),
+        ("thresholds", "p_ks_min", False, "'thresholds.p_ks_min' must be a JSON number, got bool"),
+        ("sites", "latitude", "34.0", "'sites[0].latitude' must be a JSON number, got str"),
+        ("sites", "name", None, "'sites[0].name' must be a JSON string, got NoneType"),
+    ])
+    def test_bad_field_type_is_input_error(self, sim_dir, capsys, section, name, value,
+                                           message):
+        network = sim_dir / "network.json"
+        config = json.loads(network.read_text())
+        if section == "proxy":
+            config["proxy"]["strategy"] = "network_median"
+        target = config["sites"][0] if section == "sites" else config[section]
+        target[name] = value
+        network.write_text(json.dumps(config))
+        assert main(["run", str(network)]) == 1
+        assert capsys.readouterr().err == f"error: bad configuration: {message}\n"
+
+    def test_whole_numbers_and_nulls_are_accepted(self):
+        data = self.make_config().to_dict()
+        data["thresholds"].update(td_hours=48.0, offset_high=4)
+        data["sites"][0].update(latitude=34, elevation_m=None, land_use=None)
+        config = NetworkConfig.from_dict(data)
+        assert type(config.thresholds.td_hours) is int and config.thresholds.td_hours == 48
+        assert config.thresholds.offset_high == 4
+        assert config.sites[0].latitude == 34 and config.sites[0].elevation_m is None
 
 
 class TestSimulateCommand:

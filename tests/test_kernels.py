@@ -26,7 +26,9 @@ def _padded(rows):
 def _window(kind, size, seed):
     rng = np.random.default_rng(seed)
     if kind == "ties":
-        return rng.integers(0, 4, size).astype(np.float64)
+        # zeros of both signs: equal values whose order a sort may keep or swap
+        values = rng.integers(0, 4, size).astype(np.float64)
+        return np.where(values == 0, rng.choice((0.0, -0.0), size), values)
     if kind == "rounded":
         return np.round(rng.normal(30, 8, size))
     return rng.normal(30, 8, size)
