@@ -315,7 +315,7 @@ class TestNetworkConfig:
         target = config["sites"][0] if section == "sites" else config[section]
         target[name] = value
         network.write_text(json.dumps(config))
-        assert main(["run", str(network)]) == 1
+        assert main(["run", str(network), "--out", str(sim_dir / "out")]) == 1
         assert capsys.readouterr().err == f"error: bad configuration: {message}\n"
 
     def test_whole_numbers_and_nulls_are_accepted(self):
