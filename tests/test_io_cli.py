@@ -132,14 +132,14 @@ class TestSeriesCsv:
             read_series_csv(path)
 
 
-_stats = (st.none() | st.floats()
-          | st.sampled_from([-0.0, 5e-324, 1e-310, -1e-7, 123456.5, 1e300, -1e300]))
-_flags = st.none() | st.booleans()
+_stat_values = (st.none() | st.floats()
+                | st.sampled_from([-0.0, 5e-324, 1e-310, -1e-7, 123456.5, 1e300, -1e300]))
+_flag_values = st.none() | st.booleans()
 _history_rows = st.builds(
     lambda head, flags, alarms, reading: HistoryRow(*head, *flags, *alarms, *reading),
     st.tuples(st.integers(0, 10**6), st.sampled_from(["ok", "insufficient", "degenerate"]),
-              _stats, _stats, _stats, _stats, _stats),
-    st.tuples(_flags, _flags, _flags),
+              *[_stat_values] * 5),
+    st.tuples(*[_flag_values] * 3),
     st.tuples(*[st.booleans()] * 4),
     # a reading and its output are present together, as the engine gives them
     st.just((None, None)) | st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)))
