@@ -28,10 +28,8 @@ from ozonet.calibrate import (
     DEGENERATE_VAR_EPS,
     CalibrationEstimate,
     EstimateHistory,
-    estimate_from_samples,
     match_moments,
 )
-from ozonet.errors import DegenerateWindowError
 from ozonet.kstest import ks_pvalue
 from ozonet.timeseries import VALUE_MAX, VALUE_MIN, TimeSeries, to_epoch_hour, window_bounds
 
@@ -143,15 +141,17 @@ class AlarmLedger:
     last_stamp: int | None = None
 
 
-def update_persistence(ledger: AlarmLedger, stamp, flags: BreachFlags, th: Thresholds) -> AlarmLedger:
-    """Advance the per-test clocks by one evaluated hour.
+def update_persistence(ledger: AlarmLedger, stamp, flags, th: Thresholds) -> AlarmLedger:
+    """Advance the per-test clocks by one evaluated hour; `flags` holds the
+    (ks, offset, gain) breach flags, as a BreachFlags or a plain tuple.
 
     A breach hour increments its test's clock (starting it if needed); a
     clean hour resets the clock and clears the latch; a None flag freezes
     the clock. The latch sets once the condition has held for more than
     tf_hours evaluated hours, i.e. on hour tf_hours + 1 of an episode.
     """
-    stamp = to_epoch_hour(stamp)
+    if type(stamp) is not int:      # SiteEngine.step passes a converted stamp
+        stamp = to_epoch_hour(stamp)
     if ledger.last_stamp is not None and stamp <= ledger.last_stamp:
         raise ValueError(f"out-of-order update: {stamp} after {ledger.last_stamp}")
     ledger.last_stamp = stamp
@@ -209,23 +209,6 @@ class SiteRunResult:
         return TimeSeries.from_pairs(self.site_id, pairs)
 
 
-class _Measurement(NamedTuple):
-    """What one hour's windows give, before the alarm policy acts on it.
-
-    p_ks is None when the windows are insufficient; the raw estimate is
-    None when they are insufficient or the sensor window is degenerate. The
-    trend is the one left after this hour's estimate entered (None while the
-    history is empty).
-    """
-
-    raw_value: float | None
-    p_ks: float | None
-    offset_raw: float | None
-    gain_raw: float | None
-    offset_trend: float | None
-    gain_trend: float | None
-
-
 def _trended(offset, gain):
     """Whether a raw estimate enters the trend fit (the sanity band above),
     for floats or elementwise over arrays."""
@@ -238,7 +221,9 @@ class SiteEngine:
 
     Assessment and correction both use the trend-smoothed gain/offset once
     the trend is determined (>= 3 raw estimates); before that the raw
-    estimate stands in.
+    estimate stands in. The trend changes only when an estimate enters the
+    history, so the engine keeps the (offset, gain) pair that the latest
+    append gave (`history.trend_at` of any later hour) in `_trend`.
     """
 
     def __init__(self, site_id: str, sensor: TimeSeries, proxy: TimeSeries,
@@ -249,15 +234,22 @@ class SiteEngine:
         self.proxy = proxy
         self.history = EstimateHistory(site_id)
         self.ledger = AlarmLedger(site_id)
+        self._trend = None
         self._cursor = None
 
-    def step(self, stamp, measured: _Measurement | None = None) -> HistoryRow:
+    def step(self, stamp, measured: tuple | None = None) -> HistoryRow:
         """Evaluate one hour; appends and returns the history row.
 
         The hour's windows are measured here, unless `measured` holds what
         `run` already measured for it in its array passes. Either way this
         is the one place where measurements become breaches, clock updates
         and a correction.
+
+        A measurement is the tuple (raw_value, p_ks, offset_raw, gain_raw,
+        offset_trend, gain_trend). p_ks is None when the windows are
+        insufficient; the raw estimate is None when they are insufficient or
+        the sensor window is degenerate. The trend is the one left after the
+        latest estimate entered (None while the history is empty).
         """
         stamp = to_epoch_hour(stamp)
         if self._cursor is not None and stamp <= self._cursor:
@@ -281,7 +273,7 @@ class SiteEngine:
             status = STATUS_OK
             offset, gain = ((offset_trend, gain_trend) if _trended(offset_raw, gain_raw)
                             else (offset_raw, gain_raw))
-            flags = BreachFlags(*_breaches(p_ks, offset, gain, th))
+            flags = _breaches(p_ks, offset, gain, th)
         ledger = update_persistence(self.ledger, stamp, flags, th)
 
         output_value = raw_value
@@ -298,9 +290,10 @@ class SiteEngine:
         ledger.history.append(row)
         return row
 
-    def _measure(self, stamp: int) -> _Measurement:
-        """Measure the windows that end at `stamp`; an estimate inside the
-        sanity band enters the history."""
+    def _measure(self, stamp: int) -> tuple:
+        """Measure the windows that end at `stamp`, as the measurement tuple
+        that `step` takes; an estimate inside the sanity band enters the
+        history."""
         th = self.thresholds
         sensor, proxy = self.sensor, self.proxy
         # plain ints: numpy scalars make the slicing and comparisons below slower
@@ -317,20 +310,15 @@ class SiteEngine:
             y = sensor.values[s_lo:s_hi]
             z = proxy.values[p_lo:p_hi]
             p = ks_pvalue(kernels.ks_distance(y, z), n_y, n_z)
-            try:
-                raw_est = estimate_from_samples(self.site_id, stamp, y, z)
-            except DegenerateWindowError:
-                pass
-            else:
-                offset, gain = raw_est.offset, raw_est.gain
+            # the raw estimate as run() makes it: none for a degenerate window
+            mean_y, var_y = kernels.window_moments(y)
+            if var_y > DEGENERATE_VAR_EPS:
+                offset, gain = match_moments(mean_y, var_y, *kernels.window_moments(z))
+                offset, gain = float(offset), float(gain)
                 if _trended(offset, gain):
-                    self.history.append(raw_est)
+                    self._trend = self.history.append(stamp, offset, gain)
 
-        # one trend evaluation per hour serves assessment, correction and chart
-        trend = self.history.trend_at(stamp) if len(self.history) else None
-        return _Measurement(raw_value, p, offset, gain,
-                            None if trend is None else trend.offset,
-                            None if trend is None else trend.gain)
+        return (raw_value, p, offset, gain) + (self._trend or (None, None))
 
     def run(self, start=None, end=None) -> SiteRunResult:
         """Evaluate every hour of the sensor's span (or the given range).
@@ -372,22 +360,23 @@ class SiteEngine:
         trended = np.flatnonzero(_trended(offset, gain))
 
         # the trend each hour sees: the one left by the estimates appended so far
-        before = self.history.trend_at(first) if len(self.history) else None
         new_offset, new_gain = self.history.extend(
             stamps[trended], offset[trended], gain[trended])
         state = trended.searchsorted(np.arange(stamps.size), "right")
-        held = (np.nan, np.nan) if before is None else (before.offset, before.gain)
+        held = self._trend or (np.nan, np.nan)
         trend_offset = np.concatenate(([held[0]], new_offset))[state]
         trend_gain = np.concatenate(([held[1]], new_gain))[state]
+        if trended.size:
+            self._trend = (float(new_offset[-1]), float(new_gain[-1]))
 
         last_in = np.maximum(s_hi - 1, 0)
         raw = np.where((s_hi > s_lo) & (self.sensor.hours[last_in] == stamps),
                        self.sensor.values[last_in], np.nan)
 
         columns = (raw, p_ks, offset, gain, trend_offset, trend_gain)
-        step, make = self.step, _Measurement._make
+        step = self.step
         for stamp, measured in zip(stamps.tolist(), zip(*map(_or_none, columns))):
-            step(stamp, make(measured))
+            step(stamp, measured)
         return SiteRunResult(self.site_id, list(self.ledger.history))
 
 

@@ -112,46 +112,56 @@ def _running(start: float, terms: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate(([start], terms)))[1:]
 
 
-def _solve_quadratic(a, s1, s2, s3, s4, t0, t1, t2):
+def _solve_quadratic(a, s1, s2, s3, s4, rhs):
     """Normal equations of the least-squares quadratic, solved by Cramer's
-    rule, for floats or elementwise over arrays.
+    rule for each right-hand side (t0, t1, t2) in `rhs`, for floats or
+    elementwise over arrays; the determinant and its minors are shared.
 
-    Returns (c0, c1, c2, determined); `a` is the point count as a float.
-    Coefficients where `determined` is false are meaningless.
+    Returns (coefficients, determined): one (c0, c1, c2) per right-hand
+    side, and whether the system is determined; `a` is the point count as
+    a float. Coefficients where `determined` is false are meaningless, and
+    None for floats.
     """
     b, c = s1, s2
     d, e, f = s1, s2, s3
     g, h, i = s2, s3, s4
-    det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+    m0, m1, m2 = e * i - f * h, d * i - f * g, d * h - e * g
+    det = a * m0 - b * m1 + c * m2
     if isinstance(det, np.ndarray):
         determined = (a >= 3.0) & ~(np.abs(det) < 1e-12 * np.maximum(1.0, a * e * i))
         det = np.where(determined, det, 1.0)
     else:
         determined = a >= 3.0 and not abs(det) < 1e-12 * max(1.0, a * e * i)
         if not determined:
-            return None, None, None, False
-    c0 = (t0 * (e * i - f * h) - b * (t1 * i - f * t2) + c * (t1 * h - e * t2)) / det
-    c1 = (a * (t1 * i - f * t2) - t0 * (d * i - f * g) + c * (d * t2 - t1 * g)) / det
-    c2 = (a * (e * t2 - t1 * h) - b * (d * t2 - t1 * g) + t0 * (d * h - e * g)) / det
-    return c0, c1, c2, determined
+            return None, False
+    coefficients = []
+    for t0, t1, t2 in rhs:
+        p, r = t1 * i - f * t2, d * t2 - t1 * g
+        coefficients.append(((t0 * m0 - b * p + c * (t1 * h - e * t2)) / det,
+                             (a * p - t0 * m1 + c * r) / det,
+                             (a * (e * t2 - t1 * h) - b * r + t0 * m2) / det))
+    return coefficients, determined
 
 
 class ExpandingQuadFit:
-    """Incremental least-squares quadratic over an expanding window.
+    """Incremental least-squares quadratics of two series, offset and gain,
+    over one expanding set of taus.
 
-    Maintains the power sums needed for the 3x3 normal equations so a
-    refit after each new point costs O(1). Taus must be nonnegative and
+    Both fits share the power sums of the taus, and so the normal matrix
+    and its determinant; each series keeps its own right-hand side. A refit
+    after each new point costs O(1). Taus must be nonnegative and
     nondecreasing relative to the anchor.
     """
 
-    __slots__ = ("n", "s1", "s2", "s3", "s4", "t0", "t1", "t2")
+    __slots__ = ("n", "s1", "s2", "s3", "s4", "o0", "o1", "o2", "g0", "g1", "g2")
 
     def __init__(self):
         self.n = 0
         self.s1 = self.s2 = self.s3 = self.s4 = 0.0
-        self.t0 = self.t1 = self.t2 = 0.0
+        self.o0 = self.o1 = self.o2 = 0.0
+        self.g0 = self.g1 = self.g2 = 0.0
 
-    def push(self, tau: float, value: float):
+    def push(self, tau: float, offset: float, gain: float):
         u = tau * _TAU_SCALE
         u2 = u * u
         self.n += 1
@@ -159,79 +169,93 @@ class ExpandingQuadFit:
         self.s2 += u2
         self.s3 += u2 * u
         self.s4 += u2 * u2
-        self.t0 += value
-        self.t1 += value * u
-        self.t2 += value * u2
+        self.o0 += offset
+        self.o1 += offset * u
+        self.o2 += offset * u2
+        self.g0 += gain
+        self.g1 += gain * u
+        self.g2 += gain * u2
 
-    def extend(self, taus, values):
-        """Push each (tau, value) in order, leaving the sums bit for bit as
-        repeated `push` would, and return (fit, determined): the fit's
-        prediction at each tau just after that point was pushed, and whether
-        the fit was determined there."""
+    def extend(self, taus, offsets, gains):
+        """Push each (tau, offset, gain) in order, leaving the sums bit for
+        bit as repeated `push` would, and return (offset_fit, gain_fit,
+        determined): the fits' predictions at each tau just after that
+        point was pushed, and whether the fits were determined there."""
         u = np.asarray(taus, dtype=np.float64) * _TAU_SCALE
-        values = np.asarray(values, dtype=np.float64)
+        offsets = np.asarray(offsets, dtype=np.float64)
+        gains = np.asarray(gains, dtype=np.float64)
         u2 = u * u
-        names = ("s1", "s2", "s3", "s4", "t0", "t1", "t2")
-        terms = (u, u2, u2 * u, u2 * u2, values, values * u, values * u2)
+        names = self.__slots__[1:]      # every sum but the count
+        terms = (u, u2, u2 * u, u2 * u2, offsets, offsets * u, offsets * u2,
+                 gains, gains * u, gains * u2)
         sums = [_running(getattr(self, name), term) for name, term in zip(names, terms)]
         count = self.n + np.arange(1, u.size + 1, dtype=np.float64)
         if u.size:
             self.n += u.size
             for name, running in zip(names, sums):
                 setattr(self, name, float(running[-1]))
-        c0, c1, c2, determined = _solve_quadratic(count, *sums)
-        return c0 + c1 * u + c2 * u * u, determined
+        coef, determined = _solve_quadratic(count, *sums[:4], (sums[4:7], sums[7:]))
+        (a0, a1, a2), (b0, b1, b2) = coef
+        return a0 + a1 * u + a2 * u * u, b0 + b1 * u + b2 * u * u, determined
 
     def coefficients(self):
-        """(c0, c1, c2) in scaled tau, or None when underdetermined."""
-        c0, c1, c2, determined = _solve_quadratic(
-            float(self.n), self.s1, self.s2, self.s3, self.s4, self.t0, self.t1, self.t2)
-        return (c0, c1, c2) if determined else None
+        """((c0, c1, c2) of the offset, (c0, c1, c2) of the gain) in scaled
+        tau, or None when underdetermined."""
+        coef, _ = _solve_quadratic(float(self.n), self.s1, self.s2, self.s3, self.s4,
+                                   ((self.o0, self.o1, self.o2), (self.g0, self.g1, self.g2)))
+        return coef
 
     def predict(self, tau: float):
+        """(offset, gain, determined): the fits at tau, both None while
+        underdetermined."""
         coef = self.coefficients()
         if coef is None:
-            return None
+            return None, None, False
+        (a0, a1, a2), (b0, b1, b2) = coef
         u = tau * _TAU_SCALE
-        return coef[0] + coef[1] * u + coef[2] * u * u
+        return a0 + a1 * u + a2 * u * u, b0 + b1 * u + b2 * u * u, True
 
 
 @dataclass
 class EstimateHistory:
-    """Raw estimates for one site plus the running trend fits.
+    """Raw estimates for one site plus the running trend fit.
 
     Single writer per site; the anchor (first estimate's stamp) is time
-    zero for the quadratic fits.
+    zero for the quadratic fit.
     """
 
     site_id: str
     stamps: list = field(default_factory=list)
     offsets: list = field(default_factory=list)
     gains: list = field(default_factory=list)
-    _offset_fit: ExpandingQuadFit = field(default_factory=ExpandingQuadFit)
-    _gain_fit: ExpandingQuadFit = field(default_factory=ExpandingQuadFit)
+    _fit: ExpandingQuadFit = field(default_factory=ExpandingQuadFit)
 
     def __len__(self):
         return len(self.stamps)
 
-    def append(self, est: CalibrationEstimate):
-        if est.source != RAW:
-            raise ValueError("history stores raw estimates only")
-        if self.stamps and est.stamp <= self.stamps[-1]:
+    def append(self, stamp: int, offset: float, gain: float):
+        """Record one raw estimate.
+
+        Returns the trend's (offset, gain): what `trend_at` gives from
+        `stamp` until the next estimate arrives.
+        """
+        if not (math.isfinite(offset) and math.isfinite(gain) and gain >= 0):
+            raise ValueError("raw estimates need a finite offset and a finite, nonnegative gain")
+        if self.stamps and stamp <= self.stamps[-1]:
             raise ValueError("estimates must arrive in increasing time order")
-        self.stamps.append(est.stamp)
-        self.offsets.append(est.offset)
-        self.gains.append(est.gain)
-        tau = float(est.stamp - self.stamps[0])
-        self._offset_fit.push(tau, est.offset)
-        self._gain_fit.push(tau, est.gain)
+        self.stamps.append(stamp)
+        self.offsets.append(offset)
+        self.gains.append(gain)
+        tau = float(stamp - self.stamps[0])
+        self._fit.push(tau, offset, gain)
+        return _trend_or_raw(*self._fit.predict(tau), offset, gain)
 
     def extend(self, stamps, offsets, gains):
         """Append raw estimates in bulk, leaving the history bit for bit as
         repeated `append` would.
 
-        Returns (offset, gain) arrays: for each new estimate, what
-        `trend_at` gives from its stamp until the next estimate arrives.
+        Returns (offset, gain) arrays: for each new estimate, what `append`
+        returns for it.
         """
         stamps = np.asarray(stamps, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.float64)
@@ -244,20 +268,17 @@ class EstimateHistory:
         self.offsets.extend(offsets.tolist())
         self.gains.extend(gains.tolist())
         taus = (stamps - self.stamps[0]).astype(np.float64)
-        offset_fit, offset_ok = self._offset_fit.extend(taus, offsets)
-        gain_fit, gain_ok = self._gain_fit.extend(taus, gains)
-        return _trend_or_raw(offset_ok & gain_ok, offset_fit, gain_fit, offsets, gains)
+        return _trend_or_raw(*self._fit.extend(taus, offsets, gains), offsets, gains)
 
     def trend_coefficients(self, which: str = "gain"):
         """(c0, c1, c2) of the current fit in per-hour units, or None while
         the trend is underdetermined."""
         if which not in ("gain", "offset"):
             raise ValueError("which must be 'gain' or 'offset'")
-        fit = self._gain_fit if which == "gain" else self._offset_fit
-        coef = fit.coefficients()
+        coef = self._fit.coefficients()
         if coef is None:
             return None
-        c0, c1, c2 = coef
+        c0, c1, c2 = coef[1] if which == "gain" else coef[0]
         return (c0, c1 * _TAU_SCALE, c2 * _TAU_SCALE * _TAU_SCALE)
 
     def trend_at(self, stamp) -> CalibrationEstimate:
@@ -272,16 +293,14 @@ class EstimateHistory:
             raise InsufficientDataError("no raw estimates recorded")
         stamp = to_epoch_hour(stamp)
         tau = float(min(stamp, self.stamps[-1]) - self.stamps[0])
-        offset = self._offset_fit.predict(tau)
-        gain = self._gain_fit.predict(tau)
-        fitted = offset is not None and gain is not None
-        offset, gain = _trend_or_raw(fitted, offset, gain, self.offsets[-1], self.gains[-1])
+        offset, gain, fitted = self._fit.predict(tau)
+        offset, gain = _trend_or_raw(offset, gain, fitted, self.offsets[-1], self.gains[-1])
         if not fitted:
             return CalibrationEstimate(self.stamps[-1], offset, gain, RAW)
         return CalibrationEstimate(stamp, offset, gain, TREND)
 
 
-def _trend_or_raw(fitted, fit_offset, fit_gain, raw_offset, raw_gain):
+def _trend_or_raw(fit_offset, fit_gain, fitted, raw_offset, raw_gain):
     """The trend's (offset, gain): the fit where it is determined, with the
     gain floored at zero, else the latest raw estimate; for floats or
     elementwise over arrays."""
@@ -304,8 +323,10 @@ def decompose(history: EstimateHistory, which: str = "gain"):
         raise ValueError("which must be 'gain' or 'offset'")
     if not history.stamps:
         raise InsufficientDataError("no raw estimates recorded")
-    raw = np.asarray(history.gains if which == "gain" else history.offsets, dtype=np.float64)
     stamps = np.asarray(history.stamps, dtype=np.int64)
-    fit, determined = ExpandingQuadFit().extend((stamps - stamps[0]).astype(np.float64), raw)
+    offset_fit, gain_fit, determined = ExpandingQuadFit().extend(
+        (stamps - stamps[0]).astype(np.float64), history.offsets, history.gains)
+    raw, fit = ((history.gains, gain_fit) if which == "gain" else (history.offsets, offset_fit))
+    raw = np.asarray(raw, dtype=np.float64)
     trend = np.where(determined, fit, raw)
     return stamps, trend, raw - trend

@@ -12,6 +12,7 @@ import contextlib
 import csv
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import os
@@ -89,11 +90,23 @@ def _flags(column) -> list:
     return ["" if v is None else "1" if v else "0" for v in column]
 
 
-def _write_columns(path, header, columns):
-    """CSV of `columns` (one sequence of strings per field) under `header`.
-    No field may need quoting; lines end in "\r\n", as csv.writer ends them."""
+def _csv_field(text: str) -> str:
+    """`text` as csv.writer writes it as one of several fields: quoted, with
+    its quotes doubled, when it holds a comma, a quote or a line break."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def _write_columns(path, header, blocks):
+    """CSV under `header` of each block of `blocks` in turn, a block being
+    one sequence of strings per field. Fields are written as given, so one
+    that needs quoting must come through _csv_field; lines end in "\r\n",
+    as csv.writer ends them."""
     with atomic_write(path, newline="") as handle:
-        handle.write("\r\n".join([",".join(header), *map(",".join, zip(*columns)), ""]))
+        handle.write(",".join(header) + "\r\n")
+        for columns in blocks:
+            handle.write("\r\n".join([*map(",".join, zip(*columns)), ""]))
 
 
 # ---------------------------------------------------------------- series CSV
@@ -240,14 +253,11 @@ def read_series_csv(paths) -> dict:
 
 
 def write_series_csv(path, series_map: dict):
-    """Write all series sorted by (site_id, timestamp)."""
-    with atomic_write(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(SERIES_HEADER)
-        for site_id in sorted(series_map):
-            ts = series_map[site_id]
-            for hour, value in zip(ts.hours.tolist(), ts.values.tolist()):
-                writer.writerow([_iso_hour(hour), site_id, _fmt_value(value)])
+    """Write all series sorted by (site_id, timestamp), one block per site."""
+    _write_columns(path, SERIES_HEADER, (
+        (list(map(_iso_hour, ts.hours.tolist())), itertools.repeat(_csv_field(site_id)),
+         [f"{v:.4f}" for v in ts.values.tolist()])
+        for site_id, ts in sorted(series_map.items())))
 
 
 # ------------------------------------------------------------ result exports
@@ -256,18 +266,18 @@ def write_chart_csv(path, rows):
     """Control-chart history export, one row per stepped hour: the
     HistoryRow fields in order, without the status."""
     columns = list(zip(*rows)) or [()] * len(HistoryRow._fields)
-    _write_columns(path, CHART_HEADER, [
+    _write_columns(path, CHART_HEADER, [[
         list(map(_iso_hour, columns[0])), *map(_stats, columns[2:7]),
-        *map(_flags, columns[7:14]), *map(_stats, columns[14:])])
+        *map(_flags, columns[7:14]), *map(_stats, columns[14:])]])
 
 
 def write_corrected_csv(path, rows):
     """Per-site corrected output; hours without a sensor reading are gaps."""
     rows = [r for r in rows if r.raw_value is not None]
     stamp, *_, corrected, raw, output = list(zip(*rows)) or [()] * len(HistoryRow._fields)
-    _write_columns(path, CORRECTED_HEADER, [
+    _write_columns(path, CORRECTED_HEADER, [[
         list(map(_iso_hour, stamp)), [f"{v:.4f}" for v in raw], [f"{v:.4f}" for v in output],
-        _flags(corrected)])
+        _flags(corrected)]])
 
 
 def write_proxy_scores_csv(path, scores):
@@ -344,17 +354,17 @@ class NetworkConfig:
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkConfig":
         try:
-            _json(data, dict, "the configuration")
+            json_value(data, dict, "the configuration")
             if "sites" not in data:
                 raise ValueError("'sites' is missing")
             sites = [_typed(SiteRecord, raw, f"sites[{i}]")
-                     for i, raw in enumerate(_json(data["sites"], list, "'sites'"))]
+                     for i, raw in enumerate(json_value(data["sites"], list, "'sites'"))]
             thresholds = _typed(Thresholds, data.get("thresholds", {}), "thresholds")
             proxy = _typed(ProxyPolicy, data.get("proxy", {}), "proxy")
-            series = _json(data.get("series", []), list, "'series'")
+            series = json_value(data.get("series", []), list, "'series'")
             for path in series:
-                _json(path, str, "each 'series' entry")
-            output_dir = _json(data.get("output_dir", "out"), str, "'output_dir'")
+                json_value(path, str, "each 'series' entry")
+            output_dir = json_value(data.get("output_dir", "out"), str, "'output_dir'")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad configuration: {exc}") from exc
         return cls(
@@ -370,7 +380,7 @@ _JSON_KINDS = {dict: "object", list: "array", str: "string", bool: "boolean",
                int: "integer", float: "number"}
 
 
-def _json(value, kind: type, what: str):
+def json_value(value, kind: type, what: str):
     """`value` if it is a JSON `kind`, else ValueError naming `what`. A bool
     is no number; a whole float passes as an int, and comes back as one."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
@@ -382,21 +392,31 @@ def _json(value, kind: type, what: str):
                      f"got {type(value).__name__}")
 
 
-# the JSON kinds each config record's fields accept (NoneType: null), by annotation
-_FIELD_KINDS = {cls: {name: typing.get_args(hint) or (hint,)
-                      for name, hint in typing.get_type_hints(cls).items()}
-                for cls in (Thresholds, ProxyPolicy, SiteRecord)}
+@functools.cache
+def _field_kinds(cls) -> dict:
+    """The JSON kinds each field of record `cls` accepts (NoneType: null),
+    by annotation; fields of other types are left out."""
+    kinds = {name: typing.get_args(hint) or (hint,)
+             for name, hint in typing.get_type_hints(cls).items()}
+    return {name: kind for name, kind in kinds.items() if kind[0] in _JSON_KINDS}
+
+
+def json_fields(cls, raw: dict, what: str) -> dict:
+    """The fields of record `cls` that the JSON object `raw` holds, each
+    checked by json_value against the kind its annotation gives (null where
+    it allows None); `what` names the object in errors. Other keys are left
+    out."""
+    return {name: raw[name] if raw[name] is None and type(None) in kinds
+            else json_value(raw[name], kinds[0], f"'{what}.{name}'")
+            for name, kinds in _field_kinds(cls).items() if name in raw}
 
 
 def _typed(cls, raw, what: str):
-    """cls(**raw), once `raw` is a JSON object and each field in it has a
-    kind that _FIELD_KINDS allows; `what` names the object in errors. An
-    unknown field is left for cls to reject."""
-    fields = dict(_json(raw, dict, f"'{what}'"))
-    for name, kinds in _FIELD_KINDS[cls].items():
-        if name in fields and not (fields[name] is None and type(None) in kinds):
-            fields[name] = _json(fields[name], kinds[0], f"'{what}.{name}'")
-    return cls(**fields)
+    """cls(**raw), once `raw` is a JSON object and json_fields passes its
+    fields; `what` names the object in errors. An unknown field is left for
+    cls to reject."""
+    fields = dict(json_value(raw, dict, f"'{what}'"))
+    return cls(**{**fields, **json_fields(cls, fields, what)})
 
 
 def load_network_config(path) -> NetworkConfig:

@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ozonet.io import json_fields, json_value
 from ozonet.proxy import ROLE_LOW_COST, ROLE_REFERENCE, SiteRecord
 from ozonet.timeseries import (
     TimeSeries,
@@ -222,66 +223,53 @@ class Scenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        _object(data, "scenario")
-        regional = _object(data.get("regional", {}), "regional")
+        """The scenario a JSON document describes; a field of the wrong JSON
+        kind is a ValueError that names it."""
+        top = json_fields(cls, json_value(data, dict, "scenario"), "scenario")
+        regional = json_value(data.get("regional", {}), dict, "regional")
         sites = []
-        for raw in data["sites"]:
-            _object(raw, "site")
+        for i, raw in enumerate(json_value(data["sites"], list, "'sites'")):
+            where = f"sites[{i}]"
+            r = json_fields(SiteRecord, json_value(raw, dict, "site"), where)
             record = SiteRecord(
-                site_id=raw["site_id"],
-                name=raw.get("name", raw["site_id"]),
-                role=raw["role"],
-                latitude=raw["latitude"],
-                longitude=raw["longitude"],
-                elevation_m=raw.get("elevation_m"),
-                aadt_5km=raw.get("aadt_5km"),
-                land_use=raw.get("land_use"),
+                site_id=r["site_id"],
+                name=r.get("name", r["site_id"]),
+                role=r["role"],
+                latitude=r["latitude"],
+                longitude=r["longitude"],
+                elevation_m=r.get("elevation_m"),
+                aadt_5km=r.get("aadt_5km"),
+                land_use=r.get("land_use"),
             )
-            t = _object(raw["truth"], "truth")
-            truth = TruthModel(
-                baseline=t["baseline"],
-                amplitude=t["amplitude"],
-                phase_hours=t.get("phase_hours", 0.0),
-                regional_weight=t.get("regional_weight", 1.0),
-                noise_sigma=t.get("noise_sigma", 0.0),
-                shift=t.get("shift", 0.0),
-                scale=t.get("scale", 1.0),
-                relation_noise_sigma=t.get("relation_noise_sigma", 0.0),
-            )
+            truth = TruthModel(**json_fields(
+                TruthModel, json_value(raw["truth"], dict, "truth"), f"{where}.truth"))
             sensor = None
             if raw.get("sensor") is not None:
-                sr = _object(raw["sensor"], "sensor")
+                sr = json_value(raw["sensor"], dict, "sensor")
+                drift = json_value(sr.get("drift", []), list, f"'{where}.sensor.drift'")
                 sensor = SensorModel(
-                    offset=sr.get("offset", 0.0),
-                    gain=sr.get("gain", 1.0),
-                    noise_sigma=sr.get("noise_sigma", 0.0),
+                    **json_fields(SensorModel, sr, f"{where}.sensor"),
                     drift=tuple(
-                        DriftSegment(d["start_hour"], d["end_hour"], d["mode"],
-                                     d.get("target", 0.0))
-                        for d in sr.get("drift", ())
+                        DriftSegment(**json_fields(
+                            DriftSegment, json_value(d, dict, "drift segment"),
+                            f"{where}.sensor.drift[{k}]"))
+                        for k, d in enumerate(drift)
                     ),
                 )
             sites.append(SiteSpec(record, truth, sensor))
         return cls(
-            seed=data["seed"],
-            start_hour=parse_iso_hour(data["start"]),
-            duration_hours=data["duration_hours"],
+            seed=top["seed"],
+            start_hour=parse_iso_hour(json_value(data["start"], str, "'scenario.start'")),
+            duration_hours=top["duration_hours"],
             sites=tuple(sites),
-            regional_sigma=regional.get("sigma", 1.0),
-            regional_bound=regional.get("bound", 15.0),
-            reference_noise_sigma=data.get("reference_noise_sigma", 1.0),
+            regional_sigma=json_value(regional.get("sigma", 1.0), float, "'regional.sigma'"),
+            regional_bound=json_value(regional.get("bound", 15.0), float, "'regional.bound'"),
+            reference_noise_sigma=top.get("reference_noise_sigma", 1.0),
         )
 
     def config_sha256(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
-
-
-def _object(value, what: str) -> dict:
-    """`value` if it is a JSON object, else ValueError naming `what`."""
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be a JSON object, got {type(value).__name__}")
-    return value
 
 
 def generate_regional(scenario: Scenario) -> np.ndarray:

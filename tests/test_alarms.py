@@ -86,6 +86,12 @@ class TestBreachFlags:
         flags = evaluate_breaches(0.05, est, Thresholds())
         assert flags.as_tuple() == (True, True, True)
 
+    def test_upper_bounds_count_as_breaches(self):
+        # the pass region is the strict interior, so each upper bound breaches
+        th = Thresholds()
+        est = CalibrationEstimate(0, th.offset_high, th.gain_high)
+        assert evaluate_breaches(th.p_ks_min, est, th).as_tuple() == (True, True, True)
+
 
 class TestPersistence:
     def test_sub_threshold_episode_never_latches(self):
@@ -260,6 +266,44 @@ class TestEngine:
         assert not VALUE_MIN <= unclipped <= VALUE_MAX
         assert last.output_value == bound
 
+    @pytest.mark.parametrize("to_sensor, offset, gain", [
+        (lambda z: 4.0 * z, 0.0, TREND_GAIN_MIN),
+        (lambda z: z / 4.0, 0.0, TREND_GAIN_MAX),
+        (lambda z: z - TREND_OFFSET_CAP, TREND_OFFSET_CAP, 1.0),
+        (lambda z: z + TREND_OFFSET_CAP, -TREND_OFFSET_CAP, 1.0),
+    ], ids=["gain-min", "gain-max", "offset-cap", "offset-minus-cap"])
+    def test_trend_band_edges_enter_the_trend(self, to_sensor, offset, gain):
+        # the sanity band is closed. A proxy alternating 80/90 ppb has the
+        # same mean and variance, in binary, in every full window; a sensor
+        # that scales it by 4 or shifts it by the cap gives an estimate
+        # exactly on an edge of the band, which must enter the trend
+        hours = np.arange(0, 200, dtype=np.int64)
+        proxy = TimeSeries("p", hours, 80.0 + 10.0 * (hours % 2))
+        sensor = TimeSeries("s", hours, to_sensor(proxy.values))
+        engine = SiteEngine("s", sensor, proxy)
+        for stamp in range(200):
+            row = engine.step(stamp)
+            if stamp >= 71:         # the window holds all 72 hours
+                assert (row.status, row.offset_raw, row.gain_raw) == ("ok", offset, gain)
+                assert engine.history.stamps[-1] == stamp
+        batch = SiteEngine("s", sensor, proxy)
+        assert batch.run().rows == engine.ledger.history
+        assert batch.history.stamps == engine.history.stamps
+
+    def test_window_of_tiny_variance_still_gets_an_estimate(self):
+        # only a flat-lined window is degenerate: a sensor window whose
+        # variance is 1e-9 ppb^2 still gives an estimate, stepped and batched
+        proxy = sim_series("p", 0, 200, 8)
+        tiny = 30.0 + 3.2e-5 * (-1.0) ** np.arange(200)
+        assert 0.9e-9 < np.var(tiny[:72], ddof=1) < 1.1e-9
+        sensor = TimeSeries("s", proxy.hours, tiny)
+        stepped_rows = [SiteEngine("s", sensor, proxy).step(150)]
+        run_rows = [r for r in SiteEngine("s", sensor, proxy).run().rows if r.stamp == 150]
+        for row in stepped_rows + run_rows:
+            assert row.status == "ok"
+            assert row.gain_raw > 1e4 and row.breach_gain
+        assert stepped_rows == run_rows
+
     def test_null_long_run_breach_rate_calibrated(self):
         # sensor and proxy drawn independently from the same distribution:
         # the long-run share of similarity-test breaches sits near the
@@ -305,12 +349,12 @@ def faulty_network():
 
 
 def engine_state(engine):
-    fits = (engine.history._offset_fit, engine.history._gain_fit)
+    fit = engine.history._fit
     return (
         engine.ledger.breach_hours, engine.ledger.breach_start, engine.ledger.latched,
         engine.ledger.last_stamp, engine.ledger.history,
         engine.history.stamps, engine.history.offsets, engine.history.gains,
-        [[getattr(fit, name) for name in fit.__slots__] for fit in fits],
+        [getattr(fit, name) for name in fit.__slots__],
         engine._cursor,
     )
 
@@ -440,6 +484,41 @@ class TestBatchRun:
         assert seen == ({"ok", "insufficient", "degenerate"} if sid == "FLAT"
                         else {"ok", "insufficient"})
         assert any(r.raw_value is None and r.status == "ok" for r in engine.ledger.history)
+
+    @pytest.mark.parametrize("sid", ["GAIN", "FLAT"])
+    def test_kept_trend_equals_trend_at(self, network, sid):
+        # the engine keeps the trend its latest estimate gave rather than
+        # evaluating it each hour; at every hour it must equal trend_at of
+        # that hour, however the engine got there: stepping each hour,
+        # stepping after run(), run() after sparse steps across gaps, and on
+        # insufficient and degenerate hours
+        sensor, proxy = network[sid], network["REF"]
+        first, last = int(sensor.hours[0]) - 30, int(sensor.hours[-1]) + 50
+        middle = first + 24 * 12
+
+        def check(engine, row):
+            trend = engine.history.trend_at(row.stamp) if len(engine.history) else None
+            kept = None if trend is None else (trend.offset, trend.gain)
+            assert engine._trend == kept
+            assert (row.offset_trend, row.gain_trend) == (kept or (None, None))
+
+        engine = SiteEngine(sid, sensor, proxy)
+        for stamp in range(first, last + 1):
+            check(engine, engine.step(stamp))
+        statuses = {r.status for r in engine.ledger.history}
+        assert statuses == ({"ok", "insufficient", "degenerate"} if sid == "FLAT"
+                            else {"ok", "insufficient"})
+
+        batch = SiteEngine(sid, sensor, proxy)
+        check(batch, batch.run(first, middle).rows[-1])
+        for stamp in range(middle + 1, last + 1):
+            check(batch, batch.step(stamp))
+
+        sparse = SiteEngine(sid, sensor, proxy)
+        rng = np.random.default_rng(3)
+        for stamp in np.unique(rng.choice(np.arange(first, middle), 60)).tolist():
+            check(sparse, sparse.step(stamp))
+        check(sparse, sparse.run(middle, last).rows[-1])
 
     def test_summary_equals_counts_over_rows(self, network):
         # brute force per attribute; the 30-hour site never has full windows

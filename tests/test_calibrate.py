@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ozonet import (
     CalibrationEstimate,
@@ -26,7 +28,7 @@ def make_window(values, start=0, site="w"):
 def history_from(stamps, offsets, gains):
     h = EstimateHistory("site")
     for s, o, g in zip(stamps, offsets, gains):
-        h.append(CalibrationEstimate(int(s), float(o), float(g)))
+        h.append(int(s), float(o), float(g))
     return h
 
 
@@ -129,7 +131,7 @@ class TestQuadraticTrend:
     def test_constant_history_stays_constant(self):
         h = EstimateHistory("site")
         for t in range(720):
-            h.append(CalibrationEstimate(t, 0.0, 1.0))
+            h.append(t, 0.0, 1.0)
             if t in (10, 300, 719):
                 est = h.trend_at(t)
                 assert est.gain == pytest.approx(1.0, abs=1e-12)
@@ -214,7 +216,7 @@ class TestQuadraticTrend:
     def test_append_requires_increasing_stamps(self):
         h = history_from([0, 1], [0, 0], [1, 1])
         with pytest.raises(ValueError, match="increasing"):
-            h.append(CalibrationEstimate(1, 0.0, 1.0))
+            h.append(1, 0.0, 1.0)
 
     def test_extend_equals_appending_one_by_one(self):
         rng = np.random.default_rng(12)
@@ -225,13 +227,13 @@ class TestQuadraticTrend:
         bulk = history_from(stamps[:40], offsets[:40], gains[:40])
         seen = []
         for s, o, g in zip(stamps[40:], offsets[40:], gains[40:]):
-            one_by_one.append(CalibrationEstimate(int(s), float(o), float(g)))
+            appended = one_by_one.append(int(s), float(o), float(g))
             trend = one_by_one.trend_at(int(s))
-            seen.append((trend.offset, trend.gain))
+            assert appended == (trend.offset, trend.gain)
+            seen.append(appended)
         offset, gain = bulk.extend(stamps[40:], offsets[40:], gains[40:])
         assert list(zip(offset.tolist(), gain.tolist())) == seen
-        for a, b in ((one_by_one, bulk), (one_by_one._offset_fit, bulk._offset_fit),
-                     (one_by_one._gain_fit, bulk._gain_fit)):
+        for a, b in ((one_by_one, bulk), (one_by_one._fit, bulk._fit)):
             names = a.__slots__ if hasattr(a, "__slots__") else ("stamps", "offsets", "gains")
             assert [getattr(a, k) for k in names] == [getattr(b, k) for k in names]
         with pytest.raises(ValueError, match="increasing"):
@@ -242,10 +244,93 @@ class TestQuadraticTrend:
         # last point; trend_at and extend both report zero there
         stamps, offsets, gains = [0, 10, 20, 30, 40], [0.0] * 5, [0.0, 3.0, 3.0, 0.0, 0.0]
         h = history_from(stamps, offsets, gains)
-        assert h._gain_fit.predict(40.0) < 0.0
+        assert h._fit.predict(40.0)[1] < 0.0
         assert h.trend_at(40) == CalibrationEstimate(40, 0.0, 0.0, "trend")
         _, gain = EstimateHistory("s").extend(stamps, offsets, gains)
         assert gain[-1] == 0.0
+
+
+class _SingleFit:
+    """One series' expanding least-squares quadratic, its power sums and
+    Cramer's rule written out on their own: the oracle that the joint fit of
+    offset and gain must equal bit for bit, series by series."""
+
+    def __init__(self):
+        self.n = 0
+        self.s1 = self.s2 = self.s3 = self.s4 = 0.0
+        self.t0 = self.t1 = self.t2 = 0.0
+
+    def push(self, tau, value):
+        u = tau * (1.0 / 1024.0)
+        u2 = u * u
+        self.n += 1
+        self.s1 += u
+        self.s2 += u2
+        self.s3 += u2 * u
+        self.s4 += u2 * u2
+        self.t0 += value
+        self.t1 += value * u
+        self.t2 += value * u2
+
+    def coefficients(self):
+        a, t0, t1, t2 = float(self.n), self.t0, self.t1, self.t2
+        b, c = self.s1, self.s2
+        d, e, f = self.s1, self.s2, self.s3
+        g, h, i = self.s2, self.s3, self.s4
+        det = a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
+        if a < 3.0 or abs(det) < 1e-12 * max(1.0, a * e * i):
+            return None
+        return ((t0 * (e * i - f * h) - b * (t1 * i - f * t2) + c * (t1 * h - e * t2)) / det,
+                (a * (t1 * i - f * t2) - t0 * (d * i - f * g) + c * (d * t2 - t1 * g)) / det,
+                (a * (e * t2 - t1 * h) - b * (d * t2 - t1 * g) + t0 * (d * h - e * g)) / det)
+
+    def predict(self, tau):
+        coef = self.coefficients()
+        if coef is None:
+            return None
+        u = tau * (1.0 / 1024.0)
+        return coef[0] + coef[1] * u + coef[2] * u * u
+
+
+def _bits(values):
+    return [None if v is None else float(v).hex() for v in values]
+
+
+class TestJointFit:
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(st.tuples(st.integers(0, 40_000), st.floats(-80.0, 80.0), st.floats(0.0, 5.0)),
+                    min_size=1, max_size=40, unique_by=lambda point: point[0]))
+    def test_equals_two_single_series_fits(self, points):
+        points = sorted(points)
+        h = EstimateHistory("s")
+        single = {"offset": _SingleFit(), "gain": _SingleFit()}
+        appended = []
+        for stamp, offset, gain in points:
+            tau = float(stamp - points[0][0])
+            appended.append(h.append(stamp, offset, gain))
+            single["offset"].push(tau, offset)
+            single["gain"].push(tau, gain)
+            want_offset, want_gain = single["offset"].predict(tau), single["gain"].predict(tau)
+            fit_offset, fit_gain, determined = h._fit.predict(tau)
+            assert _bits((fit_offset, fit_gain)) == _bits((want_offset, want_gain))
+            assert determined == (want_offset is not None)
+            if determined:
+                want = (want_offset, want_gain if want_gain > 0.0 else 0.0)
+            else:
+                want = (offset, gain)
+            assert _bits(appended[-1]) == _bits(want)
+            trend = h.trend_at(stamp + 5)
+            assert _bits((trend.offset, trend.gain)) == _bits(want)
+            for which, fit in single.items():
+                coef = fit.coefficients()
+                got = h.trend_coefficients(which)
+                assert (got is None) == (coef is None)
+                if coef is not None:
+                    assert _bits(got) == _bits((coef[0], coef[1] / 1024.0,
+                                                coef[2] / 1024.0 / 1024.0))
+        offset, gain = EstimateHistory("s").extend(*zip(*points))
+        assert _bits(offset.tolist()) == _bits(o for o, _ in appended)
+        assert _bits(gain.tolist()) == _bits(g for _, g in appended)
 
 
 class TestDecompose:
@@ -268,14 +353,15 @@ class TestDecompose:
         stamps = np.sort(rng.choice(np.arange(4000), size=250, replace=False))
         gains = np.clip(1 + 0.0002 * stamps + rng.normal(0, 0.1, 250), 0.1, None)
         h = history_from(stamps, rng.normal(0, 2, 250), gains)
-        for which, raw in (("gain", h.gains), ("offset", h.offsets)):
-            fit = ExpandingQuadFit()
-            expected = []
-            for s, v in zip(h.stamps, raw):
-                tau = float(s - h.stamps[0])
-                fit.push(tau, v)
-                pred = fit.predict(tau)
-                expected.append(v if pred is None else pred)
+        fit = ExpandingQuadFit()
+        predicted = []
+        for s, o, g in zip(h.stamps, h.offsets, h.gains):
+            tau = float(s - h.stamps[0])
+            fit.push(tau, o, g)
+            offset, gain, determined = fit.predict(tau)
+            predicted.append((offset, gain) if determined else (o, g))
+        for which, raw, expected in (("offset", h.offsets, [p[0] for p in predicted]),
+                                     ("gain", h.gains, [p[1] for p in predicted])):
             _, trend, resid = decompose(h, which)
             assert trend.tolist() == expected
             assert resid.tolist() == (np.asarray(raw) - np.asarray(expected)).tolist()

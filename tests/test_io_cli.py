@@ -71,6 +71,21 @@ class TestSeriesCsv:
         sites = [r.split(",")[1] for r in rows]
         assert sites == sorted(sites)
 
+    @settings(deadline=None, max_examples=100)
+    @given(st.dictionaries(st.text(max_size=6), st.lists(
+        st.floats(-10.0, 500.0, allow_nan=False), max_size=4), max_size=4))
+    @example({"a,b": [1.0, 2.5], 'say "hi"': [3.0], "plain": [], "": [4.0]})
+    def test_bytes_equal_csv_writer(self, tmp_path_factory, values):
+        series = {site: hourly(site, 400_000 + 7 * i, v)
+                  for i, (site, v) in enumerate(values.items())}
+        lines = [[format_iso_hour(int(h)), site, f"{v:.4f}"]
+                 for site in sorted(series)
+                 for h, v in zip(series[site].hours, series[site].values.tolist())]
+        path = tmp_path_factory.mktemp("series") / "series.csv"
+        write_series_csv(path, series)
+        assert path.read_bytes() == _csv_writer_bytes(
+            ["timestamp", "site_id", "value_ppb"], lines)
+
     def test_duplicate_reports_both_lines(self, tmp_path):
         path = tmp_path / "dup.csv"
         write_rows(path, [
@@ -377,6 +392,37 @@ class TestSimulateCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: bad scenario {spath}: {what} must be a JSON object")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("seed",), "1", "'scenario.seed' must be a JSON integer, got str"),
+        (("duration_hours",), 24.5, "'scenario.duration_hours' must be a JSON integer, got float"),
+        (("sites", 0, "truth", "baseline"), "30",
+         "'sites[0].truth.baseline' must be a JSON number, got str"),
+        (("seed",), True, "'scenario.seed' must be a JSON integer, got bool"),
+    ], ids=["seed-string", "duration-fraction", "baseline-string", "seed-bool"])
+    def test_bad_field_type_is_input_error(self, tmp_path, capsys, path, value, message):
+        payload = pair_scenario(duration_hours=24 * 4).to_dict()
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(payload))
+        assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: bad scenario {spath}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    def test_whole_numbers_are_accepted(self, tmp_path):
+        outs = []
+        for name, duration in (("int", 96), ("float", 96.0)):
+            payload = pair_scenario(duration_hours=24 * 4).to_dict()
+            payload["duration_hours"] = duration
+            spath = tmp_path / f"{name}.json"
+            spath.write_text(json.dumps(payload))
+            assert main(["simulate", str(spath), "--out", str(tmp_path / name)]) == 0
+            outs.append([(tmp_path / name / f).read_bytes()
+                         for f in ("observed.csv", "truth.csv", "manifest.json")])
+        assert outs[0] == outs[1]
 
 
 class TestValidateCommand:
