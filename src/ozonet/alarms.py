@@ -31,7 +31,14 @@ from ozonet.calibrate import (
     match_moments,
 )
 from ozonet.kstest import ks_pvalue
-from ozonet.timeseries import VALUE_MAX, VALUE_MIN, TimeSeries, to_epoch_hour, window_bounds
+from ozonet.timeseries import (
+    VALUE_MAX,
+    VALUE_MIN,
+    TimeSeries,
+    to_epoch_hour,
+    window_bounds,
+    window_complete,
+)
 
 TEST_NAMES = ("ks", "offset", "gain")
 
@@ -135,7 +142,6 @@ class AlarmLedger:
 
     site_id: str
     breach_hours: list = field(default_factory=lambda: [0, 0, 0])
-    breach_start: list = field(default_factory=lambda: [None, None, None])
     latched: list = field(default_factory=lambda: [False, False, False])
     history: list = field(default_factory=list)
     last_stamp: int | None = None
@@ -160,13 +166,10 @@ def update_persistence(ledger: AlarmLedger, stamp, flags, th: Thresholds) -> Ala
             continue
         if flag:
             ledger.breach_hours[i] += 1
-            if ledger.breach_hours[i] == 1:
-                ledger.breach_start[i] = stamp
             if ledger.breach_hours[i] > th.tf_hours:
                 ledger.latched[i] = True
         else:
             ledger.breach_hours[i] = 0
-            ledger.breach_start[i] = None
             ledger.latched[i] = False
     return ledger
 
@@ -235,7 +238,6 @@ class SiteEngine:
         self.history = EstimateHistory(site_id)
         self.ledger = AlarmLedger(site_id)
         self._trend = None
-        self._cursor = None
 
     def step(self, stamp, measured: tuple | None = None) -> HistoryRow:
         """Evaluate one hour; appends and returns the history row.
@@ -252,9 +254,9 @@ class SiteEngine:
         latest estimate entered (None while the history is empty).
         """
         stamp = to_epoch_hour(stamp)
-        if self._cursor is not None and stamp <= self._cursor:
+        last_stamp = self.ledger.last_stamp
+        if last_stamp is not None and stamp <= last_stamp:
             raise ValueError("steps must advance in time")
-        self._cursor = stamp
         th = self.thresholds
         raw_value, p_ks, offset_raw, gain_raw, offset_trend, gain_trend = (
             self._measure(stamp) if measured is None else measured)
@@ -304,9 +306,8 @@ class SiteEngine:
             raw_value = float(sensor.values[s_hi - 1])
 
         n_y, n_z = s_hi - s_lo, p_hi - p_lo
-        need = th.completeness_min * th.td_hours
         p = offset = gain = None
-        if n_y >= need and n_z >= need:
+        if window_complete(min(n_y, n_z), th.td_hours, th.completeness_min):
             y = sensor.values[s_lo:s_hi]
             z = proxy.values[p_lo:p_hi]
             p = ks_pvalue(kernels.ks_distance(y, z), n_y, n_z)
@@ -335,15 +336,16 @@ class SiteEngine:
         last = to_epoch_hour(end) if end is not None else int(self.sensor.hours[-1])
         if first > last:
             return SiteRunResult(self.site_id, list(self.ledger.history))
-        if self._cursor is not None and first <= self._cursor:
+        last_stamp = self.ledger.last_stamp
+        if last_stamp is not None and first <= last_stamp:
             raise ValueError("steps must advance in time")
         th = self.thresholds
         stamps = np.arange(first, last + 1, dtype=np.int64)
         s_lo, s_hi = window_bounds(self.sensor.hours, stamps, th.td_hours)
         p_lo, p_hi = window_bounds(self.proxy.hours, stamps, th.td_hours)
         n_y, n_z = s_hi - s_lo, p_hi - p_lo
-        need = th.completeness_min * th.td_hours
-        assessed = np.flatnonzero((n_y >= need) & (n_z >= need))
+        assessed = np.flatnonzero(
+            window_complete(np.minimum(n_y, n_z), th.td_hours, th.completeness_min))
         n_y, n_z = n_y[assessed], n_z[assessed]
         d, mean_y, var_y, mean_z, var_z = _window_stats(
             self.sensor.values, s_lo[assessed], n_y, self.proxy.values, p_lo[assessed], n_z)

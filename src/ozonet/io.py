@@ -320,10 +320,10 @@ class ProxyPolicy:
 
 @dataclass
 class NetworkConfig:
-    sites: list
+    sites: list[SiteRecord]
     thresholds: Thresholds = field(default_factory=Thresholds)
     proxy: ProxyPolicy = field(default_factory=ProxyPolicy)
-    series: list = field(default_factory=list)       # paths, relative to the config
+    series: list[str] = field(default_factory=list)    # paths, relative to the config
     output_dir: str = "out"
 
     def __post_init__(self):
@@ -343,37 +343,14 @@ class NetworkConfig:
         return {s.site_id: s for s in self.sites}
 
     def to_dict(self) -> dict:
-        return {
-            "sites": [dataclasses.asdict(s) for s in self.sites],
-            "thresholds": dataclasses.asdict(self.thresholds),
-            "proxy": dataclasses.asdict(self.proxy),
-            "series": list(self.series),
-            "output_dir": self.output_dir,
-        }
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "NetworkConfig":
         try:
-            json_value(data, dict, "the configuration")
-            if "sites" not in data:
-                raise ValueError("'sites' is missing")
-            sites = [_typed(SiteRecord, raw, f"sites[{i}]")
-                     for i, raw in enumerate(json_value(data["sites"], list, "'sites'"))]
-            thresholds = _typed(Thresholds, data.get("thresholds", {}), "thresholds")
-            proxy = _typed(ProxyPolicy, data.get("proxy", {}), "proxy")
-            series = json_value(data.get("series", []), list, "'series'")
-            for path in series:
-                json_value(path, str, "each 'series' entry")
-            output_dir = json_value(data.get("output_dir", "out"), str, "'output_dir'")
+            return json_record(cls, json_value(data, dict, "the configuration"), "")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad configuration: {exc}") from exc
-        return cls(
-            sites=sites,
-            thresholds=thresholds,
-            proxy=proxy,
-            series=series,
-            output_dir=output_dir,
-        )
 
 
 _JSON_KINDS = {dict: "object", list: "array", str: "string", bool: "boolean",
@@ -393,30 +370,57 @@ def json_value(value, kind: type, what: str):
 
 
 @functools.cache
-def _field_kinds(cls) -> dict:
-    """The JSON kinds each field of record `cls` accepts (NoneType: null),
-    by annotation; fields of other types are left out."""
-    kinds = {name: typing.get_args(hint) or (hint,)
-             for name, hint in typing.get_type_hints(cls).items()}
-    return {name: kind for name, kind in kinds.items() if kind[0] in _JSON_KINDS}
+def _record_fields(cls) -> dict:
+    """name -> (required, nullable, array, kind) of each field of record
+    `cls`, by its annotation: `X | None` is nullable, `list[X]` and
+    `tuple[X, ...]` are arrays (list or tuple, else None) of X. Cached, as
+    resolving annotations costs more than reading a record."""
+    hints = typing.get_type_hints(cls)
+    fields = {}
+    for f in dataclasses.fields(cls):
+        kind = hints[f.name]
+        nullable = type(None) in typing.get_args(kind)
+        kind = typing.get_args(kind)[0] if nullable else kind
+        array = typing.get_origin(kind)
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        fields[f.name] = (required, nullable, array, typing.get_args(kind)[0] if array else kind)
+    return fields
 
 
-def json_fields(cls, raw: dict, what: str) -> dict:
-    """The fields of record `cls` that the JSON object `raw` holds, each
-    checked by json_value against the kind its annotation gives (null where
-    it allows None); `what` names the object in errors. Other keys are left
-    out."""
-    return {name: raw[name] if raw[name] is None and type(None) in kinds
-            else json_value(raw[name], kinds[0], f"'{what}.{name}'")
-            for name, kinds in _field_kinds(cls).items() if name in raw}
+def json_record(cls, raw: dict, what: str):
+    """The record `cls` that the JSON object `raw` describes, each field read
+    by its annotation: null only where it allows None, an array item by item,
+    a record from a JSON object, any other kind through json_value. `what`
+    is the path of `raw` in errors ("" at the top of a document). A key that
+    is no field of `cls`, or a missing field with no default, is a
+    ValueError naming it."""
+    fields = _record_fields(cls)
+    prefix = f"{what}." if what else ""
+    for key in raw:
+        if key not in fields:
+            raise ValueError(f"'{prefix}{key}' is not a field")
+    values = {}
+    for name, (required, nullable, array, kind) in fields.items():
+        path = prefix + name
+        if name not in raw:
+            if required:
+                raise ValueError(f"'{path}' is missing")
+        elif raw[name] is None and nullable:
+            values[name] = None
+        elif array:
+            values[name] = array(_json_item(kind, item, f"{path}[{i}]") for i, item
+                                 in enumerate(json_value(raw[name], list, f"'{path}'")))
+        else:
+            values[name] = _json_item(kind, raw[name], path)
+    return cls(**values)
 
 
-def _typed(cls, raw, what: str):
-    """cls(**raw), once `raw` is a JSON object and json_fields passes its
-    fields; `what` names the object in errors. An unknown field is left for
-    cls to reject."""
-    fields = dict(json_value(raw, dict, f"'{what}'"))
-    return cls(**{**fields, **json_fields(cls, fields, what)})
+def _json_item(kind: type, value, path: str):
+    """`value` as a `kind`: a record from a JSON object, else a JSON scalar
+    or object through json_value."""
+    if dataclasses.is_dataclass(kind):
+        return json_record(kind, json_value(value, dict, f"'{path}'"), path)
+    return json_value(value, kind, f"'{path}'")
 
 
 def load_network_config(path) -> NetworkConfig:

@@ -24,13 +24,14 @@ file reproduces byte-identical data anywhere.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ozonet.io import json_fields, json_value
+from ozonet.io import json_record, json_value
 from ozonet.proxy import ROLE_LOW_COST, ROLE_REFERENCE, SiteRecord
 from ozonet.timeseries import (
     TimeSeries,
@@ -140,7 +141,7 @@ class SensorModel:
     offset: float = 0.0
     gain: float = 1.0
     noise_sigma: float = 0.0
-    drift: tuple = ()
+    drift: tuple[DriftSegment, ...] = ()
 
     def __post_init__(self):
         if self.gain <= 0:
@@ -166,7 +167,7 @@ class Scenario:
     seed: int
     start_hour: int
     duration_hours: int
-    sites: tuple = ()
+    sites: tuple[SiteSpec, ...] = ()
     regional_sigma: float = 1.0    # walk step, ppb/h
     regional_bound: float = 15.0   # reflection bound, ppb
     reference_noise_sigma: float = 1.0
@@ -180,96 +181,50 @@ class Scenario:
         object.__setattr__(self, "sites", tuple(self.sites))
 
     def to_dict(self) -> dict:
-        return {
-            "seed": self.seed,
-            "start": format_iso_hour(self.start_hour),
-            "duration_hours": self.duration_hours,
-            "regional": {"sigma": self.regional_sigma, "bound": self.regional_bound},
-            "reference_noise_sigma": self.reference_noise_sigma,
-            "sites": [
-                {
-                    "site_id": s.record.site_id,
-                    "name": s.record.name,
-                    "role": s.record.role,
-                    "latitude": s.record.latitude,
-                    "longitude": s.record.longitude,
-                    "elevation_m": s.record.elevation_m,
-                    "aadt_5km": s.record.aadt_5km,
-                    "land_use": s.record.land_use,
-                    "truth": {
-                        "baseline": s.truth.baseline,
-                        "amplitude": s.truth.amplitude,
-                        "phase_hours": s.truth.phase_hours,
-                        "regional_weight": s.truth.regional_weight,
-                        "noise_sigma": s.truth.noise_sigma,
-                        "shift": s.truth.shift,
-                        "scale": s.truth.scale,
-                        "relation_noise_sigma": s.truth.relation_noise_sigma,
-                    },
-                    "sensor": None if s.sensor is None else {
-                        "offset": s.sensor.offset,
-                        "gain": s.sensor.gain,
-                        "noise_sigma": s.sensor.noise_sigma,
-                        "drift": [
-                            {"start_hour": d.start_hour, "end_hour": d.end_hour,
-                             "mode": d.mode, "target": d.target}
-                            for d in s.sensor.drift
-                        ],
-                    },
-                }
-                for s in self.sites
-            ],
-        }
+        """The JSON document from_dict reads: the fields, with `start` as an
+        ISO hour, the walk under `regional`, and each site flat."""
+        data = json.loads(json.dumps(dataclasses.asdict(self)))     # tuples as lists
+        data["start"] = format_iso_hour(data.pop("start_hour"))
+        data["regional"] = {"sigma": data.pop("regional_sigma"),
+                            "bound": data.pop("regional_bound")}
+        data["sites"] = [{**site["record"], "truth": site["truth"], "sensor": site["sensor"]}
+                         for site in data["sites"]]
+        return data
 
     @classmethod
     def from_dict(cls, data: dict) -> "Scenario":
-        """The scenario a JSON document describes; a field of the wrong JSON
-        kind is a ValueError that names it."""
-        top = json_fields(cls, json_value(data, dict, "scenario"), "scenario")
-        regional = json_value(data.get("regional", {}), dict, "regional")
-        sites = []
-        for i, raw in enumerate(json_value(data["sites"], list, "'sites'")):
-            where = f"sites[{i}]"
-            r = json_fields(SiteRecord, json_value(raw, dict, "site"), where)
-            record = SiteRecord(
-                site_id=r["site_id"],
-                name=r.get("name", r["site_id"]),
-                role=r["role"],
-                latitude=r["latitude"],
-                longitude=r["longitude"],
-                elevation_m=r.get("elevation_m"),
-                aadt_5km=r.get("aadt_5km"),
-                land_use=r.get("land_use"),
-            )
-            truth = TruthModel(**json_fields(
-                TruthModel, json_value(raw["truth"], dict, "truth"), f"{where}.truth"))
-            sensor = None
-            if raw.get("sensor") is not None:
-                sr = json_value(raw["sensor"], dict, "sensor")
-                drift = json_value(sr.get("drift", []), list, f"'{where}.sensor.drift'")
-                sensor = SensorModel(
-                    **json_fields(SensorModel, sr, f"{where}.sensor"),
-                    drift=tuple(
-                        DriftSegment(**json_fields(
-                            DriftSegment, json_value(d, dict, "drift segment"),
-                            f"{where}.sensor.drift[{k}]"))
-                        for k, d in enumerate(drift)
-                    ),
-                )
-            sites.append(SiteSpec(record, truth, sensor))
-        return cls(
-            seed=top["seed"],
-            start_hour=parse_iso_hour(json_value(data["start"], str, "'scenario.start'")),
-            duration_hours=top["duration_hours"],
-            sites=tuple(sites),
-            regional_sigma=json_value(regional.get("sigma", 1.0), float, "'regional.sigma'"),
-            regional_bound=json_value(regional.get("bound", 15.0), float, "'regional.bound'"),
-            reference_noise_sigma=top.get("reference_noise_sigma", 1.0),
-        )
+        """The scenario a document in to_dict's layout describes; a key that
+        is no field, a missing field or a field of the wrong JSON kind is a
+        ValueError that names it."""
+        top = dict(json_value(data, dict, "scenario"))
+        for key in top.keys() & {"start_hour", "regional_sigma", "regional_bound"}:
+            raise ValueError(f"'scenario.{key}' is not a field")     # set from the layout
+        sites = tuple(_site_spec(raw, f"sites[{i}]") for i, raw in enumerate(
+            json_value(top.pop("sites", None), list, "'sites'")))
+        for key, value in json_value(top.pop("regional", {}), dict, "'regional'").items():
+            if key not in ("sigma", "bound"):
+                raise ValueError(f"'regional.{key}' is not a field")
+            top[f"regional_{key}"] = json_value(value, float, f"'regional.{key}'")
+        top["start_hour"] = parse_iso_hour(
+            json_value(top.pop("start", None), str, "'scenario.start'"))
+        return dataclasses.replace(json_record(cls, top, "scenario"), sites=sites)
 
     def config_sha256(self) -> str:
         canon = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode()).hexdigest()
+
+
+def _site_spec(raw, where: str) -> SiteSpec:
+    """A site entry of the scenario layout: the SiteRecord fields (`name`
+    defaulting to `site_id`) beside the site's `truth` and `sensor`."""
+    record = dict(json_value(raw, dict, "site"))
+    truth, sensor = record.pop("truth", None), record.pop("sensor", None)
+    record.setdefault("name", record.get("site_id"))
+    return SiteSpec(
+        json_record(SiteRecord, record, where),
+        json_record(TruthModel, json_value(truth, dict, f"'{where}.truth'"), f"{where}.truth"),
+        None if sensor is None else json_record(
+            SensorModel, json_value(sensor, dict, "sensor"), f"{where}.sensor"))
 
 
 def generate_regional(scenario: Scenario) -> np.ndarray:

@@ -74,7 +74,6 @@ class TimeSeries:
     site_id: str
     hours: np.ndarray    # int64, strictly increasing
     values: np.ndarray   # float64, finite
-    units: str = "ppb"
 
     def __post_init__(self):
         hours = np.asarray(self.hours, dtype=np.int64)
@@ -91,13 +90,13 @@ class TimeSeries:
         object.__setattr__(self, "values", values)
 
     @classmethod
-    def from_pairs(cls, site_id: str, pairs, units: str = "ppb") -> "TimeSeries":
+    def from_pairs(cls, site_id: str, pairs) -> "TimeSeries":
         """Build from an iterable of (timestamp, value); timestamps may be
         epoch-hour ints or hour-aligned UTC datetimes."""
         pairs = list(pairs)
         hours = np.array([to_epoch_hour(t) for t, _ in pairs], dtype=np.int64)
         values = np.array([v for _, v in pairs], dtype=np.float64)
-        return cls(site_id, hours, values, units)
+        return cls(site_id, hours, values)
 
     def __len__(self) -> int:
         return int(self.hours.size)
@@ -112,7 +111,7 @@ class TimeSeries:
         """Subseries with start <= hour <= end (inclusive bounds, either optional)."""
         lo = 0 if start is None else int(np.searchsorted(self.hours, start, side="left"))
         hi = self.hours.size if end is None else int(np.searchsorted(self.hours, end, side="right"))
-        return TimeSeries(self.site_id, self.hours[lo:hi].copy(), self.values[lo:hi].copy(), self.units)
+        return TimeSeries(self.site_id, self.hours[lo:hi].copy(), self.values[lo:hi].copy())
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,15 @@ class WindowSlice:
         return self.samples.size / self.duration_hours
 
     def sufficient(self, completeness_min: float) -> bool:
-        return self.completeness >= completeness_min
+        return window_complete(self.samples.size, self.duration_hours, completeness_min)
+
+
+def window_complete(count, td_hours: int, completeness_min: float):
+    """Whether `count` readings fill enough of a td_hours window, for an int
+    or elementwise over an array. The share is compared, not the count
+    against completeness_min * td_hours: that product can round above a
+    count whose share equals completeness_min."""
+    return count / td_hours >= completeness_min
 
 
 def window_bounds(hours: np.ndarray, ends, td_hours: int) -> np.ndarray:
@@ -153,7 +160,7 @@ def window(series: TimeSeries, end, td_hours: int) -> WindowSlice:
     return WindowSlice(series.site_id, start, end, series.hours[lo:hi], series.values[lo:hi])
 
 
-def resample_hourly(timestamps_s, values, site_id: str, units: str = "ppb") -> TimeSeries:
+def resample_hourly(timestamps_s, values, site_id: str) -> TimeSeries:
     """Average raw values (epoch seconds, any cadence) into hourly bins.
 
     Each output hour is the arithmetic mean of raw values falling in
@@ -165,14 +172,14 @@ def resample_hourly(timestamps_s, values, site_id: str, units: str = "ppb") -> T
     if ts.shape != vals.shape:
         raise ValueError("timestamps and values must have equal length")
     if ts.size == 0:
-        return TimeSeries(site_id, np.array([], dtype=np.int64), np.array([], dtype=np.float64), units)
+        return TimeSeries(site_id, np.array([], dtype=np.int64), np.array([], dtype=np.float64))
     if not np.all(np.diff(ts) >= 0):
         raise ValueError("raw timestamps must be nondecreasing")
     hours = ts // SECONDS_PER_HOUR
     uniq, inverse = np.unique(hours, return_inverse=True)
     sums = np.bincount(inverse, weights=vals)
     counts = np.bincount(inverse)
-    return TimeSeries(site_id, uniq.astype(np.int64), sums / counts, units)
+    return TimeSeries(site_id, uniq.astype(np.int64), sums / counts)
 
 
 def align(a: TimeSeries, b: TimeSeries, start: int | None = None, end: int | None = None):

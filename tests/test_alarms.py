@@ -10,6 +10,7 @@ from ozonet import (
     BreachFlags,
     CalibrationEstimate,
     DriftSegment,
+    InsufficientDataError,
     Scenario,
     SensorModel,
     SiteEngine,
@@ -19,7 +20,10 @@ from ozonet import (
     TimeSeries,
     decide_correction,
     evaluate_breaches,
+    ks_test,
+    moment_match,
     update_persistence,
+    window,
 )
 from netsim_cases import START_HOUR, monitor_truth, pair_scenario
 from ozonet.alarms import TREND_GAIN_MAX, TREND_GAIN_MIN, TREND_OFFSET_CAP
@@ -220,6 +224,44 @@ class TestEngine:
         assert monitored[121].alarm_gain
         assert not monitored[119].alarm_gain
 
+    def test_degenerate_hour_breaches_similarity_on_the_bound(self):
+        # a flat-lined hour still runs the similarity test, and a p value
+        # equal to p_ks_min is a breach there as on any other hour
+        sensor = constant_series("s", 0, 100, 33.0)
+        proxy = sim_series("p", 0, 100, 3)
+        first = SiteEngine("s", sensor, proxy).step(80)
+        assert first.status == "degenerate" and first.p_ks > 0
+        for p_ks_min, breach in ((first.p_ks, True), (first.p_ks / 2, False)):
+            row = SiteEngine("s", sensor, proxy, Thresholds(p_ks_min=p_ks_min)).step(80)
+            assert (row.status, row.p_ks, row.breach_ks) == ("degenerate", first.p_ks, breach)
+
+    @pytest.mark.parametrize("td, n", [(100, 55), (180, 99), (200, 110)])
+    def test_one_completeness_rule(self, td, n):
+        # n readings in a td-hour window are exactly the 0.55 share (though
+        # 0.55 * td rounds above n): stepping, run, ks_test and moment_match
+        # all assess the window, and all pass over it one reading short
+        th = Thresholds(td_hours=td, completeness_min=0.55)
+        end = 500
+        for count, assessed in ((n, True), (n - 1, False)):
+            sensor = sim_series("s", end - count + 1, count, 1)
+            proxy = sim_series("p", end - count + 1, count, 2)
+            wins = window(sensor, end, td), window(proxy, end, td)
+            rows = [SiteEngine("s", sensor, proxy, th).step(end),
+                    SiteEngine("s", sensor, proxy, th).run(end, end).rows[0]]
+            if assessed:
+                ks = ks_test(*wins, th.completeness_min)
+                est = moment_match(*wins, th.completeness_min)
+                for row in rows:
+                    assert row.status == "ok"
+                    assert row.p_ks == pytest.approx(ks.p_value, rel=1e-12)
+                    assert (row.offset_raw, row.gain_raw) == pytest.approx(
+                        (est.offset, est.gain), rel=1e-12)
+            else:
+                for check in (ks_test, moment_match):
+                    with pytest.raises(InsufficientDataError):
+                        check(*wins, th.completeness_min)
+                assert [row.status for row in rows] == ["insufficient"] * 2
+
     def test_replay_reproduces_identical_ledger(self):
         scenario = pair_scenario(duration_hours=24 * 30)
         res = run_scenario(scenario)
@@ -351,11 +393,10 @@ def faulty_network():
 def engine_state(engine):
     fit = engine.history._fit
     return (
-        engine.ledger.breach_hours, engine.ledger.breach_start, engine.ledger.latched,
+        engine.ledger.breach_hours, engine.ledger.latched,
         engine.ledger.last_stamp, engine.ledger.history,
         engine.history.stamps, engine.history.offsets, engine.history.gains,
         [getattr(fit, name) for name in fit.__slots__],
-        engine._cursor,
     )
 
 

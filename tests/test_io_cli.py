@@ -3,13 +3,15 @@
 import csv
 import io
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ozonet import SiteRecord, Thresholds, TimeSeries
+from ozonet import DriftSegment, Scenario, SensorModel, SiteRecord, Thresholds, TimeSeries
 from ozonet.alarms import HistoryRow
 from ozonet.cli import main
 from ozonet.errors import ConfigError
@@ -342,6 +344,46 @@ class TestNetworkConfig:
         assert config.thresholds.offset_high == 4
         assert config.sites[0].latitude == 34 and config.sites[0].elevation_m is None
 
+    @pytest.mark.parametrize("path, message", [
+        (("treshold",), "'treshold' is not a field"),
+        (("thresholds", "td_hour"), "'thresholds.td_hour' is not a field"),
+        (("proxy", "strategie"), "'proxy.strategie' is not a field"),
+        (("sites", 1, "lat"), "'sites[1].lat' is not a field"),
+    ], ids=["top", "thresholds", "proxy", "site"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_unknown_key_is_input_error(self, sim_dir, capsys, path, message, command):
+        network = sim_dir / "network.json"
+        config = json.loads(network.read_text())
+        target = config
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = 1
+        network.write_text(json.dumps(config))
+        assert main([command, str(network), "--out", str(sim_dir / "out")]
+                    if command == "run" else [command, str(network)]) == 1
+        assert capsys.readouterr().err == f"error: bad configuration: {message}\n"
+        assert not (sim_dir / "out").exists()
+
+
+def readme_json_examples() -> list:
+    """The JSON documents of README.md's code blocks, in order."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return [json.loads(block) for block in re.findall(r"```json\n(.*?)```", text, re.S)]
+
+
+def test_readme_examples_load():
+    config, scenario = readme_json_examples()
+    network = NetworkConfig.from_dict(config)
+    assert network.thresholds == Thresholds()
+    assert network.proxy.overrides == {"S01": "R01"}
+    assert network.sites[1].elevation_m is None
+    spec = Scenario.from_dict(scenario)
+    assert [s.record.name for s in spec.sites] == ["R01", "S01"]
+    assert spec.sites[0].sensor is None
+    assert spec.sites[1].sensor.drift == (DriftSegment(1080, 2640, "gain_ramp", 2.0),)
+    assert (spec.regional_sigma, spec.regional_bound) == (0.5, 6.0)
+    assert Scenario.from_dict(spec.to_dict()) == spec
+
 
 class TestSimulateCommand:
     def test_outputs_and_validation_round_trip(self, sim_dir):
@@ -406,6 +448,41 @@ class TestSimulateCommand:
         for key in path[:-1]:
             target = target[key]
         target[path[-1]] = value
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(payload))
+        assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == f"error: bad scenario {spath}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path, value, message", [
+        (("reference_nois_sigma",), 1.0, "'scenario.reference_nois_sigma' is not a field"),
+        (("regional_sigma",), 1.0, "'scenario.regional_sigma' is not a field"),
+        (("regional", "sigm"), 1.0, "'regional.sigm' is not a field"),
+        (("sites", 1, "lat"), 1.0, "'sites[1].lat' is not a field"),
+        (("sites", 1, "truth", "noise_sigm"), 1.0, "'sites[1].truth.noise_sigm' is not a field"),
+        (("sites", 1, "sensor", "noise_sigm"), 1.0,
+         "'sites[1].sensor.noise_sigm' is not a field"),
+        (("sites", 1, "sensor", "drift", 0, "targt"), 1.0,
+         "'sites[1].sensor.drift[0].targt' is not a field"),
+        (("start",), None, "'scenario.start' must be a JSON string, got NoneType"),
+        (("seed",), None, "'scenario.seed' is missing"),
+        (("sites", 0, "latitude"), None, "'sites[0].latitude' is missing"),
+        (("sites", 1, "sensor", "drift", 0, "mode"), None,
+         "'sites[1].sensor.drift[0].mode' is missing"),
+    ], ids=["top", "top-field-name", "regional", "site", "truth", "sensor", "drift-segment",
+            "no-start", "no-seed", "no-latitude", "no-drift-mode"])
+    def test_unknown_or_missing_key_is_input_error(self, tmp_path, capsys, path, value,
+                                                   message):
+        # value None: the key is deleted
+        payload = pair_scenario(SensorModel(drift=(DriftSegment(24, 48, "gain_ramp", 1.5),)),
+                                duration_hours=24 * 4).to_dict()
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        if value is None:
+            del target[path[-1]]
+        else:
+            target[path[-1]] = value
         spath = tmp_path / "s.json"
         spath.write_text(json.dumps(payload))
         assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
