@@ -14,14 +14,12 @@ from ozonet.alarms import (
     SiteRunResult,
     Thresholds,
     decide_correction,
-    evaluate_breaches,
     update_persistence,
 )
 from ozonet.calibrate import (
     CalibrationEstimate,
     EstimateHistory,
     apply_correction,
-    decompose,
     moment_match,
 )
 from ozonet.errors import (
@@ -30,7 +28,7 @@ from ozonet.errors import (
     InsufficientDataError,
     OzonetError,
 )
-from ozonet.kstest import Ecdf, KsResult, ecdf, ks_pvalue, ks_statistic, ks_test
+from ozonet.kstest import ks_pvalue, ks_statistic
 from ozonet.metrics import (
     BuddyCheck,
     GridField,
@@ -59,29 +57,20 @@ from ozonet.simulate import (
     generate_truth,
     run_scenario,
 )
-from ozonet.timeseries import (
-    Observation,
-    TimeSeries,
-    WindowSlice,
-    align,
-    resample_hourly,
-    window,
-)
+from ozonet.timeseries import TimeSeries, WindowSlice, align, window
 
 __version__ = "0.1.0"
 
 __all__ = [
     "AlarmLedger", "BreachFlags", "BuddyCheck", "CalibrationEstimate",
-    "ConfigError", "DegenerateWindowError", "DriftSegment", "Ecdf",
-    "EstimateHistory", "GridField", "InsufficientDataError", "KsResult",
-    "Observation", "OzonetError", "PairMetrics", "ProxyAssignment",
-    "ProxyScore", "Scenario", "ScenarioResult", "SensorModel", "SiteEngine",
-    "SiteRecord", "SiteRunResult", "SiteSpec", "Thresholds", "TimeSeries",
-    "TruthModel", "WindowSlice", "align", "apply_correction",
-    "apply_sensor_model", "buddy_check", "decide_correction", "decompose",
-    "ecdf", "evaluate_breaches", "evaluate_proxy", "generate_truth",
-    "idw_grid", "ks_pvalue", "ks_statistic", "ks_test", "moment_match",
+    "ConfigError", "DegenerateWindowError", "DriftSegment",
+    "EstimateHistory", "GridField", "InsufficientDataError", "OzonetError",
+    "PairMetrics", "ProxyAssignment", "ProxyScore", "Scenario",
+    "ScenarioResult", "SensorModel", "SiteEngine", "SiteRecord",
+    "SiteRunResult", "SiteSpec", "Thresholds", "TimeSeries", "TruthModel",
+    "WindowSlice", "align", "apply_correction", "apply_sensor_model",
+    "buddy_check", "decide_correction", "evaluate_proxy", "generate_truth",
+    "idw_grid", "ks_pvalue", "ks_statistic", "moment_match",
     "nearest_reference", "network_median_series", "pair_metrics",
-    "resample_hourly", "run_scenario", "similar_aadt",
-    "update_persistence", "window",
+    "run_scenario", "similar_aadt", "update_persistence", "window",
 ]

@@ -26,7 +26,6 @@ import numpy as np
 from ozonet import kernels
 from ozonet.calibrate import (
     DEGENERATE_VAR_EPS,
-    CalibrationEstimate,
     EstimateHistory,
     match_moments,
 )
@@ -84,8 +83,11 @@ class Thresholds:
             raise ValueError("timescales must be positive")
         if not 0.0 < self.completeness_min <= 1.0:
             raise ValueError("completeness_min must be in (0, 1]")
-        if self.correction_alarm_count < 1:
-            raise ValueError("correction_alarm_count must be >= 1")
+        if not 0.0 < self.p_ks_min < 1.0:
+            raise ValueError("p_ks_min must be in (0, 1)")
+        if not 1 <= self.correction_alarm_count <= len(TEST_NAMES):
+            raise ValueError(
+                f"correction_alarm_count must be between 1 and {len(TEST_NAMES)}")
 
 
 class BreachFlags(NamedTuple):
@@ -95,20 +97,12 @@ class BreachFlags(NamedTuple):
     offset: bool | None
     gain: bool | None
 
-    def as_tuple(self):
-        return tuple(self)
-
 
 FROZEN = BreachFlags(None, None, None)
 
 
-def evaluate_breaches(p_ks: float, est: CalibrationEstimate, th: Thresholds) -> BreachFlags:
-    """Instantaneous breach flags; bounds themselves count as breaches."""
-    return BreachFlags(*_breaches(p_ks, est.offset, est.gain, th))
-
-
 def _breaches(p_ks: float, offset: float, gain: float, th: Thresholds):
-    """(ks, offset, gain) breach flags."""
+    """(ks, offset, gain) breach flags; bounds themselves count as breaches."""
     return (p_ks <= th.p_ks_min,
             (offset <= th.offset_low) | (offset >= th.offset_high),
             (gain <= th.gain_low) | (gain >= th.gain_high))
@@ -355,7 +349,7 @@ class SiteEngine:
         # exists only above DEGENERATE_VAR_EPS)
         p_ks, offset, gain = np.full((3, stamps.size), np.nan)
         p_ks[assessed] = [ks_pvalue(*key) for key in zip(d.tolist(), n_y.tolist(), n_z.tolist())]
-        # raw estimates as estimate_from_samples makes them
+        # raw estimates, none where the sensor window is degenerate
         ok = var_y > DEGENERATE_VAR_EPS
         offset[assessed[ok]], gain[assessed[ok]] = match_moments(
             mean_y[ok], var_y[ok], mean_z[ok], var_z[ok])

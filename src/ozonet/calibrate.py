@@ -56,23 +56,6 @@ class CalibrationEstimate:
             raise ValueError("gain must be nonnegative")
 
 
-def estimate_from_samples(site_id: str, stamp: int, sensor, proxy) -> CalibrationEstimate:
-    """Raw gain/offset estimate at `stamp` from sensor and proxy window samples.
-
-    Raises DegenerateWindowError when the sensor samples have zero variance
-    (flat-lined instrument); the alarm engine treats that as a gain breach
-    rather than a crash.
-    """
-    mean_y, var_y = kernels.window_moments(sensor)
-    mean_z, var_z = kernels.window_moments(proxy)
-    if var_y <= DEGENERATE_VAR_EPS:
-        raise DegenerateWindowError(
-            f"degenerate sensor window at {site_id}: zero variance"
-        )
-    offset, gain = match_moments(mean_y, var_y, mean_z, var_z)
-    return CalibrationEstimate(stamp, float(offset), float(gain), RAW)
-
-
 def match_moments(mean_y, var_y, mean_z, var_z):
     """(offset, gain) that map the sensor moments onto the proxy's, for
     floats or arrays alike; the sensor variance must be above
@@ -83,10 +66,13 @@ def match_moments(mean_y, var_y, mean_z, var_z):
 
 def moment_match(sensor_win: WindowSlice, proxy_win: WindowSlice,
                  completeness_min: float = 0.75) -> CalibrationEstimate:
-    """Raw gain/offset estimate from one pair of windows.
+    """Raw gain/offset estimate from one pair of windows, at the end of the
+    sensor window.
 
     Raises InsufficientDataError when either window misses the completeness
-    threshold, and DegenerateWindowError as estimate_from_samples does.
+    threshold, and DegenerateWindowError when the sensor window is flat
+    (variance at most DEGENERATE_VAR_EPS); the engine treats such an hour as a
+    gain breach rather than a crash.
     """
     for win in (sensor_win, proxy_win):
         if not win.sufficient(completeness_min):
@@ -94,8 +80,13 @@ def moment_match(sensor_win: WindowSlice, proxy_win: WindowSlice,
                 f"insufficient data: window {win.site_id} completeness "
                 f"{win.completeness:.2f} < {completeness_min}"
             )
-    return estimate_from_samples(sensor_win.site_id, sensor_win.end,
-                                 sensor_win.samples, proxy_win.samples)
+    mean_y, var_y = kernels.window_moments(sensor_win.samples)
+    if var_y <= DEGENERATE_VAR_EPS:
+        raise DegenerateWindowError(
+            f"degenerate sensor window at {sensor_win.site_id}: zero variance"
+        )
+    offset, gain = match_moments(mean_y, var_y, *kernels.window_moments(proxy_win.samples))
+    return CalibrationEstimate(sensor_win.end, float(offset), float(gain), RAW)
 
 
 def apply_correction(est: CalibrationEstimate, reading):
@@ -270,17 +261,6 @@ class EstimateHistory:
         taus = (stamps - self.stamps[0]).astype(np.float64)
         return _trend_or_raw(*self._fit.extend(taus, offsets, gains), offsets, gains)
 
-    def trend_coefficients(self, which: str = "gain"):
-        """(c0, c1, c2) of the current fit in per-hour units, or None while
-        the trend is underdetermined."""
-        if which not in ("gain", "offset"):
-            raise ValueError("which must be 'gain' or 'offset'")
-        coef = self._fit.coefficients()
-        if coef is None:
-            return None
-        c0, c1, c2 = coef[1] if which == "gain" else coef[0]
-        return (c0, c1 * _TAU_SCALE, c2 * _TAU_SCALE * _TAU_SCALE)
-
     def trend_at(self, stamp) -> CalibrationEstimate:
         """Trend-smoothed estimate at `stamp`; falls back to the most recent
         raw estimate (source stays "raw", which is the flag) below 3 points.
@@ -310,23 +290,3 @@ def _trend_or_raw(fit_offset, fit_gain, fitted, raw_offset, raw_gain):
     if not fitted:
         return raw_offset, raw_gain
     return fit_offset, fit_gain if fit_gain > 0.0 else 0.0
-
-
-def decompose(history: EstimateHistory, which: str = "gain"):
-    """Split a raw estimate series into (trend, residual), residual = raw - trend.
-
-    The trend at each point is the expanding fit through that point, i.e.
-    what the control chart showed at that moment. Points before the fit is
-    determined (< 3) use the raw value itself, giving zero residual there.
-    """
-    if which not in ("gain", "offset"):
-        raise ValueError("which must be 'gain' or 'offset'")
-    if not history.stamps:
-        raise InsufficientDataError("no raw estimates recorded")
-    stamps = np.asarray(history.stamps, dtype=np.int64)
-    offset_fit, gain_fit, determined = ExpandingQuadFit().extend(
-        (stamps - stamps[0]).astype(np.float64), history.offsets, history.gains)
-    raw, fit = ((history.gains, gain_fit) if which == "gain" else (history.offsets, offset_fit))
-    raw = np.asarray(raw, dtype=np.float64)
-    trend = np.where(determined, fit, raw)
-    return stamps, trend, raw - trend

@@ -46,7 +46,7 @@ def _add_threshold_flags(sub):
     sub.add_argument("--td-hours", type=int, help="rolling window length, hours")
     sub.add_argument("--tf-hours", type=int, help="persistence before alarm, hours")
     sub.add_argument("--alarm-count", type=int,
-                     help="latched alarms required before correcting (1 or 2)")
+                     help="latched alarms required before correcting (1 to 3)")
     sub.add_argument("--completeness-min", type=float,
                      help="minimum window completeness fraction")
 

@@ -1,4 +1,4 @@
-"""Empirical CDFs and the two-sample Kolmogorov-Smirnov test.
+"""The two-sample Kolmogorov-Smirnov distance and its p value.
 
 The ECDF here is deliberately nonstandard: F(x) = #{x_i < x} / (n + 1),
 i.e. a strict inequality and an (n+1) divisor, so F never reaches 1 and
@@ -16,47 +16,17 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from ozonet import kernels
 from ozonet.errors import InsufficientDataError
-from ozonet.timeseries import WindowSlice
 
 _PVALUE_TERM_EPS = 1e-12
 # Below this the true tail probability is 1 within 5e-13, under the series
 # truncation tolerance; clamping avoids parity wiggles in the alternating
 # sum that would break monotonicity in d.
 _LAMBDA_TINY = 0.2
-
-
-@dataclass(frozen=True)
-class Ecdf:
-    """Step function F(x) = #{x_i < x} / (n + 1), evaluable at any x."""
-
-    values: np.ndarray   # sorted, ascending
-    n: int
-
-    def __call__(self, x) -> float | np.ndarray:
-        counts = np.searchsorted(self.values, x, side="left")
-        result = counts / (self.n + 1.0)
-        return float(result) if np.isscalar(x) else result
-
-
-@dataclass(frozen=True)
-class KsResult:
-    d: float
-    p_value: float
-    m: int
-    n: int
-
-
-def ecdf(sample) -> Ecdf:
-    arr = np.sort(np.asarray(sample, dtype=np.float64))
-    if arr.size == 0:
-        raise InsufficientDataError("insufficient data: empty sample has no ECDF")
-    return Ecdf(arr, int(arr.size))
 
 
 def ks_statistic(a, b) -> float:
@@ -99,19 +69,3 @@ def ks_pvalue(d: float, m: int, n: int) -> float:
         sign = -sign
         j += 1
     return min(1.0, max(0.0, 2.0 * total))
-
-
-def ks_test(a: WindowSlice, b: WindowSlice, completeness_min: float = 0.75) -> KsResult:
-    """Two-sample test between two window slices.
-
-    Raises InsufficientDataError when either window misses the completeness
-    threshold; that outcome is distinct from an alarm.
-    """
-    for win in (a, b):
-        if not win.sufficient(completeness_min):
-            raise InsufficientDataError(
-                f"insufficient data: window {win.site_id} ({win.start}, {win.end}] "
-                f"completeness {win.completeness:.2f} < {completeness_min}"
-            )
-    d = ks_statistic(a.samples, b.samples)
-    return KsResult(d, ks_pvalue(d, a.samples.size, b.samples.size), int(a.samples.size), int(b.samples.size))

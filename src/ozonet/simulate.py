@@ -217,14 +217,14 @@ class Scenario:
 def _site_spec(raw, where: str) -> SiteSpec:
     """A site entry of the scenario layout: the SiteRecord fields (`name`
     defaulting to `site_id`) beside the site's `truth` and `sensor`."""
-    record = dict(json_value(raw, dict, "site"))
+    record = dict(json_value(raw, dict, f"'{where}'"))
     truth, sensor = record.pop("truth", None), record.pop("sensor", None)
     record.setdefault("name", record.get("site_id"))
     return SiteSpec(
         json_record(SiteRecord, record, where),
         json_record(TruthModel, json_value(truth, dict, f"'{where}.truth'"), f"{where}.truth"),
         None if sensor is None else json_record(
-            SensorModel, json_value(sensor, dict, "sensor"), f"{where}.sensor"))
+            SensorModel, json_value(sensor, dict, f"'{where}.sensor'"), f"{where}.sensor"))
 
 
 def generate_regional(scenario: Scenario) -> np.ndarray:

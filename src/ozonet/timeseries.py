@@ -52,22 +52,6 @@ def format_iso_hour(hour: int) -> str:
 
 
 @dataclass(frozen=True)
-class Observation:
-    """One hourly concentration value at one site."""
-
-    hour: int
-    value: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.value):
-            raise ValueError("observation value must be finite")
-        if not VALUE_MIN <= self.value <= VALUE_MAX:
-            raise ValueError(
-                f"value {self.value} outside plausible range [{VALUE_MIN}, {VALUE_MAX}]"
-            )
-
-
-@dataclass(frozen=True)
 class TimeSeries:
     """Ordered hourly observations for one site, gaps allowed."""
 
@@ -106,12 +90,6 @@ class TimeSeries:
         if i < self.hours.size and self.hours[i] == hour:
             return float(self.values[i])
         return None
-
-    def restrict(self, start: int | None = None, end: int | None = None) -> "TimeSeries":
-        """Subseries with start <= hour <= end (inclusive bounds, either optional)."""
-        lo = 0 if start is None else int(np.searchsorted(self.hours, start, side="left"))
-        hi = self.hours.size if end is None else int(np.searchsorted(self.hours, end, side="right"))
-        return TimeSeries(self.site_id, self.hours[lo:hi].copy(), self.values[lo:hi].copy())
 
 
 @dataclass(frozen=True)
@@ -158,28 +136,6 @@ def window(series: TimeSeries, end, td_hours: int) -> WindowSlice:
     start = end - int(td_hours)
     lo, hi = window_bounds(series.hours, end, int(td_hours)).tolist()
     return WindowSlice(series.site_id, start, end, series.hours[lo:hi], series.values[lo:hi])
-
-
-def resample_hourly(timestamps_s, values, site_id: str) -> TimeSeries:
-    """Average raw values (epoch seconds, any cadence) into hourly bins.
-
-    Each output hour is the arithmetic mean of raw values falling in
-    [H, H+1h); hours with no raw values are left as gaps, never zero-filled.
-    Idempotent on data that is already hourly.
-    """
-    ts = np.asarray(timestamps_s, dtype=np.int64)
-    vals = np.asarray(values, dtype=np.float64)
-    if ts.shape != vals.shape:
-        raise ValueError("timestamps and values must have equal length")
-    if ts.size == 0:
-        return TimeSeries(site_id, np.array([], dtype=np.int64), np.array([], dtype=np.float64))
-    if not np.all(np.diff(ts) >= 0):
-        raise ValueError("raw timestamps must be nondecreasing")
-    hours = ts // SECONDS_PER_HOUR
-    uniq, inverse = np.unique(hours, return_inverse=True)
-    sums = np.bincount(inverse, weights=vals)
-    counts = np.bincount(inverse)
-    return TimeSeries(site_id, uniq.astype(np.int64), sums / counts)
 
 
 def align(a: TimeSeries, b: TimeSeries, start: int | None = None, end: int | None = None):

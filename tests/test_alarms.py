@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from ozonet import (
     AlarmLedger,
     BreachFlags,
-    CalibrationEstimate,
     DriftSegment,
     InsufficientDataError,
     Scenario,
@@ -19,8 +18,8 @@ from ozonet import (
     Thresholds,
     TimeSeries,
     decide_correction,
-    evaluate_breaches,
-    ks_test,
+    ks_pvalue,
+    ks_statistic,
     moment_match,
     update_persistence,
     window,
@@ -73,28 +72,43 @@ class TestThresholds:
         with pytest.raises(ValueError):
             Thresholds(correction_alarm_count=0)
 
+    @pytest.mark.parametrize("change", [
+        {"correction_alarm_count": 4}, {"p_ks_min": 1.5}, {"p_ks_min": -1.0},
+        {"p_ks_min": 0.0}, {"p_ks_min": 1.0},
+    ])
+    def test_settings_that_disable_a_test_rejected(self, change):
+        # with 3 tests, 4 latched alarms never happen; a p value is never
+        # below 0 and always at most 1
+        with pytest.raises(ValueError, match=next(iter(change))):
+            Thresholds(**change)
+
+    def test_alarm_count_up_to_the_test_count_accepted(self):
+        assert Thresholds(correction_alarm_count=3).correction_alarm_count == 3
+
+
+def breach_flags(p_ks, offset, gain, th=None):
+    """The flags SiteEngine.step gives an hour measured as p_ks and a raw
+    estimate (offset, gain) that equals its trend."""
+    empty = TimeSeries("x", np.array([], dtype=np.int64), np.array([]))
+    row = SiteEngine("x", empty, empty, th).step(0, (None, p_ks, offset, gain, offset, gain))
+    assert row.status == "ok"
+    return row.breach_ks, row.breach_offset, row.breach_gain
+
 
 class TestBreachFlags:
     def test_all_pass_inside_bounds(self):
-        est = CalibrationEstimate(0, 0.0, 1.0)
-        flags = evaluate_breaches(0.5, est, Thresholds())
-        assert flags.as_tuple() == (False, False, False)
+        assert breach_flags(0.5, 0.0, 1.0) == (False, False, False)
 
     def test_all_breach_outside_bounds(self):
-        est = CalibrationEstimate(0, 6.0, 1.35)
-        flags = evaluate_breaches(0.04, est, Thresholds())
-        assert flags.as_tuple() == (True, True, True)
+        assert breach_flags(0.04, 6.0, 1.35) == (True, True, True)
 
     def test_boundary_values_count_as_breaches(self):
-        est = CalibrationEstimate(0, -5.0, 0.7)
-        flags = evaluate_breaches(0.05, est, Thresholds())
-        assert flags.as_tuple() == (True, True, True)
+        assert breach_flags(0.05, -5.0, 0.7) == (True, True, True)
 
     def test_upper_bounds_count_as_breaches(self):
         # the pass region is the strict interior, so each upper bound breaches
         th = Thresholds()
-        est = CalibrationEstimate(0, th.offset_high, th.gain_high)
-        assert evaluate_breaches(th.p_ks_min, est, th).as_tuple() == (True, True, True)
+        assert breach_flags(th.p_ks_min, th.offset_high, th.gain_high, th) == (True, True, True)
 
 
 class TestPersistence:
@@ -238,8 +252,9 @@ class TestEngine:
     @pytest.mark.parametrize("td, n", [(100, 55), (180, 99), (200, 110)])
     def test_one_completeness_rule(self, td, n):
         # n readings in a td-hour window are exactly the 0.55 share (though
-        # 0.55 * td rounds above n): stepping, run, ks_test and moment_match
-        # all assess the window, and all pass over it one reading short
+        # 0.55 * td rounds above n): stepping, run, WindowSlice.sufficient
+        # and moment_match all assess the window, and all pass over it one
+        # reading short
         th = Thresholds(td_hours=td, completeness_min=0.55)
         end = 500
         for count, assessed in ((n, True), (n - 1, False)):
@@ -248,18 +263,18 @@ class TestEngine:
             wins = window(sensor, end, td), window(proxy, end, td)
             rows = [SiteEngine("s", sensor, proxy, th).step(end),
                     SiteEngine("s", sensor, proxy, th).run(end, end).rows[0]]
+            assert [w.sufficient(th.completeness_min) for w in wins] == [assessed] * 2
             if assessed:
-                ks = ks_test(*wins, th.completeness_min)
+                p = ks_pvalue(ks_statistic(wins[0].samples, wins[1].samples), count, count)
                 est = moment_match(*wins, th.completeness_min)
                 for row in rows:
                     assert row.status == "ok"
-                    assert row.p_ks == pytest.approx(ks.p_value, rel=1e-12)
+                    assert row.p_ks == pytest.approx(p, rel=1e-12)
                     assert (row.offset_raw, row.gain_raw) == pytest.approx(
                         (est.offset, est.gain), rel=1e-12)
             else:
-                for check in (ks_test, moment_match):
-                    with pytest.raises(InsufficientDataError):
-                        check(*wins, th.completeness_min)
+                with pytest.raises(InsufficientDataError):
+                    moment_match(*wins, th.completeness_min)
                 assert [row.status for row in rows] == ["insufficient"] * 2
 
     def test_replay_reproduces_identical_ledger(self):

@@ -11,11 +11,12 @@ from ozonet import (
     EstimateHistory,
     InsufficientDataError,
     apply_correction,
-    decompose,
     moment_match,
     window,
 )
+from ozonet import calibrate
 from ozonet.calibrate import ExpandingQuadFit
+from ozonet.kernels import window_moments
 from ozonet.timeseries import TimeSeries
 
 
@@ -30,6 +31,24 @@ def history_from(stamps, offsets, gains):
     for s, o, g in zip(stamps, offsets, gains):
         h.append(int(s), float(o), float(g))
     return h
+
+
+def trend_and_residual(h, which):
+    """(trend, raw - trend) of one parameter over the raw estimates of `h`:
+    the trend at each estimate is the expanding fit through it, what the
+    control chart showed then, and the raw value while the fit is
+    underdetermined."""
+    stamps = np.asarray(h.stamps, dtype=np.float64)
+    offset_fit, gain_fit, determined = ExpandingQuadFit().extend(
+        stamps - stamps[0], h.offsets, h.gains)
+    raw, fit = (h.gains, gain_fit) if which == "gain" else (h.offsets, offset_fit)
+    raw = np.asarray(raw, dtype=np.float64)
+    trend = np.where(determined, fit, raw)
+    return trend, raw - trend
+
+
+# ExpandingQuadFit's coefficients are in scaled hours, tau / 1024
+PER_HOUR = 1.0 / 1024.0
 
 
 class TestMomentMatch:
@@ -71,6 +90,18 @@ class TestMomentMatch:
         live = make_window(np.sin(np.arange(72.0)) + 30)
         with pytest.raises(DegenerateWindowError, match="degenerate"):
             moment_match(flat, live)
+
+    def test_variance_on_the_flat_bound_is_degenerate(self, monkeypatch):
+        # a sensor window whose variance equals DEGENERATE_VAR_EPS counts as
+        # flat; one just above it gets an estimate
+        y = np.sin(np.arange(72.0)) + 30
+        live = make_window(np.cos(np.arange(72.0)) + 30)
+        _, var_y = window_moments(y)
+        monkeypatch.setattr(calibrate, "DEGENERATE_VAR_EPS", var_y)
+        with pytest.raises(DegenerateWindowError, match="degenerate"):
+            moment_match(make_window(y), live)
+        monkeypatch.setattr(calibrate, "DEGENERATE_VAR_EPS", np.nextafter(var_y, 0.0))
+        assert moment_match(make_window(y), live).gain > 0.0
 
     def test_flat_proxy_gives_zero_gain(self):
         live = make_window(np.sin(np.arange(72.0)) + 30)
@@ -182,8 +213,8 @@ class TestQuadraticTrend:
         h = history_from(stamps, [0, 0, 0, 50.0], [1, 1, 1, 3.0])
         # the trend shown at hour 20 is the fit through hour 20; the wild
         # point at 1000 is in its future and must not matter
-        _, offset_trend, _ = decompose(h, "offset")
-        _, gain_trend, _ = decompose(h, "gain")
+        offset_trend, _ = trend_and_residual(h, "offset")
+        gain_trend, _ = trend_and_residual(h, "gain")
         assert abs(offset_trend[2]) < 1e-9
         assert gain_trend[2] == pytest.approx(1.0, abs=1e-12)
 
@@ -199,15 +230,15 @@ class TestQuadraticTrend:
         stamps = np.arange(0, 300)
         gains = 1.0 + 0.001 * stamps + 2e-6 * stamps ** 2
         h = history_from(stamps, np.zeros(stamps.size), gains)
-        c0, c1, c2 = h.trend_coefficients("gain")
+        offset_coef, (c0, c1, c2) = h._fit.coefficients()
         assert c0 == pytest.approx(1.0, abs=1e-9)
-        assert c1 == pytest.approx(0.001, abs=1e-9)
-        assert c2 == pytest.approx(2e-6, abs=1e-12)
-        assert h.trend_coefficients("offset") == pytest.approx((0.0, 0.0, 0.0), abs=1e-9)
+        assert c1 * PER_HOUR == pytest.approx(0.001, abs=1e-9)
+        assert c2 * PER_HOUR ** 2 == pytest.approx(2e-6, abs=1e-12)
+        assert offset_coef == pytest.approx((0.0, 0.0, 0.0), abs=1e-9)
 
     def test_coefficients_none_when_underdetermined(self):
         h = history_from([0, 1], [0, 0], [1, 1])
-        assert h.trend_coefficients("gain") is None
+        assert h._fit.coefficients() is None
 
     def test_requires_history(self):
         with pytest.raises(InsufficientDataError):
@@ -321,32 +352,35 @@ class TestJointFit:
             assert _bits(appended[-1]) == _bits(want)
             trend = h.trend_at(stamp + 5)
             assert _bits((trend.offset, trend.gain)) == _bits(want)
-            for which, fit in single.items():
-                coef = fit.coefficients()
-                got = h.trend_coefficients(which)
-                assert (got is None) == (coef is None)
-                if coef is not None:
-                    assert _bits(got) == _bits((coef[0], coef[1] / 1024.0,
-                                                coef[2] / 1024.0 / 1024.0))
+            joint = h._fit.coefficients()
+            assert (joint is None) == (want_offset is None)
+            if joint is not None:
+                assert [_bits(c) for c in joint] == [_bits(single["offset"].coefficients()),
+                                                      _bits(single["gain"].coefficients())]
         offset, gain = EstimateHistory("s").extend(*zip(*points))
         assert _bits(offset.tolist()) == _bits(o for o, _ in appended)
         assert _bits(gain.tolist()) == _bits(g for _, g in appended)
 
 
 class TestDecompose:
+    """Raw estimates split into the expanding trend and the residual."""
+
     def test_constant_history_zero_residuals(self):
         h = history_from(np.arange(50), np.zeros(50), np.ones(50))
-        _, trend, resid = decompose(h, "gain")
+        trend, resid = trend_and_residual(h, "gain")
         assert np.abs(resid).max() < 1e-12
         assert trend == pytest.approx(np.ones(50))
 
     def test_trend_plus_residual_is_raw(self):
+        # the first two estimates, where the fit is underdetermined, leave no
+        # residual; the fitted ones do
         rng = np.random.default_rng(10)
         gains = np.clip(1 + rng.normal(0, 0.1, 300), 0.1, None)
         h = history_from(np.arange(300), rng.normal(0, 2, 300), gains)
-        _, trend, resid = decompose(h, "gain")
+        trend, resid = trend_and_residual(h, "gain")
         np.testing.assert_allclose(trend + resid, np.asarray(h.gains),
                                    rtol=0, atol=1e-12)
+        assert resid[:2].tolist() == [0.0, 0.0] and np.count_nonzero(resid) > 250
 
     def test_equals_push_predict_loop(self):
         rng = np.random.default_rng(13)
@@ -362,14 +396,9 @@ class TestDecompose:
             predicted.append((offset, gain) if determined else (o, g))
         for which, raw, expected in (("offset", h.offsets, [p[0] for p in predicted]),
                                      ("gain", h.gains, [p[1] for p in predicted])):
-            _, trend, resid = decompose(h, which)
+            trend, resid = trend_and_residual(h, which)
             assert trend.tolist() == expected
             assert resid.tolist() == (np.asarray(raw) - np.asarray(expected)).tolist()
-
-    def test_which_argument_validated(self):
-        h = history_from([0], [0], [1])
-        with pytest.raises(ValueError):
-            decompose(h, "nonsense")
 
     def test_residuals_decorrelate_within_a_week(self):
         # with a stable proxy the short-term fluctuations around the trend
@@ -380,7 +409,7 @@ class TestDecompose:
         res = run_scenario(pair_scenario(duration_hours=24 * 90))
         engine = SiteEngine("LC", res.observed["LC"], res.observed["REF"])
         engine.run()
-        _, _, resid = decompose(engine.history, "gain")
+        _, resid = trend_and_residual(engine.history, "gain")
 
         def autocorr(x, lag):
             x = x - x.mean()

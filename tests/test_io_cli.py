@@ -364,6 +364,23 @@ class TestNetworkConfig:
         assert capsys.readouterr().err == f"error: bad configuration: {message}\n"
         assert not (sim_dir / "out").exists()
 
+    @pytest.mark.parametrize("name, value, message", [
+        ("correction_alarm_count", 4, "correction_alarm_count must be between 1 and 3"),
+        ("p_ks_min", 1.5, "p_ks_min must be in (0, 1)"),
+        ("p_ks_min", -1, "p_ks_min must be in (0, 1)"),
+    ], ids=["alarm-count-4", "p-ks-min-1.5", "p-ks-min-negative"])
+    def test_threshold_that_disables_a_test_is_input_error(self, sim_dir, capsys, name, value,
+                                                          message):
+        # 4 latched alarms can never happen with 3 tests; p_ks_min 1.5 breaches
+        # every hour and -1 none
+        network = sim_dir / "network.json"
+        config = json.loads(network.read_text())
+        config["thresholds"][name] = value
+        network.write_text(json.dumps(config))
+        assert main(["run", str(network), "--out", str(sim_dir / "out")]) == 1
+        assert capsys.readouterr().err == f"error: bad configuration: {message}\n"
+        assert not (sim_dir / "out").exists()
+
 
 def readme_json_examples() -> list:
     """The JSON documents of README.md's code blocks, in order."""
@@ -383,6 +400,15 @@ def test_readme_examples_load():
     assert spec.sites[1].sensor.drift == (DriftSegment(1080, 2640, "gain_ramp", 2.0),)
     assert (spec.regional_sigma, spec.regional_bound) == (0.5, 6.0)
     assert Scenario.from_dict(spec.to_dict()) == spec
+
+
+def test_readme_lists_the_public_names():
+    import ozonet
+
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    start = text.index("The package exports these names")
+    listed = re.findall(r"`(\w+)`", text[start:text.index("\n\n", start)])
+    assert sorted(set(listed)) == sorted(ozonet.__all__)
 
 
 class TestSimulateCommand:
@@ -417,23 +443,27 @@ class TestSimulateCommand:
         assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
 
     @pytest.mark.parametrize("payload, what", [
-        ([1, 2], "scenario"),
-        ("text", "scenario"),
-        ({"seed": 1, "sites": [[1]]}, "site"),
-        ({"seed": 1, "sites": ["REF"]}, "site"),
+        ([1, 2], "scenario must be a JSON object, got list"),
+        ("text", "scenario must be a JSON object, got str"),
+        ({"seed": 1, "sites": [[1]]}, "'sites[0]' must be a JSON object, got list"),
+        ({"seed": 1, "sites": [{"site_id": "REF", "role": "reference", "latitude": 34.0,
+                                "longitude": -117.0,
+                                "truth": {"baseline": 30.0, "amplitude": 9.0}}, 1]},
+         "'sites[1]' must be a JSON object, got int"),
         ({"seed": 1, "sites": [{"site_id": "LC", "role": "low-cost", "latitude": 34.0,
                                 "longitude": -117.0,
                                 "truth": {"baseline": 30.0, "amplitude": 9.0},
-                                "sensor": [1.0, 0.0]}]}, "sensor"),
-    ])
+                                "sensor": [1.0, 0.0]}]},
+         "'sites[0].sensor' must be a JSON object, got list"),
+    ], ids=["payload0-scenario", "text-scenario", "payload2-site", "payload3-site",
+            "payload4-sensor"])
     def test_scenario_that_is_not_an_object_is_input_error(self, tmp_path, capsys,
                                                            payload, what):
         spath = tmp_path / "s.json"
         spath.write_text(json.dumps(payload))
         assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: bad scenario {spath}: {what} must be a JSON object")
-        assert "Traceback" not in err
+        assert err == f"error: bad scenario {spath}: {what}\n"
 
     @pytest.mark.parametrize("path, value, message", [
         (("seed",), "1", "'scenario.seed' must be a JSON integer, got str"),
@@ -636,7 +666,8 @@ class TestProxyEvalCommand:
 
 class TestBadFlags:
     @pytest.mark.parametrize("command", ["run", "proxy-eval"])
-    @pytest.mark.parametrize("flag", [["--td-hours", "-1"], ["--alarm-count", "0"]])
+    @pytest.mark.parametrize("flag", [["--td-hours", "-1"], ["--alarm-count", "0"],
+                                      ["--alarm-count", "4"]])
     def test_bad_threshold_flag_is_input_error(self, sim_dir, capsys, command, flag):
         code = main([command, str(sim_dir / "network.json"),
                      "--out", str(sim_dir / "bad"), *flag])

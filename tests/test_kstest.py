@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ozonet import InsufficientDataError, ecdf, ks_pvalue, ks_statistic, ks_test, window
+from ozonet import InsufficientDataError, ks_pvalue, ks_statistic, moment_match, window
 from ozonet.timeseries import TimeSeries
 
 
@@ -29,6 +29,13 @@ def oracle_sup_distance(a, b):
     return best
 
 
+def oracle_ecdf(sample):
+    """F(x) = #{x_i < x} / (n + 1) at each x of an array, by comparing every
+    x with every sample point."""
+    sample = np.asarray(sample, dtype=float)
+    return lambda xs: (sample < np.asarray(xs)[:, None]).sum(axis=1) / (sample.size + 1.0)
+
+
 def make_window(values, start=0):
     values = np.asarray(values, dtype=float)
     hours = np.arange(start + 1, start + 1 + values.size, dtype=np.int64)
@@ -37,30 +44,28 @@ def make_window(values, start=0):
 
 
 class TestEcdf:
+    """The (n+1) normalisation and the strict inequality of the ECDF, as
+    they show in the sup distance between two small samples."""
+
     def test_single_point_strict_inequality(self):
-        f = ecdf([5.0])
-        assert f(6.0) == 0.5       # one of one points below, over n+1 = 2
-        assert f(5.0) == 0.0       # strict: the point itself does not count
+        # just above 5 the first curve is 1/2 (one point below, over n+1 = 2);
+        # at 5 itself neither curve counts the point, so equal points cancel
+        assert ks_statistic([5.0], [6.0]) == 0.5
+        assert ks_statistic([5.0], [5.0]) == 0.0
 
     def test_three_points_midpoint(self):
-        # two of three points below 2.5, normalised by 4
-        assert ecdf([1.0, 2.0, 3.0])(2.5) == 0.5
+        # the widest gap is just above 2: two of three points below, over 4
+        assert ks_statistic([1.0, 2.0, 3.0], [2.5]) == 0.5
 
     def test_upper_plateau(self):
-        assert ecdf([1.0, 2.0, 3.0])(100.0) == 0.75
+        assert ks_statistic([1.0, 2.0, 3.0], [100.0]) == 0.75
 
     def test_never_reaches_one(self):
-        f = ecdf(np.arange(50.0))
-        assert f(1e9) == 50 / 51.0
+        assert ks_statistic(np.arange(50.0), [1e9]) == 50 / 51.0
 
     def test_empty_sample_rejected(self):
         with pytest.raises(InsufficientDataError, match="insufficient"):
-            ecdf([])
-
-    def test_vector_evaluation(self):
-        f = ecdf([1.0, 2.0, 3.0])
-        out = f(np.array([0.0, 2.5, 9.0]))
-        assert out.tolist() == [0.0, 0.5, 0.75]
+            ks_statistic([1.0], [])
 
 
 class TestSupDistance:
@@ -103,7 +108,7 @@ class TestSupDistance:
         for _ in range(50):
             a = rng.uniform(0, 100, 12)
             b = rng.uniform(0, 100, 9)
-            fa, fb = ecdf(a), ecdf(b)
+            fa, fb = oracle_ecdf(a), oracle_ecdf(b)
             grid = np.linspace(-10, 110, 4001)
             d = ks_statistic(a, b)
             assert np.abs(fa(grid) - fb(grid)).max() <= d + 1e-15
@@ -188,20 +193,23 @@ class TestPvalue:
                 assert np.abs(got - expected).max() <= 1e-12
 
 
+def window_pvalue(a, b):
+    return ks_pvalue(ks_statistic(a.samples, b.samples), a.samples.size, b.samples.size)
+
+
 class TestWindowTest:
     def test_window_against_itself(self):
         w = make_window(np.sin(np.arange(72.0)) * 10 + 30)
-        result = ks_test(w, w)
-        assert result.d == 0.0
-        assert result.p_value == 1.0
-        assert result.m == result.n == 72
+        assert w.samples.size == 72
+        assert ks_statistic(w.samples, w.samples) == 0.0
+        assert window_pvalue(w, w) == 1.0
 
     def test_offset_windows_alarm(self):
         rng = np.random.default_rng(7)
         base = rng.normal(30, 8, 72)
         w1 = make_window(base)
         w2 = make_window(base + 20.0)
-        assert ks_test(w1, w2).p_value < 0.05
+        assert window_pvalue(w1, w2) < 0.05
 
     def test_incomplete_window_rejected(self):
         full = make_window(np.linspace(10, 50, 72))
@@ -210,5 +218,6 @@ class TestWindowTest:
                             np.linspace(10, 50, 29))
         short = window(series, 72, 72)
         assert short.completeness < 0.75
+        assert full.sufficient(0.75) and not short.sufficient(0.75)
         with pytest.raises(InsufficientDataError, match="insufficient"):
-            ks_test(full, short)
+            moment_match(full, short)

@@ -140,8 +140,8 @@ class TestNetworkMedian:
         assert med.values.tolist() == [20.0]
 
     def test_windowed_median_requires_reporters(self):
-        series = [hourly("a", 0, [1.0] * 80), hourly("b", 0, [2.0] * 80)]
-        med = network_median_series([s.restrict(1, 72) for s in series], min_reporters=3)
+        series = [hourly("a", 1, [1.0] * 72), hourly("b", 1, [2.0] * 72)]
+        med = network_median_series(series, min_reporters=3)
         assert len(med) == 0
 
     def test_bounded_by_per_hour_extremes(self):

@@ -1,11 +1,11 @@
-"""Series construction, hourly resampling, windowing, alignment."""
+"""Series construction, windowing, alignment."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ozonet import Observation, TimeSeries, align, resample_hourly, window
+from ozonet import TimeSeries, align, window
 from ozonet.timeseries import format_iso_hour, parse_iso_hour
 
 
@@ -31,13 +31,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="range"):
             TimeSeries("x", np.array([1]), np.array([900.0]))
 
-    def test_observation_validation(self):
-        Observation(5, -3.0)
-        with pytest.raises(ValueError):
-            Observation(5, -40.0)
-        with pytest.raises(ValueError):
-            Observation(5, float("inf"))
-
     def test_from_pairs_accepts_datetimes(self):
         from datetime import datetime, timezone
 
@@ -48,39 +41,6 @@ class TestConstruction:
         ts = hourly("x", 10, [1.0, 2.0, 3.0])
         assert ts.value_at(11) == 2.0
         assert ts.value_at(99) is None
-
-
-class TestResample:
-    def test_constant_minutes_average_to_constant(self):
-        secs = np.arange(60) * 60        # one value per minute in hour 0
-        out = resample_hourly(secs, np.full(60, 40.0), "s")
-        assert len(out) == 1
-        assert out.hours[0] == 0
-        assert out.values[0] == 40.0
-
-    def test_arithmetic_mean(self):
-        out = resample_hourly([0, 600, 1200], [10.0, 20.0, 30.0], "s")
-        assert out.values[0] == 20.0
-
-    def test_empty_hours_stay_gaps(self):
-        # values in hours 0 and 2, nothing in hour 1
-        out = resample_hourly([100, 2 * 3600 + 100], [5.0, 7.0], "s")
-        assert out.hours.tolist() == [0, 2]
-
-    def test_empty_input(self):
-        out = resample_hourly([], [], "s")
-        assert len(out) == 0
-
-    def test_bucket_rule_start_labelled(self):
-        # a value exactly on the hour boundary belongs to the hour it starts
-        out = resample_hourly([3600], [9.0], "s")
-        assert out.hours.tolist() == [1]
-
-    def test_idempotent_on_hourly_data(self):
-        ts = hourly("x", 100, [3.0, 4.0, 5.0])
-        again = resample_hourly(ts.hours * 3600, ts.values, "x")
-        assert np.array_equal(again.hours, ts.hours)
-        assert np.array_equal(again.values, ts.values)
 
 
 class TestWindow:
