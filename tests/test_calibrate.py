@@ -47,10 +47,6 @@ def trend_and_residual(h, which):
     return trend, raw - trend
 
 
-# ExpandingQuadFit's coefficients are in scaled hours, tau / 1024
-PER_HOUR = 1.0 / 1024.0
-
-
 class TestMomentMatch:
     def test_identity_when_windows_equal(self):
         w = make_window(np.sin(np.arange(72.0)) * 9 + 30)
@@ -232,8 +228,8 @@ class TestQuadraticTrend:
         h = history_from(stamps, np.zeros(stamps.size), gains)
         offset_coef, (c0, c1, c2) = h._fit.coefficients()
         assert c0 == pytest.approx(1.0, abs=1e-9)
-        assert c1 * PER_HOUR == pytest.approx(0.001, abs=1e-9)
-        assert c2 * PER_HOUR ** 2 == pytest.approx(2e-6, abs=1e-12)
+        assert c1 * calibrate._TAU_SCALE == pytest.approx(0.001, abs=1e-9)
+        assert c2 * calibrate._TAU_SCALE ** 2 == pytest.approx(2e-6, abs=1e-12)
         assert offset_coef == pytest.approx((0.0, 0.0, 0.0), abs=1e-9)
 
     def test_coefficients_none_when_underdetermined(self):
@@ -292,7 +288,7 @@ class _SingleFit:
         self.t0 = self.t1 = self.t2 = 0.0
 
     def push(self, tau, value):
-        u = tau * (1.0 / 1024.0)
+        u = tau * calibrate._TAU_SCALE
         u2 = u * u
         self.n += 1
         self.s1 += u
@@ -319,7 +315,7 @@ class _SingleFit:
         coef = self.coefficients()
         if coef is None:
             return None
-        u = tau * (1.0 / 1024.0)
+        u = tau * calibrate._TAU_SCALE
         return coef[0] + coef[1] * u + coef[2] * u * u
 
 
@@ -372,15 +368,15 @@ class TestDecompose:
         assert trend == pytest.approx(np.ones(50))
 
     def test_trend_plus_residual_is_raw(self):
-        # the first two estimates, where the fit is underdetermined, leave no
-        # residual; the fitted ones do
+        # with hourly estimates the fit is underdetermined through the 11th, so
+        # those leave no residual; from the 12th on the fitted trend does
         rng = np.random.default_rng(10)
         gains = np.clip(1 + rng.normal(0, 0.1, 300), 0.1, None)
         h = history_from(np.arange(300), rng.normal(0, 2, 300), gains)
         trend, resid = trend_and_residual(h, "gain")
         np.testing.assert_allclose(trend + resid, np.asarray(h.gains),
                                    rtol=0, atol=1e-12)
-        assert resid[:2].tolist() == [0.0, 0.0] and np.count_nonzero(resid) > 250
+        assert not resid[:11].any() and resid[11:].all()
 
     def test_equals_push_predict_loop(self):
         rng = np.random.default_rng(13)

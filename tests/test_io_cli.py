@@ -322,6 +322,12 @@ class TestNetworkConfig:
         ("thresholds", "p_ks_min", False, "'thresholds.p_ks_min' must be a JSON number, got bool"),
         ("sites", "latitude", "34.0", "'sites[0].latitude' must be a JSON number, got str"),
         ("sites", "name", None, "'sites[0].name' must be a JSON string, got NoneType"),
+        # 4 latched alarms can never happen with 3 tests; p_ks_min 1.5 breaches
+        # every hour and -1 none
+        ("thresholds", "correction_alarm_count", 4,
+         "correction_alarm_count must be between 1 and 3"),
+        ("thresholds", "p_ks_min", 1.5, "p_ks_min must be in (0, 1)"),
+        ("thresholds", "p_ks_min", -1, "p_ks_min must be in (0, 1)"),
     ])
     def test_bad_field_type_is_input_error(self, sim_dir, capsys, section, name, value,
                                            message):
@@ -334,6 +340,7 @@ class TestNetworkConfig:
         network.write_text(json.dumps(config))
         assert main(["run", str(network), "--out", str(sim_dir / "out")]) == 1
         assert capsys.readouterr().err == f"error: bad configuration: {message}\n"
+        assert not (sim_dir / "out").exists()
 
     def test_whole_numbers_and_nulls_are_accepted(self):
         data = self.make_config().to_dict()
@@ -361,23 +368,6 @@ class TestNetworkConfig:
         network.write_text(json.dumps(config))
         assert main([command, str(network), "--out", str(sim_dir / "out")]
                     if command == "run" else [command, str(network)]) == 1
-        assert capsys.readouterr().err == f"error: bad configuration: {message}\n"
-        assert not (sim_dir / "out").exists()
-
-    @pytest.mark.parametrize("name, value, message", [
-        ("correction_alarm_count", 4, "correction_alarm_count must be between 1 and 3"),
-        ("p_ks_min", 1.5, "p_ks_min must be in (0, 1)"),
-        ("p_ks_min", -1, "p_ks_min must be in (0, 1)"),
-    ], ids=["alarm-count-4", "p-ks-min-1.5", "p-ks-min-negative"])
-    def test_threshold_that_disables_a_test_is_input_error(self, sim_dir, capsys, name, value,
-                                                          message):
-        # 4 latched alarms can never happen with 3 tests; p_ks_min 1.5 breaches
-        # every hour and -1 none
-        network = sim_dir / "network.json"
-        config = json.loads(network.read_text())
-        config["thresholds"][name] = value
-        network.write_text(json.dumps(config))
-        assert main(["run", str(network), "--out", str(sim_dir / "out")]) == 1
         assert capsys.readouterr().err == f"error: bad configuration: {message}\n"
         assert not (sim_dir / "out").exists()
 

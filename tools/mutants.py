@@ -7,8 +7,7 @@ runs the Tier-1 suite against it with -x. A failing suite kills the
 mutant; a passing one lets it survive. The checkout itself is never
 edited. Before the mutants, the unmutated copy must pass.
 
-    python tools/mutants.py                  # every mutant
-    python tools/mutants.py breaches clamp   # mutants whose name holds a word
+    python tools/mutants.py
 
 It prints one line per mutant: killed (with the first failing test) or
 survived. Every listed mutant is one the suite must kill: the exit status
@@ -106,8 +105,7 @@ def mutated_copy(workdir: Path, mutant: Mutant | None) -> Path:
     return src
 
 
-def main(words) -> int:
-    chosen = [m for m in MUTANTS if not words or any(w in m.name for w in words)]
+def main() -> int:
     with tempfile.TemporaryDirectory(prefix="ozonet-mutants-") as tmp:
         base = Path(tmp) / "base"
         base.mkdir()
@@ -116,7 +114,7 @@ def main(words) -> int:
             print(f"error: the unmutated copy fails the suite: {detail}", file=sys.stderr)
             return 2
         problems = 0
-        for k, mutant in enumerate(chosen):
+        for k, mutant in enumerate(MUTANTS):
             workdir = Path(tmp) / f"m{k}"
             workdir.mkdir()
             try:
@@ -135,4 +133,4 @@ def main(words) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())
