@@ -77,6 +77,8 @@ class Thresholds:
     def __post_init__(self):
         if not self.gain_low < 1.0 < self.gain_high:
             raise ValueError("gain bounds must straddle 1")
+        if self.gain_low < 0.0:
+            raise ValueError("gain_low must be nonnegative")
         if not self.offset_low < 0.0 < self.offset_high:
             raise ValueError("offset bounds must straddle 0")
         if self.td_hours <= 0 or self.tf_hours <= 0:
@@ -217,10 +219,11 @@ class SiteEngine:
     """Per-hour monitoring pipeline for one sensor against one proxy.
 
     Assessment and correction both use the trend-smoothed gain/offset once
-    the trend is determined (>= 3 raw estimates); before that the raw
-    estimate stands in. The trend changes only when an estimate enters the
-    history, so the engine keeps the (offset, gain) pair that the latest
-    append gave (`history.trend_at` of any later hour) in `_trend`.
+    the trend fit is determined (with hourly estimates from the 12th on; see
+    EstimateHistory); before that the latest raw estimate stands in. The
+    trend changes only when an estimate enters the history, so each hour
+    reads `history.trend`, the pair that `history.trend_at` gives for that
+    hour.
     """
 
     def __init__(self, site_id: str, sensor: TimeSeries, proxy: TimeSeries,
@@ -231,7 +234,6 @@ class SiteEngine:
         self.proxy = proxy
         self.history = EstimateHistory(site_id)
         self.ledger = AlarmLedger(site_id)
-        self._trend = None
 
     def step(self, stamp, measured: tuple | None = None) -> HistoryRow:
         """Evaluate one hour; appends and returns the history row.
@@ -311,9 +313,9 @@ class SiteEngine:
                 offset, gain = match_moments(mean_y, var_y, *kernels.window_moments(z))
                 offset, gain = float(offset), float(gain)
                 if _trended(offset, gain):
-                    self._trend = self.history.append(stamp, offset, gain)
+                    self.history.append(stamp, offset, gain)
 
-        return (raw_value, p, offset, gain) + (self._trend or (None, None))
+        return (raw_value, p, offset, gain) + (self.history.trend or (None, None))
 
     def run(self, start=None, end=None) -> SiteRunResult:
         """Evaluate every hour of the sensor's span (or the given range).
@@ -355,15 +357,14 @@ class SiteEngine:
             mean_y[ok], var_y[ok], mean_z[ok], var_z[ok])
         trended = np.flatnonzero(_trended(offset, gain))
 
-        # the trend each hour sees: the one left by the estimates appended so far
+        # the trend each hour sees: the one held before the run (read before
+        # extend replaces it), then the one each appended estimate leaves
+        held = self.history.trend or (np.nan, np.nan)
         new_offset, new_gain = self.history.extend(
             stamps[trended], offset[trended], gain[trended])
         state = trended.searchsorted(np.arange(stamps.size), "right")
-        held = self._trend or (np.nan, np.nan)
         trend_offset = np.concatenate(([held[0]], new_offset))[state]
         trend_gain = np.concatenate(([held[1]], new_gain))[state]
-        if trended.size:
-            self._trend = (float(new_offset[-1]), float(new_gain[-1]))
 
         last_in = np.maximum(s_hi - 1, 0)
         raw = np.where((s_hi > s_lo) & (self.sensor.hours[last_in] == stamps),

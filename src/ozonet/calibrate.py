@@ -19,7 +19,7 @@ start of monitoring up to now, refit as each estimate arrives.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -134,92 +134,40 @@ def _solve_quadratic(a, s1, s2, s3, s4, rhs):
     return coefficients, determined
 
 
-class ExpandingQuadFit:
-    """Incremental least-squares quadratics of two series, offset and gain,
-    over one expanding set of taus.
-
-    Both fits share the power sums of the taus, and so the normal matrix
-    and its determinant; each series keeps its own right-hand side. A refit
-    after each new point costs O(1). Taus must be nonnegative and
-    nondecreasing relative to the anchor.
-    """
-
-    __slots__ = ("n", "s1", "s2", "s3", "s4", "o0", "o1", "o2", "g0", "g1", "g2")
-
-    def __init__(self):
-        self.n = 0
-        self.s1 = self.s2 = self.s3 = self.s4 = 0.0
-        self.o0 = self.o1 = self.o2 = 0.0
-        self.g0 = self.g1 = self.g2 = 0.0
-
-    def push(self, tau: float, offset: float, gain: float):
-        u = tau * _TAU_SCALE
-        u2 = u * u
-        self.n += 1
-        self.s1 += u
-        self.s2 += u2
-        self.s3 += u2 * u
-        self.s4 += u2 * u2
-        self.o0 += offset
-        self.o1 += offset * u
-        self.o2 += offset * u2
-        self.g0 += gain
-        self.g1 += gain * u
-        self.g2 += gain * u2
-
-    def extend(self, taus, offsets, gains):
-        """Push each (tau, offset, gain) in order, leaving the sums bit for
-        bit as repeated `push` would, and return (offset_fit, gain_fit,
-        determined): the fits' predictions at each tau just after that
-        point was pushed, and whether the fits were determined there."""
-        u = np.asarray(taus, dtype=np.float64) * _TAU_SCALE
-        offsets = np.asarray(offsets, dtype=np.float64)
-        gains = np.asarray(gains, dtype=np.float64)
-        u2 = u * u
-        names = self.__slots__[1:]      # every sum but the count
-        terms = (u, u2, u2 * u, u2 * u2, offsets, offsets * u, offsets * u2,
-                 gains, gains * u, gains * u2)
-        sums = [_running(getattr(self, name), term) for name, term in zip(names, terms)]
-        count = self.n + np.arange(1, u.size + 1, dtype=np.float64)
-        if u.size:
-            self.n += u.size
-            for name, running in zip(names, sums):
-                setattr(self, name, float(running[-1]))
-        coef, determined = _solve_quadratic(count, *sums[:4], (sums[4:7], sums[7:]))
-        (a0, a1, a2), (b0, b1, b2) = coef
-        return a0 + a1 * u + a2 * u * u, b0 + b1 * u + b2 * u * u, determined
-
-    def coefficients(self):
-        """((c0, c1, c2) of the offset, (c0, c1, c2) of the gain) in scaled
-        tau, or None when underdetermined."""
-        coef, _ = _solve_quadratic(float(self.n), self.s1, self.s2, self.s3, self.s4,
-                                   ((self.o0, self.o1, self.o2), (self.g0, self.g1, self.g2)))
-        return coef
-
-    def predict(self, tau: float):
-        """(offset, gain, determined): the fits at tau, both None while
-        underdetermined."""
-        coef = self.coefficients()
-        if coef is None:
-            return None, None, False
-        (a0, a1, a2), (b0, b1, b2) = coef
-        u = tau * _TAU_SCALE
-        return a0 + a1 * u + a2 * u * u, b0 + b1 * u + b2 * u * u, True
+# The running sums of the trend fit, in scaled tau u: of u, u^2, u^3 and
+# u^4, then of offset * (1, u, u^2) and of gain * (1, u, u^2).
+_SUMS = ("_s1", "_s2", "_s3", "_s4", "_o0", "_o1", "_o2", "_g0", "_g1", "_g2")
 
 
-@dataclass
 class EstimateHistory:
-    """Raw estimates for one site plus the running trend fit.
+    """Raw estimates for one site, the running trend fit over them, and the
+    trend that the latest estimate left.
 
-    Single writer per site; the anchor (first estimate's stamp) is time
-    zero for the quadratic fit.
+    The trend is two least-squares quadratics, of the offsets and of the
+    gains, over every estimate so far; tau, the hours since the first
+    estimate (the anchor), is scaled by 1/1024. Both fits share the power
+    sums of the taus, and so the normal matrix and its determinant; each
+    parameter keeps its own right-hand side, so a refit after each new
+    estimate costs O(1). The fit is determined once the absolute
+    determinant of the normal matrix reaches 1e-12 * max(1, n * sum(u^2) *
+    sum(u^4)) over the n scaled taus u: with hourly estimates first at the
+    12th estimate, at 2-hour spacing the 8th, at 24-hour spacing the 3rd.
+    Until then the latest raw estimate stands in for the trend.
+
+    `trend` is the (offset, gain) pair that the latest `append` or `extend`
+    left, None while the history is empty: what `trend_at` gives from that
+    estimate until the next one. Single writer per site.
     """
 
-    site_id: str
-    stamps: list = field(default_factory=list)
-    offsets: list = field(default_factory=list)
-    gains: list = field(default_factory=list)
-    _fit: ExpandingQuadFit = field(default_factory=ExpandingQuadFit)
+    __slots__ = ("site_id", "stamps", "offsets", "gains", "trend") + _SUMS
+
+    def __init__(self, site_id: str):
+        self.site_id = site_id
+        self.stamps, self.offsets, self.gains = [], [], []
+        self.trend = None
+        self._s1 = self._s2 = self._s3 = self._s4 = 0.0
+        self._o0 = self._o1 = self._o2 = 0.0
+        self._g0 = self._g1 = self._g2 = 0.0
 
     def __len__(self):
         return len(self.stamps)
@@ -227,8 +175,7 @@ class EstimateHistory:
     def append(self, stamp: int, offset: float, gain: float):
         """Record one raw estimate.
 
-        Returns the trend's (offset, gain): what `trend_at` gives from
-        `stamp` until the next estimate arrives.
+        Returns the trend's (offset, gain), which `trend` then holds.
         """
         if not (math.isfinite(offset) and math.isfinite(gain) and gain >= 0):
             raise ValueError("raw estimates need a finite offset and a finite, nonnegative gain")
@@ -238,8 +185,20 @@ class EstimateHistory:
         self.offsets.append(offset)
         self.gains.append(gain)
         tau = float(stamp - self.stamps[0])
-        self._fit.push(tau, offset, gain)
-        return _trend_or_raw(*self._fit.predict(tau), offset, gain)
+        u = tau * _TAU_SCALE
+        u2 = u * u
+        self._s1 += u
+        self._s2 += u2
+        self._s3 += u2 * u
+        self._s4 += u2 * u2
+        self._o0 += offset
+        self._o1 += offset * u
+        self._o2 += offset * u2
+        self._g0 += gain
+        self._g1 += gain * u
+        self._g2 += gain * u2
+        self.trend = self._fit_at(tau, offset, gain)[:2]
+        return self.trend
 
     def extend(self, stamps, offsets, gains):
         """Append raw estimates in bulk, leaving the history bit for bit as
@@ -255,15 +214,29 @@ class EstimateHistory:
             return offsets, gains
         if np.any(np.diff(stamps) <= 0) or (self.stamps and stamps[0] <= self.stamps[-1]):
             raise ValueError("estimates must arrive in increasing time order")
+        count = len(self.stamps) + np.arange(1, stamps.size + 1, dtype=np.float64)
         self.stamps.extend(stamps.tolist())
         self.offsets.extend(offsets.tolist())
         self.gains.extend(gains.tolist())
-        taus = (stamps - self.stamps[0]).astype(np.float64)
-        return _trend_or_raw(*self._fit.extend(taus, offsets, gains), offsets, gains)
+        u = (stamps - self.stamps[0]).astype(np.float64) * _TAU_SCALE
+        u2 = u * u
+        terms = (u, u2, u2 * u, u2 * u2, offsets, offsets * u, offsets * u2,
+                 gains, gains * u, gains * u2)
+        sums = [_running(getattr(self, name), term) for name, term in zip(_SUMS, terms)]
+        for name, running in zip(_SUMS, sums):
+            setattr(self, name, float(running[-1]))
+        coef, determined = _solve_quadratic(count, *sums[:4], (sums[4:7], sums[7:]))
+        (a0, a1, a2), (b0, b1, b2) = coef
+        fit_gain = b0 + b1 * u + b2 * u * u
+        new_offset = np.where(determined, a0 + a1 * u + a2 * u * u, offsets)
+        new_gain = np.where(determined, np.where(fit_gain > 0.0, fit_gain, 0.0), gains)
+        self.trend = (float(new_offset[-1]), float(new_gain[-1]))
+        return new_offset, new_gain
 
     def trend_at(self, stamp) -> CalibrationEstimate:
         """Trend-smoothed estimate at `stamp`; falls back to the most recent
-        raw estimate (source stays "raw", which is the flag) below 3 points.
+        raw estimate (source stays "raw", which is the flag) while the fit is
+        not determined.
 
         Evaluation time is clamped to the last raw estimate: the quadratic
         is a smoother, not a forecaster, and must not extrapolate through
@@ -273,20 +246,22 @@ class EstimateHistory:
             raise InsufficientDataError("no raw estimates recorded")
         stamp = to_epoch_hour(stamp)
         tau = float(min(stamp, self.stamps[-1]) - self.stamps[0])
-        offset, gain, fitted = self._fit.predict(tau)
-        offset, gain = _trend_or_raw(offset, gain, fitted, self.offsets[-1], self.gains[-1])
+        offset, gain, fitted = self._fit_at(tau, self.offsets[-1], self.gains[-1])
         if not fitted:
             return CalibrationEstimate(self.stamps[-1], offset, gain, RAW)
         return CalibrationEstimate(stamp, offset, gain, TREND)
 
+    def _fit_at(self, tau: float, raw_offset: float, raw_gain: float):
+        """(offset, gain, determined): the trend at tau, which is both fits
+        there with the gain floored at zero, or the raw estimate given while
+        the fit is not determined."""
+        coef, _ = _solve_quadratic(float(len(self.stamps)), self._s1, self._s2, self._s3,
+                                   self._s4, ((self._o0, self._o1, self._o2),
+                                              (self._g0, self._g1, self._g2)))
+        if coef is None:
+            return raw_offset, raw_gain, False
+        (a0, a1, a2), (b0, b1, b2) = coef
+        u = tau * _TAU_SCALE
+        fit_gain = b0 + b1 * u + b2 * u * u
+        return a0 + a1 * u + a2 * u * u, fit_gain if fit_gain > 0.0 else 0.0, True
 
-def _trend_or_raw(fit_offset, fit_gain, fitted, raw_offset, raw_gain):
-    """The trend's (offset, gain): the fit where it is determined, with the
-    gain floored at zero, else the latest raw estimate; for floats or
-    elementwise over arrays."""
-    if isinstance(fitted, np.ndarray):
-        return (np.where(fitted, fit_offset, raw_offset),
-                np.where(fitted, np.where(fit_gain > 0.0, fit_gain, 0.0), raw_gain))
-    if not fitted:
-        return raw_offset, raw_gain
-    return fit_offset, fit_gain if fit_gain > 0.0 else 0.0

@@ -44,8 +44,7 @@ from ozonet.timeseries import (
 GENERATOR_NAME = "splitmix64-boxmuller-v1"
 
 _MASK = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_U64_GOLDEN = np.uint64(_GOLDEN)
+_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
 _MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX_2 = np.uint64(0x94D049BB133111EB)
 _TWO_NEG_53 = 2.0 ** -53
@@ -58,30 +57,29 @@ _STREAM_SENSOR = 3000
 _STREAM_REFERENCE = 4000
 
 
-def _mix64(z: int) -> int:
-    z &= _MASK
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-    return (z ^ (z >> 31)) & _MASK
+def _splitmix64(seed: int, count: int, offset: int = 0) -> np.ndarray:
+    """Raw 64-bit draws offset..offset+count-1 of the stream: draw k mixes
+    seed + (k + 1) * golden."""
+    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z = np.uint64(seed & _MASK) + idx * _GOLDEN
+        z = (z ^ (z >> np.uint64(30))) * _MIX_1
+        z = (z ^ (z >> np.uint64(27))) * _MIX_2
+    return z ^ (z >> np.uint64(31))
 
 
 def substream_seed(seed: int, *labels: int) -> int:
-    """Derive an independent stream seed from the master seed and labels."""
+    """Derive an independent stream seed from the master seed and labels:
+    each label picks draw `label` of the stream seeded so far."""
     s = seed & _MASK
     for label in labels:
-        s = _mix64((s + ((label + 1) * _GOLDEN)) & _MASK)
+        s = int(_splitmix64(s, 1, label)[0])
     return s
 
 
 def uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
     """Draws offset..offset+count-1 of the stream, each uniform in [0, 1)."""
-    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z = np.uint64(seed & _MASK) + idx * _U64_GOLDEN
-        z = (z ^ (z >> np.uint64(30))) * _MIX_1
-        z = (z ^ (z >> np.uint64(27))) * _MIX_2
-        z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * _TWO_NEG_53
+    return (_splitmix64(seed, count, offset) >> np.uint64(11)).astype(np.float64) * _TWO_NEG_53
 
 
 def normals(seed: int, count: int, offset: int = 0) -> np.ndarray:

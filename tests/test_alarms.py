@@ -25,7 +25,9 @@ from ozonet import (
     window,
 )
 from netsim_cases import START_HOUR, monitor_truth, pair_scenario
+from ozonet import alarms
 from ozonet.alarms import TREND_GAIN_MAX, TREND_GAIN_MIN, TREND_OFFSET_CAP
+from ozonet.kernels import window_moments
 from ozonet.simulate import run_scenario
 from ozonet.timeseries import VALUE_MAX, VALUE_MIN
 
@@ -71,6 +73,11 @@ class TestThresholds:
             Thresholds(offset_low=2.0)
         with pytest.raises(ValueError):
             Thresholds(correction_alarm_count=0)
+        # a moment-matched gain is never negative, so a negative gain_low
+        # would switch the low-gain test off; zero is the lowest bound
+        with pytest.raises(ValueError, match="gain_low must be nonnegative"):
+            Thresholds(gain_low=-1.0)
+        assert Thresholds(gain_low=0.0).gain_low == 0.0
 
     @pytest.mark.parametrize("change", [
         {"correction_alarm_count": 4}, {"p_ks_min": 1.5}, {"p_ks_min": -1.0},
@@ -361,6 +368,19 @@ class TestEngine:
             assert row.gain_raw > 1e4 and row.breach_gain
         assert stepped_rows == run_rows
 
+    def test_variance_on_the_flat_bound_is_degenerate(self, monkeypatch):
+        # a sensor window whose variance equals DEGENERATE_VAR_EPS counts as
+        # flat, stepped and through run(); one just above it gets an estimate
+        proxy = sim_series("p", 0, 200, 8)
+        sensor = sim_series("s", 0, 200, 9)
+        _, var_y = window_moments(sensor.values[150 - 71:151])   # hours 79..150
+        for eps, status in ((var_y, "degenerate"), (np.nextafter(var_y, 0.0), "ok")):
+            monkeypatch.setattr(alarms, "DEGENERATE_VAR_EPS", eps)
+            stepped_row = SiteEngine("s", sensor, proxy).step(150)
+            run_row = SiteEngine("s", sensor, proxy).run(150, 150).rows[0]
+            assert (stepped_row.status, run_row.status) == (status, status)
+            assert stepped_row == run_row
+
     def test_null_long_run_breach_rate_calibrated(self):
         # sensor and proxy drawn independently from the same distribution:
         # the long-run share of similarity-test breaches sits near the
@@ -406,12 +426,12 @@ def faulty_network():
 
 
 def engine_state(engine):
-    fit = engine.history._fit
+    """The ledger, and the whole estimate history: estimates, fit sums and
+    the trend held."""
     return (
         engine.ledger.breach_hours, engine.ledger.latched,
         engine.ledger.last_stamp, engine.ledger.history,
-        engine.history.stamps, engine.history.offsets, engine.history.gains,
-        [getattr(fit, name) for name in fit.__slots__],
+        [getattr(engine.history, name) for name in engine.history.__slots__],
     )
 
 
@@ -543,11 +563,11 @@ class TestBatchRun:
 
     @pytest.mark.parametrize("sid", ["GAIN", "FLAT"])
     def test_kept_trend_equals_trend_at(self, network, sid):
-        # the engine keeps the trend its latest estimate gave rather than
-        # evaluating it each hour; at every hour it must equal trend_at of
-        # that hour, however the engine got there: stepping each hour,
-        # stepping after run(), run() after sparse steps across gaps, and on
-        # insufficient and degenerate hours
+        # the history holds the trend its latest estimate gave, which the
+        # engine reads rather than evaluating it each hour; at every hour it
+        # must equal trend_at of that hour, however the engine got there:
+        # stepping each hour, stepping after run(), run() after sparse steps
+        # across gaps, and on insufficient and degenerate hours
         sensor, proxy = network[sid], network["REF"]
         first, last = int(sensor.hours[0]) - 30, int(sensor.hours[-1]) + 50
         middle = first + 24 * 12
@@ -555,7 +575,7 @@ class TestBatchRun:
         def check(engine, row):
             trend = engine.history.trend_at(row.stamp) if len(engine.history) else None
             kept = None if trend is None else (trend.offset, trend.gain)
-            assert engine._trend == kept
+            assert engine.history.trend == kept
             assert (row.offset_trend, row.gain_trend) == (kept or (None, None))
 
         engine = SiteEngine(sid, sensor, proxy)

@@ -15,7 +15,6 @@ from ozonet import (
     window,
 )
 from ozonet import calibrate
-from ozonet.calibrate import ExpandingQuadFit
 from ozonet.kernels import window_moments
 from ozonet.timeseries import TimeSeries
 
@@ -38,13 +37,18 @@ def trend_and_residual(h, which):
     the trend at each estimate is the expanding fit through it, what the
     control chart showed then, and the raw value while the fit is
     underdetermined."""
-    stamps = np.asarray(h.stamps, dtype=np.float64)
-    offset_fit, gain_fit, determined = ExpandingQuadFit().extend(
-        stamps - stamps[0], h.offsets, h.gains)
-    raw, fit = (h.gains, gain_fit) if which == "gain" else (h.offsets, offset_fit)
-    raw = np.asarray(raw, dtype=np.float64)
-    trend = np.where(determined, fit, raw)
-    return trend, raw - trend
+    offset, gain = EstimateHistory("copy").extend(h.stamps, h.offsets, h.gains)
+    raw, trend = (h.gains, gain) if which == "gain" else (h.offsets, offset)
+    return trend, np.asarray(raw, dtype=np.float64) - trend
+
+
+def joint_coefficients(h):
+    """((c0, c1, c2) of the offset, (c0, c1, c2) of the gain) in scaled tau,
+    solved from the running sums that `h` holds; None while the fit is
+    underdetermined."""
+    coef, _ = calibrate._solve_quadratic(float(len(h)), h._s1, h._s2, h._s3, h._s4,
+                                         ((h._o0, h._o1, h._o2), (h._g0, h._g1, h._g2)))
+    return coef
 
 
 class TestMomentMatch:
@@ -226,7 +230,7 @@ class TestQuadraticTrend:
         stamps = np.arange(0, 300)
         gains = 1.0 + 0.001 * stamps + 2e-6 * stamps ** 2
         h = history_from(stamps, np.zeros(stamps.size), gains)
-        offset_coef, (c0, c1, c2) = h._fit.coefficients()
+        offset_coef, (c0, c1, c2) = joint_coefficients(h)
         assert c0 == pytest.approx(1.0, abs=1e-9)
         assert c1 * calibrate._TAU_SCALE == pytest.approx(0.001, abs=1e-9)
         assert c2 * calibrate._TAU_SCALE ** 2 == pytest.approx(2e-6, abs=1e-12)
@@ -234,7 +238,8 @@ class TestQuadraticTrend:
 
     def test_coefficients_none_when_underdetermined(self):
         h = history_from([0, 1], [0, 0], [1, 1])
-        assert h._fit.coefficients() is None
+        assert joint_coefficients(h) is None
+        assert h._fit_at(1.0, 2.0, 3.0) == (2.0, 3.0, False)
 
     def test_requires_history(self):
         with pytest.raises(InsufficientDataError):
@@ -260,9 +265,12 @@ class TestQuadraticTrend:
             seen.append(appended)
         offset, gain = bulk.extend(stamps[40:], offsets[40:], gains[40:])
         assert list(zip(offset.tolist(), gain.tolist())) == seen
-        for a, b in ((one_by_one, bulk), (one_by_one._fit, bulk._fit)):
-            names = a.__slots__ if hasattr(a, "__slots__") else ("stamps", "offsets", "gains")
-            assert [getattr(a, k) for k in names] == [getattr(b, k) for k in names]
+        # estimates, fit sums and the trend held, which is what append gave last
+        names = EstimateHistory.__slots__
+        assert [getattr(one_by_one, k) for k in names] == [getattr(bulk, k) for k in names]
+        assert bulk.trend == seen[-1]
+        bulk.extend([], [], [])
+        assert bulk.trend == seen[-1]
         with pytest.raises(ValueError, match="increasing"):
             bulk.extend([int(stamps[-1])], [0.0], [1.0])
 
@@ -271,7 +279,9 @@ class TestQuadraticTrend:
         # last point; trend_at and extend both report zero there
         stamps, offsets, gains = [0, 10, 20, 30, 40], [0.0] * 5, [0.0, 3.0, 3.0, 0.0, 0.0]
         h = history_from(stamps, offsets, gains)
-        assert h._fit.predict(40.0)[1] < 0.0
+        _, (c0, c1, c2) = joint_coefficients(h)
+        u = 40.0 * calibrate._TAU_SCALE
+        assert c0 + c1 * u + c2 * u * u < 0.0
         assert h.trend_at(40) == CalibrationEstimate(40, 0.0, 0.0, "trend")
         _, gain = EstimateHistory("s").extend(stamps, offsets, gains)
         assert gain[-1] == 0.0
@@ -338,17 +348,18 @@ class TestJointFit:
             single["offset"].push(tau, offset)
             single["gain"].push(tau, gain)
             want_offset, want_gain = single["offset"].predict(tau), single["gain"].predict(tau)
-            fit_offset, fit_gain, determined = h._fit.predict(tau)
-            assert _bits((fit_offset, fit_gain)) == _bits((want_offset, want_gain))
+            trend_offset, trend_gain, determined = h._fit_at(tau, offset, gain)
             assert determined == (want_offset is not None)
             if determined:
                 want = (want_offset, want_gain if want_gain > 0.0 else 0.0)
             else:
                 want = (offset, gain)
+            assert _bits((trend_offset, trend_gain)) == _bits(want)
             assert _bits(appended[-1]) == _bits(want)
+            assert _bits(h.trend) == _bits(want)
             trend = h.trend_at(stamp + 5)
             assert _bits((trend.offset, trend.gain)) == _bits(want)
-            joint = h._fit.coefficients()
+            joint = joint_coefficients(h)
             assert (joint is None) == (want_offset is None)
             if joint is not None:
                 assert [_bits(c) for c in joint] == [_bits(single["offset"].coefficients()),
@@ -383,13 +394,11 @@ class TestDecompose:
         stamps = np.sort(rng.choice(np.arange(4000), size=250, replace=False))
         gains = np.clip(1 + 0.0002 * stamps + rng.normal(0, 0.1, 250), 0.1, None)
         h = history_from(stamps, rng.normal(0, 2, 250), gains)
-        fit = ExpandingQuadFit()
+        loop = EstimateHistory("loop")
         predicted = []
         for s, o, g in zip(h.stamps, h.offsets, h.gains):
-            tau = float(s - h.stamps[0])
-            fit.push(tau, o, g)
-            offset, gain, determined = fit.predict(tau)
-            predicted.append((offset, gain) if determined else (o, g))
+            loop.append(s, o, g)
+            predicted.append(loop._fit_at(float(s - h.stamps[0]), o, g)[:2])
         for which, raw, expected in (("offset", h.offsets, [p[0] for p in predicted]),
                                      ("gain", h.gains, [p[1] for p in predicted])):
             trend, resid = trend_and_residual(h, which)

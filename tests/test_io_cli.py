@@ -328,6 +328,8 @@ class TestNetworkConfig:
          "correction_alarm_count must be between 1 and 3"),
         ("thresholds", "p_ks_min", 1.5, "p_ks_min must be in (0, 1)"),
         ("thresholds", "p_ks_min", -1, "p_ks_min must be in (0, 1)"),
+        # a moment-matched gain is never negative, so -1 never breaches
+        ("thresholds", "gain_low", -1.0, "gain_low must be nonnegative"),
     ])
     def test_bad_field_type_is_input_error(self, sim_dir, capsys, section, name, value,
                                            message):

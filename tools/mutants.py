@@ -67,10 +67,18 @@ MUTANTS = [
            "var_y <= DEGENERATE_VAR_EPS", "var_y < DEGENERATE_VAR_EPS"),
     Mutant("trend_at: clamp to the last estimate dropped", "calibrate.py",
            "min(stamp, self.stamps[-1])", "stamp"),
-    Mutant("_trend_or_raw: zero gain floor dropped (floats)", "calibrate.py",
+    Mutant("EstimateHistory._fit_at: zero gain floor dropped", "calibrate.py",
            "fit_gain if fit_gain > 0.0 else 0.0", "fit_gain"),
-    Mutant("_trend_or_raw: zero gain floor dropped (arrays)", "calibrate.py",
+    Mutant("EstimateHistory.extend: zero gain floor dropped", "calibrate.py",
            "np.where(fit_gain > 0.0, fit_gain, 0.0)", "fit_gain"),
+    Mutant("SiteEngine._measure: var_y > DEGENERATE_VAR_EPS -> >=", "alarms.py",
+           "if var_y > DEGENERATE_VAR_EPS:", "if var_y >= DEGENERATE_VAR_EPS:"),
+    Mutant("SiteEngine.run: var_y > DEGENERATE_VAR_EPS -> >=", "alarms.py",
+           "ok = var_y > DEGENERATE_VAR_EPS", "ok = var_y >= DEGENERATE_VAR_EPS"),
+    Mutant("ks_pvalue: small-sample term dropped", "kstest.py",
+           "(root + 0.12 + 0.11 / root) * d", "root * d"),
+    Mutant("step: correction clip floor VALUE_MIN -> 0.0", "alarms.py",
+           "VALUE_MIN)", "0.0)"),
 ]
 
 
