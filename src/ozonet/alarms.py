@@ -326,11 +326,11 @@ class SiteEngine:
         hour's measurement then goes through `step`. The result holds the
         engine's history rows as they stand at the end of the run.
         """
-        if len(self.sensor) == 0:
-            return SiteRunResult(self.site_id, [])
-        first = to_epoch_hour(start) if start is not None else int(self.sensor.hours[0])
-        last = to_epoch_hour(end) if end is not None else int(self.sensor.hours[-1])
-        if first > last:
+        if len(self.sensor):
+            first = to_epoch_hour(start) if start is not None else int(self.sensor.hours[0])
+            last = to_epoch_hour(end) if end is not None else int(self.sensor.hours[-1])
+        if not len(self.sensor) or first > last:
+            # no hour to evaluate
             return SiteRunResult(self.site_id, list(self.ledger.history))
         last_stamp = self.ledger.last_stamp
         if last_stamp is not None and first <= last_stamp:

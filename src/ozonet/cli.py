@@ -4,7 +4,7 @@ Exit codes: 0 success, 1 input error, 2 runtime failure. Series paths on
 the command line override the list in the configuration file; relative
 paths in the config resolve against the config file's directory. The
 output directory comes from --out, else the OZONET_OUT_DIR environment
-variable, else the config.
+variable, else the config (simulate: sim_out).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from pathlib import Path
 
 from ozonet import io as ozio
-from ozonet.alarms import SiteEngine, Thresholds
+from ozonet.alarms import SiteEngine
 from ozonet.errors import ConfigError, InsufficientDataError, OzonetError
 from ozonet.metrics import idw_grid
 from ozonet.proxy import (
@@ -42,45 +42,40 @@ EXIT_INPUT = 1
 EXIT_RUNTIME = 2
 
 
-def _add_threshold_flags(sub):
-    sub.add_argument("--td-hours", type=int, help="rolling window length, hours")
-    sub.add_argument("--tf-hours", type=int, help="persistence before alarm, hours")
-    sub.add_argument("--alarm-count", type=int,
-                     help="latched alarms required before correcting (1 to 3)")
-    sub.add_argument("--completeness-min", type=float,
-                     help="minimum window completeness fraction")
+# Threshold flags of run and proxy-eval: (flag, Thresholds field, type, help)
+THRESHOLD_FLAGS = (
+    ("--td-hours", "td_hours", int, "rolling window length, hours"),
+    ("--tf-hours", "tf_hours", int, "persistence before alarm, hours"),
+    ("--alarm-count", "correction_alarm_count", int,
+     "latched alarms required before correcting (1 to 3)"),
+    ("--completeness-min", "completeness_min", float,
+     "minimum window completeness fraction"),
+)
 
 
-def _apply_threshold_flags(th: Thresholds, args) -> Thresholds:
-    updates = {}
-    if args.td_hours is not None:
-        updates["td_hours"] = args.td_hours
-    if args.tf_hours is not None:
-        updates["tf_hours"] = args.tf_hours
-    if args.alarm_count is not None:
-        updates["correction_alarm_count"] = args.alarm_count
-    if args.completeness_min is not None:
-        updates["completeness_min"] = args.completeness_min
+def _network(args):
+    """(config, series paths) of a network command.
+
+    The command line's threshold flags override the config's thresholds.
+    The command line's series paths replace the config's list, whose
+    relative paths resolve against the config file's directory.
+    """
+    config_path = Path(args.config)
+    config = ozio.load_network_config(config_path)
+    flags = {field: getattr(args, field) for _, field, _, _ in THRESHOLD_FLAGS
+             if getattr(args, field, None) is not None}
     try:
-        return dataclasses.replace(th, **updates) if updates else th
+        config.thresholds = dataclasses.replace(config.thresholds, **flags)
     except ValueError as exc:
         raise ConfigError(f"bad threshold flag: {exc}") from exc
+    if args.series:
+        return config, [Path(p) for p in args.series]
+    return config, [config_path.parent / p for p in config.series]
 
 
-def _series_paths(config_path: Path, config, extra) -> list:
-    if extra:
-        return [Path(p) for p in extra]
-    base = config_path.parent
-    return [base / p for p in config.series]
-
-
-def _out_dir(args, config) -> Path:
-    if getattr(args, "out", None):
-        return Path(args.out)
-    env = os.environ.get("OZONET_OUT_DIR")
-    if env:
-        return Path(env)
-    return Path(config.output_dir)
+def _out_dir(args, default) -> Path:
+    """--out, else the OZONET_OUT_DIR environment variable, else `default`."""
+    return Path(args.out or os.environ.get("OZONET_OUT_DIR") or default)
 
 
 def _proxy_series(site, strategy, config, series_map, medians):
@@ -111,9 +106,7 @@ def _proxy_series(site, strategy, config, series_map, medians):
 # ------------------------------------------------------------------ validate
 
 def cmd_validate(args) -> int:
-    config_path = Path(args.config)
-    config = ozio.load_network_config(config_path)
-    paths = _series_paths(config_path, config, args.series)
+    config, paths = _network(args)
     if not paths:
         print("error: no series files configured", file=sys.stderr)
         return EXIT_INPUT
@@ -130,16 +123,13 @@ def cmd_validate(args) -> int:
 # ----------------------------------------------------------------------- run
 
 def cmd_run(args) -> int:
-    config_path = Path(args.config)
-    config = ozio.load_network_config(config_path)
-    th = _apply_threshold_flags(config.thresholds, args)
-    series_map = ozio.read_series_csv(_series_paths(config_path, config, args.series))
-    out = _out_dir(args, config)
+    config, paths = _network(args)
+    series_map = ozio.read_series_csv(paths)
+    out = _out_dir(args, config.output_dir)
 
     overrides = config.proxy.overrides
     medians = {}
     summary = []
-    failures = 0
     ran = 0
     for site in config.sites:
         if site.role != ROLE_LOW_COST:
@@ -147,7 +137,6 @@ def cmd_run(args) -> int:
         sensor = series_map.get(site.site_id)
         if sensor is None or not len(sensor):
             summary.append((site.site_id, "-", 0, 0.0, 0.0, 0.0, 0.0, "no sensor data"))
-            failures += 1
             continue
         try:
             if site.site_id in overrides:
@@ -158,14 +147,12 @@ def cmd_run(args) -> int:
                     site, config.proxy.strategy, config, series_map, medians)
         except InsufficientDataError as exc:
             summary.append((site.site_id, "-", 0, 0.0, 0.0, 0.0, 0.0, str(exc)))
-            failures += 1
             continue
         if proxy_series is None or not len(proxy_series):
             summary.append((site.site_id, proxy_label, 0, 0.0, 0.0, 0.0, 0.0,
                             "no proxy data"))
-            failures += 1
             continue
-        result = SiteEngine(site.site_id, sensor, proxy_series, th).run()
+        result = SiteEngine(site.site_id, sensor, proxy_series, config.thresholds).run()
         ozio.write_corrected_csv(out / "corrected" / f"{site.site_id}.csv", result.rows)
         ozio.write_chart_csv(out / "charts" / f"{site.site_id}.csv", result.rows)
         note = "" if result.monitored else "no monitored hours"
@@ -196,11 +183,9 @@ def cmd_run(args) -> int:
 # ---------------------------------------------------------------- proxy-eval
 
 def cmd_proxy_eval(args) -> int:
-    config_path = Path(args.config)
-    config = ozio.load_network_config(config_path)
-    th = _apply_threshold_flags(config.thresholds, args)
-    series_map = ozio.read_series_csv(_series_paths(config_path, config, args.series))
-    out = _out_dir(args, config)
+    config, paths = _network(args)
+    series_map = ozio.read_series_csv(paths)
+    out = _out_dir(args, config.output_dir)
 
     refs = [s for s in config.sites if s.role == ROLE_REFERENCE]
     if len(refs) < 2:
@@ -226,7 +211,8 @@ def cmd_proxy_eval(args) -> int:
                       file=sys.stderr)
                 continue
             try:
-                scores.append(evaluate_proxy(test_series, proxy_series, th, strategy))
+                scores.append(evaluate_proxy(test_series, proxy_series, config.thresholds,
+                                             strategy))
             except InsufficientDataError as exc:
                 print(f"warning: {site.site_id}/{strategy}: {exc}", file=sys.stderr)
 
@@ -257,7 +243,7 @@ def cmd_simulate(args) -> int:
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario {scenario_path}: {exc}") from exc
 
-    out = Path(args.out) if args.out else Path(os.environ.get("OZONET_OUT_DIR", "sim_out"))
+    out = _out_dir(args, "sim_out")
     result = run_scenario(scenario)
     ozio.write_series_csv(out / "observed.csv", result.observed)
     ozio.write_series_csv(out / "truth.csv", result.truth)
@@ -282,10 +268,9 @@ def _parse_bbox(text: str):
 
 
 def cmd_map(args) -> int:
-    config_path = Path(args.config)
-    config = ozio.load_network_config(config_path)
-    series_map = ozio.read_series_csv(_series_paths(config_path, config, args.series))
-    out = _out_dir(args, config)
+    config, paths = _network(args)
+    series_map = ozio.read_series_csv(paths)
+    out = _out_dir(args, config.output_dir)
     try:
         hour = parse_iso_hour(args.hour)
     except ValueError as exc:
@@ -343,42 +328,40 @@ def build_parser() -> argparse.ArgumentParser:
                     "for hierarchical ozone sensor networks.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("config")
+    inputs.add_argument("series", nargs="*")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="output directory")
+    thresholds = argparse.ArgumentParser(add_help=False)
+    for flag, field, kind, text in THRESHOLD_FLAGS:
+        # help shows the flag's own name, not the field's
+        thresholds.add_argument(flag, dest=field, type=kind, help=text,
+                                metavar=flag[2:].upper().replace("-", "_"))
 
-    p = subs.add_parser("validate", help="check series files against the schema")
-    p.add_argument("config")
-    p.add_argument("series", nargs="*")
+    p = subs.add_parser("validate", parents=[inputs],
+                        help="check series files against the schema")
     p.set_defaults(func=cmd_validate)
 
-    p = subs.add_parser("run", help="monitor and correct every low-cost site")
-    p.add_argument("config")
-    p.add_argument("series", nargs="*")
-    p.add_argument("--out", help="output directory")
-    _add_threshold_flags(p)
+    p = subs.add_parser("run", parents=[inputs, out, thresholds],
+                        help="monitor and correct every low-cost site")
     p.set_defaults(func=cmd_run)
 
-    p = subs.add_parser("proxy-eval",
+    p = subs.add_parser("proxy-eval", parents=[inputs, out, thresholds],
                         help="score proxy strategies against reference sites")
-    p.add_argument("config")
-    p.add_argument("series", nargs="*")
-    p.add_argument("--out", help="output directory")
-    _add_threshold_flags(p)
     p.set_defaults(func=cmd_proxy_eval)
 
-    p = subs.add_parser("simulate", help="generate a synthetic network dataset")
+    p = subs.add_parser("simulate", parents=[out], help="generate a synthetic network dataset")
     p.add_argument("scenario")
-    p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_simulate)
 
-    p = subs.add_parser("map", help="grid one hour of the network by IDW")
-    p.add_argument("config")
-    p.add_argument("series", nargs="*")
+    p = subs.add_parser("map", parents=[inputs, out], help="grid one hour of the network by IDW")
     p.add_argument("--hour", required=True, help="ISO hour, e.g. 2018-03-05T14:00:00Z")
     p.add_argument("--bbox", help="latmin,latmax,lonmin,lonmax (default: site extent)")
     p.add_argument("--cell", type=float, default=0.02, help="cell size, degrees")
     p.add_argument("--power", type=float, default=2.0, help="IDW distance power")
     p.add_argument("--split", action="store_true",
                    help="also grid the reference network alone, side by side")
-    p.add_argument("--out", help="output directory")
     p.set_defaults(func=cmd_map)
     return parser
 

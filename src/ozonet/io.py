@@ -317,6 +317,11 @@ class ProxyPolicy:
     median_min_reporters: int = 3
     median_exclude_self: bool = False
 
+    def __post_init__(self):
+        # a median of no reporters is no value
+        if self.median_min_reporters < 1:
+            raise ValueError("median_min_reporters must be at least 1")
+
 
 @dataclass
 class NetworkConfig:

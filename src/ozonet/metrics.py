@@ -25,9 +25,9 @@ class PairMetrics:
     r2: float | None      # squared Pearson correlation; None if degenerate
 
 
-def pair_metrics(a: TimeSeries, b: TimeSeries, start=None, end=None) -> PairMetrics:
+def pair_metrics(a: TimeSeries, b: TimeSeries) -> PairMetrics:
     """MAB, RMSD, and R^2 over the hours present in both series."""
-    _, av, bv = align(a, b, start, end)
+    _, av, bv = align(a, b)
     if av.size < 2:
         raise InsufficientDataError(f"need >= 2 aligned pairs, got {av.size}")
     diff = av - bv

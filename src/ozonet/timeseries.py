@@ -138,18 +138,11 @@ def window(series: TimeSeries, end, td_hours: int) -> WindowSlice:
     return WindowSlice(series.site_id, start, end, series.hours[lo:hi], series.values[lo:hi])
 
 
-def align(a: TimeSeries, b: TimeSeries, start: int | None = None, end: int | None = None):
-    """Pairs of co-timed values within [start, end].
+def align(a: TimeSeries, b: TimeSeries):
+    """Pairs of co-timed values.
 
     Returns (hours, a_values, b_values) for timestamps present in both
     series, in timestamp order. Disjoint series produce empty arrays.
     """
     common, ia, ib = np.intersect1d(a.hours, b.hours, assume_unique=True, return_indices=True)
-    av, bv = a.values[ia], b.values[ib]
-    if start is not None:
-        keep = common >= to_epoch_hour(start)
-        common, av, bv = common[keep], av[keep], bv[keep]
-    if end is not None:
-        keep = common <= to_epoch_hour(end)
-        common, av, bv = common[keep], av[keep], bv[keep]
-    return common, av, bv
+    return common, a.values[ia], b.values[ib]

@@ -468,6 +468,21 @@ class TestBatchRun:
         statuses = {r.status for r in rows}
         assert statuses == {"ok", "insufficient"}
 
+    @pytest.mark.parametrize("assessed", [alarms._BLOCK_HOURS, alarms._BLOCK_HOURS + 1,
+                                          2 * alarms._BLOCK_HOURS + 1])
+    def test_run_equals_stepping_at_block_edges(self, assessed):
+        # run() measures the assessed hours in blocks: one full block, then
+        # one hour past one and two blocks
+        th = Thresholds(td_hours=24, completeness_min=1.0)
+        n = assessed + th.td_hours - 1
+        sensor, proxy = sim_series("S", 0, n, 1), sim_series("P", 0, n, 2)
+        batch = SiteEngine("S", sensor, proxy, th)
+        rows = batch.run().rows
+        assert sum(r.p_ks is not None for r in rows) == assessed
+        single = stepped(SiteEngine("S", sensor, proxy, th), 0, n - 1)
+        assert rows == single.ledger.history
+        assert engine_state(batch) == engine_state(single)
+
     def test_network_covers_every_path(self, network):
         seen = set()
         for sid in ("GAIN", "OFFSET", "FLAT"):
@@ -617,6 +632,15 @@ class TestBatchRun:
         assert results[-1].rows and results[-1].monitored == 0
         assert list(results[-1].alarm_fractions().values()) == [0.0] * 3
         assert 0.0 < results[0].corrected_fraction() < 1.0
+
+    def test_run_on_empty_sensor_keeps_stepped_rows(self):
+        # nothing to evaluate, so run() returns the history as it stands
+        empty = TimeSeries("E", np.array([], dtype=np.int64), np.array([]))
+        engine = SiteEngine("E", empty, constant_series("REF", 0, 200, 30.0))
+        row = engine.step(100)
+        assert row.status == "insufficient"
+        assert engine.run().rows == [row]
+        assert engine.ledger.history == [row]
 
     def test_run_after_step_must_advance(self, network):
         sensor, proxy = network["CLEAN"], network["REF"]

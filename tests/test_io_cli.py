@@ -1,6 +1,7 @@
 """File formats and the command-line pipeline."""
 
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 
 from ozonet import DriftSegment, Scenario, SensorModel, SiteRecord, Thresholds, TimeSeries
 from ozonet.alarms import HistoryRow
+from ozonet import cli
 from ozonet.cli import main
 from ozonet.errors import ConfigError
 from ozonet.metrics import idw_grid
@@ -330,6 +332,8 @@ class TestNetworkConfig:
         ("thresholds", "p_ks_min", -1, "p_ks_min must be in (0, 1)"),
         # a moment-matched gain is never negative, so -1 never breaches
         ("thresholds", "gain_low", -1.0, "gain_low must be nonnegative"),
+        # an hour that no site reports would take the median of nothing
+        ("proxy", "median_min_reporters", 0, "median_min_reporters must be at least 1"),
     ])
     def test_bad_field_type_is_input_error(self, sim_dir, capsys, section, name, value,
                                            message):
@@ -654,6 +658,39 @@ class TestProxyEvalCommand:
     def test_needs_two_references(self, sim_dir):
         assert main(["proxy-eval", str(sim_dir / "network.json"),
                      "--out", str(sim_dir / "pe")]) == 1
+
+
+class TestThresholdFlags:
+    @pytest.mark.parametrize("command", ["run", "proxy-eval"])
+    @pytest.mark.parametrize("flag, value, field", [
+        ("--td-hours", "48", "td_hours"), ("--tf-hours", "96", "tf_hours"),
+        ("--alarm-count", "2", "correction_alarm_count"),
+        ("--completeness-min", "0.5", "completeness_min")])
+    def test_each_flag_sets_its_own_field(self, sim_dir, monkeypatch, command, flag, value,
+                                          field):
+        # the thresholds that reach the engine (run) or the proxy scoring
+        # (proxy-eval) differ from the config's in the flag's field alone
+        network = sim_dir / "network.json"
+        if command == "proxy-eval":
+            # it scores reference sites, and needs two
+            config = json.loads(network.read_text())
+            for site in config["sites"]:
+                site["role"] = "reference"
+            network.write_text(json.dumps(config))
+
+        class Reached(Exception):
+            pass
+
+        def reached(*args):
+            raise Reached(next(a for a in args if isinstance(a, Thresholds)))
+
+        monkeypatch.setattr(cli, "SiteEngine" if command == "run" else "evaluate_proxy", reached)
+        with pytest.raises(Reached) as caught:
+            main([command, str(network), "--out", str(sim_dir / "flags"), flag, value])
+        base = load_network_config(network).thresholds
+        want = dataclasses.replace(base, **{field: type(getattr(base, field))(value)})
+        assert want != base
+        assert caught.value.args[0] == want
 
 
 class TestBadFlags:

@@ -99,11 +99,6 @@ class TestAlign:
         assert av.tolist() == [2.0, 3.0]
         assert bv.tolist() == [9.0, 8.0]
 
-    def test_range_limits(self):
-        a = hourly("a", 0, [1.0, 2.0, 3.0, 4.0])
-        hours, av, bv = align(a, a, start=1, end=2)
-        assert hours.tolist() == [1, 2]
-
     @settings(deadline=None, max_examples=50)
     @given(st.lists(st.integers(0, 200), min_size=1, max_size=50, unique=True))
     def test_self_alignment_pairs_everything(self, hours):

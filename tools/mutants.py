@@ -79,6 +79,19 @@ MUTANTS = [
            "(root + 0.12 + 0.11 / root) * d", "root * d"),
     Mutant("step: correction clip floor VALUE_MIN -> 0.0", "alarms.py",
            "VALUE_MIN)", "0.0)"),
+    Mutant("_window_stats: block one hour short", "alarms.py",
+           "slice(lo, lo + _BLOCK_HOURS)", "slice(lo, lo + _BLOCK_HOURS - 1)"),
+    Mutant("_window_stats: last assessed hour left out of the blocks", "alarms.py",
+           "range(0, y_n.size, _BLOCK_HOURS)", "range(0, y_n.size - 1, _BLOCK_HOURS)"),
+    Mutant("_window_stats: every other block skipped", "alarms.py",
+           "range(0, y_n.size, _BLOCK_HOURS)", "range(0, y_n.size, 2 * _BLOCK_HOURS)"),
+    Mutant("_padded_windows: one column short", "alarms.py",
+           "cols = np.arange(count.max())", "cols = np.arange(count.max() - 1)"),
+    Mutant("cli: --td-hours and --tf-hours set each other's field", "cli.py",
+           '("--td-hours", "td_hours", int, "rolling window length, hours"),\n'
+           '    ("--tf-hours", "tf_hours", int, "persistence before alarm, hours"),',
+           '("--td-hours", "tf_hours", int, "rolling window length, hours"),\n'
+           '    ("--tf-hours", "td_hours", int, "persistence before alarm, hours"),'),
 ]
 
 
