@@ -376,6 +376,10 @@ def main(argv=None) -> int:
     except OzonetError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except OSError as exc:
+        # inputs that cannot be read are input errors before this point
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -14,10 +14,11 @@ import dataclasses
 import functools
 import itertools
 import json
-import math
+import operator
 import os
 import typing
 from dataclasses import dataclass, field
+from io import StringIO
 from pathlib import Path
 
 import numpy as np
@@ -160,88 +161,144 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+# the epoch hour of a stamp that does not parse: none that parses is this small
+_NO_HOUR = np.iinfo(np.int64).min
+
+
+def _read_csv(path: str):
+    """The rows of the CSV file at `path`, read as UTF-8, or the SeriesIssue
+    that says why they cannot be read."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError as exc:
+        return SeriesIssue(path, 0, "-", f"cannot open: {exc}")
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        return SeriesIssue(path, line, "-", f"not UTF-8 text: {exc}")
+    reader = csv.reader(StringIO(text, newline=""))
+    try:
+        return list(reader)
+    except csv.Error as exc:
+        return SeriesIssue(path, reader.line_num, "-", f"unreadable CSV: {exc}")
+
+
+def _number(text: str):
+    """float(text), or None when `text` is no number."""
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
 def scan_series_csv(paths) -> tuple[dict, ValidationReport]:
     """Parse one or more series files, collecting every issue found.
 
     Returns ({site_id: TimeSeries}, report). The series dict contains only
     cleanly parsed data; callers that need strictness should check
     report.ok first.
+
+    Each bad line gets one issue, for the first check it fails: field
+    count, timestamp, site id, number, range, then duplicate (site, hour),
+    of which the first valid row is kept. The checks run over whole columns
+    of the rows of all files; issues come in file and line order, and
+    sites in order of their first valid row.
     """
     if isinstance(paths, (str, Path)):
         paths = [paths]
-    issues: list[SeriesIssue] = []
-    seen: dict[tuple, tuple] = {}     # (site, hour) -> (path, line)
-    hour_of: dict[str, int] = {}      # stamp text -> hour, parsed successfully once
-    per_site: dict[str, list] = {}
+    paths = list(map(str, paths))
+    issues = []                         # ((file position, line), SeriesIssue)
+    rows, at_file, at_line = [], [], []     # each row, its file's position and its line
 
-    for path in paths:
-        path = str(path)
+    def report(pos, line, column, message):
+        issues.append(((pos, line), SeriesIssue(paths[pos], line, column, message)))
+
+    for pos, path in enumerate(paths):
+        lines = _read_csv(path)
+        if isinstance(lines, SeriesIssue):
+            issues.append(((pos, lines.line), lines))
+        elif not lines:
+            report(pos, 1, "-", "empty file")
+        elif [h.strip() for h in lines[0]] != SERIES_HEADER:
+            report(pos, 1, "-", f"bad header {lines[0]!r}, expected {','.join(SERIES_HEADER)}")
+        else:
+            rows += lines[1:]
+            at_file += [pos] * (len(lines) - 1)
+            at_line += range(2, len(lines) + 1)
+
+    wrong = np.fromiter(map(len, rows), np.intp, len(rows)) != 3
+    if wrong.any():
+        for i in np.flatnonzero(wrong).tolist():
+            row = rows[i]
+            if row and (len(row) > 1 or row[0].strip()):     # else a blank line
+                report(at_file[i], at_line[i], "-", f"expected 3 fields, got {len(row)}")
+        keep = (~wrong).tolist()
+        rows, at_file, at_line = (list(itertools.compress(column, keep))
+                                  for column in (rows, at_file, at_line))
+    fields = list(itertools.chain.from_iterable(rows))
+    stamps, sites, texts = fields[0::3], fields[1::3], fields[2::3]
+    n = len(stamps)
+
+    # Fields are stripped where they are read: each distinct stamp and site
+    # text once, and float() ignores the whitespace around a number.
+    hour_of, stamp_error = {}, {}
+    for stamp in dict.fromkeys(stamps):
         try:
-            handle = open(path, newline="")
-        except OSError as exc:
-            issues.append(SeriesIssue(path, 0, "-", f"cannot open: {exc}"))
-            continue
-        with handle:
-            reader = csv.reader(handle)
-            try:
-                header = next(reader)
-            except StopIteration:
-                issues.append(SeriesIssue(path, 1, "-", "empty file"))
-                continue
-            if [h.strip() for h in header] != SERIES_HEADER:
-                issues.append(SeriesIssue(
-                    path, 1, "-",
-                    f"bad header {header!r}, expected {','.join(SERIES_HEADER)}"))
-                continue
-            for lineno, row in enumerate(reader, start=2):
-                if not row or (len(row) == 1 and not row[0].strip()):
-                    continue
-                if len(row) != 3:
-                    issues.append(SeriesIssue(path, lineno, "-",
-                                              f"expected 3 fields, got {len(row)}"))
-                    continue
-                stamp_text, site_id, value_text = row[0].strip(), row[1].strip(), row[2].strip()
-                hour = hour_of.get(stamp_text)
-                if hour is None:
-                    try:
-                        hour = hour_of[stamp_text] = parse_iso_hour(stamp_text)
-                    except ValueError as exc:
-                        issues.append(SeriesIssue(path, lineno, "timestamp", str(exc)))
-                        continue
-                if not site_id:
-                    issues.append(SeriesIssue(path, lineno, "site_id", "empty site id"))
-                    continue
-                try:
-                    value = float(value_text)
-                except ValueError:
-                    issues.append(SeriesIssue(path, lineno, "value_ppb",
-                                              f"not a number: {value_text!r}"))
-                    continue
-                if not math.isfinite(value) or not VALUE_MIN <= value <= VALUE_MAX:
-                    issues.append(SeriesIssue(
-                        path, lineno, "value_ppb",
-                        f"value {value} outside [{VALUE_MIN}, {VALUE_MAX}]"))
-                    continue
-                key = (site_id, hour)
-                if key in seen:
-                    first_path, first_line = seen[key]
-                    issues.append(SeriesIssue(
-                        path, lineno, "timestamp",
-                        f"duplicate of {first_path}:{first_line} "
-                        f"(site {site_id} at {stamp_text})"))
-                    continue
-                seen[key] = (path, lineno)
-                per_site.setdefault(site_id, []).append((hour, value))
+            hour_of[stamp] = parse_iso_hour(stamp.strip())
+        except ValueError as exc:
+            hour_of[stamp] = _NO_HOUR
+            stamp_error[stamp] = str(exc)
+    hours = np.fromiter(map(hour_of.__getitem__, stamps), np.int64, n)
+    code_of = {}                        # site id -> code, in order of first row
+    text_code = {text: code_of.setdefault(text.strip(), len(code_of))
+                 for text in dict.fromkeys(sites)}
+    codes = np.fromiter(map(text_code.__getitem__, sites), np.intp, n)
+    try:
+        numbers = list(map(float, texts))
+        no_number = np.zeros(n, bool)
+    except ValueError:
+        numbers = list(map(_number, texts))
+        no_number = np.fromiter(map(operator.is_, numbers, itertools.repeat(None)), bool, n)
+    values = np.array(numbers, dtype=np.float64)    # a None is NaN
 
+    checks = (
+        (hours == _NO_HOUR, "timestamp", lambda i: stamp_error[stamps[i]]),
+        (codes == code_of.get("", -1), "site_id", lambda i: "empty site id"),
+        (no_number, "value_ppb", lambda i: f"not a number: {texts[i].strip()!r}"),
+        (~((values >= VALUE_MIN) & (values <= VALUE_MAX)), "value_ppb",
+         lambda i: f"value {numbers[i]} outside [{VALUE_MIN}, {VALUE_MAX}]"),
+    )
+    failed = np.zeros(n, bool)
+    for check, column, message in checks:
+        for i in np.flatnonzero(check & ~failed).tolist():
+            report(at_file[i], at_line[i], column, message(i))
+        failed |= check
+
+    # The stable sort keeps the rows of one (site, hour) in file and line
+    # order: the first is kept, each later one is a duplicate of it.
+    valid = np.flatnonzero(~failed)
+    order = valid[np.lexsort((hours[valid], codes[valid]))]
+    again = np.zeros(order.size, bool)
+    again[1:] = (codes[order[1:]] == codes[order[:-1]]) & (hours[order[1:]] == hours[order[:-1]])
+    first = np.maximum.accumulate(np.where(again, 0, np.arange(order.size)))
+    for i, j in zip(order[again].tolist(), order[first[again]].tolist()):
+        report(at_file[i], at_line[i], "timestamp",
+               f"duplicate of {paths[at_file[j]]}:{at_line[j]} "
+               f"(site {sites[i].strip()} at {stamps[i].strip()})")
+
+    kept = order[~again]
     series = {}
-    coverage = []
-    for site_id, pairs in per_site.items():
-        pairs.sort()
-        hours = np.array([h for h, _ in pairs], dtype=np.int64)
-        values = np.array([v for _, v in pairs], dtype=np.float64)
-        series[site_id] = TimeSeries(site_id, hours, values)
-        coverage.append(CoverageRow(site_id, len(pairs), int(hours[0]), int(hours[-1])))
-    return series, ValidationReport(issues, coverage)
+    names = list(code_of)
+    bounds = np.flatnonzero(np.diff(codes[kept])) + 1
+    for group in sorted(filter(np.size, np.split(kept, bounds)), key=np.min):
+        site = names[codes[group[0]]]
+        series[site] = TimeSeries(site, hours[group], values[group])
+    coverage = [CoverageRow(site, len(ts), int(ts.hours[0]), int(ts.hours[-1]))
+                for site, ts in series.items()]
+    issues.sort(key=lambda item: item[0])
+    return series, ValidationReport([issue for _, issue in issues], coverage)
 
 
 def read_series_csv(paths) -> dict:

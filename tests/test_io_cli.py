@@ -35,6 +35,7 @@ from ozonet.io import (
     write_series_csv,
 )
 from netsim_cases import pair_scenario
+from series_reference import scan_series_csv as scan_series_csv_per_row
 
 
 def hourly(site, start, values):
@@ -55,6 +56,30 @@ def sim_dir(tmp_path):
     out = tmp_path / "sim"
     assert main(["simulate", str(scenario_path), "--out", str(out)]) == 0
     return out
+
+
+# Field texts for generated series files: good and bad stamps (other texts
+# for the same hours among them), quoted and padded site ids, and numbers on,
+# just beyond and far outside the value bounds.
+_STAMPS = ["2018-01-01T00:00:00Z", "2018-01-01T01:00:00Z", "2018-01-01T02:00:00Z",
+           " 2018-01-01T01:00:00Z ", "2018-1-1T2:00:00Z", "2018-01-01T00:30:00Z",
+           "2018-01-01T00:00:00+02:00", "not-a-time", ""]
+_SITES = ["a", "b", " a ", '" b"', '"x,y"', '"say ""hi"""', "", "  "]
+_VALUES = ["1.5", " 42 ", "1e2", "-10", "500", "-10.000001", "500.000001", "forty", "",
+           "nan", "inf", "-inf"]
+_OTHER_LINES = ["", "   ", "2018-01-01T00:00:00Z,a", "2018-01-01T00:00:00Z,a,1,2", "x"]
+_HEADERS = ["timestamp,site_id,value_ppb", " timestamp , site_id ,value_ppb",
+            "time,site,value", None]     # None: an empty file
+_series_lines = st.lists(
+    st.builds(",".join, st.tuples(*map(st.sampled_from, (_STAMPS, _SITES, _VALUES))))
+    | st.sampled_from(_OTHER_LINES), max_size=12)
+_series_files = st.tuples(
+    st.sampled_from(_HEADERS[:2]) | st.sampled_from(_HEADERS), _series_lines,
+    st.sampled_from(["\n", "\r\n"]))
+
+
+def _series_text(header, lines, newline):
+    return "" if header is None else newline.join([header, *lines]) + newline
 
 
 class TestSeriesCsv:
@@ -143,6 +168,35 @@ class TestSeriesCsv:
         write_rows(path, ["2018-01-01T00:00:00Z,a,10.0"], header="time,site,value")
         _, report = scan_series_csv(path)
         assert not report.ok
+
+    @settings(deadline=None, max_examples=200)
+    @given(st.lists(_series_files, min_size=2, max_size=2),
+           st.sampled_from(["one", "two", "same"]))
+    # the bounds are in range, the 3-field check is exact, and of a
+    # duplicate (site, hour) within a file or across files the first is kept
+    @example([("timestamp,site_id,value_ppb",
+               ["2018-01-01T00:00:00Z,a,-10", "2018-01-01T01:00:00Z,a,500",
+                "2018-01-01T02:00:00Z,a,-10.000001", "2018-01-01T02:00:00Z,a,500.000001",
+                "2018-01-01T02:00:00Z,a,1,2", "2018-01-01T02:00:00Z,a", "",
+                "2018-01-01T00:00:00Z,a,7", "2018-01-01T02:00:00Z,b,8"], "\n"),
+              ("timestamp,site_id,value_ppb",
+               ["2018-01-01T02:00:00Z,b,9", "2018-01-01T02:00:00Z,a,10"], "\r\n")], "two")
+    def test_columnar_reader_equals_per_row_reader(self, tmp_path_factory, files, layout):
+        folder = tmp_path_factory.mktemp("series")
+        paths = []
+        for k, spec in enumerate(files):
+            path = folder / f"s{k}.csv"
+            path.write_bytes(_series_text(*spec).encode())
+            paths.append(path)
+        paths = {"one": paths[:1], "two": paths, "same": [paths[0]] * 2}[layout]
+        series, report = scan_series_csv(paths)
+        want_series, want_report = scan_series_csv_per_row(paths)
+        assert list(series) == list(want_series)
+        for site, ts in series.items():
+            assert ts.hours.tolist() == want_series[site].hours.tolist()
+            assert ts.values.tolist() == want_series[site].values.tolist()
+        assert report.coverage == want_report.coverage
+        assert report.issues == want_report.issues
 
     def test_strict_reader_raises(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -537,6 +591,23 @@ class TestValidateCommand:
         assert main(["validate", str(sim_dir / "network.json")]) == 1
         assert "duplicate" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("line, message", [
+        (b"2018-01-26T00:00:00Z,R\xff00,10.0", "not UTF-8 text"),
+        (b'2018-01-26T00:00:00Z,"' + b"x" * 200_000 + b'",10.0', "unreadable CSV"),
+    ], ids=["not-utf-8", "field-over-csv-limit"])
+    def test_unreadable_series_file_is_input_error(self, sim_dir, capsys, line, message):
+        observed = sim_dir / "observed.csv"
+        data = observed.read_bytes()
+        observed.write_bytes(data + line + b"\n")
+        issue = f"observed.csv:{len(data.splitlines()) + 1} [-] {message}"
+        network = str(sim_dir / "network.json")
+        assert main(["validate", network]) == 1
+        assert issue in capsys.readouterr().out
+        for args in (["run"], ["proxy-eval"], ["map", "--hour", "2018-01-27T12:00:00Z"]):
+            assert main([*args, network, "--out", str(sim_dir / "out")]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and issue in err
+
     def test_unconfigured_site_flagged(self, sim_dir, capsys):
         observed = sim_dir / "observed.csv"
         with open(observed, "a") as handle:
@@ -704,6 +775,21 @@ class TestBadFlags:
         err = capsys.readouterr().err
         assert err.startswith("error: bad threshold flag")
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["run", "proxy-eval", "simulate", "map"])
+    def test_unwritable_out_is_runtime_error(self, sim_dir, capsys, command):
+        network = sim_dir / "network.json"
+        config = json.loads(network.read_text())
+        for site in config["sites"]:
+            site["role"] = "reference"      # proxy-eval scores references, and needs two
+        network.write_text(json.dumps(config))
+        args = {"simulate": [sim_dir.parent / "scenario.json"],
+                "map": [network, "--hour", "2018-01-27T12:00:00Z"]}.get(command, [network])
+        blocker = sim_dir / "blocker"
+        blocker.write_text("a file, not a directory")
+        assert main([command, *map(str, args), "--out", str(blocker)]) == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: cannot write output: ") and str(blocker) in last
 
     def test_nonpositive_map_cell_is_input_error(self, sim_dir, capsys):
         code = main(["map", str(sim_dir / "network.json"),

@@ -87,6 +87,14 @@ MUTANTS = [
            "range(0, y_n.size, _BLOCK_HOURS)", "range(0, y_n.size, 2 * _BLOCK_HOURS)"),
     Mutant("_padded_windows: one column short", "alarms.py",
            "cols = np.arange(count.max())", "cols = np.arange(count.max() - 1)"),
+    Mutant("scan_series_csv: VALUE_MIN itself out of range", "io.py",
+           "(values >= VALUE_MIN)", "(values > VALUE_MIN)"),
+    Mutant("scan_series_csv: VALUE_MAX itself out of range", "io.py",
+           "(values <= VALUE_MAX)", "(values < VALUE_MAX)"),
+    Mutant("scan_series_csv: rows of four fields pass the 3-field check", "io.py",
+           "len(rows)) != 3", "len(rows)) < 3"),
+    Mutant("scan_series_csv: of a duplicate (site, hour) the last row is kept", "io.py",
+           "again[1:] = ", "again[:-1] = "),
     Mutant("cli: --td-hours and --tf-hours set each other's field", "cli.py",
            '("--td-hours", "td_hours", int, "rolling window length, hours"),\n'
            '    ("--tf-hours", "tf_hours", int, "persistence before alarm, hours"),',
