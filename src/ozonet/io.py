@@ -210,7 +210,7 @@ def scan_series_csv(paths) -> tuple[dict, ValidationReport]:
         paths = [paths]
     paths = list(map(str, paths))
     issues = []                         # ((file position, line), SeriesIssue)
-    rows, at_file, at_line = [], [], []     # each row, its file's position and its line
+    rows, at_file, at_line = [], [], []  # each row, its file's position, its line
 
     def report(pos, line, column, message):
         issues.append(((pos, line), SeriesIssue(paths[pos], line, column, message)))
@@ -282,7 +282,7 @@ def scan_series_csv(paths) -> tuple[dict, ValidationReport]:
     order = valid[np.lexsort((hours[valid], codes[valid]))]
     again = np.zeros(order.size, bool)
     again[1:] = (codes[order[1:]] == codes[order[:-1]]) & (hours[order[1:]] == hours[order[:-1]])
-    first = np.maximum.accumulate(np.where(again, 0, np.arange(order.size)))
+    first = np.maximum.accumulate(np.where(again, 0, np.arange(order.size)))  # its run's head
     for i, j in zip(order[again].tolist(), order[first[again]].tolist()):
         report(at_file[i], at_line[i], "timestamp",
                f"duplicate of {paths[at_file[j]]}:{at_line[j]} "
@@ -292,6 +292,7 @@ def scan_series_csv(paths) -> tuple[dict, ValidationReport]:
     series = {}
     names = list(code_of)
     bounds = np.flatnonzero(np.diff(codes[kept])) + 1
+    # one group of rows per site; its lowest row is the site's first valid one
     for group in sorted(filter(np.size, np.split(kept, bounds)), key=np.min):
         site = names[codes[group[0]]]
         series[site] = TimeSeries(site, hours[group], values[group])
