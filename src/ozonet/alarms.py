@@ -14,10 +14,21 @@ would be circular.
 
 One engine instance per site, single writer; separate sites may run in
 parallel. Replaying the same inputs reproduces the identical ledger.
+
+Engines built on one proxy series object share its measured window: a
+streamed hour looks up the proxy's window bounds and moments once, and
+every other engine stepping that hour with the same window length reuses
+them. There is one entry per proxy series, for the latest (window length,
+hour) measured on it, and it is freed with the series. An entry is an
+immutable tuple that is replaced whole and checked against the hour and
+window length before use, so engines stepping in different threads, or
+through different hours, at worst measure a window again; they never read
+another hour's.
 """
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -53,6 +64,11 @@ STATUS_DEGENERATE = "degenerate"
 TREND_GAIN_MIN = 0.25
 TREND_GAIN_MAX = 4.0
 TREND_OFFSET_CAP = 60.0
+
+# proxy series -> (td_hours, stamp, p_lo, p_hi, moments): the proxy window
+# (stamp - td_hours, stamp] as index bounds and window_moments, None when
+# the window is empty; see the module docstring
+_proxy_windows = weakref.WeakKeyDictionary()
 
 
 @dataclass(frozen=True)
@@ -293,24 +309,31 @@ class SiteEngine:
         that `step` takes; an estimate inside the sanity band enters the
         history."""
         th = self.thresholds
+        td_hours = th.td_hours
         sensor, proxy = self.sensor, self.proxy
         # plain ints: numpy scalars make the slicing and comparisons below slower
-        s_lo, s_hi = window_bounds(sensor.hours, stamp, th.td_hours).tolist()
-        p_lo, p_hi = window_bounds(proxy.hours, stamp, th.td_hours).tolist()
+        s_lo, s_hi = window_bounds(sensor.hours, stamp, td_hours).tolist()
+        entry = _proxy_windows.get(proxy)
+        if entry is None or entry[1] != stamp or entry[0] != td_hours:
+            p_lo, p_hi = window_bounds(proxy.hours, stamp, td_hours).tolist()
+            entry = (td_hours, stamp, p_lo, p_hi,
+                     kernels.window_moments(proxy.values[p_lo:p_hi]) if p_hi > p_lo else None)
+            _proxy_windows[proxy] = entry
+        _, _, p_lo, p_hi, z_moments = entry
         raw_value = None
         if s_hi > s_lo and sensor.hours[s_hi - 1] == stamp:
             raw_value = float(sensor.values[s_hi - 1])
 
         n_y, n_z = s_hi - s_lo, p_hi - p_lo
         p = offset = gain = None
-        if window_complete(min(n_y, n_z), th.td_hours, th.completeness_min):
+        if window_complete(min(n_y, n_z), td_hours, th.completeness_min):
             y = sensor.values[s_lo:s_hi]
             z = proxy.values[p_lo:p_hi]
             p = ks_pvalue(kernels.ks_distance(y, z), n_y, n_z)
             # the raw estimate as run() makes it: none for a degenerate window
             mean_y, var_y = kernels.window_moments(y)
             if var_y > DEGENERATE_VAR_EPS:
-                offset, gain = match_moments(mean_y, var_y, *kernels.window_moments(z))
+                offset, gain = match_moments(mean_y, var_y, *z_moments)
                 offset, gain = float(offset), float(gain)
                 if _trended(offset, gain):
                     self.history.append(stamp, offset, gain)

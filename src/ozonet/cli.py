@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import io
 import json
 import os
 import sys
@@ -236,7 +237,7 @@ def cmd_proxy_eval(args) -> int:
 def cmd_simulate(args) -> int:
     scenario_path = Path(args.scenario)
     try:
-        data = json.loads(scenario_path.read_text())
+        data = json.loads(scenario_path.read_text(encoding="utf-8"))
         scenario = Scenario.from_dict(data)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {scenario_path}: {exc}") from exc
@@ -367,6 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # a character the locale's encoding lacks (a UTF-8 site id under the C
+    # locale) is escaped on stdout, as Python escapes it on stderr
+    if isinstance(sys.stdout, io.TextIOWrapper):
+        sys.stdout.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

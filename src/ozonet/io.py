@@ -65,14 +65,14 @@ def _iso_hour(hour: int) -> str:
 
 @contextlib.contextmanager
 def atomic_write(path, newline=None):
-    """Open `path` for writing text through a sibling temporary file, which
-    replaces `path` only once the block completes: a write that fails
+    """Open `path` for writing UTF-8 text through a sibling temporary file,
+    which replaces `path` only once the block completes: a write that fails
     leaves the old file (or none) and no temporary file behind."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", newline=newline) as handle:
+        with open(tmp, "w", encoding="utf-8", newline=newline) as handle:
             yield handle
         os.replace(tmp, path)
     finally:
@@ -487,11 +487,14 @@ def _json_item(kind: type, value, path: str):
 
 
 def load_network_config(path) -> NetworkConfig:
+    """The network config at `path`, read as UTF-8 JSON."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text())
+        data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     return NetworkConfig.from_dict(data)

@@ -51,9 +51,14 @@ def format_iso_hour(hour: int) -> str:
     return epoch_hour_to_datetime(hour).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeSeries:
-    """Ordered hourly observations for one site, gaps allowed."""
+    """Ordered hourly observations for one site, gaps allowed.
+
+    A series compares and hashes by identity: two series with equal arrays
+    are different objects, and a series can key a dict or a weak mapping
+    (the engine's shared proxy windows do).
+    """
 
     site_id: str
     hours: np.ndarray    # int64, strictly increasing

@@ -1,5 +1,11 @@
 """Control-chart breach logic, persistence clocks, and the hourly driver."""
 
+import gc
+import itertools
+import sys
+import threading
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -649,3 +655,164 @@ class TestBatchRun:
         with pytest.raises(ValueError, match="advance"):
             engine.run()
         assert len(engine.ledger.history) == 1
+
+
+# Thresholds for engines sharing one proxy: three window lengths, and short
+# persistence so that short spans still latch and correct.
+SHARED_THRESHOLDS = [
+    Thresholds(td_hours=24, tf_hours=12),
+    Thresholds(td_hours=24, tf_hours=6, completeness_min=1.0),
+    Thresholds(td_hours=12, tf_hours=3, completeness_min=0.5),
+    Thresholds(td_hours=36, tf_hours=6, correction_alarm_count=2),
+]
+
+
+def private_proxy(engine):
+    """A fresh engine like `engine` on a copy of its proxy: a series object
+    of its own, whose window no other engine shares."""
+    proxy = engine.proxy
+    return SiteEngine(engine.site_id, engine.sensor,
+                      TimeSeries(proxy.site_id, proxy.hours.copy(), proxy.values.copy()),
+                      engine.thresholds)
+
+
+def step_in_slices(streams, hours, slices):
+    """Step each stream (a list of engines) through `hours`, one tick (every
+    engine at one hour) at a time, the streams taking turns by slices of
+    ticks whose sizes cycle through `slices`; returns each stream's rows per
+    tick."""
+    rows = [[] for _ in streams]
+    k = 0
+    for size in itertools.cycle(slices):
+        if k >= len(hours):
+            return rows
+        for stream, ticks in zip(streams, rows):
+            ticks.extend([engine.step(hour) for engine in stream] for hour in hours[k:k + size])
+        k += size
+
+
+def cut(hours, values, blocks):
+    """The readings left after removing each (start, length) block."""
+    keep = np.ones(hours.size, dtype=bool)
+    for start, length in blocks:
+        keep[start:start + length] = False
+    return hours[keep], values[keep]
+
+
+@st.composite
+def shared_proxy_networks(draw):
+    """A proxy series with outage blocks, and engines on that one series
+    object: sensors of different spans, with outage blocks of their own,
+    some flat-lined for a stretch, each with one of SHARED_THRESHOLDS."""
+    n = draw(st.integers(30, 150))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 30)), max_size=3)
+    all_hours = np.arange(START_HOUR, START_HOUR + n, dtype=np.int64)
+    signal = 30 + 10 * np.sin(2 * np.pi * all_hours / 24) + rng.normal(0, 2, n)
+    proxy = TimeSeries("P", *cut(all_hours, signal + rng.normal(0, 0.5, n), draw(blocks)))
+    engines = []
+    for k in range(draw(st.integers(2, 5))):
+        first = draw(st.integers(0, n - 1))
+        last = draw(st.integers(first, n - 1))
+        values = (draw(st.sampled_from([0.5, 1.0, 1.8])) * signal
+                  + draw(st.sampled_from([-12.0, 0.0, 8.0])) + rng.normal(0, 1, n))
+        flat = draw(st.none() | st.tuples(st.integers(0, n - 1), st.integers(1, n)))
+        if flat is not None:
+            values[flat[0]:flat[0] + flat[1]] = values[flat[0]]
+        values = np.clip(values, VALUE_MIN, VALUE_MAX)
+        hours, values = cut(all_hours[first:last + 1], values[first:last + 1], draw(blocks))
+        if hours.size:
+            engines.append(SiteEngine(f"S{k}", TimeSeries(f"S{k}", hours, values), proxy,
+                                      draw(st.sampled_from(SHARED_THRESHOLDS))))
+    return proxy, engines
+
+
+class TestSharedProxyWindow:
+    """Engines on one proxy series object share its window for the hour;
+    stepping them must give what engines on private proxies give, and what
+    run() gives."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(shared_proxy_networks(), st.lists(st.integers(1, 40), min_size=1, max_size=4))
+    def test_shared_proxy_steps_as_private_proxies_and_run(self, network, slices):
+        # a twin stream of engines on the same proxy object steps the same
+        # hours, the two taking turns by slices of ticks
+        proxy, engines = network
+        hours = list(range(START_HOUR - 5, START_HOUR + 160))
+        twins = [SiteEngine(e.site_id, e.sensor, proxy, e.thresholds) for e in engines]
+        step_in_slices([engines, twins], hours, slices)
+        for engine, twin in zip(engines, twins):
+            private = stepped(private_proxy(engine), hours[0], hours[-1])
+            assert engine_state(engine) == engine_state(private)
+            assert engine_state(twin) == engine_state(private)
+            batch = private_proxy(engine)
+            assert batch.run(hours[0], hours[-1]).rows == engine.ledger.history
+            assert engine_state(batch) == engine_state(engine)
+
+    @pytest.mark.parametrize("slices", [[1], [5, 17]])
+    def test_network_in_twin_streams(self, network, slices):
+        # every sensor of the faulty network on the one REF object, at three
+        # window lengths, in two streams taking turns: the shared window
+        # keeps moving between hours and window lengths
+        proxy = network["REF"]
+        hours = list(range(int(proxy.hours[0]), int(proxy.hours[-1]) + 1))
+        thresholds = BATCH_THRESHOLDS + [Thresholds(td_hours=24)]
+        streams = [[SiteEngine(sid, network[sid], proxy, th)
+                    for th in thresholds for sid in ("GAIN", "OFFSET", "FLAT", "CLEAN")]
+                   for _ in range(2)]
+        first, second = step_in_slices(streams, hours, slices)
+        assert first == second
+        seen = set()
+        for engine, twin in zip(*streams):
+            batch = private_proxy(engine)
+            assert batch.run(hours[0], hours[-1]).rows == engine.ledger.history
+            assert engine_state(batch) == engine_state(engine) == engine_state(twin)
+            seen |= {r.status for r in engine.ledger.history}
+        assert seen == {"ok", "insufficient", "degenerate"}
+
+    def test_engines_in_threads_share_one_proxy(self, network):
+        # threads step engines on one proxy object through different hours,
+        # switching often, so each replaces the window the others read; the
+        # rows must still equal those of private proxies
+        proxy = network["REF"]
+        first = int(proxy.hours[0])
+        starts = [first, first + 50, first + 200, first + 333]
+        engines = [SiteEngine(sid, network[sid], proxy, th)
+                   for sid, th in zip(("GAIN", "OFFSET", "FLAT", "CLEAN"), BATCH_THRESHOLDS * 2)]
+        span = 240
+
+        def work(engine, start):
+            for hour in range(start, start + span):
+                engine.step(hour)
+
+        threads = [threading.Thread(target=work, args=pair) for pair in zip(engines, starts)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for engine, start in zip(engines, starts):
+            assert len(engine.ledger.history) == span
+            private = stepped(private_proxy(engine), start, start + span - 1)
+            assert engine_state(engine) == engine_state(private)
+
+    def test_dropping_the_proxy_frees_its_window(self):
+        # one entry per proxy, whatever the window lengths of its engines,
+        # and none once the series is gone
+        proxy = sim_series("P", 0, 200, 2)
+        engines = [SiteEngine(f"S{k}", sim_series(f"S{k}", 0, 200, k), proxy, th)
+                   for k, th in enumerate(BATCH_THRESHOLDS)]
+        for engine in engines:
+            engine.step(150)
+        gc.collect()
+        held = len(alarms._proxy_windows)
+        assert proxy in alarms._proxy_windows
+        dropped = weakref.ref(proxy)
+        del engines, engine, proxy
+        assert dropped() is None
+        assert len(alarms._proxy_windows) == held - 1

@@ -4,7 +4,10 @@ import csv
 import dataclasses
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -607,6 +610,41 @@ class TestValidateCommand:
             assert main([*args, network, "--out", str(sim_dir / "out")]) == 1
             err = capsys.readouterr().err
             assert err.startswith("error: ") and issue in err
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_config_that_is_not_utf8_is_input_error(self, sim_dir, capsys, command):
+        network = sim_dir / "network.json"
+        data = network.read_bytes()
+        assert data.count(b'"name": "ref"') == 1
+        network.write_bytes(data.replace(b'"name": "ref"', b'"name": "r\xfff"'))
+        out = ["--out", str(sim_dir / "out")] if command == "run" else []
+        assert main([command, str(network), *out]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: config {network} is not UTF-8 text: ")
+
+    def test_utf8_site_id_under_the_c_locale(self, tmp_path):
+        # scenario, config and outputs are UTF-8 text whatever the locale's
+        # encoding; a site id that stdout cannot encode is escaped
+        scenario = json.dumps(pair_scenario(duration_hours=24 * 10).to_dict(),
+                              ensure_ascii=False).replace('"LC"', '"Lé"')
+        (tmp_path / "scenario.json").write_text(scenario, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                   PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+
+        def command(*args):
+            return subprocess.run([sys.executable, "-m", "ozonet.cli", *args], cwd=tmp_path,
+                                  env=env, capture_output=True, timeout=60)
+
+        done = command("simulate", "scenario.json", "--out", "sim")
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert "Lé".encode() in (tmp_path / "sim" / "observed.csv").read_bytes()
+        network = tmp_path / "sim" / "network.json"
+        config = json.loads(network.read_text(encoding="utf-8"))
+        network.write_text(json.dumps(config, ensure_ascii=False), encoding="utf-8")
+        assert "Lé".encode() in network.read_bytes()
+        done = command("validate", "sim/network.json")
+        assert (done.returncode, done.stderr) == (0, b"")
+        assert b"L\\xe9 " in done.stdout
 
     def test_unconfigured_site_flagged(self, sim_dir, capsys):
         observed = sim_dir / "observed.csv"

@@ -75,6 +75,10 @@ MUTANTS = [
            "if var_y > DEGENERATE_VAR_EPS:", "if var_y >= DEGENERATE_VAR_EPS:"),
     Mutant("SiteEngine.run: var_y > DEGENERATE_VAR_EPS -> >=", "alarms.py",
            "ok = var_y > DEGENERATE_VAR_EPS", "ok = var_y >= DEGENERATE_VAR_EPS"),
+    Mutant("SiteEngine._measure: td_hours dropped from the proxy window's key", "alarms.py",
+           "entry[1] != stamp or entry[0] != td_hours", "entry[1] != stamp"),
+    Mutant("SiteEngine._measure: a proxy window of a later hour serves an earlier one",
+           "alarms.py", "entry[1] != stamp", "entry[1] < stamp"),
     Mutant("ks_pvalue: small-sample term dropped", "kstest.py",
            "(root + 0.12 + 0.11 / root) * d", "root * d"),
     Mutant("step: correction clip floor VALUE_MIN -> 0.0", "alarms.py",
