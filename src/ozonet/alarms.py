@@ -15,19 +15,28 @@ would be circular.
 One engine instance per site, single writer; separate sites may run in
 parallel. Replaying the same inputs reproduces the identical ledger.
 
-Engines built on one proxy series object share its measured window: a
-streamed hour looks up the proxy's window bounds and moments once, and
-every other engine stepping that hour with the same window length reuses
-them. There is one entry per proxy series, for the latest (window length,
-hour) measured on it, and it is freed with the series. An entry is an
-immutable tuple that is replaced whole and checked against the hour and
-window length before use, so engines stepping in different threads, or
-through different hours, at worst measure a window again; they never read
-another hour's.
+A streamed hour is measured in one batch for the engines stepping in step:
+those with the same window length whose last stepped hour is the same.
+The first of them to step the hour measures its own windows and those of
+every live engine in step with it: each proxy window once, then one KS
+distance call over the padded rows of all (proxy, sensor) pairs and one
+moment pass over the sensor rows. It stores, per proxy series, one entry
+for that (window length, hour): the proxy's bounds and moments and each
+sensor's bounds, distance and moments. The others find their rows there.
+Each engine then makes its own completeness check, p value, estimate,
+trend and persistence update. An engine with no peer in step measures its
+windows alone, reusing the proxy's if the entry holds them.
+
+The entry of a proxy is freed with its series. It is an immutable tuple,
+replaced whole, and an engine uses it only for its own proxy, sensor,
+window length and hour, so which engines join a batch decides only how
+much work is shared, never a row: engines stepping in different threads,
+or through different hours, at worst measure a window again.
 """
 
 from __future__ import annotations
 
+import threading
 import weakref
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -65,10 +74,19 @@ TREND_GAIN_MIN = 0.25
 TREND_GAIN_MAX = 4.0
 TREND_OFFSET_CAP = 60.0
 
-# proxy series -> (td_hours, stamp, p_lo, p_hi, moments): the proxy window
-# (stamp - td_hours, stamp] as index bounds and window_moments, None when
-# the window is empty; see the module docstring
+# proxy series -> (td_hours, stamp, p_lo, p_hi, moments, sensors): the proxy
+# window (stamp - td_hours, stamp] as index bounds and window_moments (None
+# when the window is empty), and weakref(sensor series) -> (s_lo, s_hi, d,
+# mean, var) for the sensor windows measured against it (d and the moments
+# None where not measured). Weak sensor keys: a series may be one engine's
+# sensor and another's proxy, and a strong one would keep it alive. See the
+# module docstring.
 _proxy_windows = weakref.WeakKeyDictionary()
+
+# every live SiteEngine, the candidates of a batch; the lock keeps an engine
+# built in another thread from changing the set while it is copied
+_engines = weakref.WeakSet()
+_engines_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -250,6 +268,8 @@ class SiteEngine:
         self.proxy = proxy
         self.history = EstimateHistory(site_id)
         self.ledger = AlarmLedger(site_id)
+        with _engines_lock:
+            _engines.add(self)
 
     def step(self, stamp, measured: tuple | None = None) -> HistoryRow:
         """Evaluate one hour; appends and returns the history row.
@@ -311,15 +331,16 @@ class SiteEngine:
         th = self.thresholds
         td_hours = th.td_hours
         sensor, proxy = self.sensor, self.proxy
-        # plain ints: numpy scalars make the slicing and comparisons below slower
-        s_lo, s_hi = window_bounds(sensor.hours, stamp, td_hours).tolist()
+        key = weakref.ref(sensor)
         entry = _proxy_windows.get(proxy)
-        if entry is None or entry[1] != stamp or entry[0] != td_hours:
-            p_lo, p_hi = window_bounds(proxy.hours, stamp, td_hours).tolist()
-            entry = (td_hours, stamp, p_lo, p_hi,
-                     kernels.window_moments(proxy.values[p_lo:p_hi]) if p_hi > p_lo else None)
-            _proxy_windows[proxy] = entry
-        _, _, p_lo, p_hi, z_moments = entry
+        if entry is not None and (entry[1] != stamp or entry[0] != td_hours):
+            entry = None        # another hour's or window length's
+        if entry is None or key not in entry[5]:
+            peers = self._peers()
+            entry = (_measure_together([self, *peers], stamp, td_hours)[proxy] if peers
+                     else self._measure_alone(stamp, entry))
+        _, _, p_lo, p_hi, z_moments, sensors = entry
+        s_lo, s_hi, d, mean_y, var_y = sensors[key]
         raw_value = None
         if s_hi > s_lo and sensor.hours[s_hi - 1] == stamp:
             raw_value = float(sensor.values[s_hi - 1])
@@ -327,11 +348,13 @@ class SiteEngine:
         n_y, n_z = s_hi - s_lo, p_hi - p_lo
         p = offset = gain = None
         if window_complete(min(n_y, n_z), td_hours, th.completeness_min):
-            y = sensor.values[s_lo:s_hi]
-            z = proxy.values[p_lo:p_hi]
-            p = ks_pvalue(kernels.ks_distance(y, z), n_y, n_z)
+            if d is None:
+                # measured alone: only a window that is assessed
+                y = sensor.values[s_lo:s_hi]
+                d = kernels.ks_distance(y, proxy.values[p_lo:p_hi])
+                mean_y, var_y = kernels.window_moments(y)
+            p = ks_pvalue(d, n_y, n_z)
             # the raw estimate as run() makes it: none for a degenerate window
-            mean_y, var_y = kernels.window_moments(y)
             if var_y > DEGENERATE_VAR_EPS:
                 offset, gain = match_moments(mean_y, var_y, *z_moments)
                 offset, gain = float(offset), float(gain)
@@ -339,6 +362,32 @@ class SiteEngine:
                     self.history.append(stamp, offset, gain)
 
         return (raw_value, p, offset, gain) + (self.history.trend or (None, None))
+
+    def _peers(self) -> list:
+        """The other live engines in step with this one: same window length,
+        same last stepped hour."""
+        if len(_engines) < 2:
+            return []           # a lone engine skips the copy
+        td_hours, last_stamp = self.thresholds.td_hours, self.ledger.last_stamp
+        with _engines_lock:
+            live = list(_engines)
+        return [e for e in live if e.ledger.last_stamp == last_stamp
+                and e.thresholds.td_hours == td_hours and e is not self]
+
+    def _measure_alone(self, stamp: int, entry) -> tuple:
+        """The entry of this engine's proxy for `stamp`, holding only the
+        sensor's bounds. The proxy's come from `entry`, the stored entry of
+        this hour and window length, if there is one; else they are
+        measured and stored."""
+        td_hours = self.thresholds.td_hours
+        # plain ints: numpy scalars make the slicing and comparisons slower
+        rows = {weakref.ref(self.sensor): (
+            *window_bounds(self.sensor.hours, stamp, td_hours).tolist(), None, None, None)}
+        if entry is not None:
+            return entry[:5] + (rows,)
+        entry = _proxy_entry(self.proxy, stamp, td_hours) + (rows,)
+        _proxy_windows[self.proxy] = entry
+        return entry
 
     def run(self, start=None, end=None) -> SiteRunResult:
         """Evaluate every hour of the sensor's span (or the given range).
@@ -400,6 +449,60 @@ class SiteEngine:
         return SiteRunResult(self.site_id, list(self.ledger.history))
 
 
+def _proxy_entry(proxy: TimeSeries, stamp: int, td_hours: int) -> tuple:
+    """(td_hours, stamp, p_lo, p_hi, moments): the head of a proxy entry."""
+    p_lo, p_hi = window_bounds(proxy.hours, stamp, td_hours).tolist()
+    return (td_hours, stamp, p_lo, p_hi,
+            kernels.window_moments(proxy.values[p_lo:p_hi]) if p_hi > p_lo else None)
+
+
+def _measure_together(engines, stamp: int, td_hours: int) -> dict:
+    """Measure the windows ending at `stamp` of every (proxy, sensor) pair
+    of `engines`, which share `td_hours`; returns proxy -> its fresh entry,
+    each also stored in _proxy_windows.
+
+    Each proxy window is measured once. The pairs whose windows are both
+    non-empty get their KS distance from one call over padded rows and
+    their sensor moments from one pass by length; the bits equal those of
+    the one-window calls.
+    """
+    heads, rows = {}, {}
+    for engine in engines:
+        proxy = engine.proxy
+        if proxy not in heads:
+            heads[proxy] = _proxy_entry(proxy, stamp, td_hours)
+            rows[proxy] = {}
+        rows[proxy][weakref.ref(engine.sensor)] = None
+    pairs = [(proxy, key(), *window_bounds(key().hours, stamp, td_hours).tolist())
+             for proxy, held in rows.items() for key in held]
+    stats = [(None, None, None)] * len(pairs)
+    both = [k for k, (proxy, _, s_lo, s_hi) in enumerate(pairs)
+            if s_hi > s_lo and heads[proxy][3] > heads[proxy][2]]
+    if both:
+        y_n = np.array([pairs[k][3] - pairs[k][2] for k in both])
+        y = np.full((y_n.size, y_n.max()), np.inf)
+        for row, k in zip(y, both):
+            _, sensor, s_lo, s_hi = pairs[k]
+            row[:s_hi - s_lo] = sensor.values[s_lo:s_hi]
+        # each proxy window once, then one row per pair
+        slot = {}
+        which = np.array([slot.setdefault(pairs[k][0], len(slot)) for k in both])
+        z_n = np.array([heads[proxy][3] - heads[proxy][2] for proxy in slot])
+        z = np.full((z_n.size, z_n.max()), np.inf)
+        for row, proxy in zip(z, slot):
+            _, _, p_lo, p_hi, _ = heads[proxy]
+            row[:p_hi - p_lo] = proxy.values[p_lo:p_hi]
+        d = kernels.ks_distance(y, z[which], y_n, z_n[which])
+        mean, var = _moments_by_length(y, y_n)
+        for k, measured in zip(both, zip(d.tolist(), mean.tolist(), var.tolist())):
+            stats[k] = measured
+    for (proxy, sensor, s_lo, s_hi), measured in zip(pairs, stats):
+        rows[proxy][weakref.ref(sensor)] = (s_lo, s_hi, *measured)
+    entries = {proxy: head + (rows[proxy],) for proxy, head in heads.items()}
+    _proxy_windows.update(entries)
+    return entries
+
+
 # Assessed hours per block of window statistics in SiteEngine.run: bounds
 # the padded window arrays to a few hundred kB whatever the span's length.
 _BLOCK_HOURS = 128
@@ -413,7 +516,7 @@ def _window_stats(y_values, y_lo, y_n, z_values, z_lo, z_n):
         block = slice(lo, lo + _BLOCK_HOURS)
         y = _padded_windows(y_values, y_lo[block], y_n[block])
         z = _padded_windows(z_values, z_lo[block], z_n[block])
-        d[block] = kernels.ks_distance_rows(y, z, y_n[block], z_n[block])
+        d[block] = kernels.ks_distance(y, z, y_n[block], z_n[block])
         mean_y[block], var_y[block] = _moments_by_length(y, y_n[block])
         mean_z[block], var_z[block] = _moments_by_length(z, z_n[block])
     return d, mean_y, var_y, mean_z, var_z

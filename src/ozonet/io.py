@@ -17,6 +17,7 @@ import json
 import operator
 import os
 import typing
+import unicodedata
 from dataclasses import dataclass, field
 from io import StringIO
 from pathlib import Path
@@ -69,6 +70,12 @@ def atomic_write(path, newline=None):
     which replaces `path` only once the block completes: a write that fails
     leaves the old file (or none) and no temporary file behind."""
     path = Path(path)
+    try:
+        os.fsencode(path)
+    except UnicodeEncodeError as exc:
+        # a ValueError from the file system calls below; an OSError here
+        raise OSError(f"file name {str(path)!r} cannot be encoded "
+                      f"in the file system encoding {exc.encoding!r}") from exc
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -390,6 +397,7 @@ class NetworkConfig:
     output_dir: str = "out"
 
     def __post_init__(self):
+        check_site_ids(self.sites)
         ids = [s.site_id for s in self.sites]
         if len(ids) != len(set(ids)):
             raise ConfigError("site ids must be unique")
@@ -414,6 +422,20 @@ class NetworkConfig:
             return json_record(cls, json_value(data, dict, "the configuration"), "")
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad configuration: {exc}") from exc
+
+
+def check_site_ids(sites):
+    """ValueError naming the first of `sites` (SiteRecords) whose id is not
+    one safe file-name component. `run` names each site's outputs
+    charts/<site_id>.csv and corrected/<site_id>.csv, so an id must not be
+    empty, '.' or '..', nor hold a '/', a '\\' or a control character."""
+    for i, site in enumerate(sites):
+        sid = site.site_id
+        if sid in ("", ".", "..") or "/" in sid or "\\" in sid or any(
+                unicodedata.category(c) == "Cc" for c in sid):
+            raise ValueError(f"'sites[{i}].site_id' {sid!r} is not one safe file name: "
+                             "an id names its output files, so it must not be empty, "
+                             "'.' or '..', nor hold '/', '\\' or a control character")
 
 
 _JSON_KINDS = {dict: "object", list: "array", str: "string", bool: "boolean",

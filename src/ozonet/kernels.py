@@ -5,8 +5,13 @@ from __future__ import annotations
 import numpy as np
 
 
-def ks_distance(a, b) -> float:
+def ks_distance(a, b, m=None, n=None):
     """Sup distance between the two empirical CDFs, each normalised by 1/(n+1).
+
+    One pair of 1-D samples gives a float. Padded rows give an array: row r
+    of a 2-D `a` holds m[r] finite samples followed by +inf padding, and
+    likewise `b` with n[r]; each row's distance equals that of its samples
+    passed alone, bit for bit, whatever the padding.
 
     F(x) counts points strictly below x, so each curve is left-continuous
     and steps just after each sample value. The sup is attained at a pooled
@@ -14,6 +19,8 @@ def ks_distance(a, b) -> float:
     right limit at the previous breakpoint (both curves start at 0), so the
     right limits alone give the sup.
     """
+    if m is not None:
+        return _distance_rows(a, b, np.asarray(m), np.asarray(n))
     # sorted copies: the samples are often views into a series
     av = np.array(a, dtype=np.float64)
     bv = np.array(b, dtype=np.float64)
@@ -28,21 +35,18 @@ def ks_distance(a, b) -> float:
     return float(np.maximum.reduce(np.abs(fa - fb)))
 
 
-def ks_distance_rows(a, b, m, n) -> np.ndarray:
-    """`ks_distance` of each row pair, bit for bit.
+def _distance_rows(a, b, m, n) -> np.ndarray:
+    """`ks_distance` of padded rows.
 
-    Row r of `a` holds m[r] finite samples followed by +inf padding, and
-    likewise `b` with n[r]. Each side is sorted on its own, so a stable
-    argsort of the pooled row only merges two sorted runs. The running
-    count of a-samples at the last element of a tie run is the right limit
-    `searchsorted(av, x, side="right")` at that value x; the padding sorts
-    last and is left out. Tie runs are found with `!=`, so the order of
-    -0.0 and 0.0 within a run does not matter.
+    Each side is sorted on its own, so a stable argsort of the pooled row
+    only merges two sorted runs. The running count of a-samples at the last
+    element of a tie run is the right limit `searchsorted(av, x,
+    side="right")` at that value x; the padding sorts last and is left out.
+    Tie runs are found with `!=`, so the order of -0.0 and 0.0 within a run
+    does not matter.
     """
     a = np.sort(np.asarray(a, dtype=np.float64), axis=1)
     b = np.sort(np.asarray(b, dtype=np.float64), axis=1)
-    m = np.asarray(m)
-    n = np.asarray(n)
     if m.size and (m.min() < 1 or n.min() < 1):
         raise ValueError("samples must be non-empty")
     pooled = np.concatenate((a, b), axis=1)

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ozonet.io import json_record, json_value
+from ozonet.io import check_site_ids, json_record, json_value
 from ozonet.proxy import ROLE_LOW_COST, ROLE_REFERENCE, SiteRecord
 from ozonet.timeseries import (
     TimeSeries,
@@ -173,6 +173,7 @@ class Scenario:
     def __post_init__(self):
         if self.duration_hours <= 0:
             raise ValueError("duration must be positive")
+        check_site_ids([s.record for s in self.sites])
         ids = [s.record.site_id for s in self.sites]
         if len(ids) != len(set(ids)):
             raise ValueError("site ids must be unique")

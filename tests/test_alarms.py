@@ -816,3 +816,161 @@ class TestSharedProxyWindow:
         del engines, engine, proxy
         assert dropped() is None
         assert len(alarms._proxy_windows) == held - 1
+
+
+def private_copy(engine):
+    """A fresh engine like `engine` on copies of its sensor and proxy, so
+    that no other engine's measurement can serve it."""
+    sensor, proxy = engine.sensor, engine.proxy
+    return SiteEngine(engine.site_id,
+                      TimeSeries(sensor.site_id, sensor.hours.copy(), sensor.values.copy()),
+                      TimeSeries(proxy.site_id, proxy.hours.copy(), proxy.values.copy()),
+                      engine.thresholds)
+
+
+@st.composite
+def lockstep_networks(draw):
+    """Two or three proxy series and a few sensors, with outage blocks and
+    flat-lined stretches, and engine specs (sensor, proxy, thresholds) over
+    them; the first sensor is watched by two engines on different proxies."""
+    n = draw(st.integers(30, 120))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    blocks = st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 30)), max_size=3)
+    all_hours = np.arange(START_HOUR, START_HOUR + n, dtype=np.int64)
+    signal = 30 + 10 * np.sin(2 * np.pi * all_hours / 24) + rng.normal(0, 2, n)
+    proxies = [TimeSeries(f"P{j}", *cut(all_hours, signal + j + rng.normal(0, 0.5, n),
+                                        draw(blocks)))
+               for j in range(draw(st.integers(2, 3)))]
+    sensors = []
+    for k in range(draw(st.integers(2, 4))):
+        first = draw(st.integers(0, n - 1))
+        last = draw(st.integers(first, n - 1))
+        values = (draw(st.sampled_from([0.5, 1.0, 1.8])) * signal
+                  + draw(st.sampled_from([-12.0, 0.0, 8.0])) + rng.normal(0, 1, n))
+        flat = draw(st.none() | st.tuples(st.integers(0, n - 1), st.integers(1, n)))
+        if flat is not None:
+            values[flat[0]:flat[0] + flat[1]] = values[flat[0]]
+        values = np.clip(values, VALUE_MIN, VALUE_MAX)
+        hours, kept = cut(all_hours[first:last + 1], values[first:last + 1], draw(blocks))
+        if not hours.size:      # run() on an empty sensor has no hour to replay
+            hours, kept = all_hours[first:first + 1], values[first:first + 1]
+        sensors.append(TimeSeries(f"S{k}", hours, kept))
+    spec = engine_specs(sensors, proxies)
+    shared = st.sampled_from(SHARED_THRESHOLDS)
+    specs = [(0, 0, draw(shared)), (0, 1, draw(shared))] + draw(st.lists(spec, max_size=5))
+    return proxies, sensors, specs
+
+
+def engine_specs(sensors, proxies):
+    """(sensor index, proxy index, thresholds) of an engine."""
+    return st.tuples(st.integers(0, len(sensors) - 1), st.integers(0, len(proxies) - 1),
+                     st.sampled_from(SHARED_THRESHOLDS))
+
+
+class TestLockstepBatch:
+    """Engines stepping in step (same window length, same last hour) are
+    measured in one batch per hour; each must step as it would alone, and
+    as run() replays it."""
+
+    def test_engines_in_step_measure_a_tick_in_one_call(self, network, monkeypatch):
+        # one row-form KS call per tick for the whole network on two
+        # proxies, with the rows of private engines; an engine with no peer
+        # in step keeps the one-window calls
+        calls = []
+        distance = alarms.kernels.ks_distance
+
+        def counted(*args):
+            calls.append(len(args))
+            return distance(*args)
+
+        monkeypatch.setattr(alarms.kernels, "ks_distance", counted)
+        proxy = network["REF"]
+        other = TimeSeries("REF2", proxy.hours, np.clip(proxy.values * 0.8 + 3.0, 0, None))
+        engines = [SiteEngine(sid, network[sid], ref)
+                   for sid in ("GAIN", "OFFSET", "FLAT", "CLEAN") for ref in (proxy, other)]
+        first = int(proxy.hours[0]) + 100
+        for hour in range(first, first + 50):
+            rows = [engine.step(hour) for engine in engines]
+        assert {r.status for r in rows} == {"ok"}
+        assert calls == [4] * 50
+        calls.clear()
+        for engine in engines:
+            private = stepped(private_copy(engine), first, first + 49)
+            assert engine_state(engine) == engine_state(private)
+        calls.clear()
+        lone = stepped(SiteEngine("GAIN", network["GAIN"], proxy, Thresholds(td_hours=60)),
+                       first, first + 9)
+        assert calls == [2] * 10
+
+    @settings(max_examples=40, deadline=None)
+    @given(lockstep_networks(), st.lists(st.integers(1, 40), min_size=1, max_size=4),
+           st.data())
+    def test_batches_step_as_private_engines_and_run(self, network, slices, data):
+        # twin streams of the same engines take turns by slices of ticks; in
+        # the first, an engine joins in the middle, and a lone engine steps
+        # hours of its own between the stream's engines
+        proxies, sensors, specs = network
+        hours = list(range(START_HOUR - 5, START_HOUR + 130))
+
+        def build(name, spec):
+            s, p, th = spec
+            return SiteEngine(name, sensors[s], proxies[p], th)
+
+        streams = [[build(f"E{k}", spec) for k, spec in enumerate(specs)] for _ in range(2)]
+        join = data.draw(st.integers(1, len(hours) - 1), label="join")
+        joiner = build("J", data.draw(engine_specs(sensors, proxies), label="joiner"))
+        lone = build("L", data.draw(engine_specs(sensors, proxies), label="lone"))
+        shift = data.draw(st.integers(1, 60), label="shift")
+        at = data.draw(st.integers(0, len(specs)), label="lone's place")
+        k = 0
+        for size in itertools.cycle(slices):
+            if k >= len(hours):
+                break
+            for hour in hours[k:k + size]:
+                for engine in streams[0][:at]:
+                    engine.step(hour)
+                lone.step(hour + shift)
+                for engine in streams[0][at:]:
+                    engine.step(hour)
+                if hour >= hours[join]:
+                    joiner.step(hour)
+            for hour in hours[k:k + size]:
+                for engine in streams[1]:
+                    engine.step(hour)
+            k += size
+
+        for engine, twin in zip(*streams):
+            private = stepped(private_copy(engine), hours[0], hours[-1])
+            assert engine_state(engine) == engine_state(private) == engine_state(twin)
+            batch = private_copy(engine)
+            assert batch.run(hours[0], hours[-1]).rows == engine.ledger.history
+            assert engine_state(batch) == engine_state(engine)
+        private = stepped(private_copy(joiner), hours[join], hours[-1])
+        assert engine_state(joiner) == engine_state(private)
+        assert private_copy(joiner).run(hours[join], hours[-1]).rows == joiner.ledger.history
+        private = stepped(private_copy(lone), hours[0] + shift, hours[-1] + shift)
+        assert engine_state(lone) == engine_state(private)
+
+    def test_dropping_every_engine_empties_the_registry(self):
+        proxy = sim_series("P", 0, 200, 2)
+        engines = [SiteEngine(f"S{k}", sim_series(f"S{k}", 0, 200, k), proxy, th)
+                   for k, th in enumerate(BATCH_THRESHOLDS * 2)]
+        for engine in engines:
+            engine.step(150)
+        assert set(engines) <= set(alarms._engines)
+        del engines, engine
+        gc.collect()
+        assert len(alarms._engines) == 0
+
+    def test_series_checked_against_each_other_are_freed(self):
+        # two references, each the other's proxy, stepped in one batch: the
+        # windows stored on each must not keep the other alive
+        first, second = sim_series("A", 0, 200, 1), sim_series("B", 0, 200, 2)
+        engines = [SiteEngine("A", first, second), SiteEngine("B", second, first)]
+        for hour in range(100, 110):
+            for engine in engines:
+                engine.step(hour)
+        assert first in alarms._proxy_windows and second in alarms._proxy_windows
+        dropped = [weakref.ref(first), weakref.ref(second)]
+        del engines, engine, first, second
+        assert [ref() for ref in dropped] == [None, None]

@@ -495,6 +495,16 @@ class TestSimulateCommand:
         spath.write_text(json.dumps({"seed": 1}))
         assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
 
+    def test_unsafe_site_id_in_scenario_is_input_error(self, tmp_path, capsys):
+        scenario = pair_scenario(duration_hours=24).to_dict()
+        scenario["sites"][1]["site_id"] = "../LC"
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(scenario))
+        assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad scenario {spath}: 'sites[1].site_id' '../LC' ")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("payload, what", [
         ([1, 2], "scenario must be a JSON object, got list"),
         ("text", "scenario must be a JSON object, got str"),
@@ -678,6 +688,48 @@ class TestRunCommand:
             paths.append(out)
         for rel in ("corrected/LC.csv", "charts/LC.csv", "summary.csv"):
             assert (paths[0] / rel).read_bytes() == (paths[1] / rel).read_bytes()
+
+    @pytest.mark.parametrize("site_id", [
+        "../../escaped", "", ".", "..", "a/b", "a\\b", "a\x00b", "a\nb", "a\x7fb", "a\x85b"])
+    def test_unsafe_site_id_is_config_error(self, sim_dir, capsys, site_id):
+        # a site id names charts/<id>.csv and corrected/<id>.csv, so one that
+        # is no single file name is rejected when the config is read
+        network = sim_dir / "network.json"
+        config = json.loads(network.read_text())
+        index = [s["site_id"] for s in config["sites"]].index("LC")
+        config["sites"][index]["site_id"] = site_id
+        network.write_text(json.dumps(config))
+        observed = sim_dir / "observed.csv"
+        if site_id == "../../escaped":
+            observed.write_text(observed.read_text().replace(",LC,", f",{site_id},"))
+        out = sim_dir / "a" / "b" / "out"
+        for command in ("validate", "run", "proxy-eval"):
+            args = [command, str(network)] + (["--out", str(out)] if command != "validate" else [])
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: bad configuration: 'sites[{index}].site_id' ")
+        assert sorted(p.name for p in sim_dir.rglob("*")) == sorted(
+            ["network.json", "observed.csv", "truth.csv", "manifest.json"])
+
+    def test_unencodable_site_id_is_output_error(self, tmp_path):
+        # under a locale whose file system encoding lacks a character of a
+        # site id, the output cannot be named: an error, not a traceback
+        scenario = json.dumps(pair_scenario(duration_hours=24 * 10).to_dict(),
+                              ensure_ascii=False).replace('"LC"', '"Lé"')
+        (tmp_path / "scenario.json").write_text(scenario, encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                   PYTHONUTF8="0", LC_ALL="C", PYTHONCOERCECLOCALE="0")
+
+        def command(*args):
+            return subprocess.run([sys.executable, "-m", "ozonet.cli", *args], cwd=tmp_path,
+                                  env=env, capture_output=True, timeout=60)
+
+        assert command("simulate", "scenario.json", "--out", "sim").returncode == 0
+        done = command("run", "sim/network.json", "--out", "out")
+        assert done.returncode == 2
+        assert done.stderr.startswith(b"error: cannot write output: file name ")
+        assert b"Traceback" not in done.stderr
+        assert not list((tmp_path / "out").rglob("*.tmp"))
 
     def test_threshold_flags_accepted(self, sim_dir):
         out = sim_dir / "flags"

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ozonet import kernels
+from test_kstest import oracle_sup_distance
 
 
 def test_pure_distance_rejects_empty():
@@ -59,8 +60,8 @@ def test_kernels_leave_caller_arrays_unchanged():
     kernels.ks_distance(a, b)
     kernels.window_moments(a)
     kernels.window_moments(series[:150].reshape(3, 50))
-    kernels.ks_distance_rows(series[:144].reshape(2, 72), series[50:194].reshape(2, 72),
-                             np.array([72, 72]), np.array([72, 72]))
+    kernels.ks_distance(series[:144].reshape(2, 72), series[50:194].reshape(2, 72),
+                        np.array([72, 72]), np.array([72, 72]))
     assert series.tobytes() == before.tobytes()
 
 
@@ -78,7 +79,7 @@ def test_distance_rows_equal_scalar_calls_bit_for_bit(specs):
     b_rows = [_window(kb, n, seed + 1) for _, _, kb, n, seed in specs]
     m = np.array([len(r) for r in a_rows])
     n = np.array([len(r) for r in b_rows])
-    rows = kernels.ks_distance_rows(_padded(a_rows), _padded(b_rows), m, n)
+    rows = kernels.ks_distance(_padded(a_rows), _padded(b_rows), m, n)
     assert rows.tolist() == [kernels.ks_distance(a, b) for a, b in zip(a_rows, b_rows)]
 
 
@@ -94,3 +95,15 @@ def test_moment_rows_equal_scalar_calls_bit_for_bit(kind, size, count, seed):
     singles = [kernels.window_moments(row.copy()) for row in windows]
     assert mean.tolist() == [s[0] for s in singles]
     assert var.tolist() == [s[1] for s in singles]
+
+
+@settings(deadline=None, max_examples=60)
+@given(window_specs, st.integers(0, 20))
+def test_distance_rows_equal_the_oracle_bit_for_bit(specs, extra):
+    # the row form against the brute-force ECDF sup, padded wider than any row
+    a_rows = [_window(ka, m, seed) for ka, m, _, _, seed in specs]
+    b_rows = [_window(kb, n, seed + 1) for _, _, kb, n, seed in specs]
+    a, b = _padded(a_rows), _padded(b_rows)
+    a = np.concatenate((a, np.full((len(specs), extra), np.inf)), axis=1)
+    rows = kernels.ks_distance(a, b, [len(r) for r in a_rows], [len(r) for r in b_rows])
+    assert rows.tolist() == [oracle_sup_distance(x, y) for x, y in zip(a_rows, b_rows)]

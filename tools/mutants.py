@@ -79,6 +79,11 @@ MUTANTS = [
            "entry[1] != stamp or entry[0] != td_hours", "entry[1] != stamp"),
     Mutant("SiteEngine._measure: a proxy window of a later hour serves an earlier one",
            "alarms.py", "entry[1] != stamp", "entry[1] < stamp"),
+    Mutant("SiteEngine._measure: an entry without the engine's sensor serves it", "alarms.py",
+           "if entry is None or key not in entry[5]:", "if entry is None:"),
+    Mutant("_measure_together: a batch row paired with another proxy's window", "alarms.py",
+           "which = np.array([slot.setdefault(pairs[k][0], len(slot)) for k in both])",
+           "which = np.array([slot.setdefault(pairs[k][0], len(slot)) for k in both])[::-1]"),
     Mutant("ks_pvalue: small-sample term dropped", "kstest.py",
            "(root + 0.12 + 0.11 / root) * d", "root * d"),
     Mutant("step: correction clip floor VALUE_MIN -> 0.0", "alarms.py",
