@@ -15,23 +15,32 @@ would be circular.
 One engine instance per site, single writer; separate sites may run in
 parallel. Replaying the same inputs reproduces the identical ledger.
 
-A streamed hour is measured in one batch for the engines stepping in step:
-those with the same window length whose last stepped hour is the same.
-The first of them to step the hour measures its own windows and those of
-every live engine in step with it: each proxy window once, then one KS
-distance call over the padded rows of all (proxy, sensor) pairs and one
-moment pass over the sensor rows. It stores, per proxy series, one entry
-for that (window length, hour): the proxy's bounds and moments and each
+A streamed hour is measured in one batch for the engines stepping in
+step: those with the same window length whose last stepped hour is the
+same. The first of them to step the hour measures it for all: each proxy
+window once, every sensor window's bounds, then one KS distance call over
+the padded rows of the (proxy, sensor) pairs that one of them assesses and
+one moment pass over those sensor rows. It stores the result as one entry
+per proxy series and window length: the proxy's bounds and moments and each
 sensor's bounds, distance and moments. The others find their rows there.
-Each engine then makes its own completeness check, p value, estimate,
-trend and persistence update. An engine with no peer in step measures its
-windows alone, reusing the proxy's if the entry holds them.
+An engine that finds the hour stored without its own sensor, or without a
+distance it needs (an engine not in step when the batch ran, built later,
+say), measures its pair, and what the engines now in step with it lack,
+and keeps the rows already stored. Each engine then makes its own
+completeness check, p value, estimate, trend and persistence update. An
+engine with no peer in step is a batch of one.
 
-The entry of a proxy is freed with its series. It is an immutable tuple,
-replaced whole, and an engine uses it only for its own proxy, sensor,
-window length and hour, so which engines join a batch decides only how
-much work is shared, never a row: engines stepping in different threads,
-or through different hours, at worst measure a window again.
+The engines in step are found in a set per (window length, last stepped
+hour), which each stepping engine moves to; a batch costs what its engines
+do, whatever else is alive. Sets and entries are freed with their engines
+and proxy series. An entry is an immutable tuple, replaced whole, and an
+engine uses it only for its own sensor, window length and hour, so which
+engines join a batch decides only how much work is shared, never a row.
+Streams on one proxy and window length at different hours that take turns
+engine by engine replace each other's entries, so each step then measures
+its peers again: at worst about N*N/2 sensor windows for a tick of N
+engines, where stepping them alone measures N. Streams that take turns by
+whole ticks, as twin passes do, measure each window once per tick.
 """
 
 from __future__ import annotations
@@ -74,19 +83,22 @@ TREND_GAIN_MIN = 0.25
 TREND_GAIN_MAX = 4.0
 TREND_OFFSET_CAP = 60.0
 
-# proxy series -> (td_hours, stamp, p_lo, p_hi, moments, sensors): the proxy
-# window (stamp - td_hours, stamp] as index bounds and window_moments (None
-# when the window is empty), and weakref(sensor series) -> (s_lo, s_hi, d,
-# mean, var) for the sensor windows measured against it (d and the moments
-# None where not measured). Weak sensor keys: a series may be one engine's
-# sensor and another's proxy, and a strong one would keep it alive. See the
-# module docstring.
+# proxy series -> {td_hours: (stamp, p_lo, p_hi, moments, sensors)}: the
+# latest hour measured on the proxy for each window length. That is the
+# proxy window (stamp - td_hours, stamp] as index bounds and window_moments
+# (None when the window is empty), and weakref(sensor series) -> (s_lo,
+# s_hi, d, mean, var) for the sensor windows measured against it (d and the
+# moments None where either window is empty). Weak sensor keys: a series may
+# be one engine's sensor and another's proxy, and a strong one would keep it
+# alive. See the module docstring.
 _proxy_windows = weakref.WeakKeyDictionary()
 
-# every live SiteEngine, the candidates of a batch; the lock keeps an engine
-# built in another thread from changing the set while it is copied
-_engines = weakref.WeakSet()
-_engines_lock = threading.Lock()
+# (td_hours, last stepped hour) -> the live engines there, the candidates of
+# a batch: a WeakSet held by its engines, so it is freed once they have all
+# moved on or died. The lock keeps an engine moving in another thread from
+# changing a set while it is copied.
+_in_step = weakref.WeakValueDictionary()
+_in_step_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -268,8 +280,8 @@ class SiteEngine:
         self.proxy = proxy
         self.history = EstimateHistory(site_id)
         self.ledger = AlarmLedger(site_id)
-        with _engines_lock:
-            _engines.add(self)
+        self._cohort = None
+        self._file_under(None)
 
     def step(self, stamp, measured: tuple | None = None) -> HistoryRow:
         """Evaluate one hour; appends and returns the history row.
@@ -309,6 +321,8 @@ class SiteEngine:
                             else (offset_raw, gain_raw))
             flags = _breaches(p_ks, offset, gain, th)
         ledger = update_persistence(self.ledger, stamp, flags, th)
+        if measured is None:
+            self._file_under(stamp)     # run() files the engine after its last hour
 
         output_value = raw_value
         corrected = (p_ks is not None and decide_correction(ledger, th)
@@ -332,28 +346,22 @@ class SiteEngine:
         td_hours = th.td_hours
         sensor, proxy = self.sensor, self.proxy
         key = weakref.ref(sensor)
-        entry = _proxy_windows.get(proxy)
-        if entry is not None and (entry[1] != stamp or entry[0] != td_hours):
-            entry = None        # another hour's or window length's
-        if entry is None or key not in entry[5]:
-            peers = self._peers()
-            entry = (_measure_together([self, *peers], stamp, td_hours)[proxy] if peers
-                     else self._measure_alone(stamp, entry))
-        _, _, p_lo, p_hi, z_moments, sensors = entry
-        s_lo, s_hi, d, mean_y, var_y = sensors[key]
+        entry = _proxy_windows.get(proxy, {}).get(td_hours)
+        row = entry[4].get(key) if entry is not None and entry[0] == stamp else None
+        if row is None or row[2] is None and _assessed(row, entry, th):
+            with _in_step_lock:
+                engines = list(self._cohort)
+            entry = _measure_together(engines, stamp, td_hours)[proxy]
+            row = entry[4][key]
+        _, p_lo, p_hi, z_moments, _ = entry
+        s_lo, s_hi, d, mean_y, var_y = row
         raw_value = None
         if s_hi > s_lo and sensor.hours[s_hi - 1] == stamp:
             raw_value = float(sensor.values[s_hi - 1])
 
-        n_y, n_z = s_hi - s_lo, p_hi - p_lo
         p = offset = gain = None
-        if window_complete(min(n_y, n_z), td_hours, th.completeness_min):
-            if d is None:
-                # measured alone: only a window that is assessed
-                y = sensor.values[s_lo:s_hi]
-                d = kernels.ks_distance(y, proxy.values[p_lo:p_hi])
-                mean_y, var_y = kernels.window_moments(y)
-            p = ks_pvalue(d, n_y, n_z)
+        if _assessed(row, entry, th):
+            p = ks_pvalue(d, s_hi - s_lo, p_hi - p_lo)
             # the raw estimate as run() makes it: none for a degenerate window
             if var_y > DEGENERATE_VAR_EPS:
                 offset, gain = match_moments(mean_y, var_y, *z_moments)
@@ -363,31 +371,19 @@ class SiteEngine:
 
         return (raw_value, p, offset, gain) + (self.history.trend or (None, None))
 
-    def _peers(self) -> list:
-        """The other live engines in step with this one: same window length,
-        same last stepped hour."""
-        if len(_engines) < 2:
-            return []           # a lone engine skips the copy
-        td_hours, last_stamp = self.thresholds.td_hours, self.ledger.last_stamp
-        with _engines_lock:
-            live = list(_engines)
-        return [e for e in live if e.ledger.last_stamp == last_stamp
-                and e.thresholds.td_hours == td_hours and e is not self]
-
-    def _measure_alone(self, stamp: int, entry) -> tuple:
-        """The entry of this engine's proxy for `stamp`, holding only the
-        sensor's bounds. The proxy's come from `entry`, the stored entry of
-        this hour and window length, if there is one; else they are
-        measured and stored."""
-        td_hours = self.thresholds.td_hours
-        # plain ints: numpy scalars make the slicing and comparisons slower
-        rows = {weakref.ref(self.sensor): (
-            *window_bounds(self.sensor.hours, stamp, td_hours).tolist(), None, None, None)}
-        if entry is not None:
-            return entry[:5] + (rows,)
-        entry = _proxy_entry(self.proxy, stamp, td_hours) + (rows,)
-        _proxy_windows[self.proxy] = entry
-        return entry
+    def _file_under(self, last_stamp):
+        """Move this engine to the set of live engines in step with it:
+        those with its window length whose last stepped hour is
+        `last_stamp`."""
+        key = (self.thresholds.td_hours, last_stamp)
+        with _in_step_lock:
+            if self._cohort is not None:
+                self._cohort.discard(self)
+            cohort = _in_step.get(key)
+            if cohort is None:
+                cohort = _in_step[key] = weakref.WeakSet()
+            cohort.add(self)
+        self._cohort = cohort
 
     def run(self, start=None, end=None) -> SiteRunResult:
         """Evaluate every hour of the sensor's span (or the given range).
@@ -446,60 +442,69 @@ class SiteEngine:
         step = self.step
         for stamp, measured in zip(stamps.tolist(), zip(*map(_or_none, columns))):
             step(stamp, measured)
+        self._file_under(self.ledger.last_stamp)
         return SiteRunResult(self.site_id, list(self.ledger.history))
 
 
-def _proxy_entry(proxy: TimeSeries, stamp: int, td_hours: int) -> tuple:
-    """(td_hours, stamp, p_lo, p_hi, moments): the head of a proxy entry."""
-    p_lo, p_hi = window_bounds(proxy.hours, stamp, td_hours).tolist()
-    return (td_hours, stamp, p_lo, p_hi,
-            kernels.window_moments(proxy.values[p_lo:p_hi]) if p_hi > p_lo else None)
+def _assessed(row: tuple, entry: tuple, th: Thresholds) -> bool:
+    """Whether an engine with thresholds `th` assesses the sensor window of
+    `row` against the proxy window of `entry`; never for an empty one."""
+    return window_complete(min(row[1] - row[0], entry[2] - entry[1]), th.td_hours,
+                           th.completeness_min)
 
 
 def _measure_together(engines, stamp: int, td_hours: int) -> dict:
-    """Measure the windows ending at `stamp` of every (proxy, sensor) pair
-    of `engines`, which share `td_hours`; returns proxy -> its fresh entry,
-    each also stored in _proxy_windows.
+    """Measure the windows ending at `stamp` of the (proxy, sensor) pairs of
+    `engines` for `td_hours`; returns proxy -> its fresh entry, each also
+    stored. A proxy's stored entry of this hour keeps its proxy window and
+    rows, and only what they lack is measured.
 
-    Each proxy window is measured once. The pairs whose windows are both
-    non-empty get their KS distance from one call over padded rows and
-    their sensor moments from one pass by length; the bits equal those of
-    the one-window calls.
+    Every pair gets its window bounds. A pair that one of its engines
+    assesses also gets its KS distance and sensor moments (None where
+    not): one call over padded rows and one pass by length for all such
+    pairs, each proxy window once; the bits equal those of the one-window
+    calls.
     """
-    heads, rows = {}, {}
+    entries, wanted = {}, {}
     for engine in engines:
-        proxy = engine.proxy
-        if proxy not in heads:
-            heads[proxy] = _proxy_entry(proxy, stamp, td_hours)
-            rows[proxy] = {}
-        rows[proxy][weakref.ref(engine.sensor)] = None
-    pairs = [(proxy, key(), *window_bounds(key().hours, stamp, td_hours).tolist())
-             for proxy, held in rows.items() for key in held]
-    stats = [(None, None, None)] * len(pairs)
-    both = [k for k, (proxy, _, s_lo, s_hi) in enumerate(pairs)
-            if s_hi > s_lo and heads[proxy][3] > heads[proxy][2]]
-    if both:
-        y_n = np.array([pairs[k][3] - pairs[k][2] for k in both])
+        proxy, sensor = engine.proxy, engine.sensor
+        entry = entries.get(proxy)
+        if entry is None:
+            entry = _proxy_windows.get(proxy, {}).get(td_hours)
+            if entry is None or entry[0] != stamp:
+                p_lo, p_hi = window_bounds(proxy.hours, stamp, td_hours).tolist()
+                entry = (stamp, p_lo, p_hi, kernels.window_moments(proxy.values[p_lo:p_hi])
+                         if p_hi > p_lo else None, {})
+            entry = entries[proxy] = entry[:4] + (dict(entry[4]),)
+        key = weakref.ref(sensor)
+        row = entry[4].get(key)
+        if row is None:
+            # plain ints: numpy scalars make the slicing and comparisons slower
+            row = entry[4][key] = (*window_bounds(sensor.hours, stamp, td_hours).tolist(),
+                                   None, None, None)
+        if row[2] is None and _assessed(row, entry, engine.thresholds):
+            wanted[proxy, key] = (proxy, sensor, row[0], row[1])
+    pairs = list(wanted.values())
+    if pairs:
+        y_n = np.array([s_hi - s_lo for _, _, s_lo, s_hi in pairs])
         y = np.full((y_n.size, y_n.max()), np.inf)
-        for row, k in zip(y, both):
-            _, sensor, s_lo, s_hi = pairs[k]
+        for row, (_, sensor, s_lo, s_hi) in zip(y, pairs):
             row[:s_hi - s_lo] = sensor.values[s_lo:s_hi]
         # each proxy window once, then one row per pair
         slot = {}
-        which = np.array([slot.setdefault(pairs[k][0], len(slot)) for k in both])
-        z_n = np.array([heads[proxy][3] - heads[proxy][2] for proxy in slot])
+        which = [slot.setdefault(proxy, len(slot)) for proxy, *_ in pairs]
+        z_n = np.array([entries[proxy][2] - entries[proxy][1] for proxy in slot])
         z = np.full((z_n.size, z_n.max()), np.inf)
         for row, proxy in zip(z, slot):
-            _, _, p_lo, p_hi, _ = heads[proxy]
+            _, p_lo, p_hi, _, _ = entries[proxy]
             row[:p_hi - p_lo] = proxy.values[p_lo:p_hi]
         d = kernels.ks_distance(y, z[which], y_n, z_n[which])
         mean, var = _moments_by_length(y, y_n)
-        for k, measured in zip(both, zip(d.tolist(), mean.tolist(), var.tolist())):
-            stats[k] = measured
-    for (proxy, sensor, s_lo, s_hi), measured in zip(pairs, stats):
-        rows[proxy][weakref.ref(sensor)] = (s_lo, s_hi, *measured)
-    entries = {proxy: head + (rows[proxy],) for proxy, head in heads.items()}
-    _proxy_windows.update(entries)
+        for (proxy, sensor, s_lo, s_hi), measured in zip(pairs, zip(d.tolist(), mean.tolist(),
+                                                                    var.tolist())):
+            entries[proxy][4][weakref.ref(sensor)] = (s_lo, s_hi, *measured)
+    for proxy, entry in entries.items():
+        _proxy_windows.setdefault(proxy, {})[td_hours] = entry
     return entries
 
 

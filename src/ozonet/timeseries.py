@@ -9,7 +9,7 @@ Series are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import date, datetime, timezone
+from datetime import datetime, timezone
 
 import numpy as np
 
@@ -36,26 +36,8 @@ def epoch_hour_to_datetime(hour: int) -> datetime:
     return datetime.fromtimestamp(hour * SECONDS_PER_HOUR, tz=timezone.utc)
 
 
-_EPOCH_ORDINAL = date(1970, 1, 1).toordinal()
-
-
 def parse_iso_hour(text: str) -> int:
-    """Parse 'YYYY-MM-DDTHH:00:00Z' (UTC, hour-aligned) to an epoch hour.
-
-    The canonical 20-character form with ASCII digits is read directly.
-    Any other text, or a field out of range, goes through strptime, which
-    also takes unpadded fields ('2018-1-5T3:0:0Z') and words every error.
-    """
-    if (len(text) == 20 and text[4] == "-" and text[7] == "-" and text[10] == "T"
-            and text[13:] == ":00:00Z"):
-        digits = text[:4] + text[5:7] + text[8:10] + text[11:13]
-        if digits.isascii() and digits.isdigit() and text[11:13] < "24":
-            try:
-                day = date(int(text[:4]), int(text[5:7]), int(text[8:10])).toordinal()
-            except ValueError:
-                pass
-            else:
-                return (day - _EPOCH_ORDINAL) * 24 + int(text[11:13])
+    """Parse 'YYYY-MM-DDTHH:00:00Z' (UTC, hour-aligned) to an epoch hour."""
     try:
         stamp = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
     except ValueError as exc:

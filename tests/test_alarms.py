@@ -828,6 +828,22 @@ def private_copy(engine):
                       engine.thresholds)
 
 
+def counted_distance_rows(monkeypatch) -> list:
+    """The rows of each row-form kernels.ks_distance call, as they are made;
+    engines left by earlier tests are collected first, so none joins."""
+    gc.collect()
+    calls = []
+    distance = alarms.kernels.ks_distance
+
+    def counted(*args):
+        if len(args) == 4:
+            calls.append(len(args[0]))
+        return distance(*args)
+
+    monkeypatch.setattr(alarms.kernels, "ks_distance", counted)
+    return calls
+
+
 @st.composite
 def lockstep_networks(draw):
     """Two or three proxy series and a few sensors, with outage blocks and
@@ -874,82 +890,115 @@ class TestLockstepBatch:
 
     def test_engines_in_step_measure_a_tick_in_one_call(self, network, monkeypatch):
         # one row-form KS call per tick for the whole network on two
-        # proxies, with the rows of private engines; an engine with no peer
-        # in step keeps the one-window calls
-        calls = []
-        distance = alarms.kernels.ks_distance
-
-        def counted(*args):
-            calls.append(len(args))
-            return distance(*args)
-
-        monkeypatch.setattr(alarms.kernels, "ks_distance", counted)
+        # proxies, with a row per assessed pair (none in a tick without
+        # one) and the rows of private engines; an engine with no peer in
+        # step is a batch of one
+        calls = counted_distance_rows(monkeypatch)
         proxy = network["REF"]
         other = TimeSeries("REF2", proxy.hours, np.clip(proxy.values * 0.8 + 3.0, 0, None))
         engines = [SiteEngine(sid, network[sid], ref)
                    for sid in ("GAIN", "OFFSET", "FLAT", "CLEAN") for ref in (proxy, other)]
         first = int(proxy.hours[0]) + 100
+        assessed = []
         for hour in range(first, first + 50):
             rows = [engine.step(hour) for engine in engines]
-        assert {r.status for r in rows} == {"ok"}
-        assert calls == [4] * 50
-        calls.clear()
+            assessed.append(sum(r.p_ks is not None for r in rows))
+        assert max(assessed) == 8 and calls == [k for k in assessed if k]
         for engine in engines:
             private = stepped(private_copy(engine), first, first + 49)
             assert engine_state(engine) == engine_state(private)
         calls.clear()
         lone = stepped(SiteEngine("GAIN", network["GAIN"], proxy, Thresholds(td_hours=60)),
                        first, first + 9)
-        assert calls == [2] * 10
+        count = sum(r.p_ks is not None for r in lone.ledger.history)
+        assert count and calls == [1] * count
 
-    @settings(max_examples=40, deadline=None)
-    @given(lockstep_networks(), st.lists(st.integers(1, 40), min_size=1, max_size=4),
-           st.data())
-    def test_batches_step_as_private_engines_and_run(self, network, slices, data):
-        # twin streams of the same engines take turns by slices of ticks; in
-        # the first, an engine joins in the middle, and a lone engine steps
-        # hours of its own between the stream's engines
-        proxies, sensors, specs = network
-        hours = list(range(START_HOUR - 5, START_HOUR + 130))
+    def test_interleaved_window_lengths_measure_each_window_once(self, network, monkeypatch):
+        # engines on one proxy at three window lengths, stepped in an order
+        # that alternates the lengths: each length keeps its own entry, so a
+        # tick makes one call per length with an assessed window, and
+        # measures each assessed sensor window once
+        calls = counted_distance_rows(monkeypatch)
+        proxy = network["REF"]
+        thresholds = BATCH_THRESHOLDS + [Thresholds(td_hours=24)]
+        engines = [SiteEngine(sid, network[sid], proxy, th)
+                   for sid in ("GAIN", "OFFSET", "FLAT", "CLEAN") for th in thresholds]
+        assert len({th.td_hours for th in thresholds}) == 3
+        first = int(proxy.hours[0]) + 100
+        seen = []
+        for hour in range(first, first + 30):
+            calls.clear()
+            rows = [engine.step(hour) for engine in engines]
+            assessed = [sum(r.p_ks is not None for r in rows[k::3]) for k in range(3)]
+            assert calls == [k for k in assessed if k]
+            seen.append(calls[:])
+        assert [4, 4, 4] in seen
+        for engine in engines:
+            private = stepped(private_copy(engine), first, first + 29)
+            assert engine_state(engine) == engine_state(private)
 
-        def build(name, spec):
-            s, p, th = spec
-            return SiteEngine(name, sensors[s], proxies[p], th)
+    def test_a_batch_holds_only_engines_in_step(self, monkeypatch):
+        # idle engines join only the first tick, when the stepping engine has
+        # not stepped either; engines stepped long ago, or at another window
+        # length, never join
+        calls = counted_distance_rows(monkeypatch)
+        proxy, other = sim_series("P", 0, 200, 2), sim_series("Q", 0, 200, 3)
+        long_ago = [SiteEngine(f"O{k}", sim_series(f"O{k}", 0, 200, k + 8), other)
+                    for k in range(20)]
+        for engine in long_ago:
+            engine.step(80)
+        assert calls == [20]
+        engine = SiteEngine("S", sim_series("S", 0, 200, 1), proxy)
+        idle = [SiteEngine(f"I{k}", sim_series(f"I{k}", 0, 200, k + 4), other)
+                for k in range(3)]
+        shorter = SiteEngine("T", sim_series("T", 0, 200, 7), proxy, Thresholds(td_hours=48))
+        calls.clear()
+        for hour in range(100, 110):
+            engine.step(hour)
+            shorter.step(hour)
+        assert calls == [4, 1] + [1, 1] * 9
+        assert len(long_ago) + len(idle) == 23
 
-        streams = [[build(f"E{k}", spec) for k, spec in enumerate(specs)] for _ in range(2)]
-        join = data.draw(st.integers(1, len(hours) - 1), label="join")
-        joiner = build("J", data.draw(engine_specs(sensors, proxies), label="joiner"))
-        lone = build("L", data.draw(engine_specs(sensors, proxies), label="lone"))
-        shift = data.draw(st.integers(1, 60), label="shift")
-        at = data.draw(st.integers(0, len(specs)), label="lone's place")
-        k = 0
-        for size in itertools.cycle(slices):
-            if k >= len(hours):
-                break
-            for hour in hours[k:k + size]:
-                for engine in streams[0][:at]:
-                    engine.step(hour)
-                lone.step(hour + shift)
-                for engine in streams[0][at:]:
-                    engine.step(hour)
-                if hour >= hours[join]:
-                    joiner.step(hour)
-            for hour in hours[k:k + size]:
-                for engine in streams[1]:
-                    engine.step(hour)
-            k += size
+    def test_a_late_engine_adds_its_row_to_the_hour(self, monkeypatch):
+        # an engine not in step finds the hour stored without its sensor: it
+        # measures its own row against the stored proxy window, and the
+        # rows already stored stay, so an engine of the first batch that
+        # steps after it measures nothing
+        calls = counted_distance_rows(monkeypatch)
+        proxy = sim_series("P", 0, 200, 2)
+        first, second = (SiteEngine(f"S{k}", sim_series(f"S{k}", 0, 200, k), proxy)
+                         for k in range(2))
+        first.step(99)
+        second.step(99)
+        late = SiteEngine("L", sim_series("L", 0, 200, 7), proxy)
+        for engine in (first, late, second):
+            engine.step(100)
+        assert calls == [2, 2, 1]
+        for engine in (first, late, second):
+            engine.step(101)
+        assert calls[3:] == [3]
+        for engine, start in ((first, 99), (second, 99), (late, 100)):
+            assert engine_state(engine) == engine_state(stepped(private_copy(engine), start,
+                                                                101))
 
-        for engine, twin in zip(*streams):
-            private = stepped(private_copy(engine), hours[0], hours[-1])
-            assert engine_state(engine) == engine_state(private) == engine_state(twin)
-            batch = private_copy(engine)
-            assert batch.run(hours[0], hours[-1]).rows == engine.ledger.history
-            assert engine_state(batch) == engine_state(engine)
-        private = stepped(private_copy(joiner), hours[join], hours[-1])
-        assert engine_state(joiner) == engine_state(private)
-        assert private_copy(joiner).run(hours[join], hours[-1]).rows == joiner.ledger.history
-        private = stepped(private_copy(lone), hours[0] + shift, hours[-1] + shift)
-        assert engine_state(lone) == engine_state(private)
+    def test_a_window_is_measured_for_an_engine_that_assesses_it(self, monkeypatch):
+        # a 36-hour outage leaves the 72-hour window half full: an engine
+        # that asks for full windows leaves the pair unmeasured, and a later
+        # engine on the same pair that assesses half windows measures it
+        calls = counted_distance_rows(monkeypatch)
+        proxy, whole = sim_series("P", 0, 200, 2), sim_series("S", 0, 200, 1)
+        kept = (whole.hours < 100) | (whole.hours >= 136)
+        sensor = TimeSeries("S", whole.hours[kept], whole.values[kept])
+        strict = SiteEngine("A", sensor, proxy, Thresholds(completeness_min=1.0))
+        strict.step(150)
+        assert calls == []
+        lenient = SiteEngine("B", sensor, proxy, Thresholds(completeness_min=0.5))
+        lenient.step(150)
+        assert calls == [1]
+        assert strict.ledger.history[-1].p_ks is None
+        assert lenient.ledger.history[-1].p_ks is not None
+        for engine in (strict, lenient):
+            assert engine_state(engine) == engine_state(stepped(private_copy(engine), 150, 150))
 
     def test_dropping_every_engine_empties_the_registry(self):
         proxy = sim_series("P", 0, 200, 2)
@@ -957,10 +1006,11 @@ class TestLockstepBatch:
                    for k, th in enumerate(BATCH_THRESHOLDS * 2)]
         for engine in engines:
             engine.step(150)
-        assert set(engines) <= set(alarms._engines)
+        keys = [(th.td_hours, 150) for th in BATCH_THRESHOLDS]
+        assert set(engines) == {e for key in keys for e in alarms._in_step[key]}
         del engines, engine
         gc.collect()
-        assert len(alarms._engines) == 0
+        assert not any(key in alarms._in_step for key in keys)
 
     def test_series_checked_against_each_other_are_freed(self):
         # two references, each the other's proxy, stepped in one batch: the

@@ -57,6 +57,8 @@ MUTANTS = [
            '"right") / (m + 1.0)', '"right") / m'),
     Mutant("ks_distance: (n + 1.0) divisor -> n", "kernels.py",
            '"right") / (n + 1.0)', '"right") / n'),
+    Mutant("ks_distance rows: (m + 1.0) divisor -> m", "kernels.py",
+           "count_a / (m[:, None] + 1.0)", "count_a / m[:, None]"),
     Mutant('ks_distance: side="right" -> "left"', "kernels.py",
            'searchsorted(pooled, side="right")', 'searchsorted(pooled, side="left")'),
     Mutant("window_moments: size - 1 divisor -> size", "kernels.py",
@@ -75,15 +77,27 @@ MUTANTS = [
            "if var_y > DEGENERATE_VAR_EPS:", "if var_y >= DEGENERATE_VAR_EPS:"),
     Mutant("SiteEngine.run: var_y > DEGENERATE_VAR_EPS -> >=", "alarms.py",
            "ok = var_y > DEGENERATE_VAR_EPS", "ok = var_y >= DEGENERATE_VAR_EPS"),
-    Mutant("SiteEngine._measure: td_hours dropped from the proxy window's key", "alarms.py",
-           "entry[1] != stamp or entry[0] != td_hours", "entry[1] != stamp"),
-    Mutant("SiteEngine._measure: a proxy window of a later hour serves an earlier one",
-           "alarms.py", "entry[1] != stamp", "entry[1] < stamp"),
-    Mutant("SiteEngine._measure: an entry without the engine's sensor serves it", "alarms.py",
-           "if entry is None or key not in entry[5]:", "if entry is None:"),
+    Mutant("SiteEngine._measure: another window length's entry serves", "alarms.py",
+           "_proxy_windows.get(proxy, {}).get(td_hours)",
+           "next(iter(_proxy_windows.get(proxy, {}).values()), None)"),
+    Mutant("SiteEngine._measure: a later hour's entry serves an earlier one", "alarms.py",
+           "entry[0] == stamp", "entry[0] >= stamp"),
+    Mutant("_measure_together: a later hour's proxy window serves an earlier one",
+           "alarms.py", "entry[0] != stamp", "entry[0] < stamp"),
+    Mutant("SiteEngine._measure: another sensor's row serves an entry without its own",
+           "alarms.py", "row = entry[4].get(key) if entry is not None",
+           "row = entry[4].get(key, next(iter(entry[4].values()))) if entry is not None"),
+    Mutant("SiteEngine._measure: an unmeasured row serves an engine that assesses it",
+           "alarms.py", "if row is None or row[2] is None and _assessed(row, entry, th):",
+           "if row is None:"),
+    Mutant("_measure_together: pairs that no engine assesses are measured too", "alarms.py",
+           "if row[2] is None and _assessed(row, entry, engine.thresholds):",
+           "if row[2] is None and row[1] > row[0] and entry[2] > entry[1]:"),
     Mutant("_measure_together: a batch row paired with another proxy's window", "alarms.py",
-           "which = np.array([slot.setdefault(pairs[k][0], len(slot)) for k in both])",
-           "which = np.array([slot.setdefault(pairs[k][0], len(slot)) for k in both])[::-1]"),
+           "which = [slot.setdefault(proxy, len(slot)) for proxy, *_ in pairs]",
+           "which = [slot.setdefault(proxy, len(slot)) for proxy, *_ in pairs][::-1]"),
+    Mutant("_measure_together: a merged entry drops the rows it held", "alarms.py",
+           "entry[:4] + (dict(entry[4]),)", "entry[:4] + ({},)"),
     Mutant("ks_pvalue: small-sample term dropped", "kstest.py",
            "(root + 0.12 + 0.11 / root) * d", "root * d"),
     Mutant("step: correction clip floor VALUE_MIN -> 0.0", "alarms.py",
