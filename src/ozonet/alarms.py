@@ -15,32 +15,26 @@ would be circular.
 One engine instance per site, single writer; separate sites may run in
 parallel. Replaying the same inputs reproduces the identical ledger.
 
-A streamed hour is measured in one batch for the engines stepping in
-step: those with the same window length whose last stepped hour is the
-same. The first of them to step the hour measures it for all: each proxy
-window once, every sensor window's bounds, then one KS distance call over
-the padded rows of the (proxy, sensor) pairs that one of them assesses and
-one moment pass over those sensor rows. It stores the result as one entry
-per proxy series and window length: the proxy's bounds and moments and each
-sensor's bounds, distance and moments. The others find their rows there.
-An engine that finds the hour stored without its own sensor, or without a
-distance it needs (an engine not in step when the batch ran, built later,
-say), measures its pair, and what the engines now in step with it lack,
-and keeps the rows already stored. Each engine then makes its own
-completeness check, p value, estimate, trend and persistence update. An
-engine with no peer in step is a batch of one.
+A streamed hour is measured in one batch for the engines in step: the same
+window length and the same last stepped hour (engines that never stepped
+are in step with each other). The first of them to step the hour runs the
+batch. It hands each engine a slot (hour, raw value, p value, offset,
+gain): the raw reading, and for each (proxy, sensor) pair that an engine
+assesses by its own completeness rule, the KS distance, p value and raw
+estimate, measured once per pair. An engine whose slot holds the hour it
+steps only updates its own trend, clocks and row; any other engine runs a
+batch, alone if no engine is in step with it. A tick of N engines in step
+thus makes one KS distance call over the padded rows of its assessed
+pairs, one moment pass over their sensor windows and one moment call per
+proxy window; the other N - 1 steps read a slot. A batch looks only at the engines filed
+under its own window length and last hour, so it costs what they do, and
+streams on one proxy at different hours keep to their own batches.
 
-The engines in step are found in a set per (window length, last stepped
-hour), which each stepping engine moves to; a batch costs what its engines
-do, whatever else is alive. Sets and entries are freed with their engines
-and proxy series. An entry is an immutable tuple, replaced whole, and an
-engine uses it only for its own sensor, window length and hour, so which
-engines join a batch decides only how much work is shared, never a row.
-Streams on one proxy and window length at different hours that take turns
-engine by engine replace each other's entries, so each step then measures
-its peers again: at worst about N*N/2 sensor windows for a tick of N
-engines, where stepping them alone measures N. Streams that take turns by
-whole ticks, as twin passes do, measure each window once per tick.
+A slot depends only on the engine's series, thresholds and hour, and the
+engine that runs a batch takes its own result from the return value, never
+from its slot, which a batch in another thread may overwrite (an
+overwritten slot names another hour, so its engine runs a batch). Which
+engines join a batch thus decides only how much work is shared, never a row.
 """
 
 from __future__ import annotations
@@ -83,22 +77,19 @@ TREND_GAIN_MIN = 0.25
 TREND_GAIN_MAX = 4.0
 TREND_OFFSET_CAP = 60.0
 
-# proxy series -> {td_hours: (stamp, p_lo, p_hi, moments, sensors)}: the
-# latest hour measured on the proxy for each window length. That is the
-# proxy window (stamp - td_hours, stamp] as index bounds and window_moments
-# (None when the window is empty), and weakref(sensor series) -> (s_lo,
-# s_hi, d, mean, var) for the sensor windows measured against it (d and the
-# moments None where either window is empty). Weak sensor keys: a series may
-# be one engine's sensor and another's proxy, and a strong one would keep it
-# alive. See the module docstring.
-_proxy_windows = weakref.WeakKeyDictionary()
-
-# (td_hours, last stepped hour) -> the live engines there, the candidates of
-# a batch: a WeakSet held by its engines, so it is freed once they have all
-# moved on or died. The lock keeps an engine moving in another thread from
-# changing a set while it is copied.
+# (td_hours, hour) -> weak references to the engines filed there, the
+# candidates of a batch: a list held by those engines, so it is freed once
+# they have all been filed elsewhere or died. The lock keeps batches in other
+# threads from filing at once.
 _in_step = weakref.WeakValueDictionary()
 _in_step_lock = threading.Lock()
+
+
+class _Filed(list):
+    """A list that can be weakly referenced, with the length at which
+    `_file` next drops its stale references."""
+
+    __slots__ = ("__weakref__", "limit")
 
 
 @dataclass(frozen=True)
@@ -280,14 +271,16 @@ class SiteEngine:
         self.proxy = proxy
         self.history = EstimateHistory(site_id)
         self.ledger = AlarmLedger(site_id)
-        self._cohort = None
-        self._file_under(None)
+        self._slot = None       # (hour, raw_value, p_ks, offset_raw, gain_raw)
+        self._filed = None      # the _Filed list of _in_step holding this engine
+        _file([self], self.thresholds.td_hours, None)
 
     def step(self, stamp, measured: tuple | None = None) -> HistoryRow:
         """Evaluate one hour; appends and returns the history row.
 
-        The hour's windows are measured here, unless `measured` holds what
-        `run` already measured for it in its array passes. Either way this
+        The hour comes from the engine's slot or from a batch (see the
+        module docstring), unless `measured` holds what `run` already
+        measured for it in its array passes. Either way this
         is the one place where measurements become breaches, clock updates
         and a correction.
 
@@ -321,8 +314,6 @@ class SiteEngine:
                             else (offset_raw, gain_raw))
             flags = _breaches(p_ks, offset, gain, th)
         ledger = update_persistence(self.ledger, stamp, flags, th)
-        if measured is None:
-            self._file_under(stamp)     # run() files the engine after its last hour
 
         output_value = raw_value
         corrected = (p_ks is not None and decide_correction(ledger, th)
@@ -339,51 +330,30 @@ class SiteEngine:
         return row
 
     def _measure(self, stamp: int) -> tuple:
-        """Measure the windows that end at `stamp`, as the measurement tuple
-        that `step` takes; an estimate inside the sanity band enters the
-        history."""
-        th = self.thresholds
-        td_hours = th.td_hours
-        sensor, proxy = self.sensor, self.proxy
-        key = weakref.ref(sensor)
-        entry = _proxy_windows.get(proxy, {}).get(td_hours)
-        row = entry[4].get(key) if entry is not None and entry[0] == stamp else None
-        if row is None or row[2] is None and _assessed(row, entry, th):
-            with _in_step_lock:
-                engines = list(self._cohort)
-            entry = _measure_together(engines, stamp, td_hours)[proxy]
-            row = entry[4][key]
-        _, p_lo, p_hi, z_moments, _ = entry
-        s_lo, s_hi, d, mean_y, var_y = row
-        raw_value = None
-        if s_hi > s_lo and sensor.hours[s_hi - 1] == stamp:
-            raw_value = float(sensor.values[s_hi - 1])
-
-        p = offset = gain = None
-        if _assessed(row, entry, th):
-            p = ks_pvalue(d, s_hi - s_lo, p_hi - p_lo)
-            # the raw estimate as run() makes it: none for a degenerate window
-            if var_y > DEGENERATE_VAR_EPS:
-                offset, gain = match_moments(mean_y, var_y, *z_moments)
-                offset, gain = float(offset), float(gain)
-                if _trended(offset, gain):
-                    self.history.append(stamp, offset, gain)
-
+        """The measurement tuple that `step` takes for the hour `stamp`: the
+        slot when a batch has measured the hour for this engine, else what a
+        batch this engine runs returns. An estimate inside the sanity band
+        enters the history."""
+        slot = self._slot
+        if slot is None or slot[0] != stamp:
+            slot = _measure_together(self._in_step(), stamp, self.thresholds.td_hours)[0]
+        _, raw_value, p, offset, gain = slot
+        if offset is not None and _trended(offset, gain):
+            self.history.append(stamp, offset, gain)
         return (raw_value, p, offset, gain) + (self.history.trend or (None, None))
 
-    def _file_under(self, last_stamp):
-        """Move this engine to the set of live engines in step with it:
-        those with its window length whose last stepped hour is
-        `last_stamp`."""
-        key = (self.thresholds.td_hours, last_stamp)
+    def _in_step(self) -> list:
+        """This engine, then the other live engines filed with it whose last
+        stepped hour is its own."""
+        last = self.ledger.last_stamp
         with _in_step_lock:
-            if self._cohort is not None:
-                self._cohort.discard(self)
-            cohort = _in_step.get(key)
-            if cohort is None:
-                cohort = _in_step[key] = weakref.WeakSet()
-            cohort.add(self)
-        self._cohort = cohort
+            refs = self._filed[:]
+        engines = {self: None}
+        for ref in refs:
+            engine = ref()
+            if engine is not None and engine.ledger.last_stamp == last:
+                engines[engine] = None
+        return list(engines)
 
     def run(self, start=None, end=None) -> SiteRunResult:
         """Evaluate every hour of the sensor's span (or the given range).
@@ -442,70 +412,92 @@ class SiteEngine:
         step = self.step
         for stamp, measured in zip(stamps.tolist(), zip(*map(_or_none, columns))):
             step(stamp, measured)
-        self._file_under(self.ledger.last_stamp)
+        _file([self], th.td_hours, self.ledger.last_stamp)
         return SiteRunResult(self.site_id, list(self.ledger.history))
 
 
-def _assessed(row: tuple, entry: tuple, th: Thresholds) -> bool:
-    """Whether an engine with thresholds `th` assesses the sensor window of
-    `row` against the proxy window of `entry`; never for an empty one."""
-    return window_complete(min(row[1] - row[0], entry[2] - entry[1]), th.td_hours,
-                           th.completeness_min)
+def _file(engines, td_hours: int, last_stamp) -> None:
+    """File `engines` where batches of engines in step with them look."""
+    key = (td_hours, last_stamp)
+    with _in_step_lock:
+        filed = _in_step.get(key)
+        if filed is None:
+            filed = _in_step[key] = _Filed()
+            filed.limit = 2 * len(engines) + 16
+        for engine in engines:
+            if engine._filed is not filed:
+                engine._filed = filed
+                filed.append(weakref.ref(engine))
+        if len(filed) > filed.limit:
+            # drop dead engines and those filed elsewhere since; a list an
+            # idle engine holds would otherwise grow with each engine filed
+            filed[:] = [ref for ref in filed
+                        if (engine := ref()) is not None and engine._filed is filed]
+            filed.limit = 2 * len(filed) + 16
 
 
-def _measure_together(engines, stamp: int, td_hours: int) -> dict:
-    """Measure the windows ending at `stamp` of the (proxy, sensor) pairs of
-    `engines` for `td_hours`; returns proxy -> its fresh entry, each also
-    stored. A proxy's stored entry of this hour keeps its proxy window and
-    rows, and only what they lack is measured.
+_UNASSESSED = (None, None, None)
 
-    Every pair gets its window bounds. A pair that one of its engines
-    assesses also gets its KS distance and sensor moments (None where
-    not): one call over padded rows and one pass by length for all such
-    pairs, each proxy window once; the bits equal those of the one-window
-    calls.
+
+def _measure_together(engines, stamp: int, td_hours: int) -> list:
+    """Measure the hour `stamp` for `engines`, all of window length
+    `td_hours`; returns each engine's slot (stamp, raw_value, p_ks,
+    offset_raw, gain_raw), also set on it, and files them under (td_hours,
+    stamp). p_ks is None where the engine does not assess the windows, the
+    estimate also where the sensor window is degenerate. Moments are taken
+    only of proxy windows that an assessed pair holds: another may be empty.
+    The bits equal those of the one-window calls and of run().
     """
-    entries, wanted = {}, {}
+    proxies, sensors, pairs, heads = {}, {}, {}, []
     for engine in engines:
         proxy, sensor = engine.proxy, engine.sensor
-        entry = entries.get(proxy)
-        if entry is None:
-            entry = _proxy_windows.get(proxy, {}).get(td_hours)
-            if entry is None or entry[0] != stamp:
-                p_lo, p_hi = window_bounds(proxy.hours, stamp, td_hours).tolist()
-                entry = (stamp, p_lo, p_hi, kernels.window_moments(proxy.values[p_lo:p_hi])
-                         if p_hi > p_lo else None, {})
-            entry = entries[proxy] = entry[:4] + (dict(entry[4]),)
-        key = weakref.ref(sensor)
-        row = entry[4].get(key)
-        if row is None:
+        z_bounds = proxies.get(proxy)
+        if z_bounds is None:
             # plain ints: numpy scalars make the slicing and comparisons slower
-            row = entry[4][key] = (*window_bounds(sensor.hours, stamp, td_hours).tolist(),
-                                   None, None, None)
-        if row[2] is None and _assessed(row, entry, engine.thresholds):
-            wanted[proxy, key] = (proxy, sensor, row[0], row[1])
-    pairs = list(wanted.values())
+            z_bounds = proxies[proxy] = window_bounds(proxy.hours, stamp, td_hours).tolist()
+        y_bounds = sensors.get(sensor)
+        if y_bounds is None:
+            s_lo, s_hi = window_bounds(sensor.hours, stamp, td_hours).tolist()
+            raw = (float(sensor.values[s_hi - 1])
+                   if s_hi > s_lo and sensor.hours[s_hi - 1] == stamp else None)
+            y_bounds = sensors[sensor] = (s_lo, s_hi, raw)
+        k = None
+        if window_complete(min(y_bounds[1] - y_bounds[0], z_bounds[1] - z_bounds[0]),
+                           td_hours, engine.thresholds.completeness_min):
+            k = pairs.setdefault((proxy, sensor), len(pairs))
+        heads.append((y_bounds[2], k))
     if pairs:
-        y_n = np.array([s_hi - s_lo for _, _, s_lo, s_hi in pairs])
+        y_n = np.array([sensors[sensor][1] - sensors[sensor][0] for _, sensor in pairs])
         y = np.full((y_n.size, y_n.max()), np.inf)
-        for row, (_, sensor, s_lo, s_hi) in zip(y, pairs):
+        for row, (_, sensor) in zip(y, pairs):
+            s_lo, s_hi, _ = sensors[sensor]
             row[:s_hi - s_lo] = sensor.values[s_lo:s_hi]
         # each proxy window once, then one row per pair
-        slot = {}
-        which = [slot.setdefault(proxy, len(slot)) for proxy, *_ in pairs]
-        z_n = np.array([entries[proxy][2] - entries[proxy][1] for proxy in slot])
+        z_rows = {}
+        which = [z_rows.setdefault(proxy, len(z_rows)) for proxy, _ in pairs]
+        z_n = np.array([proxies[proxy][1] - proxies[proxy][0] for proxy in z_rows])
         z = np.full((z_n.size, z_n.max()), np.inf)
-        for row, proxy in zip(z, slot):
-            _, p_lo, p_hi, _, _ = entries[proxy]
+        z_moments = []
+        for row, proxy in zip(z, z_rows):
+            p_lo, p_hi = proxies[proxy]
             row[:p_hi - p_lo] = proxy.values[p_lo:p_hi]
-        d = kernels.ks_distance(y, z[which], y_n, z_n[which])
+            z_moments.append(kernels.window_moments(row[:p_hi - p_lo]))
+        z_n = z_n[which]
+        mean_z, var_z = np.array(z_moments)[which].T
+        d = kernels.ks_distance(y, z[which], y_n, z_n)
         mean, var = _moments_by_length(y, y_n)
-        for (proxy, sensor, s_lo, s_hi), measured in zip(pairs, zip(d.tolist(), mean.tolist(),
-                                                                    var.tolist())):
-            entries[proxy][4][weakref.ref(sensor)] = (s_lo, s_hi, *measured)
-    for proxy, entry in entries.items():
-        _proxy_windows.setdefault(proxy, {})[td_hours] = entry
-    return entries
+        p_ks = [ks_pvalue(*key) for key in zip(d.tolist(), y_n.tolist(), z_n.tolist())]
+        # the raw estimates as run() makes them: none for a degenerate window
+        fit = var > DEGENERATE_VAR_EPS
+        offset, gain = np.full((2, y_n.size), np.nan)
+        offset[fit], gain[fit] = match_moments(mean[fit], var[fit], mean_z[fit], var_z[fit])
+        measured = list(zip(p_ks, _or_none(offset), _or_none(gain)))
+    slots = []
+    for engine, (raw, k) in zip(engines, heads):
+        engine._slot = slot = (stamp, raw) + (_UNASSESSED if k is None else measured[k])
+        slots.append(slot)
+    _file(engines, td_hours, stamp)
+    return slots
 
 
 # Assessed hours per block of window statistics in SiteEngine.run: bounds

@@ -802,20 +802,17 @@ class TestSharedProxyWindow:
             assert engine_state(engine) == engine_state(private)
 
     def test_dropping_the_proxy_frees_its_window(self):
-        # one entry per proxy, whatever the window lengths of its engines,
-        # and none once the series is gone
+        # nothing measured for the engines keeps their proxy alive once
+        # they are gone
         proxy = sim_series("P", 0, 200, 2)
         engines = [SiteEngine(f"S{k}", sim_series(f"S{k}", 0, 200, k), proxy, th)
                    for k, th in enumerate(BATCH_THRESHOLDS)]
         for engine in engines:
             engine.step(150)
         gc.collect()
-        held = len(alarms._proxy_windows)
-        assert proxy in alarms._proxy_windows
         dropped = weakref.ref(proxy)
         del engines, engine, proxy
         assert dropped() is None
-        assert len(alarms._proxy_windows) == held - 1
 
 
 def private_copy(engine):
@@ -960,10 +957,10 @@ class TestLockstepBatch:
         assert len(long_ago) + len(idle) == 23
 
     def test_a_late_engine_adds_its_row_to_the_hour(self, monkeypatch):
-        # an engine not in step finds the hour stored without its sensor: it
-        # measures its own row against the stored proxy window, and the
-        # rows already stored stay, so an engine of the first batch that
-        # steps after it measures nothing
+        # an engine built after the others first stepped is not in step
+        # with them: it measures the hour in a batch of its own, and an
+        # engine of the first batch that steps after it still finds its
+        # slot, so it measures nothing; the next hour all three are in step
         calls = counted_distance_rows(monkeypatch)
         proxy = sim_series("P", 0, 200, 2)
         first, second = (SiteEngine(f"S{k}", sim_series(f"S{k}", 0, 200, k), proxy)
@@ -1000,6 +997,135 @@ class TestLockstepBatch:
         for engine in (strict, lenient):
             assert engine_state(engine) == engine_state(stepped(private_copy(engine), 150, 150))
 
+    @settings(max_examples=40, deadline=None)
+    @given(lockstep_networks(), st.lists(st.integers(1, 40), min_size=1, max_size=4),
+           st.data())
+    def test_batches_step_as_private_engines_and_run(self, network, slices, data):
+        # twin streams of the same engines take turns by slices of ticks; in
+        # the first, an engine joins in the middle, and a lone engine steps
+        # hours of its own between the stream's engines
+        proxies, sensors, specs = network
+        hours = list(range(START_HOUR - 5, START_HOUR + 130))
+
+        def build(name, spec):
+            s, p, th = spec
+            return SiteEngine(name, sensors[s], proxies[p], th)
+
+        streams = [[build(f"E{k}", spec) for k, spec in enumerate(specs)] for _ in range(2)]
+        join = data.draw(st.integers(1, len(hours) - 1), label="join")
+        joiner = build("J", data.draw(engine_specs(sensors, proxies), label="joiner"))
+        lone = build("L", data.draw(engine_specs(sensors, proxies), label="lone"))
+        shift = data.draw(st.integers(1, 60), label="shift")
+        at = data.draw(st.integers(0, len(specs)), label="lone's place")
+        k = 0
+        for size in itertools.cycle(slices):
+            if k >= len(hours):
+                break
+            for hour in hours[k:k + size]:
+                for engine in streams[0][:at]:
+                    engine.step(hour)
+                lone.step(hour + shift)
+                for engine in streams[0][at:]:
+                    engine.step(hour)
+                if hour >= hours[join]:
+                    joiner.step(hour)
+            for hour in hours[k:k + size]:
+                for engine in streams[1]:
+                    engine.step(hour)
+            k += size
+
+        for engine, twin in zip(*streams):
+            private = stepped(private_copy(engine), hours[0], hours[-1])
+            assert engine_state(engine) == engine_state(private) == engine_state(twin)
+            batch = private_copy(engine)
+            assert batch.run(hours[0], hours[-1]).rows == engine.ledger.history
+            assert engine_state(batch) == engine_state(engine)
+        private = stepped(private_copy(joiner), hours[join], hours[-1])
+        assert engine_state(joiner) == engine_state(private)
+        assert private_copy(joiner).run(hours[join], hours[-1]).rows == joiner.ledger.history
+        private = stepped(private_copy(lone), hours[0] + shift, hours[-1] + shift)
+        assert engine_state(lone) == engine_state(private)
+
+    def test_a_slot_left_for_another_hour_is_never_used(self):
+        # engines filed together: one skips ahead to t + 5, which leaves the
+        # others a slot for t + 5; the next then steps t + 1, which that slot
+        # must not serve. Another engine skips every other hour throughout.
+        proxy = sim_series("P", 0, 200, 2)
+        ahead, behind, skipper = (SiteEngine(f"S{k}", sim_series(f"S{k}", 0, 200, k), proxy)
+                                  for k in range(3))
+        t = 120
+        schedule = [(ahead, t), (behind, t), (skipper, t), (ahead, t + 5)]
+        schedule += [(behind, t + 1), (skipper, t + 2), (behind, t + 2), (behind, t + 5),
+                     (skipper, t + 4), (ahead, t + 6), (skipper, t + 6), (behind, t + 6)]
+        for k, (engine, hour) in enumerate(schedule):
+            if k == 4:
+                assert behind._slot[0] == t + 5
+            engine.step(hour)
+        for engine in (ahead, behind, skipper):
+            private = private_copy(engine)
+            for hour in [hour for e, hour in schedule if e is engine]:
+                private.step(hour)
+            assert engine_state(engine) == engine_state(private)
+            assert all(r.p_ks is not None for r in engine.ledger.history)
+
+    def test_an_empty_proxy_window_beside_an_assessed_one(self, monkeypatch):
+        # an outage empties one proxy's whole window at the tick, while the
+        # other proxy's pairs are assessed: the batch measures only those
+        calls = counted_distance_rows(monkeypatch)
+        whole, other = sim_series("P", 0, 200, 2), sim_series("Q", 0, 200, 3)
+        kept = (whole.hours < 60) | (whole.hours > 150)
+        proxy = TimeSeries("P", whole.hours[kept], whole.values[kept])
+        sensors = [sim_series(f"S{k}", 0, 200, k) for k in range(2)]
+        engines = [SiteEngine(f"S{k}", sensor, ref)
+                   for ref in (proxy, other) for k, sensor in enumerate(sensors)]
+        rows = [engine.step(150) for engine in engines]
+        assert calls == [2]
+        assert [r.p_ks is not None for r in rows] == [False, False, True, True]
+        for engine in engines:
+            assert engine_state(engine) == engine_state(stepped(private_copy(engine), 150, 150))
+
+    def test_each_engine_assesses_by_its_own_rule(self, monkeypatch):
+        # engines of one batch that ask for different completeness: the one
+        # that runs the batch does not assess a half-full window, the other
+        # does
+        calls = counted_distance_rows(monkeypatch)
+        proxy, whole = sim_series("P", 0, 200, 2), sim_series("S", 0, 200, 1)
+        kept = (whole.hours < 100) | (whole.hours >= 136)
+        sensor = TimeSeries("S", whole.hours[kept], whole.values[kept])
+        strict = SiteEngine("A", sensor, proxy, Thresholds(completeness_min=1.0))
+        lenient = SiteEngine("B", sensor, proxy, Thresholds(completeness_min=0.5))
+        rows = [strict.step(150), lenient.step(150)]
+        assert calls == [1]
+        assert [r.p_ks is not None for r in rows] == [False, True]
+        for engine in (strict, lenient):
+            assert engine_state(engine) == engine_state(stepped(private_copy(engine), 150, 150))
+
+    def test_streams_at_other_hours_measure_their_own_windows(self, monkeypatch):
+        # two streams of eight engines on one proxy, at hours 100 + k and
+        # 250 + k, taking turns engine by engine: from the second tick on,
+        # each tick makes one call per stream with a row per assessed pair.
+        # The first tick still shares work across the streams, because
+        # engines that have never stepped are in step with each other.
+        calls = counted_distance_rows(monkeypatch)
+        proxy = sim_series("P", 0, 400, 2)
+        sensors = [sim_series(f"S{k}", 0, 400, k + 3) for k in range(8)]
+        streams = [[SiteEngine(f"{name}{k}", sensor, proxy) for k, sensor in enumerate(sensors)]
+                   for name in "AB"]
+        starts = (100, 250)
+        for tick in range(20):
+            calls.clear()
+            rows = [[], []]
+            for pair in zip(*streams):
+                for engine, start, stream_rows in zip(pair, starts, rows):
+                    stream_rows.append(engine.step(start + tick))
+            if tick:
+                assert calls == [sum(r.p_ks is not None for r in stream_rows)
+                                 for stream_rows in rows] == [8, 8]
+        for stream, start in zip(streams, starts):
+            for engine in stream:
+                private = stepped(private_copy(engine), start, start + 19)
+                assert engine_state(engine) == engine_state(private)
+
     def test_dropping_every_engine_empties_the_registry(self):
         proxy = sim_series("P", 0, 200, 2)
         engines = [SiteEngine(f"S{k}", sim_series(f"S{k}", 0, 200, k), proxy, th)
@@ -1007,20 +1133,32 @@ class TestLockstepBatch:
         for engine in engines:
             engine.step(150)
         keys = [(th.td_hours, 150) for th in BATCH_THRESHOLDS]
-        assert set(engines) == {e for key in keys for e in alarms._in_step[key]}
+        assert set(engines) == {ref() for key in keys for ref in alarms._in_step[key]}
         del engines, engine
         gc.collect()
         assert not any(key in alarms._in_step for key in keys)
 
+    def test_a_filing_list_held_by_an_idle_engine_stays_small(self):
+        # an engine that joined a batch but never steps holds its filing
+        # list, and every engine built later is filed there after its first
+        # step; those that died are dropped from the list again
+        proxy = sim_series("P", 0, 200, 2)
+        idle = SiteEngine("I", sim_series("I", 0, 200, 1), proxy, Thresholds(td_hours=60))
+        for k in range(100):
+            SiteEngine(f"S{k}", sim_series(f"S{k}", 0, 200, k + 2), proxy,
+                       idle.thresholds).step(150)
+        assert idle.ledger.last_stamp is None
+        assert idle._filed is alarms._in_step[(60, 150)]
+        assert len(idle._filed) < 20
+
     def test_series_checked_against_each_other_are_freed(self):
-        # two references, each the other's proxy, stepped in one batch: the
-        # windows stored on each must not keep the other alive
+        # two references, each the other's proxy, stepped in one batch: what
+        # the batches left on the engines must not keep either alive
         first, second = sim_series("A", 0, 200, 1), sim_series("B", 0, 200, 2)
         engines = [SiteEngine("A", first, second), SiteEngine("B", second, first)]
         for hour in range(100, 110):
             for engine in engines:
                 engine.step(hour)
-        assert first in alarms._proxy_windows and second in alarms._proxy_windows
         dropped = [weakref.ref(first), weakref.ref(second)]
         del engines, engine, first, second
         assert [ref() for ref in dropped] == [None, None]

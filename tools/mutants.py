@@ -73,31 +73,44 @@ MUTANTS = [
            "fit_gain if fit_gain > 0.0 else 0.0", "fit_gain"),
     Mutant("EstimateHistory.extend: zero gain floor dropped", "calibrate.py",
            "np.where(fit_gain > 0.0, fit_gain, 0.0)", "fit_gain"),
-    Mutant("SiteEngine._measure: var_y > DEGENERATE_VAR_EPS -> >=", "alarms.py",
-           "if var_y > DEGENERATE_VAR_EPS:", "if var_y >= DEGENERATE_VAR_EPS:"),
+    Mutant("_measure_together: var > DEGENERATE_VAR_EPS -> >=", "alarms.py",
+           "fit = var > DEGENERATE_VAR_EPS", "fit = var >= DEGENERATE_VAR_EPS"),
     Mutant("SiteEngine.run: var_y > DEGENERATE_VAR_EPS -> >=", "alarms.py",
            "ok = var_y > DEGENERATE_VAR_EPS", "ok = var_y >= DEGENERATE_VAR_EPS"),
-    Mutant("SiteEngine._measure: another window length's entry serves", "alarms.py",
-           "_proxy_windows.get(proxy, {}).get(td_hours)",
-           "next(iter(_proxy_windows.get(proxy, {}).values()), None)"),
-    Mutant("SiteEngine._measure: a later hour's entry serves an earlier one", "alarms.py",
-           "entry[0] == stamp", "entry[0] >= stamp"),
-    Mutant("_measure_together: a later hour's proxy window serves an earlier one",
-           "alarms.py", "entry[0] != stamp", "entry[0] < stamp"),
-    Mutant("SiteEngine._measure: another sensor's row serves an entry without its own",
-           "alarms.py", "row = entry[4].get(key) if entry is not None",
-           "row = entry[4].get(key, next(iter(entry[4].values()))) if entry is not None"),
-    Mutant("SiteEngine._measure: an unmeasured row serves an engine that assesses it",
-           "alarms.py", "if row is None or row[2] is None and _assessed(row, entry, th):",
-           "if row is None:"),
-    Mutant("_measure_together: pairs that no engine assesses are measured too", "alarms.py",
-           "if row[2] is None and _assessed(row, entry, engine.thresholds):",
-           "if row[2] is None and row[1] > row[0] and entry[2] > entry[1]:"),
+    Mutant("_file: engines of every window length filed in step", "alarms.py",
+           "key = (td_hours, last_stamp)", "key = last_stamp"),
+    Mutant("SiteEngine._measure: a slot serves another hour", "alarms.py",
+           "if slot is None or slot[0] != stamp:", "if slot is None:"),
+    Mutant("SiteEngine._measure: a later hour's slot serves an earlier one", "alarms.py",
+           "slot[0] != stamp", "slot[0] < stamp"),
+    Mutant("SiteEngine._in_step: engines not in step join the batch", "alarms.py",
+           "elif engine.ledger.last_stamp == last:", "else:"),
+    Mutant("_file: stale references never dropped", "alarms.py",
+           "if len(filed) > filed.limit:", "if False:"),
+    Mutant("SiteEngine._in_step: every engine a batch of one", "alarms.py",
+           "return list(engines)", "return [self]"),
+    Mutant("_measure_together: the proxy window of the hour before", "alarms.py",
+           "window_bounds(proxy.hours, stamp, td_hours)",
+           "window_bounds(proxy.hours, stamp - 1, td_hours)"),
+    Mutant("_measure_together: another sensor's window serves an engine", "alarms.py",
+           "y_bounds = sensors.get(sensor)", "y_bounds = next(iter(sensors.values()), None)"),
+    Mutant("_measure_together: every non-empty pair is assessed", "alarms.py",
+           "if window_complete(min(y_bounds[1] - y_bounds[0], z_bounds[1] - z_bounds[0]),\n"
+           "                           td_hours, engine.thresholds.completeness_min):",
+           "if min(y_bounds[1] - y_bounds[0], z_bounds[1] - z_bounds[0]) > 0:"),
+    Mutant("_measure_together: completeness read from the batching engine's thresholds",
+           "alarms.py", "engine.thresholds.completeness_min",
+           "engines[0].thresholds.completeness_min"),
+    Mutant("_measure_together: an engine whose pair is already measured left unmeasured",
+           "alarms.py", "k = pairs.setdefault((proxy, sensor), len(pairs))",
+           "k = None if (proxy, sensor) in pairs\n"
+           "            else pairs.setdefault((proxy, sensor), len(pairs))"),
     Mutant("_measure_together: a batch row paired with another proxy's window", "alarms.py",
-           "which = [slot.setdefault(proxy, len(slot)) for proxy, *_ in pairs]",
-           "which = [slot.setdefault(proxy, len(slot)) for proxy, *_ in pairs][::-1]"),
-    Mutant("_measure_together: a merged entry drops the rows it held", "alarms.py",
-           "entry[:4] + (dict(entry[4]),)", "entry[:4] + ({},)"),
+           "which = [z_rows.setdefault(proxy, len(z_rows)) for proxy, _ in pairs]",
+           "which = [z_rows.setdefault(proxy, len(z_rows)) for proxy, _ in pairs][::-1]"),
+    Mutant("_measure_together: an estimate made with another proxy's moments", "alarms.py",
+           "mean_z, var_z = z_n[which], mean_z[which], var_z[which]",
+           "mean_z, var_z = z_n[which], mean_z[which[::-1]], var_z[which[::-1]]"),
     Mutant("ks_pvalue: small-sample term dropped", "kstest.py",
            "(root + 0.12 + 0.11 / root) * d", "root * d"),
     Mutant("step: correction clip floor VALUE_MIN -> 0.0", "alarms.py",
