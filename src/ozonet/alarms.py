@@ -489,9 +489,10 @@ def _measure_together(engines, stamp: int, td_hours: int) -> list:
         p_ks = [ks_pvalue(*key) for key in zip(d.tolist(), y_n.tolist(), z_n.tolist())]
         # the raw estimates as run() makes them: none for a degenerate window
         fit = var > DEGENERATE_VAR_EPS
-        offset, gain = np.full((2, y_n.size), np.nan)
-        offset[fit], gain[fit] = match_moments(mean[fit], var[fit], mean_z[fit], var_z[fit])
-        measured = list(zip(p_ks, _or_none(offset), _or_none(gain)))
+        offset, gain = match_moments(mean[fit], var[fit], mean_z[fit], var_z[fit])
+        estimates = zip(offset.tolist(), gain.tolist())
+        measured = [(p, *next(estimates)) if ok else (p, None, None)
+                    for p, ok in zip(p_ks, fit.tolist())]
     slots = []
     for engine, (raw, k) in zip(engines, heads):
         engine._slot = slot = (stamp, raw) + (_UNASSESSED if k is None else measured[k])
