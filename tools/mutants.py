@@ -84,7 +84,8 @@ MUTANTS = [
     Mutant("SiteEngine._measure: a later hour's slot serves an earlier one", "alarms.py",
            "slot[0] != stamp", "slot[0] < stamp"),
     Mutant("SiteEngine._in_step: engines not in step join the batch", "alarms.py",
-           "elif engine.ledger.last_stamp == last:", "else:"),
+           "if engine is not None and engine.ledger.last_stamp == last:",
+           "if engine is not None:"),
     Mutant("_file: stale references never dropped", "alarms.py",
            "if len(filed) > filed.limit:", "if False:"),
     Mutant("SiteEngine._in_step: every engine a batch of one", "alarms.py",
@@ -103,14 +104,13 @@ MUTANTS = [
            "engines[0].thresholds.completeness_min"),
     Mutant("_measure_together: an engine whose pair is already measured left unmeasured",
            "alarms.py", "k = pairs.setdefault((proxy, sensor), len(pairs))",
-           "k = None if (proxy, sensor) in pairs\n"
-           "            else pairs.setdefault((proxy, sensor), len(pairs))"),
+           "k = None if (proxy, sensor) in pairs "
+           "else pairs.setdefault((proxy, sensor), len(pairs))"),
     Mutant("_measure_together: a batch row paired with another proxy's window", "alarms.py",
            "which = [z_rows.setdefault(proxy, len(z_rows)) for proxy, _ in pairs]",
            "which = [z_rows.setdefault(proxy, len(z_rows)) for proxy, _ in pairs][::-1]"),
     Mutant("_measure_together: an estimate made with another proxy's moments", "alarms.py",
-           "mean_z, var_z = z_n[which], mean_z[which], var_z[which]",
-           "mean_z, var_z = z_n[which], mean_z[which[::-1]], var_z[which[::-1]]"),
+           "np.array(z_moments)[which].T", "np.array(z_moments)[which[::-1]].T"),
     Mutant("ks_pvalue: small-sample term dropped", "kstest.py",
            "(root + 0.12 + 0.11 / root) * d", "root * d"),
     Mutant("step: correction clip floor VALUE_MIN -> 0.0", "alarms.py",
