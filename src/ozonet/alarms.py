@@ -25,10 +25,12 @@ estimate, measured once per pair. An engine whose slot holds the hour it
 steps only updates its own trend, clocks and row; any other engine runs a
 batch, alone if no engine is in step with it. A tick of N engines in step
 thus makes one KS distance call over the padded rows of its assessed
-pairs, one moment pass over their sensor windows and one moment call per
-proxy window; the other N - 1 steps read a slot. A batch looks only at the engines filed
-under its own window length and last hour, so it costs what they do, and
-streams on one proxy at different hours keep to their own batches.
+pairs, and one moment call per distinct window length on each side
+(sensor and proxy); the other N - 1 steps read a slot. A batch looks only
+at the engines filed under its own window length and last hour, so it
+costs what they do, and streams on one proxy at different hours keep to
+their own batches. `run()` measures its span with the same function as a
+batch, `_measure_rows`, in blocks of assessed hours.
 
 A slot depends only on the engine's series, thresholds and hour, and the
 engine that runs a batch takes its own result from the return value, never
@@ -360,9 +362,9 @@ class SiteEngine:
 
         Gives the rows that stepping each hour in turn gives, and leaves the
         engine in the same state, so `step` can carry on after it. The
-        window statistics of the whole span come from array passes; each
-        hour's measurement then goes through `step`. The result holds the
-        engine's history rows as they stand at the end of the run.
+        assessed hours are measured in blocks, as a batch measures its
+        pairs; each hour's measurement then goes through `step`. The result
+        holds the engine's history rows as they stand at the end of the run.
         """
         if len(self.sensor):
             first = to_epoch_hour(start) if start is not None else int(self.sensor.hours[0])
@@ -380,19 +382,16 @@ class SiteEngine:
         n_y, n_z = s_hi - s_lo, p_hi - p_lo
         assessed = np.flatnonzero(
             window_complete(np.minimum(n_y, n_z), th.td_hours, th.completeness_min))
-        n_y, n_z = n_y[assessed], n_z[assessed]
-        d, mean_y, var_y, mean_z, var_z = _window_stats(
-            self.sensor.values, s_lo[assessed], n_y, self.proxy.values, p_lo[assessed], n_z)
 
         # full-span columns of each hour's measurement, NaN where absent (a
-        # present value is finite: readings are, and so is an estimate, which
-        # exists only above DEGENERATE_VAR_EPS)
+        # present value is finite: readings are, and so is an estimate)
         p_ks, offset, gain = np.full((3, stamps.size), np.nan)
-        p_ks[assessed] = [ks_pvalue(*key) for key in zip(d.tolist(), n_y.tolist(), n_z.tolist())]
-        # raw estimates, none where the sensor window is degenerate
-        ok = var_y > DEGENERATE_VAR_EPS
-        offset[assessed[ok]], gain[assessed[ok]] = match_moments(
-            mean_y[ok], var_y[ok], mean_z[ok], var_z[ok])
+        for lo in range(0, assessed.size, _BLOCK_HOURS):
+            block = assessed[lo:lo + _BLOCK_HOURS]
+            y_n, z_n = n_y[block], n_z[block]
+            p_ks[block], offset[block], gain[block] = _measure_rows(
+                _padded_windows(self.sensor.values, s_lo[block], y_n), y_n,
+                _padded_windows(self.proxy.values, p_lo[block], z_n), z_n)
         trended = np.flatnonzero(_trended(offset, gain))
 
         # the trend each hour sees: the one held before the run (read before
@@ -444,9 +443,8 @@ def _measure_together(engines, stamp: int, td_hours: int) -> list:
     `td_hours`; returns each engine's slot (stamp, raw_value, p_ks,
     offset_raw, gain_raw), also set on it, and files them under (td_hours,
     stamp). p_ks is None where the engine does not assess the windows, the
-    estimate also where the sensor window is degenerate. Moments are taken
-    only of proxy windows that an assessed pair holds: another may be empty.
-    The bits equal those of the one-window calls and of run().
+    estimate also where the sensor window is degenerate. Only the windows of
+    assessed pairs are measured: another proxy window may be empty.
     """
     proxies, sensors, pairs, heads = {}, {}, {}, []
     for engine in engines:
@@ -472,27 +470,16 @@ def _measure_together(engines, stamp: int, td_hours: int) -> list:
         for row, (_, sensor) in zip(y, pairs):
             s_lo, s_hi, _ = sensors[sensor]
             row[:s_hi - s_lo] = sensor.values[s_lo:s_hi]
-        # each proxy window once, then one row per pair
+        # each proxy window padded once, then one row per pair
         z_rows = {}
         which = [z_rows.setdefault(proxy, len(z_rows)) for proxy, _ in pairs]
         z_n = np.array([proxies[proxy][1] - proxies[proxy][0] for proxy in z_rows])
         z = np.full((z_n.size, z_n.max()), np.inf)
-        z_moments = []
         for row, proxy in zip(z, z_rows):
             p_lo, p_hi = proxies[proxy]
             row[:p_hi - p_lo] = proxy.values[p_lo:p_hi]
-            z_moments.append(kernels.window_moments(row[:p_hi - p_lo]))
-        z_n = z_n[which]
-        mean_z, var_z = np.array(z_moments)[which].T
-        d = kernels.ks_distance(y, z[which], y_n, z_n)
-        mean, var = _moments_by_length(y, y_n)
-        p_ks = [ks_pvalue(*key) for key in zip(d.tolist(), y_n.tolist(), z_n.tolist())]
-        # the raw estimates as run() makes them: none for a degenerate window
-        fit = var > DEGENERATE_VAR_EPS
-        offset, gain = match_moments(mean[fit], var[fit], mean_z[fit], var_z[fit])
-        estimates = zip(offset.tolist(), gain.tolist())
-        measured = [(p, *next(estimates)) if ok else (p, None, None)
-                    for p, ok in zip(p_ks, fit.tolist())]
+        p_ks, offset, gain = _measure_rows(y, y_n, z[which], z_n[which])
+        measured = list(zip(p_ks, _or_none(offset), _or_none(gain)))
     slots = []
     for engine, (raw, k) in zip(engines, heads):
         engine._slot = slot = (stamp, raw) + (_UNASSESSED if k is None else measured[k])
@@ -501,23 +488,24 @@ def _measure_together(engines, stamp: int, td_hours: int) -> list:
     return slots
 
 
-# Assessed hours per block of window statistics in SiteEngine.run: bounds
-# the padded window arrays to a few hundred kB whatever the span's length.
+# Assessed hours per _measure_rows call in SiteEngine.run: bounds the
+# padded window arrays to a few hundred kB whatever the span's length.
 _BLOCK_HOURS = 128
 
 
-def _window_stats(y_values, y_lo, y_n, z_values, z_lo, z_n):
-    """KS distance and the moments of both windows, for each window pair
-    given by its first index and length in the two series."""
-    d, mean_y, var_y, mean_z, var_z = (np.empty(y_n.size) for _ in range(5))
-    for lo in range(0, y_n.size, _BLOCK_HOURS):
-        block = slice(lo, lo + _BLOCK_HOURS)
-        y = _padded_windows(y_values, y_lo[block], y_n[block])
-        z = _padded_windows(z_values, z_lo[block], z_n[block])
-        d[block] = kernels.ks_distance(y, z, y_n[block], z_n[block])
-        mean_y[block], var_y[block] = _moments_by_length(y, y_n[block])
-        mean_z[block], var_z[block] = _moments_by_length(z, z_n[block])
-    return d, mean_y, var_y, mean_z, var_z
+def _measure_rows(y, y_n, z, z_n):
+    """Each window pair's p value and raw estimate, from sensor rows `y` and
+    proxy rows `z` padded with +inf after y_n and z_n samples: the list of
+    p values, and the offset and gain arrays, NaN where the sensor window is
+    degenerate."""
+    d = kernels.ks_distance(y, z, y_n, z_n)
+    mean_y, var_y = _moments_by_length(y, y_n)
+    mean_z, var_z = _moments_by_length(z, z_n)
+    p_ks = [ks_pvalue(*key) for key in zip(d.tolist(), y_n.tolist(), z_n.tolist())]
+    offset, gain = np.full((2, y_n.size), np.nan)
+    fit = var_y > DEGENERATE_VAR_EPS
+    offset[fit], gain[fit] = match_moments(mean_y[fit], var_y[fit], mean_z[fit], var_z[fit])
+    return p_ks, offset, gain
 
 
 def _padded_windows(values: np.ndarray, lo: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -532,7 +520,7 @@ def _moments_by_length(windows: np.ndarray, count: np.ndarray):
     (numpy's pairwise sum depends on the length)."""
     mean = np.empty(count.size)
     var = np.empty(count.size)
-    for size in np.unique(count).tolist():
+    for size in set(count.tolist()):
         rows = count == size
         mean[rows], var[rows] = kernels.window_moments(windows[rows, :size])
     return mean, var

@@ -8,10 +8,11 @@ import numpy as np
 def ks_distance(a, b, m=None, n=None):
     """Sup distance between the two empirical CDFs, each normalised by 1/(n+1).
 
-    One pair of 1-D samples gives a float. Padded rows give an array: row r
-    of a 2-D `a` holds m[r] finite samples followed by +inf padding, and
-    likewise `b` with n[r]; each row's distance equals that of its samples
-    passed alone, bit for bit, whatever the padding.
+    Padded rows give an array: row r of a 2-D `a` holds m[r] finite samples
+    followed by +inf padding, and likewise `b` with n[r]; each row's
+    distance is that of its samples alone, bit for bit, whatever the
+    padding. One pair of 1-D samples, which must be finite, gives a float:
+    the distance of a single row.
 
     F(x) counts points strictly below x, so each curve is left-continuous
     and steps just after each sample value. The sup is attained at a pooled
@@ -19,20 +20,12 @@ def ks_distance(a, b, m=None, n=None):
     right limit at the previous breakpoint (both curves start at 0), so the
     right limits alone give the sup.
     """
-    if m is not None:
-        return _distance_rows(a, b, np.asarray(m), np.asarray(n))
-    # sorted copies: the samples are often views into a series
-    av = np.array(a, dtype=np.float64)
-    bv = np.array(b, dtype=np.float64)
-    m, n = av.size, bv.size
-    if m == 0 or n == 0:
-        raise ValueError("samples must be non-empty")
-    av.sort()
-    bv.sort()
-    pooled = np.concatenate((av, bv))
-    fa = av.searchsorted(pooled, side="right") / (m + 1.0)
-    fb = bv.searchsorted(pooled, side="right") / (n + 1.0)
-    return float(np.maximum.reduce(np.abs(fa - fb)))
+    if m is None:
+        a = np.asarray(a, dtype=np.float64)
+        b = np.asarray(b, dtype=np.float64)
+        return float(_distance_rows(a[None], b[None], np.array([a.size]),
+                                    np.array([b.size]))[0])
+    return _distance_rows(a, b, np.asarray(m), np.asarray(n))
 
 
 def _distance_rows(a, b, m, n) -> np.ndarray:
@@ -40,8 +33,8 @@ def _distance_rows(a, b, m, n) -> np.ndarray:
 
     Each side is sorted on its own, so a stable argsort of the pooled row
     only merges two sorted runs. The running count of a-samples at the last
-    element of a tie run is the right limit `searchsorted(av, x,
-    side="right")` at that value x; the padding sorts last and is left out.
+    element of a tie run is the right limit at that value x, the number of
+    a-samples at or below x; the padding sorts last and is left out.
     Tie runs are found with `!=`, so the order of -0.0 and 0.0 within a run
     does not matter.
     """

@@ -30,11 +30,16 @@ _LAMBDA_TINY = 0.2
 
 
 def ks_statistic(a, b) -> float:
-    """Sup of |F_a - F_b| over all x, via the pooled-breakpoint scan."""
+    """Sup of |F_a - F_b| over all x, via the pooled-breakpoint scan.
+
+    Raises InsufficientDataError when a sample is empty, and ValueError when
+    one holds NaN or an infinity."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.size == 0 or b.size == 0:
         raise InsufficientDataError("insufficient data: both samples must be non-empty")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("samples must be finite, got NaN or an infinity")
     return kernels.ks_distance(a, b)
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from ozonet import (
     AlarmLedger,
     BreachFlags,
+    DegenerateWindowError,
     DriftSegment,
     InsufficientDataError,
     Scenario,
@@ -473,6 +474,33 @@ class TestBatchRun:
             assert engine_state(batch) == engine_state(single), sid
         statuses = {r.status for r in rows}
         assert statuses == {"ok", "insufficient"}
+
+    @pytest.mark.parametrize("th", BATCH_THRESHOLDS)
+    def test_run_measures_as_the_one_window_api(self, network, th):
+        # run() and a batch share one measurement, so "run equals stepping"
+        # compares it with itself; here every row is checked against the
+        # public one-window calls instead
+        statuses = set()
+        for sid in ("GAIN", "OFFSET", "FLAT", "CLEAN"):
+            sensor, proxy = network[sid], network["REF"]
+            for row in SiteEngine(sid, sensor, proxy, th).run().rows:
+                wins = [window(series, row.stamp, th.td_hours) for series in (sensor, proxy)]
+                p_ks = estimate = None
+                try:
+                    est = moment_match(*wins, th.completeness_min)
+                    status, estimate = "ok", (est.offset, est.gain)
+                except InsufficientDataError:
+                    status = "insufficient"
+                except DegenerateWindowError:
+                    status = "degenerate"
+                if status != "insufficient":
+                    sy, sz = wins[0].samples, wins[1].samples
+                    p_ks = ks_pvalue(ks_statistic(sy, sz), sy.size, sz.size)
+                expected = (status, p_ks, *(estimate or (None, None)))
+                assert (row.status, row.p_ks, row.offset_raw, row.gain_raw) == expected, (
+                    sid, row.stamp)
+                statuses.add(status)
+        assert statuses == {"ok", "insufficient", "degenerate"}
 
     @pytest.mark.parametrize("assessed", [alarms._BLOCK_HOURS, alarms._BLOCK_HOURS + 1,
                                           2 * alarms._BLOCK_HOURS + 1])

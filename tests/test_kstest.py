@@ -86,6 +86,14 @@ class TestSupDistance:
         with pytest.raises(InsufficientDataError):
             ks_statistic([], [1.0])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample_rejected(self, bad):
+        # the distance kernel reads +inf as row padding, so a sample that
+        # holds NaN or an infinity is refused, on either side
+        for a, b in (([1.0, bad], [2.0]), ([2.0], [bad, 1.0])):
+            with pytest.raises(ValueError, match="finite"):
+                ks_statistic(a, b)
+
     def test_matches_oracle_on_random_cases(self):
         # sizes span the operating window of 54-72 hourly samples
         rng = np.random.default_rng(42)

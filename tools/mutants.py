@@ -53,14 +53,13 @@ MUTANTS = [
            "ks=p_ks <= th.p_ks_min", "ks=p_ks < th.p_ks_min"),
     Mutant("persistence: breach_hours > tf_hours -> >=", "alarms.py",
            "breach_hours[i] > th.tf_hours", "breach_hours[i] >= th.tf_hours"),
-    Mutant("ks_distance: (m + 1.0) divisor -> m", "kernels.py",
-           '"right") / (m + 1.0)', '"right") / m'),
-    Mutant("ks_distance: (n + 1.0) divisor -> n", "kernels.py",
-           '"right") / (n + 1.0)', '"right") / n'),
     Mutant("ks_distance rows: (m + 1.0) divisor -> m", "kernels.py",
            "count_a / (m[:, None] + 1.0)", "count_a / m[:, None]"),
-    Mutant('ks_distance: side="right" -> "left"', "kernels.py",
-           'searchsorted(pooled, side="right")', 'searchsorted(pooled, side="left")'),
+    Mutant("ks_distance rows: (n + 1.0) divisor -> n", "kernels.py",
+           "count_b / (n[:, None] + 1.0)", "count_b / n[:, None]"),
+    Mutant("ks_distance rows: a tie run read at its first element", "kernels.py",
+           "run_end[:, :-1] &= values[:, :-1] != values[:, 1:]",
+           "run_end[:, 1:] &= values[:, 1:] != values[:, :-1]"),
     Mutant("window_moments: size - 1 divisor -> size", "kernels.py",
            "/ (size - 1)", "/ size"),
     Mutant("window_complete: share >= completeness_min -> >", "timeseries.py",
@@ -73,10 +72,8 @@ MUTANTS = [
            "fit_gain if fit_gain > 0.0 else 0.0", "fit_gain"),
     Mutant("EstimateHistory.extend: zero gain floor dropped", "calibrate.py",
            "np.where(fit_gain > 0.0, fit_gain, 0.0)", "fit_gain"),
-    Mutant("_measure_together: var > DEGENERATE_VAR_EPS -> >=", "alarms.py",
-           "fit = var > DEGENERATE_VAR_EPS", "fit = var >= DEGENERATE_VAR_EPS"),
-    Mutant("SiteEngine.run: var_y > DEGENERATE_VAR_EPS -> >=", "alarms.py",
-           "ok = var_y > DEGENERATE_VAR_EPS", "ok = var_y >= DEGENERATE_VAR_EPS"),
+    Mutant("_measure_rows: var_y > DEGENERATE_VAR_EPS -> >=", "alarms.py",
+           "fit = var_y > DEGENERATE_VAR_EPS", "fit = var_y >= DEGENERATE_VAR_EPS"),
     Mutant("_file: engines of every window length filed in step", "alarms.py",
            "key = (td_hours, last_stamp)", "key = last_stamp"),
     Mutant("SiteEngine._measure: a slot serves another hour", "alarms.py",
@@ -109,18 +106,18 @@ MUTANTS = [
     Mutant("_measure_together: a batch row paired with another proxy's window", "alarms.py",
            "which = [z_rows.setdefault(proxy, len(z_rows)) for proxy, _ in pairs]",
            "which = [z_rows.setdefault(proxy, len(z_rows)) for proxy, _ in pairs][::-1]"),
-    Mutant("_measure_together: an estimate made with another proxy's moments", "alarms.py",
-           "np.array(z_moments)[which].T", "np.array(z_moments)[which[::-1]].T"),
+    Mutant("_measure_together: a pair measured with another proxy's window length",
+           "alarms.py", "z[which], z_n[which])", "z[which], z_n[which[::-1]])"),
     Mutant("ks_pvalue: small-sample term dropped", "kstest.py",
            "(root + 0.12 + 0.11 / root) * d", "root * d"),
     Mutant("step: correction clip floor VALUE_MIN -> 0.0", "alarms.py",
            "VALUE_MIN)", "0.0)"),
-    Mutant("_window_stats: block one hour short", "alarms.py",
-           "slice(lo, lo + _BLOCK_HOURS)", "slice(lo, lo + _BLOCK_HOURS - 1)"),
-    Mutant("_window_stats: last assessed hour left out of the blocks", "alarms.py",
-           "range(0, y_n.size, _BLOCK_HOURS)", "range(0, y_n.size - 1, _BLOCK_HOURS)"),
-    Mutant("_window_stats: every other block skipped", "alarms.py",
-           "range(0, y_n.size, _BLOCK_HOURS)", "range(0, y_n.size, 2 * _BLOCK_HOURS)"),
+    Mutant("SiteEngine.run: block one hour short", "alarms.py",
+           "assessed[lo:lo + _BLOCK_HOURS]", "assessed[lo:lo + _BLOCK_HOURS - 1]"),
+    Mutant("SiteEngine.run: last assessed hour left out of the blocks", "alarms.py",
+           "range(0, assessed.size, _BLOCK_HOURS)", "range(0, assessed.size - 1, _BLOCK_HOURS)"),
+    Mutant("SiteEngine.run: every other block skipped", "alarms.py",
+           "range(0, assessed.size, _BLOCK_HOURS)", "range(0, assessed.size, 2 * _BLOCK_HOURS)"),
     Mutant("_padded_windows: one column short", "alarms.py",
            "cols = np.arange(count.max())", "cols = np.arange(count.max() - 1)"),
     Mutant("scan_series_csv: VALUE_MIN itself out of range", "io.py",
