@@ -26,11 +26,12 @@ steps only updates its own trend, clocks and row; any other engine runs a
 batch, alone if no engine is in step with it. A tick of N engines in step
 thus makes one KS distance call over the padded rows of its assessed
 pairs, and one moment call per distinct window length on each side
-(sensor and proxy); the other N - 1 steps read a slot. A batch looks only
-at the engines filed under its own window length and last hour, so it
-costs what they do, and streams on one proxy at different hours keep to
-their own batches. `run()` measures its span with the same function as a
-batch, `_measure_rows`, in blocks of assessed hours.
+(sensor and proxy); the other N - 1 steps read a slot. A batch finds its
+peers by scanning every live engine, at O(live engines) per batch. Streams
+on one proxy at different hours keep to their own batches, and an engine
+that finished `run()` at an hour is in step with those that stepped it.
+`run()` measures its span with the same function as a batch,
+`_measure_rows`, in blocks of assessed hours.
 
 A slot depends only on the engine's series, thresholds and hour, and the
 engine that runs a batch takes its own result from the return value, never
@@ -79,19 +80,11 @@ TREND_GAIN_MIN = 0.25
 TREND_GAIN_MAX = 4.0
 TREND_OFFSET_CAP = 60.0
 
-# (td_hours, hour) -> weak references to the engines filed there, the
-# candidates of a batch: a list held by those engines, so it is freed once
-# they have all been filed elsewhere or died. The lock keeps batches in other
-# threads from filing at once.
-_in_step = weakref.WeakValueDictionary()
-_in_step_lock = threading.Lock()
-
-
-class _Filed(list):
-    """A list that can be weakly referenced, with the length at which
-    `_file` next drops its stale references."""
-
-    __slots__ = ("__weakref__", "limit")
+# Every live engine, where a batch looks for the engines in step with the
+# one that runs it. The lock keeps an engine built in another thread from
+# joining while a batch copies the set.
+_live = weakref.WeakSet()
+_live_lock = threading.Lock()
 
 
 @dataclass(frozen=True)
@@ -274,8 +267,8 @@ class SiteEngine:
         self.history = EstimateHistory(site_id)
         self.ledger = AlarmLedger(site_id)
         self._slot = None       # (hour, raw_value, p_ks, offset_raw, gain_raw)
-        self._filed = None      # the _Filed list of _in_step holding this engine
-        _file([self], self.thresholds.td_hours, None)
+        with _live_lock:
+            _live.add(self)
 
     def step(self, stamp, measured: tuple | None = None) -> HistoryRow:
         """Evaluate one hour; appends and returns the history row.
@@ -345,17 +338,14 @@ class SiteEngine:
         return (raw_value, p, offset, gain) + (self.history.trend or (None, None))
 
     def _in_step(self) -> list:
-        """This engine, then the other live engines filed with it whose last
-        stepped hour is its own."""
-        last = self.ledger.last_stamp
-        with _in_step_lock:
-            refs = self._filed[:]
-        engines = {self: None}
-        for ref in refs:
-            engine = ref()
-            if engine is not None and engine.ledger.last_stamp == last:
-                engines[engine] = None
-        return list(engines)
+        """This engine, then the other live engines of its window length
+        whose last stepped hour is its own."""
+        td_hours, last = self.thresholds.td_hours, self.ledger.last_stamp
+        with _live_lock:
+            live = list(_live)
+        return [self] + [engine for engine in live if engine is not self
+                         and engine.thresholds.td_hours == td_hours
+                         and engine.ledger.last_stamp == last]
 
     def run(self, start=None, end=None) -> SiteRunResult:
         """Evaluate every hour of the sensor's span (or the given range).
@@ -411,28 +401,7 @@ class SiteEngine:
         step = self.step
         for stamp, measured in zip(stamps.tolist(), zip(*map(_or_none, columns))):
             step(stamp, measured)
-        _file([self], th.td_hours, self.ledger.last_stamp)
         return SiteRunResult(self.site_id, list(self.ledger.history))
-
-
-def _file(engines, td_hours: int, last_stamp) -> None:
-    """File `engines` where batches of engines in step with them look."""
-    key = (td_hours, last_stamp)
-    with _in_step_lock:
-        filed = _in_step.get(key)
-        if filed is None:
-            filed = _in_step[key] = _Filed()
-            filed.limit = 2 * len(engines) + 16
-        for engine in engines:
-            if engine._filed is not filed:
-                engine._filed = filed
-                filed.append(weakref.ref(engine))
-        if len(filed) > filed.limit:
-            # drop dead engines and those filed elsewhere since; a list an
-            # idle engine holds would otherwise grow with each engine filed
-            filed[:] = [ref for ref in filed
-                        if (engine := ref()) is not None and engine._filed is filed]
-            filed.limit = 2 * len(filed) + 16
 
 
 _UNASSESSED = (None, None, None)
@@ -441,10 +410,10 @@ _UNASSESSED = (None, None, None)
 def _measure_together(engines, stamp: int, td_hours: int) -> list:
     """Measure the hour `stamp` for `engines`, all of window length
     `td_hours`; returns each engine's slot (stamp, raw_value, p_ks,
-    offset_raw, gain_raw), also set on it, and files them under (td_hours,
-    stamp). p_ks is None where the engine does not assess the windows, the
-    estimate also where the sensor window is degenerate. Only the windows of
-    assessed pairs are measured: another proxy window may be empty.
+    offset_raw, gain_raw), also set on it. p_ks is None where the engine
+    does not assess the windows, the estimate also where the sensor window
+    is degenerate. Only the windows of assessed pairs are measured: another
+    proxy window may be empty.
     """
     proxies, sensors, pairs, heads = {}, {}, {}, []
     for engine in engines:
@@ -484,7 +453,6 @@ def _measure_together(engines, stamp: int, td_hours: int) -> list:
     for engine, (raw, k) in zip(engines, heads):
         engine._slot = slot = (stamp, raw) + (_UNASSESSED if k is None else measured[k])
         slots.append(slot)
-    _file(engines, td_hours, stamp)
     return slots
 
 

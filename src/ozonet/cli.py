@@ -13,7 +13,6 @@ import argparse
 import csv
 import dataclasses
 import io
-import json
 import os
 import sys
 from pathlib import Path
@@ -237,11 +236,11 @@ def cmd_proxy_eval(args) -> int:
 def cmd_simulate(args) -> int:
     scenario_path = Path(args.scenario)
     try:
-        data = json.loads(scenario_path.read_text(encoding="utf-8"))
+        data = ozio.json_loads(scenario_path.read_text(encoding="utf-8"))
         scenario = Scenario.from_dict(data)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {scenario_path}: {exc}") from exc
-    except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario {scenario_path}: {exc}") from exc
 
     out = _out_dir(args, "sim_out")

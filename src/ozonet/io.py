@@ -508,17 +508,29 @@ def _json_item(kind: type, value, path: str):
     return json_value(value, kind, f"'{path}'")
 
 
+def _no_json_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
+def json_loads(text: str):
+    """json.loads, except that NaN, Infinity and -Infinity, which are no
+    JSON numbers, are a ValueError."""
+    return json.loads(text, parse_constant=_no_json_constant)
+
+
 def load_network_config(path) -> NetworkConfig:
     """The network config at `path`, read as UTF-8 JSON."""
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json_loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise ConfigError(f"config {path} is not UTF-8 text: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"bad configuration: {exc}") from exc
     return NetworkConfig.from_dict(data)
 
 

@@ -99,11 +99,16 @@ def idw_grid(sites, lat_min, lat_max, lon_min, lon_max, cell_deg, power: float =
     `sites` is a sequence of (lat, lon, value). Weights are distance to the
     -power; a cell whose centre falls within 1 m of a site takes that
     site's value exactly (also the division-by-zero guard). Every cell is a
-    convex combination of the inputs, so the field is bounded by them.
+    convex combination of the inputs, so the field is bounded by them. A
+    cell size, bound or power that is not finite is a ValueError naming it.
     """
     sites = list(sites)
     if not sites:
         raise InsufficientDataError("no sites with values to interpolate")
+    for name, value in (("cell size", cell_deg), ("lat_min", lat_min), ("lat_max", lat_max),
+                        ("lon_min", lon_min), ("lon_max", lon_max), ("power", power)):
+        if not np.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     if cell_deg <= 0 or lat_max <= lat_min or lon_max <= lon_min:
         raise ValueError("bounding box must be non-empty and cell size positive")
     slat = np.array([s[0] for s in sites])

@@ -56,8 +56,8 @@ class TimeSeries:
     """Ordered hourly observations for one site, gaps allowed.
 
     A series compares and hashes by identity: two series with equal arrays
-    are different objects, and a series can key a dict or a weak mapping
-    (the engine's shared proxy windows do).
+    are different objects, and a series can key a dict (a batch of engines
+    keys its per-call window bounds by series).
     """
 
     site_id: str

@@ -1154,30 +1154,41 @@ class TestLockstepBatch:
                 private = stepped(private_copy(engine), start, start + 19)
                 assert engine_state(engine) == engine_state(private)
 
+    def test_engines_run_to_an_hour_step_the_next_with_a_stream(self, monkeypatch):
+        # a stream steps hours up to h; engines built after it catch up
+        # with run() to h, and are then in step with the stream: the next
+        # hour is one batch for them all
+        calls = counted_distance_rows(monkeypatch)
+        proxy = sim_series("P", 0, 200, 2)
+        sensors = [sim_series(f"S{k}", 0, 200, k + 3) for k in range(4)]
+        streamed = [SiteEngine(f"T{k}", sensor, proxy) for k, sensor in enumerate(sensors[2:])]
+        for hour in range(100, 151):
+            for engine in streamed:
+                engine.step(hour)
+        ran = [SiteEngine(f"R{k}", sensor, proxy) for k, sensor in enumerate(sensors[:2])]
+        for engine in ran:
+            engine.run(100, 150)
+        calls.clear()
+        rows = [engine.step(151) for engine in ran + streamed]
+        assert calls == [4] and all(r.p_ks is not None for r in rows)
+        for engine in ran + streamed:
+            assert engine_state(engine) == engine_state(stepped(private_copy(engine), 100, 151))
+
     def test_dropping_every_engine_empties_the_registry(self):
+        # the live set holds the stepped engines, and none of them once
+        # they are dropped: it keeps no engine alive
         proxy = sim_series("P", 0, 200, 2)
         engines = [SiteEngine(f"S{k}", sim_series(f"S{k}", 0, 200, k), proxy, th)
                    for k, th in enumerate(BATCH_THRESHOLDS * 2)]
         for engine in engines:
             engine.step(150)
-        keys = [(th.td_hours, 150) for th in BATCH_THRESHOLDS]
-        assert set(engines) == {ref() for key in keys for ref in alarms._in_step[key]}
+        assert set(engines) <= set(alarms._live)
+        dropped = [weakref.ref(engine) for engine in engines]
+        ids = {id(engine) for engine in engines}
         del engines, engine
         gc.collect()
-        assert not any(key in alarms._in_step for key in keys)
-
-    def test_a_filing_list_held_by_an_idle_engine_stays_small(self):
-        # an engine that joined a batch but never steps holds its filing
-        # list, and every engine built later is filed there after its first
-        # step; those that died are dropped from the list again
-        proxy = sim_series("P", 0, 200, 2)
-        idle = SiteEngine("I", sim_series("I", 0, 200, 1), proxy, Thresholds(td_hours=60))
-        for k in range(100):
-            SiteEngine(f"S{k}", sim_series(f"S{k}", 0, 200, k + 2), proxy,
-                       idle.thresholds).step(150)
-        assert idle.ledger.last_stamp is None
-        assert idle._filed is alarms._in_step[(60, 150)]
-        assert len(idle._filed) < 20
+        assert [ref() for ref in dropped] == [None] * len(dropped)
+        assert not ids & {id(engine) for engine in alarms._live}
 
     def test_series_checked_against_each_other_are_freed(self):
         # two references, each the other's proxy, stepped in one batch: what

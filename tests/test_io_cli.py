@@ -405,6 +405,27 @@ class TestNetworkConfig:
         assert capsys.readouterr().err == f"error: bad configuration: {message}\n"
         assert not (sim_dir / "out").exists()
 
+    @pytest.mark.parametrize("section, name, literal", [
+        ("thresholds", "gain_high", "Infinity"),
+        ("sites", "aadt_5km", "NaN"),
+        ("thresholds", "offset_low", "-Infinity"),
+    ])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_non_finite_literal_is_input_error(self, sim_dir, capsys, section, name, literal,
+                                               command):
+        # json.dumps writes a float that is not finite as this literal
+        network = sim_dir / "network.json"
+        config = json.loads(network.read_text())
+        target = config["sites"][0] if section == "sites" else config[section]
+        target[name] = float(literal)
+        network.write_text(json.dumps(config))
+        assert literal in network.read_text()
+        out = ["--out", str(sim_dir / "out")] if command == "run" else []
+        assert main([command, str(network), *out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad configuration: {literal} is not a JSON number\n")
+        assert not (sim_dir / "out").exists()
+
     def test_whole_numbers_and_nulls_are_accepted(self):
         data = self.make_config().to_dict()
         data["thresholds"].update(td_hours=48.0, offset_high=4)
@@ -545,6 +566,17 @@ class TestSimulateCommand:
         spath.write_text(json.dumps(payload))
         assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
         assert capsys.readouterr().err == f"error: bad scenario {spath}: {message}\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    def test_non_finite_literal_is_input_error(self, tmp_path, capsys, literal):
+        payload = pair_scenario(duration_hours=24 * 4).to_dict()
+        payload["sites"][0]["truth"]["baseline"] = float(literal)
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(payload))
+        assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad scenario {spath}: {literal} is not a JSON number\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("path, value, message", [
@@ -887,6 +919,20 @@ class TestBadFlags:
                      "--out", str(sim_dir / "badmap")])
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
+        assert not (sim_dir / "badmap" / "grid.csv").exists()
+
+    @pytest.mark.parametrize("flag, name", [
+        (["--power", "nan"], "power"),
+        (["--power", "inf"], "power"),
+        (["--cell", "inf"], "cell size"),
+        (["--bbox", "nan,1,2,3"], "lat_min"),
+    ], ids=["power-nan", "power-inf", "cell-inf", "bbox-nan"])
+    def test_non_finite_map_flag_is_input_error(self, sim_dir, capsys, flag, name):
+        code = main(["map", str(sim_dir / "network.json"),
+                     "--hour", "2018-01-27T12:00:00Z", *flag,
+                     "--out", str(sim_dir / "badmap")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith(f"error: {name} must be finite, got ")
         assert not (sim_dir / "badmap" / "grid.csv").exists()
 
 

@@ -74,19 +74,16 @@ MUTANTS = [
            "np.where(fit_gain > 0.0, fit_gain, 0.0)", "fit_gain"),
     Mutant("_measure_rows: var_y > DEGENERATE_VAR_EPS -> >=", "alarms.py",
            "fit = var_y > DEGENERATE_VAR_EPS", "fit = var_y >= DEGENERATE_VAR_EPS"),
-    Mutant("_file: engines of every window length filed in step", "alarms.py",
-           "key = (td_hours, last_stamp)", "key = last_stamp"),
+    Mutant("SiteEngine._in_step: engines of every window length join the batch", "alarms.py",
+           "and engine.thresholds.td_hours == td_hours", "and True"),
     Mutant("SiteEngine._measure: a slot serves another hour", "alarms.py",
            "if slot is None or slot[0] != stamp:", "if slot is None:"),
     Mutant("SiteEngine._measure: a later hour's slot serves an earlier one", "alarms.py",
            "slot[0] != stamp", "slot[0] < stamp"),
     Mutant("SiteEngine._in_step: engines not in step join the batch", "alarms.py",
-           "if engine is not None and engine.ledger.last_stamp == last:",
-           "if engine is not None:"),
-    Mutant("_file: stale references never dropped", "alarms.py",
-           "if len(filed) > filed.limit:", "if False:"),
+           "and engine.ledger.last_stamp == last]", "]"),
     Mutant("SiteEngine._in_step: every engine a batch of one", "alarms.py",
-           "return list(engines)", "return [self]"),
+           "live = list(_live)", "live = []"),
     Mutant("_measure_together: the proxy window of the hour before", "alarms.py",
            "window_bounds(proxy.hours, stamp, td_hours)",
            "window_bounds(proxy.hours, stamp - 1, td_hours)"),
