@@ -19,17 +19,18 @@ A streamed hour is measured in one batch for the engines in step: the same
 window length and the same last stepped hour (engines that never stepped
 are in step with each other). The first of them to step the hour runs the
 batch. It hands each engine a slot (hour, raw value, p value, offset,
-gain): the raw reading, and for each (proxy, sensor) pair that an engine
-assesses by its own completeness rule, the KS distance, p value and raw
-estimate, measured once per pair. An engine whose slot holds the hour it
+gain): the raw reading, and for an engine that assesses its windows by its
+own completeness rule, the p value and raw estimate of one row (its sensor
+window beside its proxy window). An engine whose slot holds the hour it
 steps only updates its own trend, clocks and row; any other engine runs a
 batch, alone if no engine is in step with it. A tick of N engines in step
-thus makes one KS distance call over the padded rows of its assessed
-pairs, and one moment call per distinct window length on each side
-(sensor and proxy); the other N - 1 steps read a slot. A batch finds its
-peers by scanning every live engine, at O(live engines) per batch. Streams
-on one proxy at different hours keep to their own batches, and an engine
-that finished `run()` at an hour is in step with those that stepped it.
+thus makes one KS distance call with a padded row per assessed engine, and
+one moment call per distinct window length on each side (sensor and
+proxy); the other N - 1 steps read a slot. A batch looks up each series'
+window bounds once, and finds its peers by scanning every live engine, at
+O(live engines) per batch. Streams on one proxy at different hours keep
+to their own batches, and an engine that finished `run()` at an hour is in
+step with those that stepped it.
 `run()` measures its span with the same function as a batch,
 `_measure_rows`, in blocks of assessed hours.
 
@@ -331,21 +332,11 @@ class SiteEngine:
         enters the history."""
         slot = self._slot
         if slot is None or slot[0] != stamp:
-            slot = _measure_together(self._in_step(), stamp, self.thresholds.td_hours)[0]
+            slot = _measure_together(self, stamp)[0]
         _, raw_value, p, offset, gain = slot
         if offset is not None and _trended(offset, gain):
             self.history.append(stamp, offset, gain)
         return (raw_value, p, offset, gain) + (self.history.trend or (None, None))
-
-    def _in_step(self) -> list:
-        """This engine, then the other live engines of its window length
-        whose last stepped hour is its own."""
-        td_hours, last = self.thresholds.td_hours, self.ledger.last_stamp
-        with _live_lock:
-            live = list(_live)
-        return [self] + [engine for engine in live if engine is not self
-                         and engine.thresholds.td_hours == td_hours
-                         and engine.ledger.last_stamp == last]
 
     def run(self, start=None, end=None) -> SiteRunResult:
         """Evaluate every hour of the sensor's span (or the given range).
@@ -404,56 +395,49 @@ class SiteEngine:
         return SiteRunResult(self.site_id, list(self.ledger.history))
 
 
-_UNASSESSED = (None, None, None)
-
-
-def _measure_together(engines, stamp: int, td_hours: int) -> list:
-    """Measure the hour `stamp` for `engines`, all of window length
-    `td_hours`; returns each engine's slot (stamp, raw_value, p_ks,
-    offset_raw, gain_raw), also set on it. p_ks is None where the engine
-    does not assess the windows, the estimate also where the sensor window
-    is degenerate. Only the windows of assessed pairs are measured: another
-    proxy window may be empty.
+def _measure_together(engine, stamp: int) -> list:
+    """Measure the hour `stamp` for `engine` and every live engine in step
+    with it; returns each one's slot (stamp, raw_value, p_ks, offset_raw,
+    gain_raw), `engine`'s first, also set on it. p_ks is None where the
+    engine does not assess the windows, the estimate also where the sensor
+    window is degenerate. Each assessed engine adds one row; the windows of
+    the others are not measured, as another proxy window may be empty.
     """
-    proxies, sensors, pairs, heads = {}, {}, {}, []
-    for engine in engines:
-        proxy, sensor = engine.proxy, engine.sensor
-        z_bounds = proxies.get(proxy)
-        if z_bounds is None:
-            # plain ints: numpy scalars make the slicing and comparisons slower
-            z_bounds = proxies[proxy] = window_bounds(proxy.hours, stamp, td_hours).tolist()
-        y_bounds = sensors.get(sensor)
-        if y_bounds is None:
-            s_lo, s_hi = window_bounds(sensor.hours, stamp, td_hours).tolist()
-            raw = (float(sensor.values[s_hi - 1])
-                   if s_hi > s_lo and sensor.hours[s_hi - 1] == stamp else None)
-            y_bounds = sensors[sensor] = (s_lo, s_hi, raw)
-        k = None
-        if window_complete(min(y_bounds[1] - y_bounds[0], z_bounds[1] - z_bounds[0]),
-                           td_hours, engine.thresholds.completeness_min):
-            k = pairs.setdefault((proxy, sensor), len(pairs))
-        heads.append((y_bounds[2], k))
-    if pairs:
-        y_n = np.array([sensors[sensor][1] - sensors[sensor][0] for _, sensor in pairs])
-        y = np.full((y_n.size, y_n.max()), np.inf)
-        for row, (_, sensor) in zip(y, pairs):
-            s_lo, s_hi, _ = sensors[sensor]
-            row[:s_hi - s_lo] = sensor.values[s_lo:s_hi]
-        # each proxy window padded once, then one row per pair
-        z_rows = {}
-        which = [z_rows.setdefault(proxy, len(z_rows)) for proxy, _ in pairs]
-        z_n = np.array([proxies[proxy][1] - proxies[proxy][0] for proxy in z_rows])
-        z = np.full((z_n.size, z_n.max()), np.inf)
-        for row, proxy in zip(z, z_rows):
-            p_lo, p_hi = proxies[proxy]
-            row[:p_hi - p_lo] = proxy.values[p_lo:p_hi]
-        p_ks, offset, gain = _measure_rows(y, y_n, z[which], z_n[which])
-        measured = list(zip(p_ks, _or_none(offset), _or_none(gain)))
-    slots = []
-    for engine, (raw, k) in zip(engines, heads):
-        engine._slot = slot = (stamp, raw) + (_UNASSESSED if k is None else measured[k])
-        slots.append(slot)
+    last, td_hours = engine.ledger.last_stamp, engine.thresholds.td_hours
+    with _live_lock:
+        live = list(_live)
+    engines = [engine] + [other for other in live if other.ledger.last_stamp == last
+                          and other.thresholds.td_hours == td_hours and other is not engine]
+    bounds, slots, rows = {}, [], []
+    for other in engines:
+        sensor, proxy = other.sensor, other.proxy
+        for series in (sensor, proxy):
+            if series not in bounds:
+                # plain ints: numpy scalars make the slicing and comparisons slower
+                bounds[series] = window_bounds(series.hours, stamp, td_hours).tolist()
+        (s_lo, s_hi), (p_lo, p_hi) = bounds[sensor], bounds[proxy]
+        if window_complete(min(s_hi - s_lo, p_hi - p_lo), td_hours,
+                           other.thresholds.completeness_min):
+            rows.append((len(slots), sensor.values[s_lo:s_hi], proxy.values[p_lo:p_hi]))
+        raw = (float(sensor.values[s_hi - 1])
+               if s_hi > s_lo and sensor.hours[s_hi - 1] == stamp else None)
+        slots.append((stamp, raw, None, None, None))
+    if rows:
+        which, y, z = zip(*rows)
+        p_ks, offset, gain = _measure_rows(*_padded_rows(y), *_padded_rows(z))
+        for k, measured in zip(which, zip(p_ks, _or_none(offset), _or_none(gain))):
+            slots[k] = slots[k][:2] + measured
+    for other, slot in zip(engines, slots):
+        other._slot = slot
     return slots
+
+
+def _padded_rows(windows) -> tuple:
+    """The windows as rows padded with +inf, and their lengths."""
+    count = np.array([window.size for window in windows])
+    rows = np.full((count.size, count.max()), np.inf)
+    rows[np.arange(count.max()) < count[:, None]] = np.concatenate(windows)
+    return rows, count
 
 
 # Assessed hours per _measure_rows call in SiteEngine.run: bounds the

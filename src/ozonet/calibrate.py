@@ -138,6 +138,8 @@ def _solve_quadratic(a, s1, s2, s3, s4, rhs):
 # u^4, then of offset * (1, u, u^2) and of gain * (1, u, u^2).
 _SUMS = ("_s1", "_s2", "_s3", "_s4", "_o0", "_o1", "_o2", "_g0", "_g1", "_g2")
 
+_ESTIMATE_RULE = "raw estimates need a finite offset and a finite, nonnegative gain"
+
 
 class EstimateHistory:
     """Raw estimates for one site, the running trend fit over them, and the
@@ -178,7 +180,7 @@ class EstimateHistory:
         Returns the trend's (offset, gain), which `trend` then holds.
         """
         if not (math.isfinite(offset) and math.isfinite(gain) and gain >= 0):
-            raise ValueError("raw estimates need a finite offset and a finite, nonnegative gain")
+            raise ValueError(_ESTIMATE_RULE)
         if self.stamps and stamp <= self.stamps[-1]:
             raise ValueError("estimates must arrive in increasing time order")
         self.stamps.append(stamp)
@@ -202,7 +204,8 @@ class EstimateHistory:
 
     def extend(self, stamps, offsets, gains):
         """Append raw estimates in bulk, leaving the history bit for bit as
-        repeated `append` would.
+        repeated `append` would, and raising what it would raise before any
+        estimate enters.
 
         Returns (offset, gain) arrays: for each new estimate, what `append`
         returns for it.
@@ -210,6 +213,10 @@ class EstimateHistory:
         stamps = np.asarray(stamps, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.float64)
         gains = np.asarray(gains, dtype=np.float64)
+        if stamps.ndim != 1 or offsets.shape != stamps.shape or gains.shape != stamps.shape:
+            raise ValueError("stamps, offsets and gains must be 1-D arrays of one length")
+        if not (np.isfinite(offsets).all() and np.isfinite(gains).all() and (gains >= 0).all()):
+            raise ValueError(_ESTIMATE_RULE)
         if stamps.size == 0:
             return offsets, gains
         if np.any(np.diff(stamps) <= 0) or (self.stamps and stamps[0] <= self.stamps[-1]):

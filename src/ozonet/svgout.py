@@ -6,6 +6,8 @@ office tool can open, with no plotting-stack dependency.
 
 from __future__ import annotations
 
+from html import escape
+
 import numpy as np
 
 from ozonet.io import atomic_write
@@ -51,7 +53,7 @@ def heatmap_svg(panels, path, sites=None, panel_px: int = 360):
         n_lat, n_lon = grid.values.shape
         cw = panel_px / n_lon
         ch = panel_px / n_lat
-        parts.append(f'<text x="{x0}" y="{title_h - 5}">{label}</text>')
+        parts.append(f'<text x="{x0}" y="{title_h - 5}">{escape(label)}</text>')
         for i in range(n_lat):
             # latitude increases upward
             y = y0 + (n_lat - 1 - i) * ch
@@ -102,13 +104,13 @@ def proxy_eval_svg(scores, path):
     for p, strategy in enumerate(strategies):
         top = 10 + p * panel_total
         base = top + 16 + panel_h
-        parts.append(f'<text x="8" y="{top + 12}" font-size="12">{strategy}</text>')
+        parts.append(f'<text x="8" y="{top + 12}" font-size="12">{escape(strategy)}</text>')
         parts.append(f'<line x1="{left}" y1="{base}" x2="{width - 10}" y2="{base}" '
                      f'stroke="black" stroke-width="1"/>')
         for k, site in enumerate(sites):
             score = by_key.get((site, strategy))
             gx = left + k * group_w
-            parts.append(f'<text x="{gx}" y="{base + 12}">{site}</text>')
+            parts.append(f'<text x="{gx}" y="{base + 12}">{escape(site)}</text>')
             if score is None:
                 parts.append(f'<text x="{gx}" y="{base + 24}">n/a</text>')
                 continue

@@ -1,6 +1,15 @@
-"""Shared pytest wiring: per-criterion pass/fail lines for the acceptance run."""
+"""Shared pytest wiring: per-criterion pass/fail lines for the acceptance run,
+and the Hypothesis profile that the mutation check loads."""
 
 import re
+
+from hypothesis import Phase, settings
+
+# Loaded only by tools/mutants.py (--hypothesis-profile mutants): a mutant
+# is killed by the first failing example, so shrinking it (and explaining
+# the shrunk one) is wasted time there. The suite itself keeps the default.
+settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate,
+                                             Phase.target))
 
 _ACCEPTANCE_RESULTS = {}
 _ACCEPTANCE_PATTERN = re.compile(r"test_c(\d+)_(\w+)")

@@ -915,7 +915,7 @@ class TestLockstepBatch:
 
     def test_engines_in_step_measure_a_tick_in_one_call(self, network, monkeypatch):
         # one row-form KS call per tick for the whole network on two
-        # proxies, with a row per assessed pair (none in a tick without
+        # proxies, with a row per assessed engine (none in a tick without
         # one) and the rows of private engines; an engine with no peer in
         # step is a batch of one
         calls = counted_distance_rows(monkeypatch)
@@ -1005,6 +1005,26 @@ class TestLockstepBatch:
         for engine, start in ((first, 99), (second, 99), (late, 100)):
             assert engine_state(engine) == engine_state(stepped(private_copy(engine), start,
                                                                 101))
+
+    def test_engines_on_one_pair_each_add_a_row(self, monkeypatch):
+        # two engines on one sensor and one proxy object, told apart by
+        # their persistence only, beside a third engine: a tick is one call
+        # with a row per assessed engine, and each engine latches on its
+        # own clock
+        calls = counted_distance_rows(monkeypatch)
+        proxy, whole = sim_series("P", 0, 200, 2), sim_series("S", 0, 200, 1)
+        sensor = TimeSeries("S", whole.hours, 1.6 * whole.values)
+        engines = [SiteEngine("A", sensor, proxy, Thresholds(tf_hours=12)),
+                   SiteEngine("B", sensor, proxy, Thresholds(tf_hours=24)),
+                   SiteEngine("C", sim_series("T", 0, 200, 3), proxy)]
+        for hour in range(100, 140):
+            for engine in engines:
+                engine.step(hour)
+        assert calls == [3] * 40
+        first, second = ([r.alarm_gain for r in e.ledger.history] for e in engines[:2])
+        assert first.index(True) == 12 and second.index(True) == 24
+        for engine in engines:
+            assert engine_state(engine) == engine_state(stepped(private_copy(engine), 100, 139))
 
     def test_a_window_is_measured_for_an_engine_that_assesses_it(self, monkeypatch):
         # a 36-hour outage leaves the 72-hour window half full: an engine
@@ -1131,7 +1151,7 @@ class TestLockstepBatch:
     def test_streams_at_other_hours_measure_their_own_windows(self, monkeypatch):
         # two streams of eight engines on one proxy, at hours 100 + k and
         # 250 + k, taking turns engine by engine: from the second tick on,
-        # each tick makes one call per stream with a row per assessed pair.
+        # each tick makes one call per stream with a row per assessed engine.
         # The first tick still shares work across the streams, because
         # engines that have never stepped are in step with each other.
         calls = counted_distance_rows(monkeypatch)

@@ -1,5 +1,7 @@
 """Moment-matching estimators, correction, and trend smoothing."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -273,6 +275,23 @@ class TestQuadraticTrend:
         assert bulk.trend == seen[-1]
         with pytest.raises(ValueError, match="increasing"):
             bulk.extend([int(stamps[-1])], [0.0], [1.0])
+
+    @pytest.mark.parametrize("stamps, offsets, gains, match", [
+        ([1, 2, 3], [0.0, np.nan, 1.0], [1.0, 1.0, -2.0], "finite"),
+        ([1, 2, 3], [0.0, 0.0, 1.0], [1.0, 1.0, -2.0], "nonnegative"),
+        ([1, 2], [0.0, np.inf], [1.0, 1.0], "finite"),
+        ([1, 2], [0.0, 1.0], [1.0, np.nan], "finite"),
+        ([1, 2], [0.0, 1.0], [1.0], "length"),
+        ([], [0.0], [1.0], "length"),
+        ([[1, 2]], [[0.0, 1.0]], [[1.0, 1.0]], "1-D"),
+    ])
+    def test_extend_rejects_what_append_rejects(self, stamps, offsets, gains, match):
+        # raised before any estimate enters: the history stays as it was
+        h = history_from([0], [0.0], [1.0])
+        before = [copy.copy(getattr(h, name)) for name in EstimateHistory.__slots__]
+        with pytest.raises(ValueError, match=match):
+            h.extend(stamps, offsets, gains)
+        assert [getattr(h, name) for name in EstimateHistory.__slots__] == before
 
     def test_fitted_gain_is_floored_at_zero(self):
         # the expanding quadratic through these gains dips below zero at the

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 from pathlib import Path
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -258,6 +259,28 @@ class TestResultWriters:
             assert (out / "site.csv").read_bytes() == _csv_writer_bytes(header, lines)
 
 
+def write_svg(draw, label, path):
+    """A heat map panel or a proxy-eval panel labelled `label`."""
+    if draw == "heatmap":
+        grid = idw_grid([(34.0, -118.0, 30.0), (34.1, -118.1, 40.0)],
+                        33.95, 34.15, -118.15, -117.95, cell_deg=0.05)
+        heatmap_svg([(label, grid)], path)
+    else:
+        proxy_eval_svg([ProxyScore(label, "nearest", 0.1, 0.2, 0.3, 0.0, 1.5, None, 100)], path)
+
+
+class TestSvgOutput:
+    @pytest.mark.parametrize("draw", ["proxy_eval", "heatmap"])
+    def test_svg_text_reads_back_any_label(self, tmp_path, draw):
+        # a site id may hold '<', '&' and quotes; the SVG stays well-formed
+        # XML and its text reads the id back
+        path = tmp_path / "out.svg"
+        label = "R<&>\"'"
+        write_svg(draw, label, path)
+        texts = [e.text for e in ElementTree.parse(path).iter("{http://www.w3.org/2000/svg}text")]
+        assert label in texts
+
+
 class TestAtomicWrites:
     def test_failed_chart_write_leaves_old_file_and_no_temporary(self, tmp_path):
         def row(stamp):
@@ -280,22 +303,12 @@ class TestAtomicWrites:
 
     @pytest.mark.parametrize("draw", ["proxy_eval", "heatmap"])
     def test_failed_svg_write_leaves_old_file_and_no_temporary(self, tmp_path, draw):
-        grid = idw_grid([(34.0, -118.0, 30.0), (34.1, -118.1, 40.0)],
-                        33.95, 34.15, -118.15, -117.95, cell_deg=0.05)
         path = tmp_path / "figs" / "out.svg"
-
-        def write(label):
-            if draw == "heatmap":
-                heatmap_svg([(label, grid)], path)
-            else:
-                proxy_eval_svg([ProxyScore(label, "nearest", 0.1, 0.2, 0.3, 0.0, 1.5,
-                                           None, 100)], path)
-
-        write("R1")
+        write_svg(draw, "R1", path)
         before = path.read_bytes()
         # a lone surrogate cannot be encoded, so the write fails part way
         with pytest.raises(UnicodeEncodeError):
-            write("R\udc801")
+            write_svg(draw, "R\udc801", path)
         assert path.read_bytes() == before
         assert sorted(p.name for p in path.parent.iterdir()) == ["out.svg"]
 

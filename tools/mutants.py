@@ -3,9 +3,11 @@
 Each mutant is one plain-text substitution in one file under src/: every
 occurrence of a fragment is replaced. For each mutant the script copies
 src/ to a temporary directory, applies the substitution to the copy, and
-runs the Tier-1 suite against it with -x. A failing suite kills the
-mutant; a passing one lets it survive. The checkout itself is never
-edited. Before the mutants, the unmutated copy must pass.
+runs the Tier-1 suite against it with -x, under the `mutants` Hypothesis
+profile (tests/conftest.py: no shrinking, since the first failing example
+kills a mutant). A failing suite kills the mutant; a passing one lets it
+survive. The checkout itself is never edited. Before the mutants, the
+unmutated copy must pass.
 
     python tools/mutants.py
 
@@ -74,37 +76,32 @@ MUTANTS = [
            "np.where(fit_gain > 0.0, fit_gain, 0.0)", "fit_gain"),
     Mutant("_measure_rows: var_y > DEGENERATE_VAR_EPS -> >=", "alarms.py",
            "fit = var_y > DEGENERATE_VAR_EPS", "fit = var_y >= DEGENERATE_VAR_EPS"),
-    Mutant("SiteEngine._in_step: engines of every window length join the batch", "alarms.py",
-           "and engine.thresholds.td_hours == td_hours", "and True"),
+    Mutant("_measure_together: peers of every window length join the batch", "alarms.py",
+           "and other.thresholds.td_hours == td_hours", "and True"),
     Mutant("SiteEngine._measure: a slot serves another hour", "alarms.py",
            "if slot is None or slot[0] != stamp:", "if slot is None:"),
     Mutant("SiteEngine._measure: a later hour's slot serves an earlier one", "alarms.py",
            "slot[0] != stamp", "slot[0] < stamp"),
-    Mutant("SiteEngine._in_step: engines not in step join the batch", "alarms.py",
-           "and engine.ledger.last_stamp == last]", "]"),
-    Mutant("SiteEngine._in_step: every engine a batch of one", "alarms.py",
+    Mutant("_measure_together: peers not in step join the batch", "alarms.py",
+           "if other.ledger.last_stamp == last\n", "if True\n"),
+    Mutant("_measure_together: every engine a batch of one", "alarms.py",
            "live = list(_live)", "live = []"),
-    Mutant("_measure_together: the proxy window of the hour before", "alarms.py",
-           "window_bounds(proxy.hours, stamp, td_hours)",
-           "window_bounds(proxy.hours, stamp - 1, td_hours)"),
-    Mutant("_measure_together: another sensor's window serves an engine", "alarms.py",
-           "y_bounds = sensors.get(sensor)", "y_bounds = next(iter(sensors.values()), None)"),
-    Mutant("_measure_together: every non-empty pair is assessed", "alarms.py",
-           "if window_complete(min(y_bounds[1] - y_bounds[0], z_bounds[1] - z_bounds[0]),\n"
-           "                           td_hours, engine.thresholds.completeness_min):",
-           "if min(y_bounds[1] - y_bounds[0], z_bounds[1] - z_bounds[0]) > 0:"),
+    Mutant("_measure_together: the windows of the hour before", "alarms.py",
+           "window_bounds(series.hours, stamp, td_hours)",
+           "window_bounds(series.hours, stamp - 1, td_hours)"),
+    Mutant("_measure_together: another series' bounds serve an engine's sensor", "alarms.py",
+           "= bounds[sensor], bounds[proxy]", "= next(iter(bounds.values())), bounds[proxy]"),
+    Mutant("_measure_together: every non-empty pair of windows is assessed", "alarms.py",
+           "if window_complete(min(s_hi - s_lo, p_hi - p_lo), td_hours,\n"
+           "                           other.thresholds.completeness_min):",
+           "if min(s_hi - s_lo, p_hi - p_lo) > 0:"),
     Mutant("_measure_together: completeness read from the batching engine's thresholds",
-           "alarms.py", "engine.thresholds.completeness_min",
-           "engines[0].thresholds.completeness_min"),
-    Mutant("_measure_together: an engine whose pair is already measured left unmeasured",
-           "alarms.py", "k = pairs.setdefault((proxy, sensor), len(pairs))",
-           "k = None if (proxy, sensor) in pairs "
-           "else pairs.setdefault((proxy, sensor), len(pairs))"),
-    Mutant("_measure_together: a batch row paired with another proxy's window", "alarms.py",
-           "which = [z_rows.setdefault(proxy, len(z_rows)) for proxy, _ in pairs]",
-           "which = [z_rows.setdefault(proxy, len(z_rows)) for proxy, _ in pairs][::-1]"),
-    Mutant("_measure_together: a pair measured with another proxy's window length",
-           "alarms.py", "z[which], z_n[which])", "z[which], z_n[which[::-1]])"),
+           "alarms.py", "other.thresholds.completeness_min", "engine.thresholds.completeness_min"),
+    Mutant("_measure_together: a row paired with another engine's proxy window", "alarms.py",
+           "*_padded_rows(z))", "*_padded_rows(z[::-1]))"),
+    Mutant("_padded_rows: every row given the first window's length", "alarms.py",
+           "np.array([window.size for window in windows])",
+           "np.array([windows[0].size for window in windows])"),
     Mutant("ks_pvalue: small-sample term dropped", "kstest.py",
            "(root + 0.12 + 0.11 / root) * d", "root * d"),
     Mutant("step: correction clip floor VALUE_MIN -> 0.0", "alarms.py",
@@ -138,7 +135,7 @@ def run_suite(src: Path, workdir: Path) -> tuple[int, str]:
     caches and the hypothesis database stay out of the checkout."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-           str(ROOT / "tests")]
+           "--hypothesis-profile", "mutants", str(ROOT / "tests")]
     try:
         done = subprocess.run(cmd, cwd=workdir, env=env, capture_output=True, text=True,
                               timeout=TIMEOUT_S)
