@@ -32,7 +32,9 @@ O(live engines) per batch. Streams on one proxy at different hours keep
 to their own batches, and an engine that finished `run()` at an hour is in
 step with those that stepped it.
 `run()` measures its span with the same function as a batch,
-`_measure_rows`, in blocks of assessed hours.
+`_measure_rows`, in blocks of assessed hours. The one-window calls
+`ks_statistic` and `moment_match` measure one row with the same
+`kernels.ks_distance` and `calibrate.estimate_rows`.
 
 A slot depends only on the engine's series, thresholds and hour, and the
 engine that runs a batch takes its own result from the return value, never
@@ -51,11 +53,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ozonet import kernels
-from ozonet.calibrate import (
-    DEGENERATE_VAR_EPS,
-    EstimateHistory,
-    match_moments,
-)
+from ozonet.calibrate import EstimateHistory, estimate_rows
 from ozonet.kstest import ks_pvalue
 from ozonet.timeseries import (
     VALUE_MAX,
@@ -80,6 +78,11 @@ STATUS_DEGENERATE = "degenerate"
 TREND_GAIN_MIN = 0.25
 TREND_GAIN_MAX = 4.0
 TREND_OFFSET_CAP = 60.0
+
+# Longest window and persistence, in hours (about 245,000 years): beyond
+# any series, and small enough that a window's start, an epoch hour less
+# td_hours, stays an int64.
+TIMESCALE_MAX_HOURS = 2**31 - 1
 
 # Every live engine, where a batch looks for the engines in step with the
 # one that runs it. The lock keeps an engine built in another thread from
@@ -114,8 +117,9 @@ class Thresholds:
             raise ValueError("gain_low must be nonnegative")
         if not self.offset_low < 0.0 < self.offset_high:
             raise ValueError("offset bounds must straddle 0")
-        if self.td_hours <= 0 or self.tf_hours <= 0:
-            raise ValueError("timescales must be positive")
+        if not (0 < self.td_hours <= TIMESCALE_MAX_HOURS
+                and 0 < self.tf_hours <= TIMESCALE_MAX_HOURS):
+            raise ValueError(f"timescales must be from 1 to {TIMESCALE_MAX_HOURS} hours")
         if not 0.0 < self.completeness_min <= 1.0:
             raise ValueError("completeness_min must be in (0, 1]")
         if not 0.0 < self.p_ks_min < 1.0:
@@ -448,16 +452,11 @@ _BLOCK_HOURS = 128
 def _measure_rows(y, y_n, z, z_n):
     """Each window pair's p value and raw estimate, from sensor rows `y` and
     proxy rows `z` padded with +inf after y_n and z_n samples: the list of
-    p values, and the offset and gain arrays, NaN where the sensor window is
-    degenerate."""
+    p values, and the offset and gain arrays of `estimate_rows`, NaN where
+    the sensor window is degenerate."""
     d = kernels.ks_distance(y, z, y_n, z_n)
-    mean_y, var_y = _moments_by_length(y, y_n)
-    mean_z, var_z = _moments_by_length(z, z_n)
     p_ks = [ks_pvalue(*key) for key in zip(d.tolist(), y_n.tolist(), z_n.tolist())]
-    offset, gain = np.full((2, y_n.size), np.nan)
-    fit = var_y > DEGENERATE_VAR_EPS
-    offset[fit], gain[fit] = match_moments(mean_y[fit], var_y[fit], mean_z[fit], var_z[fit])
-    return p_ks, offset, gain
+    return (p_ks, *estimate_rows(y, y_n, z, z_n))
 
 
 def _padded_windows(values: np.ndarray, lo: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -465,17 +464,6 @@ def _padded_windows(values: np.ndarray, lo: np.ndarray, count: np.ndarray) -> np
     cols = np.arange(count.max())
     inside = cols < count[:, None]
     return np.where(inside, values[np.where(inside, lo[:, None] + cols, 0)], np.inf)
-
-
-def _moments_by_length(windows: np.ndarray, count: np.ndarray):
-    """window_moments of each row's samples, one call per distinct length
-    (numpy's pairwise sum depends on the length)."""
-    mean = np.empty(count.size)
-    var = np.empty(count.size)
-    for size in set(count.tolist()):
-        rows = count == size
-        mean[rows], var[rows] = kernels.window_moments(windows[rows, :size])
-    return mean, var
 
 
 def _or_none(values: np.ndarray) -> list:

@@ -9,7 +9,9 @@ moments of its windowed output to those of a proxy window:
 
 Variances are unbiased (n-1 divisor). The gain is taken as the positive
 root always; an anti-correlated sensor is not representable and shows up
-through the distribution-similarity alarms instead.
+through the distribution-similarity alarms instead. Every raw estimate,
+the engine's and `moment_match`'s, comes from `estimate_rows`, which
+matches the windows held in padded rows.
 
 Raw hourly estimates are noisy, so corrections use a long-term trend:
 an ordinary least squares quadratic over all raw estimates from the
@@ -56,18 +58,32 @@ class CalibrationEstimate:
             raise ValueError("gain must be nonnegative")
 
 
-def match_moments(mean_y, var_y, mean_z, var_z):
-    """(offset, gain) that map the sensor moments onto the proxy's, for
-    floats or arrays alike; the sensor variance must be above
-    DEGENERATE_VAR_EPS."""
-    gain = np.sqrt(var_z / var_y)
+def estimate_rows(y, y_n, z, z_n):
+    """Raw (offset, gain) arrays of each window pair, from sensor rows `y`
+    and proxy rows `z` that hold y_n and z_n samples before their padding:
+    the moment match of the module docstring, NaN where the sensor window is
+    flat (variance at most DEGENERATE_VAR_EPS)."""
+    mean_y, var_y = _moments_by_length(y, y_n)
+    mean_z, var_z = _moments_by_length(z, z_n)
+    gain = np.sqrt(var_z / np.where(var_y > DEGENERATE_VAR_EPS, var_y, np.nan))
     return mean_z - gain * mean_y, gain
+
+
+def _moments_by_length(windows: np.ndarray, count: np.ndarray):
+    """window_moments of each row's samples, one call per distinct length
+    (numpy's pairwise sum depends on the length)."""
+    mean = np.empty(count.size)
+    var = np.empty(count.size)
+    for size in set(count.tolist()):
+        rows = count == size
+        mean[rows], var[rows] = kernels.window_moments(windows[rows, :size])
+    return mean, var
 
 
 def moment_match(sensor_win: WindowSlice, proxy_win: WindowSlice,
                  completeness_min: float = 0.75) -> CalibrationEstimate:
     """Raw gain/offset estimate from one pair of windows, at the end of the
-    sensor window.
+    sensor window: `estimate_rows` of one row.
 
     Raises InsufficientDataError when either window misses the completeness
     threshold, and DegenerateWindowError when the sensor window is flat
@@ -80,12 +96,12 @@ def moment_match(sensor_win: WindowSlice, proxy_win: WindowSlice,
                 f"insufficient data: window {win.site_id} completeness "
                 f"{win.completeness:.2f} < {completeness_min}"
             )
-    mean_y, var_y = kernels.window_moments(sensor_win.samples)
-    if var_y <= DEGENERATE_VAR_EPS:
+    y, z = sensor_win.samples, proxy_win.samples
+    (offset,), (gain,) = estimate_rows(y[None], np.array([y.size]), z[None], np.array([z.size]))
+    if math.isnan(gain):
         raise DegenerateWindowError(
             f"degenerate sensor window at {sensor_win.site_id}: zero variance"
         )
-    offset, gain = match_moments(mean_y, var_y, *kernels.window_moments(proxy_win.samples))
     return CalibrationEstimate(sensor_win.end, float(offset), float(gain), RAW)
 
 

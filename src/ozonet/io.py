@@ -14,6 +14,7 @@ import dataclasses
 import functools
 import itertools
 import json
+import math
 import operator
 import os
 import typing
@@ -512,10 +513,24 @@ def _no_json_constant(name: str):
     raise ValueError(f"{name} is not a JSON number")
 
 
+def _finite_json_number(parse):
+    """`parse` for the JSON numbers that a float can hold: a number beyond
+    them (1e400, an integer of 400 digits), which would read as an infinity,
+    is a ValueError. A valid integer stays an integer."""
+    def number(text: str):
+        if math.isinf(float(text)):
+            raise ValueError(f"{text[:20]}{'...' if len(text) > 20 else ''} "
+                             "is beyond the range of a finite number")
+        return parse(text)
+    return number
+
+
 def json_loads(text: str):
     """json.loads, except that NaN, Infinity and -Infinity, which are no
-    JSON numbers, are a ValueError."""
-    return json.loads(text, parse_constant=_no_json_constant)
+    JSON numbers, and numbers beyond the finite floats are a ValueError."""
+    return json.loads(text, parse_constant=_no_json_constant,
+                      parse_float=_finite_json_number(float),
+                      parse_int=_finite_json_number(int))
 
 
 def load_network_config(path) -> NetworkConfig:

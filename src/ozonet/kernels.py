@@ -1,35 +1,23 @@
-"""Hot kernels: the ECDF sup distance and window moments."""
+"""Hot kernels of window rows: the ECDF sup distance and window moments."""
 
 from __future__ import annotations
 
 import numpy as np
 
 
-def ks_distance(a, b, m=None, n=None):
-    """Sup distance between the two empirical CDFs, each normalised by 1/(n+1).
+def ks_distance(a, b, m, n) -> np.ndarray:
+    """Sup distance between the two empirical CDFs of each pair of rows,
+    each normalised by 1/(n+1).
 
-    Padded rows give an array: row r of a 2-D `a` holds m[r] finite samples
-    followed by +inf padding, and likewise `b` with n[r]; each row's
-    distance is that of its samples alone, bit for bit, whatever the
-    padding. One pair of 1-D samples, which must be finite, gives a float:
-    the distance of a single row.
+    Row r of `a` holds m[r] finite samples followed by +inf padding, and
+    likewise `b` with n[r]; each row's distance is that of its samples
+    alone, bit for bit, whatever the padding.
 
     F(x) counts points strictly below x, so each curve is left-continuous
     and steps just after each sample value. The sup is attained at a pooled
     breakpoint or at its right limit; the value at a breakpoint equals the
     right limit at the previous breakpoint (both curves start at 0), so the
     right limits alone give the sup.
-    """
-    if m is None:
-        a = np.asarray(a, dtype=np.float64)
-        b = np.asarray(b, dtype=np.float64)
-        return float(_distance_rows(a[None], b[None], np.array([a.size]),
-                                    np.array([b.size]))[0])
-    return _distance_rows(a, b, np.asarray(m), np.asarray(n))
-
-
-def _distance_rows(a, b, m, n) -> np.ndarray:
-    """`ks_distance` of padded rows.
 
     Each side is sorted on its own, so a stable argsort of the pooled row
     only merges two sorted runs. The running count of a-samples at the last
@@ -40,6 +28,7 @@ def _distance_rows(a, b, m, n) -> np.ndarray:
     """
     a = np.sort(np.asarray(a, dtype=np.float64), axis=1)
     b = np.sort(np.asarray(b, dtype=np.float64), axis=1)
+    m, n = np.asarray(m), np.asarray(n)
     if m.size and (m.min() < 1 or n.min() < 1):
         raise ValueError("samples must be non-empty")
     pooled = np.concatenate((a, b), axis=1)
@@ -54,25 +43,23 @@ def _distance_rows(a, b, m, n) -> np.ndarray:
 
 
 def window_moments(x):
-    """(mean, unbiased variance) of a window sample; variance 0.0 when n < 2.
+    """(mean, unbiased variance) arrays of the windows in the rows of `x`,
+    all of one length; variance 0.0 when that length is 1.
 
-    A 2-D input holds one window per row, all of one length, and gives
-    arrays. Both ranks go through one formula, the ufunc reductions that
-    np.mean and np.var(ddof=1) perform without their Python wrappers, so
-    the figures equal numpy's bit for bit; each row's equal those of the
-    row passed alone, since numpy reduces each row of a contiguous block
-    by the same pairwise sum.
+    The formula is that of the ufunc reductions that np.mean and
+    np.var(ddof=1) perform without their Python wrappers, so the figures
+    equal numpy's bit for bit; each row's equal those of the row passed as
+    a block of one, since numpy reduces each row of a contiguous block by
+    the same pairwise sum.
     """
     xv = np.asarray(x, dtype=np.float64)
-    size = xv.shape[-1]
+    size = xv.shape[1]
     if size == 0:
         raise ValueError("sample must be non-empty")
-    mean = np.add.reduce(xv, axis=-1) / size
+    mean = np.add.reduce(xv, axis=1) / size
     if size > 1:
-        dev = xv - mean[..., None]
-        var = np.add.reduce(dev * dev, axis=-1) / (size - 1)
+        dev = xv - mean[:, None]
+        var = np.add.reduce(dev * dev, axis=1) / (size - 1)
     else:
         var = np.zeros_like(mean)
-    if xv.ndim == 1:
-        return float(mean), float(var)
     return mean, var

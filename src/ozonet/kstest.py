@@ -30,7 +30,7 @@ _LAMBDA_TINY = 0.2
 
 
 def ks_statistic(a, b) -> float:
-    """Sup of |F_a - F_b| over all x, via the pooled-breakpoint scan.
+    """Sup of |F_a - F_b| over all x: `kernels.ks_distance` of one row.
 
     Raises InsufficientDataError when a sample is empty, and ValueError when
     one holds NaN or an infinity."""
@@ -40,7 +40,7 @@ def ks_statistic(a, b) -> float:
         raise InsufficientDataError("insufficient data: both samples must be non-empty")
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("samples must be finite, got NaN or an infinity")
-    return kernels.ks_distance(a, b)
+    return float(kernels.ks_distance(a[None], b[None], [a.size], [b.size])[0])
 
 
 # A network replay meets far fewer distinct (d, m, n) than hours: at m = n = 72

@@ -9,13 +9,17 @@ Series are immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from datetime import datetime, timezone
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 
 SECONDS_PER_HOUR = 3600
 VALUE_MIN = -10.0   # slight negative allowed for instrument noise
 VALUE_MAX = 500.0
+
+# Naive datetimes read as UTC: epoch hours are whole hours since _EPOCH.
+_EPOCH = datetime(1970, 1, 1)
+_HOUR = timedelta(hours=1)
 
 
 def to_epoch_hour(stamp) -> int:
@@ -32,10 +36,6 @@ def to_epoch_hour(stamp) -> int:
     raise TypeError(f"cannot interpret {type(stamp).__name__} as an epoch hour")
 
 
-def epoch_hour_to_datetime(hour: int) -> datetime:
-    return datetime.fromtimestamp(hour * SECONDS_PER_HOUR, tz=timezone.utc)
-
-
 def parse_iso_hour(text: str) -> int:
     """Parse 'YYYY-MM-DDTHH:00:00Z' (UTC, hour-aligned) to an epoch hour."""
     try:
@@ -44,11 +44,13 @@ def parse_iso_hour(text: str) -> int:
         raise ValueError(f"bad timestamp {text!r}: expected YYYY-MM-DDTHH:00:00Z (UTC)") from exc
     if stamp.minute or stamp.second:
         raise ValueError(f"timestamp {text!r} is not aligned to a whole hour")
-    return to_epoch_hour(stamp.replace(tzinfo=timezone.utc))
+    return (stamp - _EPOCH) // _HOUR
 
 
 def format_iso_hour(hour: int) -> str:
-    return epoch_hour_to_datetime(hour).strftime("%Y-%m-%dT%H:%M:%SZ")
+    """The stamp that parse_iso_hour reads as `hour`, for any hour of the
+    years 1 to 9999: every date field zero-padded, 0999-01-01T00:00:00Z."""
+    return (_EPOCH + hour * _HOUR).isoformat() + "Z"
 
 
 @dataclass(frozen=True, eq=False)

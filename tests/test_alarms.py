@@ -2,6 +2,8 @@
 
 import gc
 import itertools
+import math
+import statistics
 import sys
 import threading
 import weakref
@@ -32,7 +34,7 @@ from ozonet import (
     window,
 )
 from netsim_cases import START_HOUR, monitor_truth, pair_scenario
-from ozonet import alarms
+from ozonet import alarms, calibrate
 from ozonet.alarms import TREND_GAIN_MAX, TREND_GAIN_MIN, TREND_OFFSET_CAP
 from ozonet.kernels import window_moments
 from ozonet.simulate import run_scenario
@@ -98,6 +100,13 @@ class TestThresholds:
 
     def test_alarm_count_up_to_the_test_count_accepted(self):
         assert Thresholds(correction_alarm_count=3).correction_alarm_count == 3
+
+    @pytest.mark.parametrize("field", ["td_hours", "tf_hours"])
+    def test_timescales_bounded_by_the_longest(self, field):
+        assert getattr(Thresholds(**{field: 2**31 - 1}), field) == 2**31 - 1
+        for hours in (0, 2**31, 10**20):
+            with pytest.raises(ValueError, match="timescales must be from 1 to 2147483647"):
+                Thresholds(**{field: hours})
 
 
 def breach_flags(p_ks, offset, gain, th=None):
@@ -380,9 +389,9 @@ class TestEngine:
         # flat, stepped and through run(); one just above it gets an estimate
         proxy = sim_series("p", 0, 200, 8)
         sensor = sim_series("s", 0, 200, 9)
-        _, var_y = window_moments(sensor.values[150 - 71:151])   # hours 79..150
+        (_,), (var_y,) = window_moments(sensor.values[None, 150 - 71:151])   # hours 79..150
         for eps, status in ((var_y, "degenerate"), (np.nextafter(var_y, 0.0), "ok")):
-            monkeypatch.setattr(alarms, "DEGENERATE_VAR_EPS", eps)
+            monkeypatch.setattr(calibrate, "DEGENERATE_VAR_EPS", eps)
             stepped_row = SiteEngine("s", sensor, proxy).step(150)
             run_row = SiteEngine("s", sensor, proxy).run(150, 150).rows[0]
             assert (stepped_row.status, run_row.status) == (status, status)
@@ -402,6 +411,12 @@ class TestEngine:
         ps = np.array([r.p_ks for r in result.rows if r.p_ks is not None])
         rate = float(np.mean(ps < 0.05))
         assert 0.03 <= rate <= 0.07
+
+
+def plain_moments(samples):
+    """(mean, unbiased variance) of a window by the statistics module."""
+    values = samples.tolist()
+    return statistics.fmean(values), statistics.variance(values)
 
 
 def faulty_network():
@@ -479,8 +494,11 @@ class TestBatchRun:
     def test_run_measures_as_the_one_window_api(self, network, th):
         # run() and a batch share one measurement, so "run equals stepping"
         # compares it with itself; here every row is checked against the
-        # public one-window calls instead
+        # public one-window calls instead, which share the estimator with
+        # it, and its flat status and raw estimate against plain Python's
+        # statistics, which share no code with either
         statuses = set()
+        proxy_moments = {}
         for sid in ("GAIN", "OFFSET", "FLAT", "CLEAN"):
             sensor, proxy = network[sid], network["REF"]
             for row in SiteEngine(sid, sensor, proxy, th).run().rows:
@@ -500,6 +518,22 @@ class TestBatchRun:
                 assert (row.status, row.p_ks, row.offset_raw, row.gain_raw) == expected, (
                     sid, row.stamp)
                 statuses.add(status)
+                if status == "insufficient":
+                    continue
+                mean_y, var_y = plain_moments(sy)
+                if not math.isclose(var_y, calibrate.DEGENERATE_VAR_EPS, rel_tol=1e-9):
+                    assert (status == "degenerate") == (var_y <= calibrate.DEGENERATE_VAR_EPS)
+                if status == "ok":
+                    if row.stamp not in proxy_moments:
+                        proxy_moments[row.stamp] = plain_moments(sz)
+                    mean_z, var_z = proxy_moments[row.stamp]
+                    gain = math.sqrt(var_z / var_y)
+                    offset = mean_z - gain * mean_y
+                    assert math.isclose(row.gain_raw, gain, rel_tol=1e-9), (sid, row.stamp)
+                    # the offset is a difference, so 1e-9 of its terms
+                    assert math.isclose(row.offset_raw, offset, rel_tol=1e-9,
+                                        abs_tol=1e-9 * (abs(mean_z) + abs(gain * mean_y))), (
+                        sid, row.stamp)
         assert statuses == {"ok", "insufficient", "degenerate"}
 
     @pytest.mark.parametrize("assessed", [alarms._BLOCK_HOURS, alarms._BLOCK_HOURS + 1,

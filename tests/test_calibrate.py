@@ -98,7 +98,7 @@ class TestMomentMatch:
         # flat; one just above it gets an estimate
         y = np.sin(np.arange(72.0)) + 30
         live = make_window(np.cos(np.arange(72.0)) + 30)
-        _, var_y = window_moments(y)
+        (_,), (var_y,) = window_moments(y[None])
         monkeypatch.setattr(calibrate, "DEGENERATE_VAR_EPS", var_y)
         with pytest.raises(DegenerateWindowError, match="degenerate"):
             moment_match(make_window(y), live)

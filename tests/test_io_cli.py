@@ -30,6 +30,7 @@ from ozonet.io import (
     NetworkConfig,
     ProxyPolicy,
     atomic_write,
+    json_loads,
     load_network_config,
     read_series_csv,
     save_network_config,
@@ -402,6 +403,10 @@ class TestNetworkConfig:
         ("thresholds", "p_ks_min", -1, "p_ks_min must be in (0, 1)"),
         # a moment-matched gain is never negative, so -1 never breaches
         ("thresholds", "gain_low", -1.0, "gain_low must be nonnegative"),
+        # 10**20 hours overflow int64 in the window bounds, and a persistence
+        # that long never latches an alarm
+        ("thresholds", "td_hours", 10**20, "timescales must be from 1 to 2147483647 hours"),
+        ("thresholds", "tf_hours", 10**20, "timescales must be from 1 to 2147483647 hours"),
         # an hour that no site reports would take the median of nothing
         ("proxy", "median_min_reporters", 0, "median_min_reporters must be at least 1"),
     ])
@@ -438,6 +443,30 @@ class TestNetworkConfig:
         assert capsys.readouterr().err == (
             f"error: bad configuration: {literal} is not a JSON number\n")
         assert not (sim_dir / "out").exists()
+
+    @pytest.mark.parametrize("name, literal, shown", [
+        ("gain_high", "1e400", "1e400"),
+        ("offset_low", "-1e400", "-1e400"),
+        ("gain_high", "1" * 401, "1" * 20 + "..."),
+    ], ids=["float", "negative-float", "integer"])
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_number_beyond_the_floats_is_input_error(self, sim_dir, capsys, name, literal,
+                                                     shown, command):
+        # Python would read 1e400 as an infinity, and the integer compares
+        # beyond every value: either way the bound's test would never breach
+        network = sim_dir / "network.json"
+        config = json.loads(network.read_text())
+        config["thresholds"][name] = "<number>"
+        network.write_text(json.dumps(config).replace('"<number>"', literal))
+        out = ["--out", str(sim_dir / "out")] if command == "run" else []
+        assert main([command, str(network), *out]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad configuration: {shown} is beyond the range of a finite number\n")
+        assert not (sim_dir / "out").exists()
+
+    def test_valid_numbers_keep_their_kind(self):
+        assert json_loads('[72, -3, 1.5, 1e-400, 1e308]') == [72, -3, 1.5, 0.0, 1e308]
+        assert [type(v) for v in json_loads('[72, 72.0]')] == [int, float]
 
     def test_whole_numbers_and_nulls_are_accepted(self):
         data = self.make_config().to_dict()
@@ -591,6 +620,36 @@ class TestSimulateCommand:
         assert capsys.readouterr().err == (
             f"error: bad scenario {spath}: {literal} is not a JSON number\n")
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("path, literal, shown", [
+        (("sites", 0, "truth", "amplitude"), "1e400", "1e400"),
+        (("reference_noise_sigma",), "1e400", "1e400"),
+        (("sites", 1, "truth", "baseline"), "9" * 401, "9" * 20 + "..."),
+    ], ids=["amplitude", "noise-sigma", "integer-baseline"])
+    def test_number_beyond_the_floats_is_input_error(self, tmp_path, capsys, path, literal,
+                                                     shown):
+        payload = pair_scenario(duration_hours=24 * 4).to_dict()
+        target = payload
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = "<number>"
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(payload).replace('"<number>"', literal))
+        assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad scenario {spath}: {shown} is beyond the range of a finite number\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_stamps_before_year_1000_round_trip(self, tmp_path):
+        payload = pair_scenario(duration_hours=24 * 4).to_dict()
+        payload["start"] = "0999-01-01T00:00:00Z"
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(payload))
+        out = tmp_path / "o"
+        assert main(["simulate", str(spath), "--out", str(out)]) == 0
+        assert (out / "observed.csv").read_text().splitlines()[1].startswith(
+            "0999-01-01T00:00:00Z,")
+        assert main(["validate", str(out / "network.json")]) == 0
 
     @pytest.mark.parametrize("path, value, message", [
         (("reference_nois_sigma",), 1.0, "'scenario.reference_nois_sigma' is not a field"),
@@ -902,7 +961,8 @@ class TestThresholdFlags:
 class TestBadFlags:
     @pytest.mark.parametrize("command", ["run", "proxy-eval"])
     @pytest.mark.parametrize("flag", [["--td-hours", "-1"], ["--alarm-count", "0"],
-                                      ["--alarm-count", "4"]])
+                                      ["--alarm-count", "4"], ["--td-hours", str(10**20)],
+                                      ["--tf-hours", str(10**20)]])
     def test_bad_threshold_flag_is_input_error(self, sim_dir, capsys, command, flag):
         code = main([command, str(sim_dir / "network.json"),
                      "--out", str(sim_dir / "bad"), *flag])

@@ -1,5 +1,5 @@
-"""Hot kernels: input checks, window moments against numpy, and the batched
-forms against the one-window calls."""
+"""Hot kernels: input checks, window moments against numpy, and blocks of
+many rows against blocks of one."""
 
 import numpy as np
 import pytest
@@ -12,9 +12,9 @@ from test_kstest import oracle_sup_distance
 
 def test_pure_distance_rejects_empty():
     with pytest.raises(ValueError):
-        kernels.ks_distance([], [1.0])
+        kernels.ks_distance(np.empty((1, 0)), [[1.0]], [0], [1])
     with pytest.raises(ValueError):
-        kernels.window_moments([])
+        kernels.window_moments(np.empty((1, 0)))
 
 
 def _padded(rows):
@@ -47,8 +47,9 @@ def test_pure_moments_match_numpy(kind, size, count, scale, seed):
     mean, var = kernels.window_moments(block)
     assert mean.tolist() == expected_mean.tolist()
     assert var.tolist() == expected_var.tolist()
-    singles = [kernels.window_moments(row) for row in block]
-    assert singles == list(zip(expected_mean.tolist(), expected_var.tolist()))
+    singles = [kernels.window_moments(row[None]) for row in block]
+    assert [(m.item(), v.item()) for m, v in singles] == list(
+        zip(expected_mean.tolist(), expected_var.tolist()))
 
 
 def test_kernels_leave_caller_arrays_unchanged():
@@ -57,8 +58,8 @@ def test_kernels_leave_caller_arrays_unchanged():
     series = np.random.default_rng(3).normal(30, 8, 200)
     before = series.copy()
     a, b = series[10:82], series[120:190]
-    kernels.ks_distance(a, b)
-    kernels.window_moments(a)
+    kernels.ks_distance(a[None], b[None], [a.size], [b.size])
+    kernels.window_moments(a[None])
     kernels.window_moments(series[:150].reshape(3, 50))
     kernels.ks_distance(series[:144].reshape(2, 72), series[50:194].reshape(2, 72),
                         np.array([72, 72]), np.array([72, 72]))
@@ -80,7 +81,8 @@ def test_distance_rows_equal_scalar_calls_bit_for_bit(specs):
     m = np.array([len(r) for r in a_rows])
     n = np.array([len(r) for r in b_rows])
     rows = kernels.ks_distance(_padded(a_rows), _padded(b_rows), m, n)
-    assert rows.tolist() == [kernels.ks_distance(a, b) for a, b in zip(a_rows, b_rows)]
+    assert rows.tolist() == [kernels.ks_distance(a[None], b[None], [a.size], [b.size]).item()
+                             for a, b in zip(a_rows, b_rows)]
 
 
 @settings(deadline=None, max_examples=100)
@@ -92,9 +94,9 @@ def test_moment_rows_equal_scalar_calls_bit_for_bit(kind, size, count, seed):
                     + [np.zeros(size + 7)])
     windows = block[np.arange(count), :size]
     mean, var = kernels.window_moments(windows)
-    singles = [kernels.window_moments(row.copy()) for row in windows]
-    assert mean.tolist() == [s[0] for s in singles]
-    assert var.tolist() == [s[1] for s in singles]
+    singles = [kernels.window_moments(row.copy()[None]) for row in windows]
+    assert mean.tolist() == [s[0].item() for s in singles]
+    assert var.tolist() == [s[1].item() for s in singles]
 
 
 @settings(deadline=None, max_examples=60)

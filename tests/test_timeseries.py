@@ -1,8 +1,11 @@
 """Series construction, windowing, alignment."""
 
+import re
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ozonet import TimeSeries, align, window
@@ -123,3 +126,12 @@ class TestIsoHours:
     def test_rejects_unaligned(self):
         with pytest.raises(ValueError, match="whole hour"):
             parse_iso_hour("2018-01-26T00:30:00Z")
+
+    @given(st.integers((datetime(1, 1, 1) - datetime(1970, 1, 1)) // timedelta(hours=1),
+                       (datetime(9999, 12, 31, 23) - datetime(1970, 1, 1)) // timedelta(hours=1)))
+    @example(-8511600)      # 0999-01-01T00:00:00Z
+    @example(-17259888)     # 0001-01-01T00:00:00Z
+    def test_every_hour_of_years_1_to_9999_round_trips(self, hour):
+        text = format_iso_hour(hour)
+        assert re.fullmatch(r"\d{4}-\d{2}-\d{2}T\d{2}:00:00Z", text), text
+        assert parse_iso_hour(text) == hour

@@ -66,16 +66,16 @@ MUTANTS = [
            "/ (size - 1)", "/ size"),
     Mutant("window_complete: share >= completeness_min -> >", "timeseries.py",
            "count / td_hours >= completeness_min", "count / td_hours > completeness_min"),
-    Mutant("moment_match: var_y <= DEGENERATE_VAR_EPS -> <", "calibrate.py",
-           "var_y <= DEGENERATE_VAR_EPS", "var_y < DEGENERATE_VAR_EPS"),
+    Mutant("estimate_rows: var_y > DEGENERATE_VAR_EPS -> >=", "calibrate.py",
+           "var_y > DEGENERATE_VAR_EPS", "var_y >= DEGENERATE_VAR_EPS"),
+    Mutant("estimate_rows: offset without the gain", "calibrate.py",
+           "return mean_z - gain * mean_y, gain", "return mean_z - mean_y, gain"),
     Mutant("trend_at: clamp to the last estimate dropped", "calibrate.py",
            "min(stamp, self.stamps[-1])", "stamp"),
     Mutant("EstimateHistory._fit_at: zero gain floor dropped", "calibrate.py",
            "fit_gain if fit_gain > 0.0 else 0.0", "fit_gain"),
     Mutant("EstimateHistory.extend: zero gain floor dropped", "calibrate.py",
            "np.where(fit_gain > 0.0, fit_gain, 0.0)", "fit_gain"),
-    Mutant("_measure_rows: var_y > DEGENERATE_VAR_EPS -> >=", "alarms.py",
-           "fit = var_y > DEGENERATE_VAR_EPS", "fit = var_y >= DEGENERATE_VAR_EPS"),
     Mutant("_measure_together: peers of every window length join the batch", "alarms.py",
            "and other.thresholds.td_hours == td_hours", "and True"),
     Mutant("SiteEngine._measure: a slot serves another hour", "alarms.py",
@@ -114,6 +114,12 @@ MUTANTS = [
            "range(0, assessed.size, _BLOCK_HOURS)", "range(0, assessed.size, 2 * _BLOCK_HOURS)"),
     Mutant("_padded_windows: one column short", "alarms.py",
            "cols = np.arange(count.max())", "cols = np.arange(count.max() - 1)"),
+    Mutant("Thresholds: timescale bound raised past int64", "alarms.py",
+           "TIMESCALE_MAX_HOURS = 2**31 - 1", "TIMESCALE_MAX_HOURS = 10**30"),
+    Mutant("format_iso_hour: year not zero-padded", "timeseries.py",
+           '.isoformat() + "Z"', '.strftime("%Y-%m-%dT%H:%M:%SZ")'),
+    Mutant("json_loads: numbers beyond the floats accepted", "io.py",
+           "if math.isinf(float(text)):", "if False:"),
     Mutant("scan_series_csv: VALUE_MIN itself out of range", "io.py",
            "(values >= VALUE_MIN)", "(values > VALUE_MIN)"),
     Mutant("scan_series_csv: VALUE_MAX itself out of range", "io.py",
