@@ -32,7 +32,8 @@ O(live engines) per batch. Streams on one proxy at different hours keep
 to their own batches, and an engine that finished `run()` at an hour is in
 step with those that stepped it.
 `run()` measures its span with the same function as a batch,
-`_measure_rows`, in blocks of assessed hours. The one-window calls
+`_measure_rows`, in blocks of assessed hours. Both hand it window slices,
+and it pads them into the rows that the kernels take. The one-window calls
 `ks_statistic` and `moment_match` measure one row with the same
 `kernels.ks_distance` and `calibrate.estimate_rows`.
 
@@ -364,19 +365,18 @@ class SiteEngine:
         stamps = np.arange(first, last + 1, dtype=np.int64)
         s_lo, s_hi = window_bounds(self.sensor.hours, stamps, th.td_hours)
         p_lo, p_hi = window_bounds(self.proxy.hours, stamps, th.td_hours)
-        n_y, n_z = s_hi - s_lo, p_hi - p_lo
-        assessed = np.flatnonzero(
-            window_complete(np.minimum(n_y, n_z), th.td_hours, th.completeness_min))
+        assessed = np.flatnonzero(window_complete(
+            np.minimum(s_hi - s_lo, p_hi - p_lo), th.td_hours, th.completeness_min))
 
         # full-span columns of each hour's measurement, NaN where absent (a
         # present value is finite: readings are, and so is an estimate)
         p_ks, offset, gain = np.full((3, stamps.size), np.nan)
+        sensor, proxy = self.sensor.values, self.proxy.values
         for lo in range(0, assessed.size, _BLOCK_HOURS):
             block = assessed[lo:lo + _BLOCK_HOURS]
-            y_n, z_n = n_y[block], n_z[block]
             p_ks[block], offset[block], gain[block] = _measure_rows(
-                _padded_windows(self.sensor.values, s_lo[block], y_n), y_n,
-                _padded_windows(self.proxy.values, p_lo[block], z_n), z_n)
+                [sensor[a:b] for a, b in zip(s_lo[block].tolist(), s_hi[block].tolist())],
+                [proxy[a:b] for a, b in zip(p_lo[block].tolist(), p_hi[block].tolist())])
         trended = np.flatnonzero(_trended(offset, gain))
 
         # the trend each hour sees: the one held before the run (read before
@@ -428,7 +428,7 @@ def _measure_together(engine, stamp: int) -> list:
         slots.append((stamp, raw, None, None, None))
     if rows:
         which, y, z = zip(*rows)
-        p_ks, offset, gain = _measure_rows(*_padded_rows(y), *_padded_rows(z))
+        p_ks, offset, gain = _measure_rows(y, z)
         for k, measured in zip(which, zip(p_ks, _or_none(offset), _or_none(gain))):
             slots[k] = slots[k][:2] + measured
     for other, slot in zip(engines, slots):
@@ -436,34 +436,26 @@ def _measure_together(engine, stamp: int) -> list:
     return slots
 
 
-def _padded_rows(windows) -> tuple:
-    """The windows as rows padded with +inf, and their lengths."""
-    count = np.array([window.size for window in windows])
-    rows = np.full((count.size, count.max()), np.inf)
-    rows[np.arange(count.max()) < count[:, None]] = np.concatenate(windows)
-    return rows, count
-
-
 # Assessed hours per _measure_rows call in SiteEngine.run: bounds the
 # padded window arrays to a few hundred kB whatever the span's length.
 _BLOCK_HOURS = 128
 
 
-def _measure_rows(y, y_n, z, z_n):
-    """Each window pair's p value and raw estimate, from sensor rows `y` and
-    proxy rows `z` padded with +inf after y_n and z_n samples: the list of
-    p values, and the offset and gain arrays of `estimate_rows`, NaN where
-    the sensor window is degenerate."""
+def _measure_rows(sensor_windows, proxy_windows):
+    """The p values (a list) and the offset and gain arrays of
+    `estimate_rows` (NaN where the sensor window is degenerate) of the
+    window pairs (sensor_windows[r], proxy_windows[r]). Each side's slices
+    are padded here with +inf to rows as long as its longest window."""
+    padded = []
+    for windows in (sensor_windows, proxy_windows):
+        count = np.array([window.size for window in windows])
+        rows = np.full((count.size, count.max()), np.inf)
+        rows[np.arange(count.max()) < count[:, None]] = np.concatenate(windows)
+        padded += rows, count
+    y, y_n, z, z_n = padded
     d = kernels.ks_distance(y, z, y_n, z_n)
     p_ks = [ks_pvalue(*key) for key in zip(d.tolist(), y_n.tolist(), z_n.tolist())]
     return (p_ks, *estimate_rows(y, y_n, z, z_n))
-
-
-def _padded_windows(values: np.ndarray, lo: np.ndarray, count: np.ndarray) -> np.ndarray:
-    """values[lo[r]:lo[r] + count[r]] as row r, padded with +inf."""
-    cols = np.arange(count.max())
-    inside = cols < count[:, None]
-    return np.where(inside, values[np.where(inside, lo[:, None] + cols, 0)], np.inf)
 
 
 def _or_none(values: np.ndarray) -> list:

@@ -10,7 +10,6 @@ variable, else the config (simulate: sim_out).
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import io
 import os
@@ -108,8 +107,7 @@ def _proxy_series(site, strategy, config, series_map, medians):
 def cmd_validate(args) -> int:
     config, paths = _network(args)
     if not paths:
-        print("error: no series files configured", file=sys.stderr)
-        return EXIT_INPUT
+        raise ConfigError("no series files configured")
     series, report = ozio.scan_series_csv(paths)
     known = {s.site_id for s in config.sites}
     for sid in sorted(series):
@@ -167,16 +165,9 @@ def cmd_run(args) -> int:
         lines.append(f"{sid:<14}{proxy_label:<18}{hours:>7}{100 * ks:>7.1f}"
                      f"{100 * a0:>7.1f}{100 * a1:>7.1f}{100 * corr:>7.1f}  {note}")
     print("\n".join(lines))
-    with ozio.atomic_write(out / "summary.csv", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["site_id", "proxy", "monitored_hours", "alarm_frac_ks",
-                         "alarm_frac_a0", "alarm_frac_a1", "corrected_frac", "note"])
-        for sid, proxy_label, hours, ks, a0, a1, corr, note in summary:
-            writer.writerow([sid, proxy_label, hours, f"{ks:.4f}", f"{a0:.4f}",
-                             f"{a1:.4f}", f"{corr:.4f}", note])
+    ozio.write_summary_csv(out / "summary.csv", summary)
     if ran == 0:
-        print("error: no site could be monitored", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise OzonetError("no site could be monitored")
     return EXIT_OK
 
 
@@ -189,9 +180,7 @@ def cmd_proxy_eval(args) -> int:
 
     refs = [s for s in config.sites if s.role == ROLE_REFERENCE]
     if len(refs) < 2:
-        print("error: proxy evaluation needs at least two reference sites",
-              file=sys.stderr)
-        return EXIT_INPUT
+        raise ConfigError("proxy evaluation needs at least two reference sites")
 
     medians = {}
     scores = []
@@ -217,8 +206,7 @@ def cmd_proxy_eval(args) -> int:
                 print(f"warning: {site.site_id}/{strategy}: {exc}", file=sys.stderr)
 
     if not scores:
-        print("error: no (site, strategy) pair could be evaluated", file=sys.stderr)
-        return EXIT_RUNTIME
+        raise OzonetError("no (site, strategy) pair could be evaluated")
     ozio.write_proxy_scores_csv(out / "proxy_scores.csv", scores)
     proxy_eval_svg(scores, out / "proxy_eval.svg")
     print(f"{'site':<14}{'strategy':<18}{'ks%':>7}{'a0%':>7}{'a1%':>7}"
@@ -284,8 +272,7 @@ def cmd_map(args) -> int:
         if record is not None and value is not None:
             points.append((record, value))
     if not points:
-        print(f"error: no site reported at {args.hour}", file=sys.stderr)
-        return EXIT_INPUT
+        raise ConfigError(f"no site reported at {args.hour}")
 
     if args.bbox:
         bbox = _parse_bbox(args.bbox)
@@ -305,9 +292,7 @@ def cmd_map(args) -> int:
     if args.split:
         ref_points = [(r, v) for r, v in points if r.role == ROLE_REFERENCE]
         if not ref_points:
-            print("error: --split needs at least one reporting reference site",
-                  file=sys.stderr)
-            return EXIT_INPUT
+            raise ConfigError("--split needs at least one reporting reference site")
         ref = idw_grid([(r.latitude, r.longitude, v) for r, v in ref_points],
                        *bbox, cell_deg=args.cell, power=args.power)
         ozio.write_grid_csv(out / "grid_reference.csv", ref)

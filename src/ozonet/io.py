@@ -49,6 +49,8 @@ CHART_HEADER = [
     "corrected_flag", "raw_value", "output_value",
 ]
 CORRECTED_HEADER = ["timestamp", "raw", "output", "corrected_flag"]
+SUMMARY_HEADER = ["site_id", "proxy", "monitored_hours", "alarm_frac_ks", "alarm_frac_a0",
+                  "alarm_frac_a1", "corrected_frac", "note"]
 PROXY_SCORE_HEADER = [
     "site_id", "strategy", "alarm_frac_ks", "alarm_frac_a0", "alarm_frac_a1",
     "corrected_frac", "mab", "r2", "monitored_hours",
@@ -87,10 +89,6 @@ def atomic_write(path, newline=None):
         tmp.unlink(missing_ok=True)
 
 
-def _fmt_value(v: float) -> str:
-    return f"{v:.4f}"
-
-
 def _stats(column) -> list:
     return ["" if v is None else f"{v:.6g}" for v in column]
 
@@ -107,15 +105,15 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _write_columns(path, header, blocks):
+def _write_columns(path, header, blocks, end="\r\n"):
     """CSV under `header` of each block of `blocks` in turn, a block being
     one sequence of strings per field. Fields are written as given, so one
-    that needs quoting must come through _csv_field; lines end in "\r\n",
-    as csv.writer ends them."""
+    that needs quoting must come through _csv_field; lines end in `end`,
+    by default in "\r\n", as csv.writer ends them."""
     with atomic_write(path, newline="") as handle:
-        handle.write(",".join(header) + "\r\n")
+        handle.write(",".join(header) + end)
         for columns in blocks:
-            handle.write("\r\n".join([*map(",".join, zip(*columns)), ""]))
+            handle.write(end.join([*map(",".join, zip(*columns)), ""]))
 
 
 # ---------------------------------------------------------------- series CSV
@@ -347,25 +345,27 @@ def write_corrected_csv(path, rows):
 
 
 def write_proxy_scores_csv(path, scores):
-    with atomic_write(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(PROXY_SCORE_HEADER)
-        for s in scores:
-            writer.writerow([
-                s.site_id, s.strategy,
-                f"{s.alarm_fraction_ks:.4f}", f"{s.alarm_fraction_offset:.4f}",
-                f"{s.alarm_fraction_gain:.4f}", f"{s.corrected_fraction:.4f}",
-                f"{s.mab:.4f}", "" if s.r2 is None else f"{s.r2:.4f}",
-                s.monitored_hours,
-            ])
+    """One row per scored (reference site, strategy) pair, in `scores` order."""
+    _write_columns(path, PROXY_SCORE_HEADER, [zip(*(
+        (_csv_field(s.site_id), _csv_field(s.strategy),
+         *(f"{v:.4f}" for v in (s.alarm_fraction_ks, s.alarm_fraction_offset,
+                                s.alarm_fraction_gain, s.corrected_fraction, s.mab)),
+         "" if s.r2 is None else f"{s.r2:.4f}", str(s.monitored_hours)) for s in scores))])
 
 
 def write_grid_csv(path, grid):
-    with atomic_write(path, newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["lat", "lon", "value_ppb"])
-        for lat, lon, value in grid.cells():
-            writer.writerow([f"{lat:.6f}", f"{lon:.6f}", _fmt_value(value)])
+    """One row per cell of `grid`, row-major."""
+    _write_columns(path, ["lat", "lon", "value_ppb"], [zip(*(
+        (f"{lat:.6f}", f"{lon:.6f}", f"{value:.4f}") for lat, lon, value in grid.cells()))])
+
+
+def write_summary_csv(path, summary):
+    """The summary of `run`, one row per low-cost site: (site_id, proxy,
+    monitored_hours, the three alarm fractions, the corrected fraction,
+    note). Its lines end in "\n"."""
+    _write_columns(path, SUMMARY_HEADER, [zip(*(
+        (_csv_field(sid), _csv_field(proxy), str(hours), *(f"{v:.4f}" for v in fractions),
+         _csv_field(note)) for sid, proxy, hours, *fractions, note in summary))], end="\n")
 
 
 def write_json(path, payload: dict):
@@ -379,7 +379,7 @@ def write_json(path, payload: dict):
 @dataclass
 class ProxyPolicy:
     strategy: str = STRATEGY_NEAREST
-    overrides: dict = field(default_factory=dict)    # test site -> proxy site
+    overrides: dict[str, str] = field(default_factory=dict)    # test site -> proxy site
     median_min_reporters: int = 3
     median_exclude_self: bool = False
 
@@ -457,45 +457,52 @@ def json_value(value, kind: type, what: str):
 
 @functools.cache
 def _record_fields(cls) -> dict:
-    """name -> (required, nullable, array, kind) of each field of record
-    `cls`, by its annotation: `X | None` is nullable, `list[X]` and
-    `tuple[X, ...]` are arrays (list or tuple, else None) of X. Cached, as
-    resolving annotations costs more than reading a record."""
+    """name -> (required, nullable, container, kind) of each field of
+    record `cls`, by its annotation: `X | None` is nullable, `list[X]` and
+    `tuple[X, ...]` are arrays (container list or tuple) of X, `dict[str, X]`
+    is an object (container dict) whose values are X, and any other kind has
+    no container (None). Cached, as resolving annotations costs more than
+    reading a record."""
     hints = typing.get_type_hints(cls)
     fields = {}
     for f in dataclasses.fields(cls):
         kind = hints[f.name]
         nullable = type(None) in typing.get_args(kind)
         kind = typing.get_args(kind)[0] if nullable else kind
-        array = typing.get_origin(kind)
+        container = typing.get_origin(kind)
+        if container:
+            kind = typing.get_args(kind)[1 if container is dict else 0]
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
-        fields[f.name] = (required, nullable, array, typing.get_args(kind)[0] if array else kind)
+        fields[f.name] = (required, nullable, container, kind)
     return fields
 
 
 def json_record(cls, raw: dict, what: str):
     """The record `cls` that the JSON object `raw` describes, each field read
     by its annotation: null only where it allows None, an array item by item,
-    a record from a JSON object, any other kind through json_value. `what`
-    is the path of `raw` in errors ("" at the top of a document). A key that
-    is no field of `cls`, or a missing field with no default, is a
-    ValueError naming it."""
+    an object value by value, a record from a JSON object, any other kind
+    through json_value. `what` is the path of `raw` in errors ("" at the top
+    of a document). A key that is no field of `cls`, or a missing field with
+    no default, is a ValueError naming it."""
     fields = _record_fields(cls)
     prefix = f"{what}." if what else ""
     for key in raw:
         if key not in fields:
             raise ValueError(f"'{prefix}{key}' is not a field")
     values = {}
-    for name, (required, nullable, array, kind) in fields.items():
+    for name, (required, nullable, container, kind) in fields.items():
         path = prefix + name
         if name not in raw:
             if required:
                 raise ValueError(f"'{path}' is missing")
         elif raw[name] is None and nullable:
             values[name] = None
-        elif array:
-            values[name] = array(_json_item(kind, item, f"{path}[{i}]") for i, item
-                                 in enumerate(json_value(raw[name], list, f"'{path}'")))
+        elif container is dict:
+            values[name] = {key: _json_item(kind, item, f"{path}.{key}") for key, item
+                            in json_value(raw[name], dict, f"'{path}'").items()}
+        elif container:
+            values[name] = container(_json_item(kind, item, f"{path}[{i}]") for i, item
+                                     in enumerate(json_value(raw[name], list, f"'{path}'")))
         else:
             values[name] = _json_item(kind, raw[name], path)
     return cls(**values)

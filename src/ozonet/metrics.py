@@ -13,6 +13,10 @@ from ozonet.timeseries import TimeSeries, align
 BUDDY_MIN_HOURS = 48
 BUDDY_PASS_QUANTILE = 0.95    # fraction of hours that must sit inside tolerance
 IDW_EXACT_HIT_KM = 0.001      # treat a site within 1 m of a cell centre as exact
+# Most cells in one grid. idw_grid's cells x sites arrays take about 2 kB
+# per cell at 44 sites: on a 44-site network `map` peaks at 260 MB resident
+# at this cap, and at 566 MB at 250,000 cells (Python 3.11, numpy 2.4).
+IDW_MAX_CELLS = 100_000
 
 
 @dataclass(frozen=True)
@@ -100,7 +104,8 @@ def idw_grid(sites, lat_min, lat_max, lon_min, lon_max, cell_deg, power: float =
     -power; a cell whose centre falls within 1 m of a site takes that
     site's value exactly (also the division-by-zero guard). Every cell is a
     convex combination of the inputs, so the field is bounded by them. A
-    cell size, bound or power that is not finite is a ValueError naming it.
+    cell size, bound or power that is not finite is a ValueError naming it,
+    and so is a grid of more than IDW_MAX_CELLS cells, giving its count.
     """
     sites = list(sites)
     if not sites:
@@ -115,8 +120,13 @@ def idw_grid(sites, lat_min, lat_max, lon_min, lon_max, cell_deg, power: float =
     slon = np.array([s[1] for s in sites])
     svals = np.array([s[2] for s in sites], dtype=np.float64)
 
-    n_lat = max(1, int(np.ceil((lat_max - lat_min) / cell_deg)))
-    n_lon = max(1, int(np.ceil((lon_max - lon_min) / cell_deg)))
+    # floats until checked: over a tiny cell a span may count to infinity
+    n_lat = max(1.0, np.ceil((lat_max - lat_min) / cell_deg))
+    n_lon = max(1.0, np.ceil((lon_max - lon_min) / cell_deg))
+    if n_lat * n_lon > IDW_MAX_CELLS:
+        raise ValueError(f"a grid of {n_lat * n_lon:.0f} cells is more than "
+                         f"the {IDW_MAX_CELLS} allowed")
+    n_lat, n_lon = int(n_lat), int(n_lon)
     lats = lat_min + (np.arange(n_lat) + 0.5) * cell_deg
     lons = lon_min + (np.arange(n_lon) + 0.5) * cell_deg
 

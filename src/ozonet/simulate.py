@@ -34,6 +34,7 @@ import numpy as np
 from ozonet.io import check_site_ids, json_record, json_value
 from ozonet.proxy import ROLE_LOW_COST, ROLE_REFERENCE, SiteRecord
 from ozonet.timeseries import (
+    HOUR_MAX,
     TimeSeries,
     VALUE_MAX,
     VALUE_MIN,
@@ -173,6 +174,9 @@ class Scenario:
     def __post_init__(self):
         if self.duration_hours <= 0:
             raise ValueError("duration must be positive")
+        if self.start_hour + self.duration_hours - 1 > HOUR_MAX:
+            raise ValueError(f"the scenario's hours run past {format_iso_hour(HOUR_MAX)}, "
+                             "the last hour that a timestamp names")
         check_site_ids([s.record for s in self.sites])
         ids = [s.record.site_id for s in self.sites]
         if len(ids) != len(set(ids)):

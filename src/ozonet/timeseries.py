@@ -20,6 +20,8 @@ VALUE_MAX = 500.0
 # Naive datetimes read as UTC: epoch hours are whole hours since _EPOCH.
 _EPOCH = datetime(1970, 1, 1)
 _HOUR = timedelta(hours=1)
+# The last hour that a stamp names, 9999-12-31T23:00:00Z.
+HOUR_MAX = (datetime(9999, 12, 31, 23) - _EPOCH) // _HOUR
 
 
 def to_epoch_hour(stamp) -> int:

@@ -21,7 +21,7 @@ from ozonet.alarms import HistoryRow
 from ozonet import cli
 from ozonet.cli import main
 from ozonet.errors import ConfigError
-from ozonet.metrics import idw_grid
+from ozonet.metrics import IDW_MAX_CELLS, GridField, idw_grid
 from ozonet.proxy import ProxyScore
 from ozonet.svgout import heatmap_svg, proxy_eval_svg
 from ozonet.timeseries import format_iso_hour
@@ -37,7 +37,10 @@ from ozonet.io import (
     scan_series_csv,
     write_chart_csv,
     write_corrected_csv,
+    write_grid_csv,
+    write_proxy_scores_csv,
     write_series_csv,
+    write_summary_csv,
 )
 from netsim_cases import pair_scenario
 from series_reference import scan_series_csv as scan_series_csv_per_row
@@ -223,9 +226,14 @@ _history_rows = st.builds(
     st.just((None, None)) | st.tuples(st.floats(allow_nan=False), st.floats(allow_nan=False)))
 
 
-def _csv_writer_bytes(header, lines):
+# Ids, strategies and notes with commas, with quotes and with neither; no
+# control character, which no site id may hold.
+_texts = st.text(st.sampled_from('ab ,"\'é'), max_size=6)
+
+
+def _csv_writer_bytes(header, lines, lineterminator="\r\n"):
     out = io.StringIO()
-    writer = csv.writer(out)
+    writer = csv.writer(out, lineterminator=lineterminator)
     writer.writerow(header)
     writer.writerows(lines)
     return out.getvalue().encode()
@@ -258,6 +266,50 @@ class TestResultWriters:
                                       ["timestamp", "raw", "output", "corrected_flag"])):
             write(out / "site.csv", (r for r in rows) if as_generator else rows)
             assert (out / "site.csv").read_bytes() == _csv_writer_bytes(header, lines)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.tuples(_texts, _texts, st.integers(0, 10**6),
+                              *[st.floats(0, 1)] * 4, _texts), max_size=6))
+    @example([])
+    @example([("LC,east", "-", 0, 0.0, 0.0, 0.0, 0.0, "no sensor data"),
+              ("LC", 'say "hi"', 12, 0.5, 0.25, 1.0, 0.125, "")])
+    def test_summary_bytes_equal_csv_writer(self, tmp_path_factory, summary):
+        # the oracle: csv.writer, its lines ending in "\n" as summary.csv's do
+        lines = [[sid, proxy, hours, f"{ks:.4f}", f"{a0:.4f}", f"{a1:.4f}", f"{corr:.4f}", note]
+                 for sid, proxy, hours, ks, a0, a1, corr, note in summary]
+        path = tmp_path_factory.mktemp("summary") / "summary.csv"
+        write_summary_csv(path, summary)
+        assert path.read_bytes() == _csv_writer_bytes(
+            ["site_id", "proxy", "monitored_hours", "alarm_frac_ks", "alarm_frac_a0",
+             "alarm_frac_a1", "corrected_frac", "note"], lines, lineterminator="\n")
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.lists(st.builds(ProxyScore, _texts, _texts, *[st.floats()] * 5,
+                              st.none() | st.floats(), st.integers(0, 10**6)), max_size=6))
+    @example([])
+    def test_proxy_scores_bytes_equal_csv_writer(self, tmp_path_factory, scores):
+        lines = [[s.site_id, s.strategy, f"{s.alarm_fraction_ks:.4f}",
+                  f"{s.alarm_fraction_offset:.4f}", f"{s.alarm_fraction_gain:.4f}",
+                  f"{s.corrected_fraction:.4f}", f"{s.mab:.4f}",
+                  "" if s.r2 is None else f"{s.r2:.4f}", s.monitored_hours] for s in scores]
+        path = tmp_path_factory.mktemp("scores") / "proxy_scores.csv"
+        write_proxy_scores_csv(path, scores)
+        assert path.read_bytes() == _csv_writer_bytes(
+            ["site_id", "strategy", "alarm_frac_ks", "alarm_frac_a0", "alarm_frac_a1",
+             "corrected_frac", "mab", "r2", "monitored_hours"], lines)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.integers(0, 4), st.integers(0, 4), st.data())
+    def test_grid_bytes_equal_csv_writer(self, tmp_path_factory, n_lat, n_lon, data):
+        def floats(size):
+            return np.array(data.draw(st.lists(st.floats(), min_size=size, max_size=size)))
+
+        grid = GridField(0.0, 1.0, 0.0, 1.0, 0.25, floats(n_lat), floats(n_lon),
+                         floats(n_lat * n_lon).reshape(n_lat, n_lon))
+        lines = [[f"{lat:.6f}", f"{lon:.6f}", f"{value:.4f}"] for lat, lon, value in grid.cells()]
+        path = tmp_path_factory.mktemp("grid") / "grid.csv"
+        write_grid_csv(path, grid)
+        assert path.read_bytes() == _csv_writer_bytes(["lat", "lon", "value_ppb"], lines)
 
 
 def write_svg(draw, label, path):
@@ -369,6 +421,14 @@ class TestNetworkConfig:
         ({"sites": None}, "'sites' is missing"),
         ({"proxy": {"overrides": [1]}}, "'proxy.overrides' must be a JSON object, got list"),
         ({"series": "obs.csv"}, "'series' must be a JSON array, got str"),
+        # an override names one proxy site, by its id
+        ({"proxy": {"overrides": {"LC": ["REF"]}}},
+         "'proxy.overrides.LC' must be a JSON string, got list"),
+        ({"proxy": {"overrides": {"LC": {"x": 1}}}},
+         "'proxy.overrides.LC' must be a JSON string, got dict"),
+        ({"proxy": {"overrides": {"LC": 1}}}, "'proxy.overrides.LC' must be a JSON string, got int"),
+        ({"proxy": {"overrides": {"LC": None}}},
+         "'proxy.overrides.LC' must be a JSON string, got NoneType"),
     ])
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_bad_shape_is_input_error(self, sim_dir, capsys, change, message, command):
@@ -552,6 +612,29 @@ class TestSimulateCommand:
             assert main(["simulate", str(spath), "--out", str(out)]) == 0
             outs.append((out / "observed.csv").read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("hours", [25, 48])
+    def test_hours_past_year_9999_are_input_error(self, tmp_path, capsys, hours):
+        # from the last day of year 9999, one hour past it and a day past it
+        scenario = pair_scenario(duration_hours=hours).to_dict()
+        scenario["start"] = "9999-12-31T00:00:00Z"
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(scenario))
+        assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad scenario {spath}: the scenario's hours run past "
+            "9999-12-31T23:00:00Z, the last hour that a timestamp names\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_hours_up_to_the_last_of_year_9999_are_simulated(self, tmp_path):
+        scenario = pair_scenario(duration_hours=24).to_dict()
+        scenario["start"] = "9999-12-31T00:00:00Z"
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(scenario))
+        assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 0
+        series = read_series_csv(tmp_path / "o" / "observed.csv")
+        assert {format_iso_hour(int(ts.hours[-1])) for ts in series.values()} == {
+            "9999-12-31T23:00:00Z"}
 
     def test_bad_scenario_is_input_error(self, tmp_path):
         spath = tmp_path / "s.json"
@@ -900,6 +983,63 @@ class TestRunCommand:
         assert rows[0]["proxy"] == "REF" and rows[0]["note"] == ""
 
 
+def _strip_site(sim_dir, site_id):
+    """Drop every row of `site_id` from the simulated observed.csv."""
+    observed = sim_dir / "observed.csv"
+    lines = observed.read_text().splitlines(keepends=True)
+    observed.write_text("".join(line for line in lines if f",{site_id}," not in line))
+
+
+class TestErrorExits:
+    """An error that ends a command is one `error: …` line on stderr with its
+    exit code; what the command wrote before it stays."""
+
+    def test_validate_without_series_files(self, sim_dir, capsys):
+        network = sim_dir / "network.json"
+        config = json.loads(network.read_text())
+        config["series"] = []
+        network.write_text(json.dumps(config))
+        assert main(["validate", str(network)]) == 1
+        assert capsys.readouterr() == ("", "error: no series files configured\n")
+
+    def test_proxy_eval_with_one_reference(self, sim_dir, capsys):
+        out = sim_dir / "pe"
+        assert main(["proxy-eval", str(sim_dir / "network.json"), "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: proxy evaluation needs at least two reference sites\n")
+        assert not out.exists()
+
+    def test_proxy_eval_with_no_pair_to_evaluate(self, sim_dir, capsys):
+        # LC is a second reference without data: REF's nearest proxy is LC,
+        # and one reporter makes no network median
+        network = sim_dir / "network.json"
+        config = json.loads(network.read_text())
+        for site in config["sites"]:
+            site["role"] = "reference"
+        network.write_text(json.dumps(config))
+        _strip_site(sim_dir, "LC")
+        out = sim_dir / "pe"
+        assert main(["proxy-eval", str(network), "--out", str(out)]) == 2
+        assert capsys.readouterr() == ("", (
+            "warning: nearest proxy for REF has no data\n"
+            "warning: network_median proxy for REF has no data\n"
+            "warning: no data for reference LC, skipped\n"
+            "error: no (site, strategy) pair could be evaluated\n"))
+        assert not out.exists()
+
+    def test_map_split_with_no_reporting_reference(self, sim_dir, capsys):
+        _strip_site(sim_dir, "REF")
+        out = sim_dir / "map"
+        assert main(["map", str(sim_dir / "network.json"), "--hour", "2018-01-27T12:00:00Z",
+                     "--split", "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", "error: --split needs at least one reporting reference site\n")
+        # the all-sites grid is written before the split is tried
+        assert sorted(p.name for p in out.iterdir()) == ["grid.csv"]
+        with open(out / "grid.csv", newline="") as handle:
+            assert next(csv.reader(handle)) == ["lat", "lon", "value_ppb"]
+
+
 class TestProxyEvalCommand:
     def test_row_count_matches_applicable_strategies(self, tmp_path):
         # two references with data and no AADT anywhere: nearest + median
@@ -993,6 +1133,18 @@ class TestBadFlags:
         assert code == 1
         assert capsys.readouterr().err.startswith("error: ")
         assert not (sim_dir / "badmap" / "grid.csv").exists()
+
+    def test_oversized_map_grid_is_input_error(self, sim_dir, capsys):
+        # a cell of 1e-7 degrees over the sites' extent asks for about 2e12
+        # cells, terabytes of distances
+        code = main(["map", str(sim_dir / "network.json"),
+                     "--hour", "2018-01-27T12:00:00Z", "--cell", "1e-7",
+                     "--out", str(sim_dir / "badmap")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert re.fullmatch(
+            rf"error: a grid of \d+ cells is more than the {IDW_MAX_CELLS} allowed\n", err)
+        assert not (sim_dir / "badmap").exists()
 
     @pytest.mark.parametrize("flag, name", [
         (["--power", "nan"], "power"),

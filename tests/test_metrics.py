@@ -5,6 +5,7 @@ import pytest
 
 from ozonet import InsufficientDataError, TimeSeries, buddy_check, idw_grid, pair_metrics
 from ozonet.geo import haversine_km
+from ozonet.metrics import IDW_MAX_CELLS
 
 
 def hourly(site, start, values):
@@ -143,6 +144,15 @@ class TestIdwGrid:
     def test_bad_bbox_rejected(self):
         with pytest.raises(ValueError):
             idw_grid([(0.0, 0.0, 1.0)], 1, 0, 0, 1, 0.1)
+
+    def test_grid_of_more_than_the_cap_rejected(self):
+        # a row of exactly IDW_MAX_CELLS cells is computed, one more is not;
+        # the cell is a power of two, so the spans divide into it exactly
+        cell = 2.0 ** -10
+        grid = idw_grid([(0.0, 0.0, 5.0)], 0.0, cell, 0.0, IDW_MAX_CELLS * cell, cell)
+        assert grid.values.shape == (1, IDW_MAX_CELLS)
+        with pytest.raises(ValueError, match=rf"^a grid of {IDW_MAX_CELLS + 1} cells "):
+            idw_grid([(0.0, 0.0, 5.0)], 0.0, cell, 0.0, (IDW_MAX_CELLS + 1) * cell, cell)
 
     def test_cells_iteration_matches_shape(self):
         grid = idw_grid([(0.5, 0.5, 10.0)], 0, 1, 0, 1, 0.25)

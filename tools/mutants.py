@@ -98,8 +98,8 @@ MUTANTS = [
     Mutant("_measure_together: completeness read from the batching engine's thresholds",
            "alarms.py", "other.thresholds.completeness_min", "engine.thresholds.completeness_min"),
     Mutant("_measure_together: a row paired with another engine's proxy window", "alarms.py",
-           "*_padded_rows(z))", "*_padded_rows(z[::-1]))"),
-    Mutant("_padded_rows: every row given the first window's length", "alarms.py",
+           "_measure_rows(y, z)", "_measure_rows(y, z[::-1])"),
+    Mutant("_measure_rows: every row given the first window's length", "alarms.py",
            "np.array([window.size for window in windows])",
            "np.array([windows[0].size for window in windows])"),
     Mutant("ks_pvalue: small-sample term dropped", "kstest.py",
@@ -112,14 +112,21 @@ MUTANTS = [
            "range(0, assessed.size, _BLOCK_HOURS)", "range(0, assessed.size - 1, _BLOCK_HOURS)"),
     Mutant("SiteEngine.run: every other block skipped", "alarms.py",
            "range(0, assessed.size, _BLOCK_HOURS)", "range(0, assessed.size, 2 * _BLOCK_HOURS)"),
-    Mutant("_padded_windows: one column short", "alarms.py",
-           "cols = np.arange(count.max())", "cols = np.arange(count.max() - 1)"),
+    Mutant("SiteEngine.run: each sensor window cut one sample short", "alarms.py",
+           "[sensor[a:b] for a, b in", "[sensor[a:b - 1] for a, b in"),
     Mutant("Thresholds: timescale bound raised past int64", "alarms.py",
            "TIMESCALE_MAX_HOURS = 2**31 - 1", "TIMESCALE_MAX_HOURS = 10**30"),
+    Mutant("Scenario: an hour past 9999-12-31T23:00:00Z accepted", "simulate.py",
+           "self.duration_hours - 1 > HOUR_MAX", "self.duration_hours - 1 > HOUR_MAX + 1"),
+    Mutant("idw_grid: a grid of exactly IDW_MAX_CELLS rejected", "metrics.py",
+           "n_lat * n_lon > IDW_MAX_CELLS", "n_lat * n_lon >= IDW_MAX_CELLS"),
     Mutant("format_iso_hour: year not zero-padded", "timeseries.py",
            '.isoformat() + "Z"', '.strftime("%Y-%m-%dT%H:%M:%SZ")'),
     Mutant("json_loads: numbers beyond the floats accepted", "io.py",
            "if math.isinf(float(text)):", "if False:"),
+    Mutant("ProxyPolicy: an override may be any JSON value", "io.py",
+           "overrides: dict[str, str]", "overrides: dict"),
+    Mutant("write_summary_csv: lines end in \\r\\n", "io.py", ', end="\\n")', ")"),
     Mutant("scan_series_csv: VALUE_MIN itself out of range", "io.py",
            "(values >= VALUE_MIN)", "(values > VALUE_MIN)"),
     Mutant("scan_series_csv: VALUE_MAX itself out of range", "io.py",
@@ -133,6 +140,8 @@ MUTANTS = [
            '    ("--tf-hours", "tf_hours", int, "persistence before alarm, hours"),',
            '("--td-hours", "tf_hours", int, "rolling window length, hours"),\n'
            '    ("--tf-hours", "td_hours", int, "persistence before alarm, hours"),'),
+    Mutant("cmd_proxy_eval: one reference a runtime failure (exit 2)", "cli.py",
+           'raise ConfigError("proxy evaluation needs', 'raise OzonetError("proxy evaluation needs'),
 ]
 
 
