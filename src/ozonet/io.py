@@ -355,8 +355,10 @@ def write_proxy_scores_csv(path, scores):
 
 def write_grid_csv(path, grid):
     """One row per cell of `grid`, row-major."""
-    _write_columns(path, ["lat", "lon", "value_ppb"], [zip(*(
-        (f"{lat:.6f}", f"{lon:.6f}", f"{value:.4f}") for lat, lon, value in grid.cells()))])
+    lats, lons = ([f"{v:.6f}" for v in axis.tolist()] for axis in (grid.lats, grid.lons))
+    _write_columns(path, ["lat", "lon", "value_ppb"], [[
+        [lat for lat in lats for _ in lons], lons * len(lats),
+        [f"{v:.4f}" for v in grid.values.ravel().tolist()]]])
 
 
 def write_summary_csv(path, summary):
@@ -427,16 +429,19 @@ class NetworkConfig:
 
 def check_site_ids(sites):
     """ValueError naming the first of `sites` (SiteRecords) whose id is not
-    one safe file-name component. `run` names each site's outputs
-    charts/<site_id>.csv and corrected/<site_id>.csv, so an id must not be
-    empty, '.' or '..', nor hold a '/', a '\\' or a control character."""
+    one safe file-name component that a series file can spell. `run` names
+    each site's outputs charts/<site_id>.csv and corrected/<site_id>.csv, so
+    an id must not be empty, '.' or '..', nor hold a '/', a '\\' or a
+    control character; and the series reader strips every field, so it must
+    not begin or end in whitespace."""
     for i, site in enumerate(sites):
         sid = site.site_id
-        if sid in ("", ".", "..") or "/" in sid or "\\" in sid or any(
+        if sid in ("", ".", "..") or "/" in sid or "\\" in sid or sid != sid.strip() or any(
                 unicodedata.category(c) == "Cc" for c in sid):
             raise ValueError(f"'sites[{i}].site_id' {sid!r} is not one safe file name: "
                              "an id names its output files, so it must not be empty, "
-                             "'.' or '..', nor hold '/', '\\' or a control character")
+                             "'.' or '..', nor hold '/', '\\' or a control character, "
+                             "nor begin or end in whitespace")
 
 
 _JSON_KINDS = {dict: "object", list: "array", str: "string", bool: "boolean",

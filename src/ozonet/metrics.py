@@ -13,10 +13,14 @@ from ozonet.timeseries import TimeSeries, align
 BUDDY_MIN_HOURS = 48
 BUDDY_PASS_QUANTILE = 0.95    # fraction of hours that must sit inside tolerance
 IDW_EXACT_HIT_KM = 0.001      # treat a site within 1 m of a cell centre as exact
-# Most cells in one grid. idw_grid's cells x sites arrays take about 2 kB
-# per cell at 44 sites: on a 44-site network `map` peaks at 260 MB resident
-# at this cap, and at 566 MB at 250,000 cells (Python 3.11, numpy 2.4).
+# Most cells in one grid: bounds the size of `map`'s outputs and its time.
+# Memory grows with _IDW_BAND_CELLS x sites instead: near this cap (99,093
+# cells) `map --split` peaks at 103 MB resident on a 44-site network
+# (Python 3.11, numpy 2.4).
 IDW_MAX_CELLS = 100_000
+# Cells per band of idw_grid: a band's cells x sites arrays take about 48
+# bytes per cell and site, some 10 MB at 50 sites.
+_IDW_BAND_CELLS = 4096
 
 
 @dataclass(frozen=True)
@@ -90,22 +94,17 @@ class GridField:
     lons: np.ndarray = field(repr=False)    # cell-centre longitudes, ascending
     values: np.ndarray = field(repr=False)  # shape (len(lats), len(lons))
 
-    def cells(self):
-        """Yield (lat, lon, value) per cell, row-major."""
-        for i, lat in enumerate(self.lats):
-            for j, lon in enumerate(self.lons):
-                yield float(lat), float(lon), float(self.values[i, j])
-
 
 def idw_grid(sites, lat_min, lat_max, lon_min, lon_max, cell_deg, power: float = 2.0) -> GridField:
     """Inverse-distance-weighted field from point values.
 
     `sites` is a sequence of (lat, lon, value). Weights are distance to the
     -power; a cell whose centre falls within 1 m of a site takes that
-    site's value exactly (also the division-by-zero guard). Every cell is a
-    convex combination of the inputs, so the field is bounded by them. A
-    cell size, bound or power that is not finite is a ValueError naming it,
-    and so is a grid of more than IDW_MAX_CELLS cells, giving its count.
+    site's value exactly (also the division-by-zero guard): of several such
+    sites the nearest's, and of those equally near the first's. Every cell
+    is a convex combination of the inputs, so the field is bounded by them.
+    A cell size, bound or power that is not finite is a ValueError naming
+    it, and so is a grid of more than IDW_MAX_CELLS cells, giving its count.
     """
     sites = list(sites)
     if not sites:
@@ -130,21 +129,18 @@ def idw_grid(sites, lat_min, lat_max, lon_min, lon_max, cell_deg, power: float =
     lats = lat_min + (np.arange(n_lat) + 0.5) * cell_deg
     lons = lon_min + (np.arange(n_lon) + 0.5) * cell_deg
 
-    grid_lat = np.repeat(lats, n_lon)
-    grid_lon = np.tile(lons, n_lat)
-    # distance matrix: cells x sites
-    dists = haversine_km(grid_lat[:, None], grid_lon[:, None], slat[None, :], slon[None, :])
-    dists = np.atleast_2d(dists)
-    exact = dists < IDW_EXACT_HIT_KM
-    with np.errstate(divide="ignore", invalid="ignore"):
-        weights = dists ** (-power)
-        weights[exact] = 0.0
-        flat = (weights * svals).sum(axis=1) / weights.sum(axis=1)
-    hit_rows, hit_cols = np.nonzero(exact)
-    if hit_rows.size:
-        # nearest exact hit wins when several sites share a cell centre
-        order = np.argsort(dists[hit_rows, hit_cols], kind="stable")
-        for k in order[::-1]:
-            flat[hit_rows[k]] = svals[hit_cols[k]]
+    cells = np.arange(n_lat * n_lon)
+    flat = np.empty(cells.size)
+    for lo in range(0, cells.size, _IDW_BAND_CELLS):
+        band = cells[lo:lo + _IDW_BAND_CELLS]
+        # distances: band cells x sites
+        dists = haversine_km(lats[band // n_lon, None], lons[band % n_lon, None], slat, slon)
+        exact = dists < IDW_EXACT_HIT_KM
+        with np.errstate(divide="ignore", invalid="ignore"):
+            weights = dists ** (-power)
+            weights[exact] = 0.0
+            idw = (weights * svals).sum(axis=1) / weights.sum(axis=1)
+        nearest = np.where(exact, dists, np.inf).argmin(axis=1)
+        flat[band] = np.where(exact.any(axis=1), svals[nearest], idw)
     return GridField(lat_min, lat_max, lon_min, lon_max, cell_deg,
                      lats, lons, flat.reshape(n_lat, n_lon))

@@ -159,6 +159,9 @@ class SiteSpec:
     def __post_init__(self):
         if self.record.role == ROLE_LOW_COST and self.sensor is None:
             raise ValueError(f"low-cost site {self.record.site_id} needs a sensor model")
+        if self.record.role == ROLE_REFERENCE and self.sensor is not None:
+            raise ValueError(f"reference site {self.record.site_id} takes no sensor model: "
+                             "its readings are its truth plus the reference noise")
 
 
 @dataclass(frozen=True)

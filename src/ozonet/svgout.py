@@ -14,19 +14,25 @@ from ozonet.io import atomic_write
 
 # blue -> pale yellow -> red
 _STOPS = ((0.0, (44, 123, 182)), (0.5, (255, 255, 191)), (1.0, (215, 25, 28)))
+_PANEL_PX = 360     # side of one heat map panel
 
 
 def _ramp(t: float) -> str:
     t = min(1.0, max(0.0, t))
-    for (t0, c0), (t1, c1) in zip(_STOPS, _STOPS[1:]):
-        if t <= t1:
-            f = 0.0 if t1 == t0 else (t - t0) / (t1 - t0)
-            rgb = tuple(round(a + (b - a) * f) for a, b in zip(c0, c1))
-            return f"rgb({rgb[0]},{rgb[1]},{rgb[2]})"
-    return "rgb(215,25,28)"
+    (t0, c0), (t1, c1) = _STOPS[:2] if t <= _STOPS[1][0] else _STOPS[1:]
+    f = (t - t0) / (t1 - t0)
+    return "rgb({},{},{})".format(*(round(a + (b - a) * f) for a, b in zip(c0, c1)))
 
 
-def heatmap_svg(panels, path, sites=None, panel_px: int = 360):
+def _write_svg(path, width, height, font_size, parts):
+    """Write `parts`, SVG elements, as one document of the given size."""
+    with atomic_write(path) as handle:
+        handle.write("\n".join([
+            f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
+            f'font-family="sans-serif" font-size="{font_size}">', *parts, "</svg>", ""]))
+
+
+def heatmap_svg(panels, path, sites=None):
     """Write one or more gridded fields side by side.
 
     `panels` is a sequence of (label, GridField); `sites` an optional list
@@ -41,18 +47,14 @@ def heatmap_svg(panels, path, sites=None, panel_px: int = 360):
     span = (vmax - vmin) or 1.0
 
     margin, title_h = 10, 18
-    width = margin + len(panels) * (panel_px + margin)
-    height = title_h + panel_px + 28
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'font-family="sans-serif" font-size="11">'
-    ]
+    width = margin + len(panels) * (_PANEL_PX + margin)
+    parts = []
     for p, (label, grid) in enumerate(panels):
-        x0 = margin + p * (panel_px + margin)
+        x0 = margin + p * (_PANEL_PX + margin)
         y0 = title_h
         n_lat, n_lon = grid.values.shape
-        cw = panel_px / n_lon
-        ch = panel_px / n_lat
+        cw = _PANEL_PX / n_lon
+        ch = _PANEL_PX / n_lat
         parts.append(f'<text x="{x0}" y="{title_h - 5}">{escape(label)}</text>')
         for i in range(n_lat):
             # latitude increases upward
@@ -69,17 +71,15 @@ def heatmap_svg(panels, path, sites=None, panel_px: int = 360):
                     fx = (lon - grid.lon_min) / (grid.lon_max - grid.lon_min)
                     fy = (lat - grid.lat_min) / (grid.lat_max - grid.lat_min)
                     parts.append(
-                        f'<circle cx="{x0 + fx * panel_px:.1f}" '
-                        f'cy="{y0 + (1 - fy) * panel_px:.1f}" r="3" fill="none" '
+                        f'<circle cx="{x0 + fx * _PANEL_PX:.1f}" '
+                        f'cy="{y0 + (1 - fy) * _PANEL_PX:.1f}" r="3" fill="none" '
                         f'stroke="black" stroke-width="1.2"/>'
                     )
         parts.append(
-            f'<text x="{x0}" y="{y0 + panel_px + 16}">'
+            f'<text x="{x0}" y="{y0 + _PANEL_PX + 16}">'
             f'{vmin:.1f} - {vmax:.1f} ppb</text>'
         )
-    parts.append("</svg>")
-    with atomic_write(path) as handle:
-        handle.write("\n".join(parts) + "\n")
+    _write_svg(path, width, title_h + _PANEL_PX + 28, 11, parts)
 
 
 _BAR_COLORS = {"ks": "#1b9e77", "offset": "#d95f02", "gain": "#7570b3"}
@@ -95,11 +95,7 @@ def proxy_eval_svg(scores, path):
     bar_w, group_w, panel_h, left = 14, 70, 130, 50
     width = left + group_w * len(sites) + 20
     panel_total = panel_h + 58
-    height = panel_total * len(strategies) + 10
-    parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
-        f'font-family="sans-serif" font-size="10">'
-    ]
+    parts = []
     by_key = {(s.site_id, s.strategy): s for s in scores}
     for p, strategy in enumerate(strategies):
         top = 10 + p * panel_total
@@ -125,6 +121,4 @@ def proxy_eval_svg(scores, path):
                 )
             r2 = "" if score.r2 is None else f" r2={score.r2:.2f}"
             parts.append(f'<text x="{gx}" y="{base + 24}">mab={score.mab:.1f}{r2}</text>')
-    parts.append("</svg>")
-    with atomic_write(path) as handle:
-        handle.write("\n".join(parts) + "\n")
+    _write_svg(path, width, panel_total * len(strategies) + 10, 10, parts)

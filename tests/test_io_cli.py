@@ -306,7 +306,8 @@ class TestResultWriters:
 
         grid = GridField(0.0, 1.0, 0.0, 1.0, 0.25, floats(n_lat), floats(n_lon),
                          floats(n_lat * n_lon).reshape(n_lat, n_lon))
-        lines = [[f"{lat:.6f}", f"{lon:.6f}", f"{value:.4f}"] for lat, lon, value in grid.cells()]
+        lines = [[f"{lat:.6f}", f"{lon:.6f}", f"{grid.values[i, j]:.4f}"]
+                 for i, lat in enumerate(grid.lats) for j, lon in enumerate(grid.lons)]
         path = tmp_path_factory.mktemp("grid") / "grid.csv"
         write_grid_csv(path, grid)
         assert path.read_bytes() == _csv_writer_bytes(["lat", "lon", "value_ppb"], lines)
@@ -636,6 +637,32 @@ class TestSimulateCommand:
         assert {format_iso_hour(int(ts.hours[-1])) for ts in series.values()} == {
             "9999-12-31T23:00:00Z"}
 
+    @pytest.mark.parametrize("site_id", ["LC ", " LC", "LC\u00a0"])
+    def test_site_id_with_surrounding_whitespace_is_input_error(self, tmp_path, capsys,
+                                                                 site_id):
+        # the series reader strips every field, so such an id could never
+        # match its own series
+        scenario = pair_scenario(duration_hours=24).to_dict()
+        scenario["sites"][1]["site_id"] = site_id
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(scenario))
+        assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: bad scenario {spath}: 'sites[1].site_id' {site_id!r} ")
+        assert not (tmp_path / "o").exists()
+
+    def test_reference_with_a_sensor_model_is_input_error(self, tmp_path, capsys):
+        # "sensor": null marks a reference; a model there would be ignored
+        scenario = pair_scenario(duration_hours=24).to_dict()
+        scenario["sites"][0]["sensor"] = {"offset": 50.0, "gain": 3.0}
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(scenario))
+        assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad scenario {spath}: reference site REF takes no sensor model: "
+            "its readings are its truth plus the reference noise\n")
+        assert not (tmp_path / "o").exists()
+
     def test_bad_scenario_is_input_error(self, tmp_path):
         spath = tmp_path / "s.json"
         spath.write_text(json.dumps({"seed": 1}))
@@ -877,7 +904,8 @@ class TestRunCommand:
             assert (paths[0] / rel).read_bytes() == (paths[1] / rel).read_bytes()
 
     @pytest.mark.parametrize("site_id", [
-        "../../escaped", "", ".", "..", "a/b", "a\\b", "a\x00b", "a\nb", "a\x7fb", "a\x85b"])
+        "../../escaped", "", ".", "..", "a/b", "a\\b", "a\x00b", "a\nb", "a\x7fb", "a\x85b",
+        "LC ", " LC"])
     def test_unsafe_site_id_is_config_error(self, sim_dir, capsys, site_id):
         # a site id names charts/<id>.csv and corrected/<id>.csv, so one that
         # is no single file name is rejected when the config is read

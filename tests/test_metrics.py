@@ -1,11 +1,13 @@
 """Pair metrics, buddy co-location checks, and IDW gridding."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ozonet import InsufficientDataError, TimeSeries, buddy_check, idw_grid, pair_metrics
 from ozonet.geo import haversine_km
-from ozonet.metrics import IDW_MAX_CELLS
+from ozonet.metrics import _IDW_BAND_CELLS, IDW_EXACT_HIT_KM, IDW_MAX_CELLS
 
 
 def hourly(site, start, values):
@@ -154,7 +156,64 @@ class TestIdwGrid:
         with pytest.raises(ValueError, match=rf"^a grid of {IDW_MAX_CELLS + 1} cells "):
             idw_grid([(0.0, 0.0, 5.0)], 0.0, cell, 0.0, (IDW_MAX_CELLS + 1) * cell, cell)
 
-    def test_cells_iteration_matches_shape(self):
-        grid = idw_grid([(0.5, 0.5, 10.0)], 0, 1, 0, 1, 0.25)
-        cells = list(grid.cells())
-        assert len(cells) == grid.values.size
+    @pytest.mark.parametrize("n_lat, n_lon", [
+        (45, 91), (64, 64), (17, 241), (3, 2731)],
+        ids=["band-1", "band", "band+1", "2band+1"])
+    def test_values_match_a_cell_by_cell_oracle(self, n_lat, n_lon):
+        # grids of one band less a cell up to two bands and a cell, bit for
+        # bit against each cell computed on its own
+        assert n_lat * n_lon in (_IDW_BAND_CELLS - 1, _IDW_BAND_CELLS,
+                                 _IDW_BAND_CELLS + 1, 2 * _IDW_BAND_CELLS + 1)
+        cell, lat_min, lon_min = 2.0 ** -8, 34.0, -118.5    # centres are exact floats
+
+        def centre(k):
+            return lat_min + (k // n_lon + 0.5) * cell, lon_min + (k % n_lon + 0.5) * cell
+
+        rng = np.random.default_rng(n_lat * n_lon)
+        sites = [(float(lat), float(lon), float(v)) for lat, lon, v in zip(
+            rng.uniform(lat_min, lat_min + n_lat * cell, 12),
+            rng.uniform(lon_min, lon_min + n_lon * cell, 12), rng.uniform(5, 80, 12))]
+        last = n_lat * n_lon - 1
+        # hits on the first and last cells of the bands
+        edges = {k: 11.0 + n for n, k in enumerate(sorted(
+            k for k in {0, _IDW_BAND_CELLS - 1, _IDW_BAND_CELLS, last} if k <= last))}
+        sites += [(*centre(k), value) for k, value in edges.items()]
+        sites += [(*centre(7), 21.0), (*centre(7), 22.0)]     # one centre: the first wins
+        lat, lon = centre(9)
+        sites += [(lat + 5e-6, lon, 31.0), (lat + 2e-6, lon, 32.0)]   # < 1 m: the nearer wins
+        lat, lon = centre(last // 3)
+        sites.append((lat, lon + 8e-6, 41.0))        # within 1 m of a centre, off it
+        grid = idw_grid(sites, lat_min, lat_min + n_lat * cell, lon_min,
+                        lon_min + n_lon * cell, cell)
+        assert grid.values.shape == (n_lat, n_lon)
+
+        slat, slon, svals = (np.array(column) for column in zip(*sites))
+        oracle = np.empty(n_lat * n_lon)
+        for k in range(oracle.size):
+            dists = haversine_km(*centre(k), slat, slon)
+            hits = [i for i in range(len(sites)) if dists[i] < IDW_EXACT_HIT_KM]
+            if hits:
+                oracle[k] = svals[min(hits, key=lambda i: (dists[i], i))]
+            else:
+                weights = dists ** -2.0
+                oracle[k] = (weights * svals).sum() / weights.sum()
+        for k, value in {**edges, 7: 21.0, 9: 32.0, last // 3: 41.0}.items():
+            assert oracle[k] == value
+        assert grid.values.ravel().tobytes() == oracle.tobytes()
+
+    def test_memory_bounded_at_the_cap(self):
+        # the field is computed a band of cells at a time: 50 sites over
+        # the largest grid stay far below the 48 bytes a cell and site take
+        # all at once (240 MB)
+        rng = np.random.default_rng(16)
+        sites = [(float(lat), float(lon), float(v)) for lat, lon, v in zip(
+            rng.uniform(34, 34.25, 50), rng.uniform(-118, -117.6, 50), rng.uniform(5, 80, 50))]
+        tracemalloc.start()
+        try:
+            grid = idw_grid(sites, 34.0, 34.0 + 250 * 2.0 ** -10, -118.0,
+                            -118.0 + 400 * 2.0 ** -10, 2.0 ** -10)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert grid.values.size == IDW_MAX_CELLS
+        assert peak < 40e6

@@ -120,6 +120,15 @@ MUTANTS = [
            "self.duration_hours - 1 > HOUR_MAX", "self.duration_hours - 1 > HOUR_MAX + 1"),
     Mutant("idw_grid: a grid of exactly IDW_MAX_CELLS rejected", "metrics.py",
            "n_lat * n_lon > IDW_MAX_CELLS", "n_lat * n_lon >= IDW_MAX_CELLS"),
+    Mutant("idw_grid: each band one cell short", "metrics.py",
+           "cells[lo:lo + _IDW_BAND_CELLS]", "cells[lo:lo + _IDW_BAND_CELLS - 1]"),
+    Mutant("idw_grid: of exact hits equally near, the highest site index wins", "metrics.py",
+           "np.where(exact, dists, np.inf).argmin(axis=1)",
+           "(dists.shape[1] - 1 - np.where(exact, dists, np.inf)[:, ::-1].argmin(axis=1))"),
+    Mutant("check_site_ids: an id with surrounding whitespace accepted", "io.py",
+           " or sid != sid.strip()", ""),
+    Mutant("SiteSpec: a reference's sensor model accepted", "simulate.py",
+           "ROLE_REFERENCE and self.sensor is not None", "ROLE_REFERENCE and False"),
     Mutant("format_iso_hour: year not zero-padded", "timeseries.py",
            '.isoformat() + "Z"', '.strftime("%Y-%m-%dT%H:%M:%SZ")'),
     Mutant("json_loads: numbers beyond the floats accepted", "io.py",
