@@ -78,7 +78,8 @@ def _out_dir(args, default) -> Path:
 
 
 def _proxy_series(site, strategy, config, series_map, medians):
-    """(label, proxy TimeSeries or None) for `site` under one strategy.
+    """(label, proxy TimeSeries) for `site` under one strategy; the series
+    is None or empty when the proxy has no data.
 
     Network medians are built once per exclude set and kept in `medians`.
     Raises InsufficientDataError when no eligible reference exists, and
@@ -93,8 +94,7 @@ def _proxy_series(site, strategy, config, series_map, medians):
         if exclude not in medians:
             medians[exclude] = network_median_series(
                 list(series_map.values()), policy.median_min_reporters, exclude)
-        med = medians[exclude]
-        return STRATEGY_MEDIAN, med if len(med) else None
+        return STRATEGY_MEDIAN, medians[exclude]
     if strategy == STRATEGY_AADT:
         assignment = similar_aadt(site, config.sites)
     else:
@@ -132,23 +132,21 @@ def cmd_run(args) -> int:
     for site in config.sites:
         if site.role != ROLE_LOW_COST:
             continue
-        sensor = series_map.get(site.site_id)
-        if sensor is None or not len(sensor):
-            summary.append((site.site_id, "-", 0, 0.0, 0.0, 0.0, 0.0, "no sensor data"))
-            continue
+        proxy_label = "-"     # until a proxy is known
         try:
+            sensor = series_map.get(site.site_id)
+            if sensor is None or not len(sensor):
+                raise InsufficientDataError("no sensor data")
             if site.site_id in overrides:
                 proxy_label = overrides[site.site_id]
                 proxy_series = series_map.get(proxy_label)
             else:
                 proxy_label, proxy_series = _proxy_series(
                     site, config.proxy.strategy, config, series_map, medians)
+            if proxy_series is None or not len(proxy_series):
+                raise InsufficientDataError("no proxy data")
         except InsufficientDataError as exc:
-            summary.append((site.site_id, "-", 0, 0.0, 0.0, 0.0, 0.0, str(exc)))
-            continue
-        if proxy_series is None or not len(proxy_series):
-            summary.append((site.site_id, proxy_label, 0, 0.0, 0.0, 0.0, 0.0,
-                            "no proxy data"))
+            summary.append((site.site_id, proxy_label, 0, 0.0, 0.0, 0.0, 0.0, str(exc)))
             continue
         result = SiteEngine(site.site_id, sensor, proxy_series, config.thresholds).run()
         ozio.write_corrected_csv(out / "corrected" / f"{site.site_id}.csv", result.rows)
@@ -282,19 +280,21 @@ def cmd_map(args) -> int:
         pad = max(args.cell, 0.02)
         bbox = (min(lats) - pad, max(lats) + pad, min(lons) - pad, max(lons) + pad)
 
-    try:
-        full = idw_grid([(r.latitude, r.longitude, v) for r, v in points],
-                        *bbox, cell_deg=args.cell, power=args.power)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    def grid(site_points):
+        try:
+            return idw_grid([(r.latitude, r.longitude, v) for r, v in site_points],
+                            *bbox, cell_deg=args.cell, power=args.power)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+
+    full = grid(points)
     ozio.write_grid_csv(out / "grid.csv", full)
     panels = [("all sites", full)]
     if args.split:
         ref_points = [(r, v) for r, v in points if r.role == ROLE_REFERENCE]
         if not ref_points:
             raise ConfigError("--split needs at least one reporting reference site")
-        ref = idw_grid([(r.latitude, r.longitude, v) for r, v in ref_points],
-                       *bbox, cell_deg=args.cell, power=args.power)
+        ref = grid(ref_points)
         ozio.write_grid_csv(out / "grid_reference.csv", ref)
         panels.insert(0, ("reference only", ref))
     heatmap_svg(panels, out / "map.svg",

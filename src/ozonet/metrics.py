@@ -104,7 +104,9 @@ def idw_grid(sites, lat_min, lat_max, lon_min, lon_max, cell_deg, power: float =
     sites the nearest's, and of those equally near the first's. Every cell
     is a convex combination of the inputs, so the field is bounded by them.
     A cell size, bound or power that is not finite is a ValueError naming
-    it, and so is a grid of more than IDW_MAX_CELLS cells, giving its count.
+    it, and so is a grid of more than IDW_MAX_CELLS cells, giving its count,
+    and a power whose weights under- or overflow so that a cell is not
+    finite, giving the power.
     """
     sites = list(sites)
     if not sites:
@@ -136,11 +138,14 @@ def idw_grid(sites, lat_min, lat_max, lon_min, lon_max, cell_deg, power: float =
         # distances: band cells x sites
         dists = haversine_km(lats[band // n_lon, None], lons[band % n_lon, None], slat, slon)
         exact = dists < IDW_EXACT_HIT_KM
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             weights = dists ** (-power)
             weights[exact] = 0.0
             idw = (weights * svals).sum(axis=1) / weights.sum(axis=1)
         nearest = np.where(exact, dists, np.inf).argmin(axis=1)
         flat[band] = np.where(exact.any(axis=1), svals[nearest], idw)
+        if not np.isfinite(flat[band]).all():
+            raise ValueError(f"the weights at power {power} under- or overflow: "
+                             "the field is not finite")
     return GridField(lat_min, lat_max, lon_min, lon_max, cell_deg,
                      lats, lons, flat.reshape(n_lat, n_lon))

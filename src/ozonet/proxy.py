@@ -113,23 +113,15 @@ def network_median_series(series_list: list[TimeSeries], min_reporters: int = 3,
     excluded; pass their ids via `exclude` to drop them explicitly.
     """
     pool = [s for s in series_list if s.site_id not in exclude and len(s)]
-    if not pool:
-        return TimeSeries(MEDIAN_SITE_ID, np.array([], dtype=np.int64),
-                          np.array([], dtype=np.float64))
-    lo = min(int(s.hours[0]) for s in pool)
-    hi = max(int(s.hours[-1]) for s in pool)
-    span = hi - lo + 1
-    grid = np.full((len(pool), span), np.nan)
+    # an empty pool gives an empty grid, and so keeps no hour
+    lo = min((int(s.hours[0]) for s in pool), default=0)
+    hi = max((int(s.hours[-1]) for s in pool), default=-1)
+    grid = np.full((len(pool), hi - lo + 1), np.nan)
     for i, s in enumerate(pool):
         grid[i, s.hours - lo] = s.values
-    counts = np.sum(~np.isnan(grid), axis=0)
-    keep = counts >= min_reporters
-    if not np.any(keep):
-        return TimeSeries(MEDIAN_SITE_ID, np.array([], dtype=np.int64),
-                          np.array([], dtype=np.float64))
-    med = np.nanmedian(grid[:, keep], axis=0)
-    hours = (np.arange(lo, hi + 1, dtype=np.int64))[keep]
-    return TimeSeries(MEDIAN_SITE_ID, hours, med)
+    keep = np.sum(~np.isnan(grid), axis=0) >= min_reporters
+    return TimeSeries(MEDIAN_SITE_ID, np.flatnonzero(keep) + lo,
+                      np.nanmedian(grid[:, keep], axis=0))
 
 
 @dataclass(frozen=True)

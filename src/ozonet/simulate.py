@@ -125,6 +125,8 @@ class DriftSegment:
             raise ValueError(f"unknown drift mode {self.mode!r}")
         if self.end_hour <= self.start_hour:
             raise ValueError("drift segment must span at least one hour")
+        if self.mode == "gain_ramp" and not self.target > 0:
+            raise ValueError(f"a gain_ramp target must be positive, got {self.target}")
 
 
 @dataclass(frozen=True)
@@ -251,10 +253,6 @@ def generate_regional(scenario: Scenario) -> np.ndarray:
     return walk
 
 
-def _clip_series(values: np.ndarray, floor: float) -> np.ndarray:
-    return np.clip(values, floor, VALUE_MAX)
-
-
 def generate_truth(model: TruthModel, duration_hours: int, seed: int, *,
                    start_hour: int = 0, regional: np.ndarray | None = None,
                    site_id: str = "truth") -> TimeSeries:
@@ -272,7 +270,7 @@ def generate_truth(model: TruthModel, duration_hours: int, seed: int, *,
     if model.noise_sigma > 0:
         x = x + normals(substream_seed(seed, _STREAM_TRUTH), duration_hours) \
             * model.noise_sigma
-    return TimeSeries(site_id, hours, _clip_series(x, 0.0))
+    return TimeSeries(site_id, hours, np.clip(x, 0.0, VALUE_MAX))
 
 
 def apply_sensor_model(truth: TimeSeries, model: SensorModel, seed: int, *,
@@ -281,45 +279,36 @@ def apply_sensor_model(truth: TimeSeries, model: SensorModel, seed: int, *,
 
     Effective offset/gain follow the drift schedule (linear ramps between
     segment endpoints, holding after); flatline segments freeze the emitted
-    reading at its last pre-segment value, modelling a blocked inlet.
+    reading at its last pre-segment value, modelling a blocked inlet (a run
+    from the first hour holds that hour's reading).
     """
     if start_hour is None:
         start_hour = int(truth.hours[0]) if len(truth) else 0
     n = len(truth)
     rel = truth.hours - start_hour
 
-    offset_eff = np.full(n, float(model.offset))
-    gain_eff = np.full(n, float(model.gain))
+    # by ramp mode: the parameter's current target, and its value per hour
+    target = {"offset_ramp": float(model.offset), "gain_ramp": float(model.gain)}
+    eff = {mode: np.full(n, value) for mode, value in target.items()}
     flat_mask = np.zeros(n, dtype=bool)
-    cur_offset, cur_gain = float(model.offset), float(model.gain)
     for seg in sorted(model.drift, key=lambda s: s.start_hour):
-        inside = (rel >= seg.start_hour) & (rel <= seg.end_hour)
-        after = rel > seg.end_hour
         if seg.mode == "flatline":
-            flat_mask |= inside
+            flat_mask |= (rel >= seg.start_hour) & (rel <= seg.end_hour)
             continue
-        span = seg.end_hour - seg.start_hour
-        frac = np.clip((rel - seg.start_hour) / span, 0.0, 1.0)
-        if seg.mode == "gain_ramp":
-            ramped = cur_gain + (seg.target - cur_gain) * frac
-            gain_eff = np.where(inside | after, ramped, gain_eff)
-            cur_gain = seg.target
-        else:
-            ramped = cur_offset + (seg.target - cur_offset) * frac
-            offset_eff = np.where(inside | after, ramped, offset_eff)
-            cur_offset = seg.target
+        frac = np.clip((rel - seg.start_hour) / (seg.end_hour - seg.start_hour), 0.0, 1.0)
+        cur = target[seg.mode]
+        # the ramp, then its target held from rel > end_hour on
+        eff[seg.mode] = np.where(rel >= seg.start_hour, cur + (seg.target - cur) * frac,
+                                 eff[seg.mode])
+        target[seg.mode] = seg.target
 
     noise = np.zeros(n)
     if model.noise_sigma > 0:
         noise = normals(substream_seed(seed, _STREAM_SENSOR), n) * model.noise_sigma
-    readings = (truth.values - offset_eff - noise) / gain_eff
-    if flat_mask.any():
-        idx = np.nonzero(flat_mask)[0]
-        breaks = np.nonzero(np.diff(idx) > 1)[0]
-        for chunk in np.split(idx, breaks + 1):
-            hold = readings[chunk[0] - 1] if chunk[0] > 0 else readings[chunk[0]]
-            readings[chunk] = hold
-    return TimeSeries(truth.site_id, truth.hours.copy(), _clip_series(readings, VALUE_MIN))
+    readings = (truth.values - eff["offset_ramp"] - noise) / eff["gain_ramp"]
+    # each flat hour reads the last hour before its run (hour 0 for a run from 0)
+    readings = readings[np.maximum.accumulate(np.where(flat_mask, 0, np.arange(n)))]
+    return TimeSeries(truth.site_id, truth.hours.copy(), np.clip(readings, VALUE_MIN, VALUE_MAX))
 
 
 @dataclass(frozen=True)
@@ -356,7 +345,7 @@ def run_scenario(scenario: Scenario) -> ScenarioResult:
                 noise = normals(substream_seed(scenario.seed, _STREAM_REFERENCE + k),
                                 len(x)) * scenario.reference_noise_sigma
             observed[sid] = TimeSeries(sid, x.hours.copy(),
-                                       _clip_series(x.values + noise, VALUE_MIN))
+                                       np.clip(x.values + noise, VALUE_MIN, VALUE_MAX))
         else:
             observed[sid] = apply_sensor_model(
                 x, spec.sensor, substream_seed(scenario.seed, _STREAM_SENSOR + k),

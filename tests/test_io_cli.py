@@ -651,6 +651,19 @@ class TestSimulateCommand:
         assert err.startswith(f"error: bad scenario {spath}: 'sites[1].site_id' {site_id!r} ")
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("target", [0.0, -1.0])
+    def test_gain_ramp_to_no_gain_is_input_error(self, tmp_path, capsys, target):
+        # a reading is divided by the gain: a ramp to 0 would divide by zero
+        scenario = pair_scenario(SensorModel(drift=(
+            DriftSegment(10, 50, "gain_ramp", 2.0),)), duration_hours=100).to_dict()
+        scenario["sites"][1]["sensor"]["drift"][0]["target"] = target
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(scenario))
+        assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad scenario {spath}: a gain_ramp target must be positive, got {target}\n")
+        assert not (tmp_path / "o").exists()
+
     def test_reference_with_a_sensor_model_is_input_error(self, tmp_path, capsys):
         # "sensor": null marks a reference; a model there would be ignored
         scenario = pair_scenario(duration_hours=24).to_dict()
@@ -985,6 +998,27 @@ class TestRunCommand:
         assert code == 2            # the only site failed, so the run failed
         assert "no proxy data" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("reason, line", [
+        ("no sensor data", "LC,-,0,0.0000,0.0000,0.0000,0.0000,no sensor data"),
+        ("explicit", "LC,-,0,0.0000,0.0000,0.0000,0.0000,"
+                     "no proxy override for LC under the explicit strategy"),
+        ("no proxy data", "LC,REF,0,0.0000,0.0000,0.0000,0.0000,no proxy data"),
+    ])
+    def test_skipped_site_summary_bytes(self, sim_dir, capsys, reason, line):
+        # a skipped site keeps its proxy once one is chosen (REF, nearest)
+        network = sim_dir / "network.json"
+        if reason == "explicit":
+            config = json.loads(network.read_text())
+            config["proxy"] = {"strategy": "explicit", "overrides": {}}
+            network.write_text(json.dumps(config))
+        else:
+            _strip_site(sim_dir, "LC" if reason == "no sensor data" else "REF")
+        out = sim_dir / "skipped"
+        assert main(["run", str(network), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: no site could be monitored\n"
+        assert (out / "summary.csv").read_bytes() == (
+            "site_id,proxy,monitored_hours,alarm_frac_ks,alarm_frac_a0,alarm_frac_a1,"
+            f"corrected_frac,note\n{line}\n").encode()
 
     def test_explicit_strategy_uses_overrides_only(self, sim_dir, capsys):
         network = sim_dir / "network.json"
@@ -1203,6 +1237,16 @@ class TestMapCommand:
             rows = list(csv.DictReader(handle))
         values = [float(r["value_ppb"]) for r in rows]
         assert values, "grid must not be empty"
+
+    @pytest.mark.parametrize("power", ["400", "-1000"])
+    def test_power_whose_weights_break_down_is_input_error(self, sim_dir, capsys, power):
+        # far cells' weights underflow to 0 (or overflow to inf): 0/0, inf/inf
+        out = sim_dir / "map"
+        assert main(["map", str(sim_dir / "network.json"), "--hour", "2018-01-27T12:00:00Z",
+                     "--power", power, "--split", "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: the weights at power {float(power)} "
+                                           "under- or overflow: the field is not finite\n")
+        assert not out.exists()
 
     def test_no_data_at_hour_is_input_error(self, sim_dir, capsys):
         assert main(["map", str(sim_dir / "network.json"),

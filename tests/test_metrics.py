@@ -139,6 +139,16 @@ class TestIdwGrid:
         assert grid.values.min() >= values.min() - 1e-9
         assert grid.values.max() <= values.max() + 1e-9
 
+    @pytest.mark.parametrize("power", [400.0, -1000.0])
+    def test_weights_that_under_or_overflow_rejected(self, power):
+        # sites 11 km apart, corner cells some 7 km from both: there both
+        # weights underflow to 0 at power 400, and overflow to inf at -1000
+        sites = [(0.0, -0.05, 20.0), (0.0, 0.05, 40.0)]
+        with pytest.raises(ValueError, match=f"at power {power} under- or overflow"):
+            idw_grid(sites, -0.05, 0.05, -0.05, 0.05, 0.01, power=power)
+        assert np.isfinite(idw_grid(sites, -0.05, 0.05, -0.05, 0.05, 0.01,
+                                    power=power / 10).values).all()
+
     def test_empty_sites_rejected(self):
         with pytest.raises(InsufficientDataError):
             idw_grid([], 0, 1, 0, 1, 0.1)

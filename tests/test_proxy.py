@@ -1,7 +1,11 @@
 """Proxy selection strategies and proxy-quality scoring."""
 
+import statistics
+
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ozonet import (
     InsufficientDataError,
@@ -13,7 +17,7 @@ from ozonet import (
     nearest_reference,
     similar_aadt,
 )
-from ozonet.proxy import ProxyAssignment
+from ozonet.proxy import MEDIAN_SITE_ID, ProxyAssignment
 from netsim_cases import pair_scenario
 from ozonet.simulate import run_scenario
 
@@ -143,6 +147,31 @@ class TestNetworkMedian:
         series = [hourly("a", 1, [1.0] * 72), hourly("b", 1, [2.0] * 72)]
         med = network_median_series(series, min_reporters=3)
         assert len(med) == 0
+
+    @given(members=st.lists(st.dictionaries(st.integers(0, 15),
+                                            st.sampled_from([1.0, 2.5, 7.0, 40.25, 99.5])
+                                            | st.floats(-10.0, 500.0),
+                                            max_size=12), max_size=6),
+           min_reporters=st.integers(1, 4), excluded=st.sets(st.integers(0, 5)))
+    @example(members=[], min_reporters=1, excluded=set())                   # empty pool
+    @example(members=[{0: 1.0}, {}], min_reporters=1, excluded={0})         # all out
+    @example(members=[{0: 1.0, 1: 2.5}, {1: 7.0}], min_reporters=3, excluded=set())
+    @example(members=[{3: 1.0, 4: 7.0}, {3: 2.5, 4: 2.5}, {3: 40.25}, {3: 99.5, 9: 1.0}],
+             min_reporters=2, excluded=set())                                # even counts
+    def test_matches_a_per_hour_statistics_median(self, members, min_reporters, excluded):
+        series = [TimeSeries(f"s{k}", sorted(values), [values[h] for h in sorted(values)])
+                  for k, values in enumerate(members)]
+        exclude = tuple(f"s{k}" for k in excluded)
+        med = network_median_series(series, min_reporters, exclude)
+        kept = [values for k, values in enumerate(members) if k not in excluded]
+        expected = {}
+        for hour in sorted({h for values in kept for h in values}):
+            reports = [values[hour] for values in kept if hour in values]
+            if len(reports) >= min_reporters:
+                expected[hour] = statistics.median(reports)
+        assert med.site_id == MEDIAN_SITE_ID
+        assert med.hours.tolist() == list(expected)
+        assert med.values.tolist() == list(expected.values())
 
     def test_bounded_by_per_hour_extremes(self):
         rng = np.random.default_rng(12)

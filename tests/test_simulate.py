@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from ozonet import (
     DriftSegment,
@@ -11,6 +13,7 @@ from ozonet import (
     SiteRecord,
     SiteSpec,
     Thresholds,
+    TimeSeries,
     TruthModel,
     apply_sensor_model,
     generate_truth,
@@ -18,7 +21,14 @@ from ozonet import (
     run_scenario,
     window,
 )
-from ozonet.simulate import generate_regional, normals, substream_seed, uniforms
+from ozonet.simulate import (
+    _STREAM_SENSOR,
+    generate_regional,
+    normals,
+    substream_seed,
+    uniforms,
+)
+from ozonet.timeseries import VALUE_MAX, VALUE_MIN
 from netsim_cases import START_HOUR, pair_scenario
 
 
@@ -88,6 +98,42 @@ class TestTruth:
             TruthModel(baseline=30, amplitude=0, scale=0.0)
 
 
+_MODES = ("gain_ramp", "offset_ramp", "flatline")
+
+
+def _sensor_oracle(truth: list, shift: int, model: SensorModel, seed: int) -> list:
+    """The readings of apply_sensor_model, hour by hour: each ramp moves its
+    parameter linearly from the target before it (in start order) to its
+    own, then holds; a flat hour repeats the last reading before its run,
+    or the run's first reading when the run starts the series."""
+    n = len(truth)
+    noise = [0.0] * n
+    if model.noise_sigma > 0:
+        noise = (normals(substream_seed(seed, _STREAM_SENSOR), n) * model.noise_sigma).tolist()
+    segments = sorted(model.drift, key=lambda s: s.start_hour)
+    raw, flat = [], []
+    for i in range(n):
+        rel = i - shift
+        before = {"offset_ramp": model.offset, "gain_ramp": model.gain}
+        now = dict(before)
+        for seg in segments:
+            if seg.mode == "flatline":
+                continue
+            if rel >= seg.start_hour:
+                frac = min((rel - seg.start_hour) / (seg.end_hour - seg.start_hour), 1.0)
+                now[seg.mode] = before[seg.mode] + (seg.target - before[seg.mode]) * frac
+            before[seg.mode] = seg.target
+        raw.append((truth[i] - now["offset_ramp"] - noise[i]) / now["gain_ramp"])
+        flat.append(any(seg.mode == "flatline" and seg.start_hour <= rel <= seg.end_hour
+                        for seg in segments))
+    out, last = [], raw[0]
+    for value, is_flat in zip(raw, flat):
+        if not is_flat:
+            last = value
+        out.append(min(max(last, VALUE_MIN), VALUE_MAX))
+    return out
+
+
 class TestSensorModel:
     def test_identity_sensor_reproduces_truth(self):
         truth = generate_truth(TruthModel(baseline=30.0, amplitude=10.0), 200, 5)
@@ -124,6 +170,33 @@ class TestSensorModel:
         # held-constant windows are degenerate to well under the flat floor
         assert window(reading, end, 72).samples.var() < 1e-12
 
+    @given(n=st.integers(1, 60), shift=st.integers(-3, 3),
+           offset=st.floats(-5.0, 5.0), gain=st.floats(0.5, 2.0),
+           sigma=st.sampled_from([0.0, 1.5]), seed=st.integers(0, 2**32 - 1),
+           segments=st.lists(st.tuples(st.integers(-3, 62), st.integers(1, 20),
+                                       st.sampled_from(_MODES), st.floats(0.25, 4.0)),
+                             max_size=6))
+    # flat runs at hour 0, adjacent to each other (joined, and one hour apart)
+    # and at the series end, between gain and offset ramps that interleave
+    @example(n=48, shift=0, offset=1.0, gain=1.2, sigma=1.5, seed=3, segments=[
+        (0, 3, "flatline", 0.0), (4, 2, "flatline", 0.0), (5, 20, "gain_ramp", 2.0),
+        (8, 10, "offset_ramp", 2.5), (12, 4, "flatline", 0.0), (18, 3, "flatline", 0.0),
+        (14, 20, "gain_ramp", 0.5), (20, 6, "offset_ramp", 0.75), (40, 30, "flatline", 0.0)])
+    @example(n=30, shift=2, offset=0.0, gain=1.0, sigma=0.0, seed=0, segments=[
+        (-3, 4, "flatline", 0.0), (-2, 10, "gain_ramp", 3.0), (3, 5, "gain_ramp", 0.25),
+        (3, 5, "offset_ramp", 4.0), (27, 1, "flatline", 0.0)])
+    def test_matches_a_per_hour_oracle(self, n, shift, offset, gain, sigma, seed, segments):
+        drift = tuple(DriftSegment(start, start + length, mode,
+                                   target if mode == "gain_ramp" else 8.0 * (target - 2.0))
+                      for start, length, mode, target in segments)
+        model = SensorModel(offset=offset, gain=gain, noise_sigma=sigma, drift=drift)
+        truth = TimeSeries("LC", START_HOUR + np.arange(n),
+                           np.random.default_rng(seed).uniform(0.0, 150.0, n))
+        reading = apply_sensor_model(truth, model, seed, start_hour=START_HOUR + shift)
+        expected = _sensor_oracle(truth.values.tolist(), shift, model, seed)
+        assert reading.values.tolist() == expected
+        assert np.array_equal(reading.hours, truth.hours)
+
     def test_validation(self):
         with pytest.raises(ValueError):
             SensorModel(gain=0.0)
@@ -131,6 +204,10 @@ class TestSensorModel:
             DriftSegment(10, 10, "gain_ramp", 1.0)
         with pytest.raises(ValueError):
             DriftSegment(0, 10, "wobble", 1.0)
+        for target in (0.0, -0.5):
+            with pytest.raises(ValueError, match="gain_ramp target must be positive"):
+                DriftSegment(10, 20, "gain_ramp", target)
+            DriftSegment(10, 20, "offset_ramp", target)
 
 
 class TestScenario:

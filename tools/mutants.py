@@ -129,6 +129,18 @@ MUTANTS = [
            " or sid != sid.strip()", ""),
     Mutant("SiteSpec: a reference's sensor model accepted", "simulate.py",
            "ROLE_REFERENCE and self.sensor is not None", "ROLE_REFERENCE and False"),
+    Mutant("DriftSegment: a gain_ramp to a gain of 0 accepted", "simulate.py",
+           "and not self.target > 0", "and not self.target >= 0"),
+    Mutant("apply_sensor_model: a ramp's target not held after its end", "simulate.py",
+           "np.where(rel >= seg.start_hour,",
+           "np.where((rel >= seg.start_hour) & (rel <= seg.end_hour),"),
+    Mutant("apply_sensor_model: a flat run from hour 0 holds the series' last reading",
+           "simulate.py", "np.where(flat_mask, 0, np.arange(n))",
+           "np.where(flat_mask, -1, np.arange(n))"),
+    Mutant("network_median_series: kept hours counted from 0, not the first hour", "proxy.py",
+           "np.flatnonzero(keep) + lo", "np.flatnonzero(keep)"),
+    Mutant("idw_grid: a field that is not finite accepted", "metrics.py",
+           "if not np.isfinite(flat[band]).all():", "if False:"),
     Mutant("format_iso_hour: year not zero-padded", "timeseries.py",
            '.isoformat() + "Z"', '.strftime("%Y-%m-%dT%H:%M:%SZ")'),
     Mutant("json_loads: numbers beyond the floats accepted", "io.py",
@@ -149,6 +161,8 @@ MUTANTS = [
            '    ("--tf-hours", "tf_hours", int, "persistence before alarm, hours"),',
            '("--td-hours", "tf_hours", int, "rolling window length, hours"),\n'
            '    ("--tf-hours", "td_hours", int, "persistence before alarm, hours"),'),
+    Mutant("cmd_run: a site with no proxy data loses its proxy's label", "cli.py",
+           "(site.site_id, proxy_label, 0,", '(site.site_id, "-", 0,'),
     Mutant("cmd_proxy_eval: one reference a runtime failure (exit 2)", "cli.py",
            'raise ConfigError("proxy evaluation needs', 'raise OzonetError("proxy evaluation needs'),
 ]
