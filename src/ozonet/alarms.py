@@ -15,22 +15,22 @@ would be circular.
 One engine instance per site, single writer; separate sites may run in
 parallel. Replaying the same inputs reproduces the identical ledger.
 
-A streamed hour is measured in one batch for the engines in step: the same
-window length and the same last stepped hour (engines that never stepped
-are in step with each other). The first of them to step the hour runs the
-batch. It hands each engine a slot (hour, raw value, p value, offset,
-gain): the raw reading, and for an engine that assesses its windows by its
-own completeness rule, the p value and raw estimate of one row (its sensor
-window beside its proxy window). An engine whose slot holds the hour it
-steps only updates its own trend, clocks and row; any other engine runs a
-batch, alone if no engine is in step with it. A tick of N engines in step
-thus makes one KS distance call with a padded row per assessed engine, and
-one moment call per distinct window length on each side (sensor and
-proxy); the other N - 1 steps read a slot. A batch looks up each series'
-window bounds once, and finds its peers by scanning every live engine, at
-O(live engines) per batch. Streams on one proxy at different hours keep
-to their own batches, and an engine that finished `run()` at an hour is in
-step with those that stepped it.
+A streamed hour is measured in one batch: engines that last stepped the same
+hour (or never stepped) are in step and share its batch, whatever their
+window lengths. The first of them to step the hour runs the batch. It hands
+each engine a slot (hour, raw value, p value, offset, gain): the raw
+reading, and for an engine that assesses its windows by its own window
+length and completeness rule, the p value and raw estimate of one row (its
+sensor window beside its proxy window). An engine whose slot holds the hour
+it steps only updates its own trend, clocks and row; any other engine runs a
+batch, alone if no engine is in step with it. A tick of N engines makes one
+KS distance call with a padded row per assessed engine, and one moment call
+per distinct window length on each side (sensor and proxy); the other steps
+read a slot. A batch looks up the window bounds once per distinct series and
+window length, and finds its peers by scanning every live engine, at O(live
+engines) per batch. Streams on one proxy at different hours keep to their
+own batches, and an engine that finished `run()` at an hour is in step with
+those that stepped it.
 `run()` measures its span with the same function as a batch,
 `_measure_rows`, in blocks of assessed hours. Both hand it window slices,
 and it pads them into the rows that the kernels take. The one-window calls
@@ -401,25 +401,24 @@ class SiteEngine:
 
 def _measure_together(engine, stamp: int) -> list:
     """Measure the hour `stamp` for `engine` and every live engine in step
-    with it; returns each one's slot (stamp, raw_value, p_ks, offset_raw,
-    gain_raw), `engine`'s first, also set on it. p_ks is None where the
-    engine does not assess the windows, the estimate also where the sensor
-    window is degenerate. Each assessed engine adds one row; the windows of
-    the others are not measured, as another proxy window may be empty.
+    with it, each at its own window length; returns each one's slot (as
+    `SiteEngine._slot`), `engine`'s first, also set on it. p_ks is None
+    where the engine does not assess the windows, the estimate also where
+    the sensor window is degenerate. Each assessed engine adds one row; the
+    others' windows are not measured, as another proxy window may be empty.
     """
-    last, td_hours = engine.ledger.last_stamp, engine.thresholds.td_hours
+    last = engine.ledger.last_stamp
     with _live_lock:
         live = list(_live)
-    engines = [engine] + [other for other in live if other.ledger.last_stamp == last
-                          and other.thresholds.td_hours == td_hours and other is not engine]
+    engines = [engine] + [e for e in live if e.ledger.last_stamp == last and e is not engine]
     bounds, slots, rows = {}, [], []
     for other in engines:
-        sensor, proxy = other.sensor, other.proxy
+        sensor, proxy, td_hours = other.sensor, other.proxy, other.thresholds.td_hours
         for series in (sensor, proxy):
-            if series not in bounds:
+            if (series, td_hours) not in bounds:
                 # plain ints: numpy scalars make the slicing and comparisons slower
-                bounds[series] = window_bounds(series.hours, stamp, td_hours).tolist()
-        (s_lo, s_hi), (p_lo, p_hi) = bounds[sensor], bounds[proxy]
+                bounds[series, td_hours] = window_bounds(series.hours, stamp, td_hours).tolist()
+        (s_lo, s_hi), (p_lo, p_hi) = bounds[sensor, td_hours], bounds[proxy, td_hours]
         if window_complete(min(s_hi - s_lo, p_hi - p_lo), td_hours,
                            other.thresholds.completeness_min):
             rows.append((len(slots), sensor.values[s_lo:s_hi], proxy.values[p_lo:p_hi]))

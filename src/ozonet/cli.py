@@ -224,13 +224,13 @@ def cmd_simulate(args) -> int:
     try:
         data = ozio.json_loads(scenario_path.read_text(encoding="utf-8"))
         scenario = Scenario.from_dict(data)
+        result = run_scenario(scenario)
     except OSError as exc:
         raise ConfigError(f"cannot read scenario {scenario_path}: {exc}") from exc
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad scenario {scenario_path}: {exc}") from exc
 
     out = _out_dir(args, "sim_out")
-    result = run_scenario(scenario)
     ozio.write_series_csv(out / "observed.csv", result.observed)
     ozio.write_series_csv(out / "truth.csv", result.truth)
     ozio.write_json(out / "manifest.json", result.manifest)
@@ -344,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hour", required=True, help="ISO hour, e.g. 2018-03-05T14:00:00Z")
     p.add_argument("--bbox", help="latmin,latmax,lonmin,lonmax (default: site extent)")
     p.add_argument("--cell", type=float, default=0.02, help="cell size, degrees")
-    p.add_argument("--power", type=float, default=2.0, help="IDW distance power")
+    p.add_argument("--power", type=float, default=2.0, help="IDW distance power, > 0")
     p.add_argument("--split", action="store_true",
                    help="also grid the reference network alone, side by side")
     p.set_defaults(func=cmd_map)

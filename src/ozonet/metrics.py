@@ -104,9 +104,9 @@ def idw_grid(sites, lat_min, lat_max, lon_min, lon_max, cell_deg, power: float =
     sites the nearest's, and of those equally near the first's. Every cell
     is a convex combination of the inputs, so the field is bounded by them.
     A cell size, bound or power that is not finite is a ValueError naming
-    it, and so is a grid of more than IDW_MAX_CELLS cells, giving its count,
-    and a power whose weights under- or overflow so that a cell is not
-    finite, giving the power.
+    it, and so are a power that is not > 0, a grid of more than
+    IDW_MAX_CELLS cells, giving its count, and a power whose weights under-
+    or overflow so that a cell is not finite, giving the power.
     """
     sites = list(sites)
     if not sites:
@@ -115,6 +115,8 @@ def idw_grid(sites, lat_min, lat_max, lon_min, lon_max, cell_deg, power: float =
                         ("lon_min", lon_min), ("lon_max", lon_max), ("power", power)):
         if not np.isfinite(value):
             raise ValueError(f"{name} must be finite, got {value}")
+    if power <= 0:
+        raise ValueError(f"power must be > 0, got {power}")
     if cell_deg <= 0 or lat_max <= lat_min or lon_max <= lon_min:
         raise ValueError("bounding box must be non-empty and cell size positive")
     slat = np.array([s[0] for s in sites])

@@ -301,6 +301,10 @@ def apply_sensor_model(truth: TimeSeries, model: SensorModel, seed: int, *,
         eff[seg.mode] = np.where(rel >= seg.start_hour, cur + (seg.target - cur) * frac,
                                  eff[seg.mode])
         target[seg.mode] = seg.target
+    if not (eff["gain_ramp"] > 0).all():
+        # a target far below the gain before it can round the ramp's end to 0
+        raise ValueError(f"{truth.site_id}: a gain_ramp takes the gain to "
+                         f"{float(eff['gain_ramp'].min())!r}; it must stay > 0")
 
     noise = np.zeros(n)
     if model.noise_sigma > 0:

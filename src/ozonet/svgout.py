@@ -17,11 +17,16 @@ _STOPS = ((0.0, (44, 123, 182)), (0.5, (255, 255, 191)), (1.0, (215, 25, 28)))
 _PANEL_PX = 360     # side of one heat map panel
 
 
-def _ramp(t: float) -> str:
-    t = min(1.0, max(0.0, t))
-    (t0, c0), (t1, c1) = _STOPS[:2] if t <= _STOPS[1][0] else _STOPS[1:]
-    f = (t - t0) / (t1 - t0)
-    return "rgb({},{},{})".format(*(round(a + (b - a) * f) for a, b in zip(c0, c1)))
+def _colors(t: np.ndarray) -> list:
+    """The ramp's "rgb(r,g,b)" of each t, clipped to [0, 1], in C order:
+    between the two stops around t, each channel a + (b - a) * f rounded
+    half to even."""
+    t = np.clip(t, 0.0, 1.0).ravel()
+    (t0, c0), (t1, c1), (t2, c2) = _STOPS
+    low = (t <= t1)[:, None]
+    f = np.where(low, ((t - t0) / (t1 - t0))[:, None], ((t - t1) / (t2 - t1))[:, None])
+    a, b = np.where(low, c0, c1), np.where(low, c1, c2)
+    return [f"rgb({r},{g},{b})" for r, g, b in np.rint(a + (b - a) * f).astype(int).tolist()]
 
 
 def _write_svg(path, width, height, font_size, parts):
@@ -56,15 +61,14 @@ def heatmap_svg(panels, path, sites=None):
         cw = _PANEL_PX / n_lon
         ch = _PANEL_PX / n_lat
         parts.append(f'<text x="{x0}" y="{title_h - 5}">{escape(label)}</text>')
+        colors = _colors((grid.values - vmin) / span)
+        xs = [f"{x0 + j * cw:.1f}" for j in range(n_lon)]
+        size = f'width="{cw + 0.5:.1f}" height="{ch + 0.5:.1f}"'
         for i in range(n_lat):
             # latitude increases upward
-            y = y0 + (n_lat - 1 - i) * ch
-            for j in range(n_lon):
-                color = _ramp((float(grid.values[i, j]) - vmin) / span)
-                parts.append(
-                    f'<rect x="{x0 + j * cw:.1f}" y="{y:.1f}" width="{cw + 0.5:.1f}" '
-                    f'height="{ch + 0.5:.1f}" fill="{color}"/>'
-                )
+            y = f"{y0 + (n_lat - 1 - i) * ch:.1f}"
+            parts.extend(f'<rect x="{x}" y="{y}" {size} fill="{color}"/>'
+                         for x, color in zip(xs, colors[i * n_lon:(i + 1) * n_lon]))
         if sites:
             for lat, lon in sites:
                 if grid.lat_min <= lat <= grid.lat_max and grid.lon_min <= lon <= grid.lon_max:

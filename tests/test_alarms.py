@@ -943,9 +943,9 @@ def engine_specs(sensors, proxies):
 
 
 class TestLockstepBatch:
-    """Engines stepping in step (same window length, same last hour) are
-    measured in one batch per hour; each must step as it would alone, and
-    as run() replays it."""
+    """Engines stepping in step (the same last hour, whatever their window
+    lengths) are measured in one batch per hour; each must step as it would
+    alone, and as run() replays it."""
 
     def test_engines_in_step_measure_a_tick_in_one_call(self, network, monkeypatch):
         # one row-form KS call per tick for the whole network on two
@@ -974,9 +974,9 @@ class TestLockstepBatch:
 
     def test_interleaved_window_lengths_measure_each_window_once(self, network, monkeypatch):
         # engines on one proxy at three window lengths, stepped in an order
-        # that alternates the lengths: each length keeps its own entry, so a
-        # tick makes one call per length with an assessed window, and
-        # measures each assessed sensor window once
+        # that alternates the lengths: they share the tick's batch, so a tick
+        # makes one call with a row per assessed engine, whatever its length,
+        # and measures each assessed sensor window once
         calls = counted_distance_rows(monkeypatch)
         proxy = network["REF"]
         thresholds = BATCH_THRESHOLDS + [Thresholds(td_hours=24)]
@@ -988,18 +988,18 @@ class TestLockstepBatch:
         for hour in range(first, first + 30):
             calls.clear()
             rows = [engine.step(hour) for engine in engines]
-            assessed = [sum(r.p_ks is not None for r in rows[k::3]) for k in range(3)]
-            assert calls == [k for k in assessed if k]
-            seen.append(calls[:])
-        assert [4, 4, 4] in seen
+            assessed = sum(r.p_ks is not None for r in rows)
+            assert calls == ([assessed] if assessed else [])
+            seen.append(assessed)
+        assert 12 in seen
         for engine in engines:
             private = stepped(private_copy(engine), first, first + 29)
             assert engine_state(engine) == engine_state(private)
 
     def test_a_batch_holds_only_engines_in_step(self, monkeypatch):
         # idle engines join only the first tick, when the stepping engine has
-        # not stepped either; engines stepped long ago, or at another window
-        # length, never join
+        # not stepped either; engines stepped long ago never join, and an
+        # engine at another window length that steps the same hours does
         calls = counted_distance_rows(monkeypatch)
         proxy, other = sim_series("P", 0, 200, 2), sim_series("Q", 0, 200, 3)
         long_ago = [SiteEngine(f"O{k}", sim_series(f"O{k}", 0, 200, k + 8), other)
@@ -1015,8 +1015,34 @@ class TestLockstepBatch:
         for hour in range(100, 110):
             engine.step(hour)
             shorter.step(hour)
-        assert calls == [4, 1] + [1, 1] * 9
+        assert calls == [5] + [2] * 9
         assert len(long_ago) + len(idle) == 23
+        for stream in (engine, shorter):
+            assert engine_state(stream) == engine_state(stepped(private_copy(stream), 100, 109))
+
+    def test_window_lengths_share_a_tick_on_shared_proxies(self, monkeypatch):
+        # engines at three window lengths on two shared proxies, the lengths
+        # taking turns within the tick: each tick is one call with a row per
+        # assessed engine, and each engine steps as a private copy does and
+        # as run() replays it
+        calls = counted_distance_rows(monkeypatch)
+        proxies = [sim_series("P", 0, 300, 2), sim_series("Q", 0, 300, 3, base=40.0)]
+        lengths = [Thresholds(td_hours=12, completeness_min=0.5), Thresholds(td_hours=36),
+                   Thresholds(td_hours=72, tf_hours=24)]
+        engines = [SiteEngine(f"S{k}", sim_series(f"S{k}", 20 * k, 280 - 20 * k, k + 5),
+                              proxies[k % 2], lengths[k % 3])
+                   for k in range(6)]
+        for hour in range(40, 200):
+            calls.clear()
+            rows = [engine.step(hour) for engine in engines]
+            assessed = sum(r.p_ks is not None for r in rows)
+            assert calls == ([assessed] if assessed else [])
+        assert {r.p_ks is None for e in engines for r in e.ledger.history} == {True, False}
+        for engine in engines:
+            assert engine_state(engine) == engine_state(stepped(private_copy(engine), 40, 199))
+            batch = private_copy(engine)
+            assert batch.run(40, 199).rows == engine.ledger.history
+            assert engine_state(batch) == engine_state(engine)
 
     def test_a_late_engine_adds_its_row_to_the_hour(self, monkeypatch):
         # an engine built after the others first stepped is not in step

@@ -664,6 +664,19 @@ class TestSimulateCommand:
             f"error: bad scenario {spath}: a gain_ramp target must be positive, got {target}\n")
         assert not (tmp_path / "o").exists()
 
+    def test_gain_ramp_rounded_to_no_gain_is_input_error(self, tmp_path, capsys):
+        # a positive target far below the gain before it: the ramp's end
+        # rounds to a gain of 0, which would divide by zero
+        scenario = pair_scenario(SensorModel(drift=(
+            DriftSegment(10, 50, "gain_ramp", 1e-307),)), duration_hours=100).to_dict()
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(scenario))
+        assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad scenario {spath}: LC: a gain_ramp takes the gain to 0.0;"
+            " it must stay > 0\n")
+        assert not (tmp_path / "o").exists()
+
     def test_reference_with_a_sensor_model_is_input_error(self, tmp_path, capsys):
         # "sensor": null marks a reference; a model there would be ignored
         scenario = pair_scenario(duration_hours=24).to_dict()
@@ -1238,14 +1251,22 @@ class TestMapCommand:
         values = [float(r["value_ppb"]) for r in rows]
         assert values, "grid must not be empty"
 
-    @pytest.mark.parametrize("power", ["400", "-1000"])
+    @pytest.mark.parametrize("power", ["400"])
     def test_power_whose_weights_break_down_is_input_error(self, sim_dir, capsys, power):
-        # far cells' weights underflow to 0 (or overflow to inf): 0/0, inf/inf
+        # far cells' weights underflow to 0: 0/0
         out = sim_dir / "map"
         assert main(["map", str(sim_dir / "network.json"), "--hour", "2018-01-27T12:00:00Z",
                      "--power", power, "--split", "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", f"error: the weights at power {float(power)} "
                                            "under- or overflow: the field is not finite\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("power", ["0", "-3", "-1000"])
+    def test_power_not_above_zero_is_input_error(self, sim_dir, capsys, power):
+        out = sim_dir / "map"
+        assert main(["map", str(sim_dir / "network.json"), "--hour", "2018-01-27T12:00:00Z",
+                     "--power", power, "--out", str(out)]) == 1
+        assert capsys.readouterr() == ("", f"error: power must be > 0, got {float(power)}\n")
         assert not out.exists()
 
     def test_no_data_at_hour_is_input_error(self, sim_dir, capsys):

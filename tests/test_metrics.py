@@ -139,15 +139,34 @@ class TestIdwGrid:
         assert grid.values.min() >= values.min() - 1e-9
         assert grid.values.max() <= values.max() + 1e-9
 
-    @pytest.mark.parametrize("power", [400.0, -1000.0])
+    @pytest.mark.parametrize("power", [400.0])
     def test_weights_that_under_or_overflow_rejected(self, power):
         # sites 11 km apart, corner cells some 7 km from both: there both
-        # weights underflow to 0 at power 400, and overflow to inf at -1000
+        # weights underflow to 0 at power 400
         sites = [(0.0, -0.05, 20.0), (0.0, 0.05, 40.0)]
         with pytest.raises(ValueError, match=f"at power {power} under- or overflow"):
             idw_grid(sites, -0.05, 0.05, -0.05, 0.05, 0.01, power=power)
         assert np.isfinite(idw_grid(sites, -0.05, 0.05, -0.05, 0.05, 0.01,
                                     power=power / 10).values).all()
+
+    def test_weight_that_overflows_near_a_site_rejected(self):
+        # every cell within 2 km of both sites, so no weight underflows; one
+        # cell centre 22 m from a site (not an exact hit) gets a weight of
+        # inf at power 400, and inf / inf is not finite
+        sites = [(0.005, 0.0052, 20.0), (-0.005, -0.005, 40.0)]
+        with pytest.raises(ValueError, match="at power 400.0 under- or overflow"):
+            idw_grid(sites, -0.01, 0.01, -0.01, 0.01, 0.01, power=400.0)
+        assert np.isfinite(idw_grid(sites, -0.01, 0.01, -0.01, 0.01, 0.01,
+                                    power=40.0).values).all()
+
+    @pytest.mark.parametrize("power", [0.0, -0.0, -3.0, -1000.0])
+    def test_power_not_above_zero_rejected(self, power):
+        # power 0 gives every cell the plain mean, a negative power weights
+        # it toward the farther sites: neither is inverse-distance weighting
+        sites = [(0.0, -0.05, 20.0), (0.0, 0.05, 40.0)]
+        with pytest.raises(ValueError, match=rf"^power must be > 0, got {power}$"):
+            idw_grid(sites, -0.05, 0.05, -0.05, 0.05, 0.01, power=power)
+        assert idw_grid(sites, -0.05, 0.05, -0.05, 0.05, 0.01, power=1e-300).values.size
 
     def test_empty_sites_rejected(self):
         with pytest.raises(InsufficientDataError):

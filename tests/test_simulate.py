@@ -209,6 +209,15 @@ class TestSensorModel:
                 DriftSegment(10, 20, "gain_ramp", target)
             DriftSegment(10, 20, "offset_ramp", target)
 
+    def test_effective_gain_rounded_to_zero_rejected(self):
+        # each target is positive, yet 1 + (1e-307 - 1) * 1.0 rounds to 0
+        truth = TimeSeries("LC", np.arange(30, dtype=np.int64), np.full(30, 40.0))
+        model = SensorModel(drift=(DriftSegment(5, 15, "gain_ramp", 1e-307),))
+        with pytest.raises(ValueError, match=r"^LC: a gain_ramp takes the gain to 0\.0;"):
+            apply_sensor_model(truth, model, 1)
+        tiny = SensorModel(drift=(DriftSegment(5, 15, "gain_ramp", 1e-15),))
+        assert apply_sensor_model(truth, tiny, 1).values[-1] == VALUE_MAX
+
 
 class TestScenario:
     def test_same_seed_is_bit_identical(self):
