@@ -16,11 +16,14 @@ matches the windows held in padded rows.
 Raw hourly estimates are noisy, so corrections use a long-term trend:
 an ordinary least squares quadratic over all raw estimates from the
 start of monitoring up to now, refit as each estimate arrives.
+`EstimateHistory` holds that fit as one vector of ten running sums, which
+`append` and `extend` both grow by the terms that `_terms` writes.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -113,22 +116,26 @@ def apply_correction(est: CalibrationEstimate, reading):
     return est.offset + est.gain * reading
 
 
-def _running(start: float, terms: np.ndarray) -> np.ndarray:
-    """start + terms[0], then + terms[1], ...: np.cumsum adds in order, so
-    each entry equals the running total of repeated `+=`."""
-    return np.cumsum(np.concatenate(([start], terms)))[1:]
+def _terms(u, offset, gain):
+    """The ten running-sum terms of estimates at scaled tau u, for floats or
+    elementwise over arrays: u, u^2, u^3 and u^4, then offset * (1, u, u^2)
+    and gain * (1, u, u^2)."""
+    u2 = u * u
+    return u, u2, u2 * u, u2 * u2, offset, offset * u, offset * u2, gain, gain * u, gain * u2
 
 
-def _solve_quadratic(a, s1, s2, s3, s4, rhs):
-    """Normal equations of the least-squares quadratic, solved by Cramer's
-    rule for each right-hand side (t0, t1, t2) in `rhs`, for floats or
-    elementwise over arrays; the determinant and its minors are shared.
+def _solve_quadratic(a, sums):
+    """Normal equations of both least-squares quadratics, of the offsets and
+    of the gains, solved by Cramer's rule from the ten running sums in
+    `_terms` order, for floats or elementwise over arrays; the determinant
+    and its minors are shared.
 
-    Returns (coefficients, determined): one (c0, c1, c2) per right-hand
-    side, and whether the system is determined; `a` is the point count as
-    a float. Coefficients where `determined` is false are meaningless, and
-    None for floats.
+    Returns (coefficients, determined): ((c0, c1, c2) of the offset,
+    (c0, c1, c2) of the gain), and whether the system is determined; `a`
+    is the point count as a float. Coefficients where `determined` is false
+    are meaningless, and None for floats.
     """
+    s1, s2, s3, s4, o0, o1, o2, g0, g1, g2 = sums
     b, c = s1, s2
     d, e, f = s1, s2, s3
     g, h, i = s2, s3, s4
@@ -142,7 +149,7 @@ def _solve_quadratic(a, s1, s2, s3, s4, rhs):
         if not determined:
             return None, False
     coefficients = []
-    for t0, t1, t2 in rhs:
+    for t0, t1, t2 in ((o0, o1, o2), (g0, g1, g2)):
         p, r = t1 * i - f * t2, d * t2 - t1 * g
         coefficients.append(((t0 * m0 - b * p + c * (t1 * h - e * t2)) / det,
                              (a * p - t0 * m1 + c * r) / det,
@@ -150,9 +157,12 @@ def _solve_quadratic(a, s1, s2, s3, s4, rhs):
     return coefficients, determined
 
 
-# The running sums of the trend fit, in scaled tau u: of u, u^2, u^3 and
-# u^4, then of offset * (1, u, u^2) and of gain * (1, u, u^2).
-_SUMS = ("_s1", "_s2", "_s3", "_s4", "_o0", "_o1", "_o2", "_g0", "_g1", "_g2")
+def _fit(coef, u):
+    """(offset, gain): both quadratics of `coef` at scaled tau u, for floats
+    or elementwise over arrays, the gain not yet floored at zero."""
+    (a0, a1, a2), (b0, b1, b2) = coef
+    return a0 + a1 * u + a2 * u * u, b0 + b1 * u + b2 * u * u
+
 
 _ESTIMATE_RULE = "raw estimates need a finite offset and a finite, nonnegative gain"
 
@@ -163,10 +173,10 @@ class EstimateHistory:
 
     The trend is two least-squares quadratics, of the offsets and of the
     gains, over every estimate so far; tau, the hours since the first
-    estimate (the anchor), is scaled by 1/1024. Both fits share the power
-    sums of the taus, and so the normal matrix and its determinant; each
-    parameter keeps its own right-hand side, so a refit after each new
-    estimate costs O(1). The fit is determined once the absolute
+    estimate (the anchor), is scaled by 1/1024. `_sums` holds the fit's ten
+    running sums in `_terms` order: the power sums of the taus, which both
+    fits share, then each parameter's right-hand side; so a refit after each
+    new estimate costs O(1). The fit is determined once the absolute
     determinant of the normal matrix reaches 1e-12 * max(1, n * sum(u^2) *
     sum(u^4)) over the n scaled taus u: with hourly estimates first at the
     12th estimate, at 2-hour spacing the 8th, at 24-hour spacing the 3rd.
@@ -177,15 +187,13 @@ class EstimateHistory:
     estimate until the next one. Single writer per site.
     """
 
-    __slots__ = ("site_id", "stamps", "offsets", "gains", "trend") + _SUMS
+    __slots__ = ("site_id", "stamps", "offsets", "gains", "trend", "_sums")
 
     def __init__(self, site_id: str):
         self.site_id = site_id
         self.stamps, self.offsets, self.gains = [], [], []
         self.trend = None
-        self._s1 = self._s2 = self._s3 = self._s4 = 0.0
-        self._o0 = self._o1 = self._o2 = 0.0
-        self._g0 = self._g1 = self._g2 = 0.0
+        self._sums = [0.0] * 10
 
     def __len__(self):
         return len(self.stamps)
@@ -203,18 +211,7 @@ class EstimateHistory:
         self.offsets.append(offset)
         self.gains.append(gain)
         tau = float(stamp - self.stamps[0])
-        u = tau * _TAU_SCALE
-        u2 = u * u
-        self._s1 += u
-        self._s2 += u2
-        self._s3 += u2 * u
-        self._s4 += u2 * u2
-        self._o0 += offset
-        self._o1 += offset * u
-        self._o2 += offset * u2
-        self._g0 += gain
-        self._g1 += gain * u
-        self._g2 += gain * u2
+        self._sums = list(map(operator.add, self._sums, _terms(tau * _TAU_SCALE, offset, gain)))
         self.trend = self._fit_at(tau, offset, gain)[:2]
         return self.trend
 
@@ -242,16 +239,13 @@ class EstimateHistory:
         self.offsets.extend(offsets.tolist())
         self.gains.extend(gains.tolist())
         u = (stamps - self.stamps[0]).astype(np.float64) * _TAU_SCALE
-        u2 = u * u
-        terms = (u, u2, u2 * u, u2 * u2, offsets, offsets * u, offsets * u2,
-                 gains, gains * u, gains * u2)
-        sums = [_running(getattr(self, name), term) for name, term in zip(_SUMS, terms)]
-        for name, running in zip(_SUMS, sums):
-            setattr(self, name, float(running[-1]))
-        coef, determined = _solve_quadratic(count, *sums[:4], (sums[4:7], sums[7:]))
-        (a0, a1, a2), (b0, b1, b2) = coef
-        fit_gain = b0 + b1 * u + b2 * u * u
-        new_offset = np.where(determined, a0 + a1 * u + a2 * u * u, offsets)
+        # each column the sums after one more estimate: np.cumsum adds in
+        # order, so each equals the running total of repeated `append`
+        sums = np.cumsum(np.column_stack((self._sums, _terms(u, offsets, gains))), axis=1)[:, 1:]
+        self._sums = sums[:, -1].tolist()
+        coef, determined = _solve_quadratic(count, sums)
+        fit_offset, fit_gain = _fit(coef, u)
+        new_offset = np.where(determined, fit_offset, offsets)
         new_gain = np.where(determined, np.where(fit_gain > 0.0, fit_gain, 0.0), gains)
         self.trend = (float(new_offset[-1]), float(new_gain[-1]))
         return new_offset, new_gain
@@ -278,13 +272,8 @@ class EstimateHistory:
         """(offset, gain, determined): the trend at tau, which is both fits
         there with the gain floored at zero, or the raw estimate given while
         the fit is not determined."""
-        coef, _ = _solve_quadratic(float(len(self.stamps)), self._s1, self._s2, self._s3,
-                                   self._s4, ((self._o0, self._o1, self._o2),
-                                              (self._g0, self._g1, self._g2)))
+        coef, _ = _solve_quadratic(float(len(self.stamps)), self._sums)
         if coef is None:
             return raw_offset, raw_gain, False
-        (a0, a1, a2), (b0, b1, b2) = coef
-        u = tau * _TAU_SCALE
-        fit_gain = b0 + b1 * u + b2 * u * u
-        return a0 + a1 * u + a2 * u * u, fit_gain if fit_gain > 0.0 else 0.0, True
-
+        offset, gain = _fit(coef, tau * _TAU_SCALE)
+        return offset, gain if gain > 0.0 else 0.0, True

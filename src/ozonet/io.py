@@ -192,7 +192,10 @@ def _read_csv(path: str):
 
 
 def _number(text: str):
-    """float(text), or None when `text` is no number."""
+    """float(text), or None when `text` is no number: float() alone would
+    also read '1_0' and digits of other scripts."""
+    if "_" in text or not text.isascii():
+        return None
     try:
         return float(text)
     except ValueError:
@@ -261,12 +264,8 @@ def scan_series_csv(paths) -> tuple[dict, ValidationReport]:
     text_code = {text: code_of.setdefault(text.strip(), len(code_of))
                  for text in dict.fromkeys(sites)}
     codes = np.fromiter(map(text_code.__getitem__, sites), np.intp, n)
-    try:
-        numbers = list(map(float, texts))
-        no_number = np.zeros(n, bool)
-    except ValueError:
-        numbers = list(map(_number, texts))
-        no_number = np.fromiter(map(operator.is_, numbers, itertools.repeat(None)), bool, n)
+    numbers = list(map(_number, texts))
+    no_number = np.fromiter(map(operator.is_, numbers, itertools.repeat(None)), bool, n)
     values = np.array(numbers, dtype=np.float64)    # a None is NaN
 
     checks = (

@@ -8,6 +8,7 @@ Series are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta, timezone
 
@@ -22,6 +23,8 @@ _EPOCH = datetime(1970, 1, 1)
 _HOUR = timedelta(hours=1)
 # The last hour that a stamp names, 9999-12-31T23:00:00Z.
 HOUR_MAX = (datetime(9999, 12, 31, 23) - _EPOCH) // _HOUR
+# The stamp syntax that parse_iso_hour reads, before strptime checks the date.
+_ISO_SYNTAX = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
 
 
 def to_epoch_hour(stamp) -> int:
@@ -39,8 +42,13 @@ def to_epoch_hour(stamp) -> int:
 
 
 def parse_iso_hour(text: str) -> int:
-    """Parse 'YYYY-MM-DDTHH:00:00Z' (UTC, hour-aligned) to an epoch hour."""
+    """Parse 'YYYY-MM-DDTHH:00:00Z' (UTC, hour-aligned) to an epoch hour.
+
+    Every field is zero-padded ASCII digits: strptime alone would also take
+    '2018-1-5T5:00:00Z' and digits of other scripts."""
     try:
+        if not _ISO_SYNTAX.fullmatch(text):
+            raise ValueError("not zero-padded ASCII")
         stamp = datetime.strptime(text, "%Y-%m-%dT%H:%M:%SZ")
     except ValueError as exc:
         raise ValueError(f"bad timestamp {text!r}: expected YYYY-MM-DDTHH:00:00Z (UTC)") from exc

@@ -48,8 +48,7 @@ def joint_coefficients(h):
     """((c0, c1, c2) of the offset, (c0, c1, c2) of the gain) in scaled tau,
     solved from the running sums that `h` holds; None while the fit is
     underdetermined."""
-    coef, _ = calibrate._solve_quadratic(float(len(h)), h._s1, h._s2, h._s3, h._s4,
-                                         ((h._o0, h._o1, h._o2), (h._g0, h._g1, h._g2)))
+    coef, _ = calibrate._solve_quadratic(float(len(h)), h._sums)
     return coef
 
 

@@ -1,5 +1,6 @@
 """File formats and the command-line pipeline."""
 
+import contextlib
 import csv
 import dataclasses
 import io
@@ -614,6 +615,30 @@ class TestSimulateCommand:
             outs.append((out / "observed.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("flag", [False, True], ids=["env-beats-sim_out", "out-beats-env"])
+    def test_output_dir_precedence(self, tmp_path, monkeypatch, flag):
+        # --out, else OZONET_OUT_DIR, else sim_out in the working directory
+        scenario = pair_scenario(duration_hours=24 * 4).to_dict()
+        (tmp_path / "s.json").write_text(json.dumps(scenario))
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("OZONET_OUT_DIR", "via_env")
+        out = ["--out", "via_flag"] if flag else []
+        assert main(["simulate", "s.json", *out]) == 0
+        want = "via_flag" if flag else "via_env"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["s.json", want]
+        assert (tmp_path / want / "observed.csv").exists()
+
+    def test_start_that_is_not_zero_padded_is_input_error(self, tmp_path, capsys):
+        scenario = pair_scenario(duration_hours=24).to_dict()
+        scenario["start"] = "2018-1-25T0:00:00Z"
+        spath = tmp_path / "s.json"
+        spath.write_text(json.dumps(scenario))
+        assert main(["simulate", str(spath), "--out", str(tmp_path / "o")]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad scenario {spath}: bad timestamp '2018-1-25T0:00:00Z': "
+            "expected YYYY-MM-DDTHH:00:00Z (UTC)\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("hours", [25, 48])
     def test_hours_past_year_9999_are_input_error(self, tmp_path, capsys, hours):
         # from the last day of year 9999, one hour past it and a day past it
@@ -896,6 +921,20 @@ class TestValidateCommand:
         assert (done.returncode, done.stderr) == (0, b"")
         assert b"L\\xe9 " in done.stdout
 
+    @pytest.mark.parametrize("row, issue", [
+        ("2018-01-05T05:00:00Z,A,1_0", "[value_ppb] not a number: '1_0'"),
+        ("2018-01-05T05:00:00Z,A,１２", "[value_ppb] not a number: '１２'"),
+        ("2018-1-5T5:00:00Z,A,12", "[timestamp] bad timestamp '2018-1-5T5:00:00Z'"),
+    ], ids=["underscore", "full-width-digits", "one-digit-fields"])
+    def test_forms_outside_the_documented_syntax_are_issues(self, tmp_path, capsys, row, issue):
+        # float() and strptime alone read each of these rows as a clean hour
+        save_network_config(NetworkConfig(sites=[SiteRecord("A", "a", "reference", 34.0, -118.0)],
+                                          series=["s.csv"]), tmp_path / "network.json")
+        (tmp_path / "s.csv").write_text(
+            f"timestamp,site_id,value_ppb\n2018-01-05T04:00:00Z,A,11\n{row}\n", encoding="utf-8")
+        assert main(["validate", str(tmp_path / "network.json")]) == 1
+        assert f"s.csv:3 {issue}" in capsys.readouterr().out
+
     def test_unconfigured_site_flagged(self, sim_dir, capsys):
         observed = sim_dir / "observed.csv"
         with open(observed, "a") as handle:
@@ -999,6 +1038,20 @@ class TestRunCommand:
         monkeypatch.setenv("OZONET_OUT_DIR", str(target))
         assert main(["run", str(sim_dir / "network.json")]) == 0
         assert (target / "summary.csv").exists()
+
+    @pytest.mark.parametrize("flag", [False, True], ids=["env-beats-config", "out-beats-env"])
+    def test_output_dir_precedence(self, sim_dir, monkeypatch, flag):
+        # --out, else OZONET_OUT_DIR, else the config's output_dir
+        network = sim_dir / "network.json"
+        config = json.loads(network.read_text())
+        config["output_dir"] = str(sim_dir / "via_config")
+        network.write_text(json.dumps(config))
+        monkeypatch.setenv("OZONET_OUT_DIR", str(sim_dir / "via_env"))
+        out = ["--out", str(sim_dir / "via_flag")] if flag else []
+        assert main(["run", str(network), *out]) == 0
+        written = {p.name for p in sim_dir.iterdir() if p.name.startswith("via_")}
+        assert written == {"via_flag" if flag else "via_env"}
+        assert (sim_dir / written.pop() / "summary.csv").exists()
 
     def test_missing_proxy_data_recorded_not_fatal(self, sim_dir, capsys):
         # strip the reference series so the proxy has no data at all
@@ -1113,6 +1166,66 @@ class TestErrorExits:
         assert sorted(p.name for p in out.iterdir()) == ["grid.csv"]
         with open(out / "grid.csv", newline="") as handle:
             assert next(csv.reader(handle)) == ["lat", "lon", "value_ppb"]
+
+
+# Lines of generated series files for the commands: valid rows of two sites
+# over a few hours (so that a (site, hour) can repeat), and lines that each
+# break one rule of the series format.
+def _good_line(row):
+    hour, site, value = row
+    return f"{format_iso_hour(421368 + hour)},{site},{value:.2f}".encode()
+
+
+_good_rows = st.tuples(st.integers(0, 11), st.sampled_from("RS"), st.floats(0.0, 80.0))
+_BAD_LINES = st.sampled_from([
+    b"", b"  ", b"x", b"2018-01-26T01:00:00Z,S", b"2018-01-26T01:00:00Z,S,10,11",
+    b"2018-1-26T1:00:00Z,S,10", "２０１８-01-26T01:00:00Z,S,10".encode(),
+    b"2018-01-26T01:30:00Z,S,10", b"2018-01-26T01:00:00Z,,10",
+    b"2018-01-26T02:00:00Z,S,1_0", "2018-01-26T02:00:00Z,S,１２".encode(),
+    b"2018-01-26T02:00:00Z,S,nan", b"2018-01-26T02:00:00Z,S,1e400",
+    b"2018-01-26T02:00:00Z,S,500.5", b"2018-01-26T02:00:00Z,S,-10.5",
+    b"2018-01-26T03:00:00Z,S\xff,10", b"\xfe\xff"])
+
+
+class TestCommandsOnGeneratedSeries:
+    @settings(deadline=None, max_examples=60)
+    @given(st.lists(_good_rows.map(_good_line) | _BAD_LINES, min_size=1, max_size=30)
+           # clean files too, so that run gets past the reader
+           | st.lists(_good_rows, min_size=1, max_size=24, unique_by=lambda row: row[:2]).map(
+               lambda rows: list(map(_good_line, rows))),
+           st.sampled_from([b"\n", b"\r\n"]))
+    def test_every_outcome_is_an_exit_code(self, tmp_path_factory, lines, newline):
+        # validate exits 0 or 1 and prints its issues as error: lines on
+        # stdout; run exits 1 exactly when validate does, else 0 or 2, with
+        # one error: line on stderr when it fails; no traceback, and no file
+        # outside --out
+        root = tmp_path_factory.mktemp("net")
+        network = root / "network.json"
+        save_network_config(NetworkConfig(
+            sites=[SiteRecord("R", "r", "reference", 34.0, -118.0),
+                   SiteRecord("S", "s", "low-cost", 34.1, -118.1)],
+            thresholds=Thresholds(td_hours=4, tf_hours=2), series=["s.csv"]), network)
+        (root / "s.csv").write_bytes(newline.join([b"timestamp,site_id,value_ppb", *lines])
+                                     + newline)
+        before, out_dir = set(root.rglob("*")), root / "out"
+        outcome = {}
+        for command, extra in (("validate", []), ("run", ["--out", str(out_dir)])):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main([command, str(network), *extra])
+            outcome[command] = code, stdout.getvalue(), stderr.getvalue()
+        code, out, err = outcome["validate"]
+        assert err == ""
+        assert code == (1 if re.search("^error: ", out, re.M) else 0)
+        code, out, err = outcome["run"]
+        assert (code == 1) == (outcome["validate"][0] == 1)
+        assert code in (0, 1, 2)
+        assert "Traceback" not in err
+        errors = [line for line in err.splitlines() if line.startswith("error: ")]
+        assert len(errors) == (code != 0)
+        assert {p for p in root.rglob("*")
+                if p != out_dir and out_dir not in p.parents} == before
+        assert out_dir.exists() == (code != 1)
 
 
 class TestProxyEvalCommand:
@@ -1267,6 +1380,15 @@ class TestMapCommand:
         assert main(["map", str(sim_dir / "network.json"), "--hour", "2018-01-27T12:00:00Z",
                      "--power", power, "--out", str(out)]) == 1
         assert capsys.readouterr() == ("", f"error: power must be > 0, got {float(power)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("hour", ["2018-1-27T12:00:00Z", "２０１８-01-27T12:00:00Z"])
+    def test_hour_that_is_not_zero_padded_ascii_is_input_error(self, sim_dir, capsys, hour):
+        out = sim_dir / "map"
+        assert main(["map", str(sim_dir / "network.json"), "--hour", hour,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr() == (
+            "", f"error: bad timestamp {hour!r}: expected YYYY-MM-DDTHH:00:00Z (UTC)\n")
         assert not out.exists()
 
     def test_no_data_at_hour_is_input_error(self, sim_dir, capsys):

@@ -127,6 +127,20 @@ class TestIsoHours:
         with pytest.raises(ValueError, match="whole hour"):
             parse_iso_hour("2018-01-26T00:30:00Z")
 
+    @pytest.mark.parametrize("text", [
+        "2018-1-5T5:00:00Z", "2018-1-05T05:00:00Z", "2018-01-5T05:00:00Z",
+        "2018-01-05T5:00:00Z", "2018-01-05T05:0:00Z", "2018-01-05T05:00:0Z",
+        "２０１８-01-05T05:00:00Z", "2018-０1-05T05:00:00Z", "٢٠١٨-01-05T05:00:00Z",
+        "2018-01-05t05:00:00z", "2018-01-05T05:00:00Z\n"])
+    def test_rejects_what_is_not_zero_padded_ascii(self, text):
+        # strptime alone reads most of these as 05:00 of 2018-01-05
+        with pytest.raises(ValueError, match="bad timestamp"):
+            parse_iso_hour(text)
+
+    def test_aligned_syntax_with_minutes_is_unaligned_not_bad(self):
+        with pytest.raises(ValueError, match="not aligned to a whole hour"):
+            parse_iso_hour("2018-01-05T05:00:01Z")
+
     @given(st.integers((datetime(1, 1, 1) - datetime(1970, 1, 1)) // timedelta(hours=1),
                        (datetime(9999, 12, 31, 23) - datetime(1970, 1, 1)) // timedelta(hours=1)))
     @example(-8511600)      # 0999-01-01T00:00:00Z

@@ -94,11 +94,14 @@ MUTANTS = [
            "min(stamp, self.stamps[-1])", "stamp",
            "test_alarms.py::TestBatchRun::test_kept_trend_equals_trend_at[GAIN]"),
     Mutant("EstimateHistory._fit_at: zero gain floor dropped", "calibrate.py",
-           "fit_gain if fit_gain > 0.0 else 0.0", "fit_gain",
+           "gain if gain > 0.0 else 0.0", "gain",
            "test_calibrate.py::TestQuadraticTrend::test_fitted_gain_is_floored_at_zero"),
     Mutant("EstimateHistory.extend: zero gain floor dropped", "calibrate.py",
            "np.where(fit_gain > 0.0, fit_gain, 0.0)", "fit_gain",
            "test_calibrate.py::TestQuadraticTrend::test_fitted_gain_is_floored_at_zero"),
+    Mutant("_terms: the u^3 sum written as u^4", "calibrate.py",
+           "u2 * u, u2 * u2,", "u2 * u2, u2 * u2,",
+           "test_calibrate.py::TestQuadraticTrend::test_coefficients_recover_exact_quadratic"),
     Mutant("SiteEngine._measure: a slot serves another hour", "alarms.py",
            "if slot is None or slot[0] != stamp:", "if slot is None:",
            "test_alarms.py::TestEngine::test_trend_band_edges_enter_the_trend[gain-min]"),
@@ -248,6 +251,14 @@ MUTANTS = [
     Mutant("scan_series_csv: rows of four fields pass the 3-field check", "io.py",
            "len(rows)) != 3", "len(rows)) < 3",
            "test_io_cli.py::TestSeriesCsv::test_columnar_reader_equals_per_row_reader"),
+    Mutant("_number: a value holding an underscore read as a number", "io.py",
+           'if "_" in text or not text.isascii():', "if not text.isascii():",
+           "test_io_cli.py::TestValidateCommand::"
+           "test_forms_outside_the_documented_syntax_are_issues[underscore]"),
+    Mutant("parse_iso_hour: a one-digit month accepted", "timeseries.py",
+           "[0-9]{4}-[0-9]{2}-", "[0-9]{4}-[0-9]{1,2}-",
+           "test_timeseries.py::TestIsoHours::"
+           "test_rejects_what_is_not_zero_padded_ascii[2018-1-05T05:00:00Z]"),
     Mutant("scan_series_csv: of a duplicate (site, hour) the last row is kept", "io.py",
            "again[1:] = ", "again[:-1] = ",
            "test_io_cli.py::TestSeriesCsv::test_duplicate_reports_both_lines"),
