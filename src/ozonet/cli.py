@@ -127,8 +127,8 @@ def cmd_run(args) -> int:
 
     overrides = config.proxy.overrides
     medians = {}
-    summary = []
-    ran = 0
+    summary = []        # one row per low-cost site, in config order
+    jobs = {}           # summary index -> (site id, proxy label, sensor, proxy series)
     for site in config.sites:
         if site.role != ROLE_LOW_COST:
             continue
@@ -148,13 +148,19 @@ def cmd_run(args) -> int:
         except InsufficientDataError as exc:
             summary.append((site.site_id, proxy_label, 0, 0.0, 0.0, 0.0, 0.0, str(exc)))
             continue
-        result = SiteEngine(site.site_id, sensor, proxy_series, config.thresholds).run()
-        ozio.write_corrected_csv(out / "corrected" / f"{site.site_id}.csv", result.rows)
-        ozio.write_chart_csv(out / "charts" / f"{site.site_id}.csv", result.rows)
+        jobs[len(summary)] = (site.site_id, proxy_label, sensor, proxy_series)
+        summary.append(None)
+
+    def replay(site_id, proxy_label, sensor, proxy_series):
+        result = SiteEngine(site_id, sensor, proxy_series, config.thresholds).run()
+        ozio.write_corrected_csv(out / "corrected" / f"{site_id}.csv", result.rows)
+        ozio.write_chart_csv(out / "charts" / f"{site_id}.csv", result.rows)
         note = "" if result.monitored else "no monitored hours"
-        summary.append((site.site_id, proxy_label, result.monitored,
-                        *result.alarm_fractions().values(), result.corrected_fraction(), note))
-        ran += 1
+        return (site_id, proxy_label, result.monitored,
+                *result.alarm_fractions().values(), result.corrected_fraction(), note)
+
+    for index, row in zip(jobs, ozio.map_shared(lambda job: replay(*job), jobs.values())):
+        summary[index] = row
 
     header = (f"{'site':<14}{'proxy':<18}{'hours':>7}{'ks%':>7}{'a0%':>7}"
               f"{'a1%':>7}{'corr%':>7}  note")
@@ -164,7 +170,7 @@ def cmd_run(args) -> int:
                      f"{100 * a0:>7.1f}{100 * a1:>7.1f}{100 * corr:>7.1f}  {note}")
     print("\n".join(lines))
     ozio.write_summary_csv(out / "summary.csv", summary)
-    if ran == 0:
+    if not jobs:
         raise OzonetError("no site could be monitored")
     return EXIT_OK
 
@@ -181,12 +187,12 @@ def cmd_proxy_eval(args) -> int:
         raise ConfigError("proxy evaluation needs at least two reference sites")
 
     medians = {}
-    scores = []
+    outcomes = []       # a warning or a score per (reference, strategy), in loop order
+    jobs = {}           # outcome index -> (site id, strategy, test series, proxy series)
     for site in refs:
         test_series = series_map.get(site.site_id)
         if test_series is None:
-            print(f"warning: no data for reference {site.site_id}, skipped",
-                  file=sys.stderr)
+            outcomes.append(f"warning: no data for reference {site.site_id}, skipped")
             continue
         for strategy in (STRATEGY_NEAREST, STRATEGY_MEDIAN, STRATEGY_AADT):
             try:
@@ -194,14 +200,25 @@ def cmd_proxy_eval(args) -> int:
             except InsufficientDataError:
                 continue
             if proxy_series is None or not len(proxy_series):
-                print(f"warning: {strategy} proxy for {site.site_id} has no data",
-                      file=sys.stderr)
+                outcomes.append(f"warning: {strategy} proxy for {site.site_id} has no data")
                 continue
-            try:
-                scores.append(evaluate_proxy(test_series, proxy_series, config.thresholds,
-                                             strategy))
-            except InsufficientDataError as exc:
-                print(f"warning: {site.site_id}/{strategy}: {exc}", file=sys.stderr)
+            jobs[len(outcomes)] = (site.site_id, strategy, test_series, proxy_series)
+            outcomes.append(None)
+
+    def score(site_id, strategy, test_series, proxy_series):
+        try:
+            return evaluate_proxy(test_series, proxy_series, config.thresholds, strategy)
+        except InsufficientDataError as exc:
+            return f"warning: {site_id}/{strategy}: {exc}"
+
+    for index, outcome in zip(jobs, ozio.map_shared(lambda job: score(*job), jobs.values())):
+        outcomes[index] = outcome
+    scores = []
+    for outcome in outcomes:
+        if isinstance(outcome, str):
+            print(outcome, file=sys.stderr)
+        else:
+            scores.append(outcome)
 
     if not scores:
         raise OzonetError("no (site, strategy) pair could be evaluated")

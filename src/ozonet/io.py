@@ -1,4 +1,5 @@
-"""File formats: series CSV, network configuration, result exports.
+"""File formats: series CSV, network configuration, result exports; and
+map_shared, which deals per-site jobs over forked workers.
 
 The series format is a plain CSV with header `timestamp,site_id,value_ppb`;
 timestamps are ISO-8601 UTC on whole hours (YYYY-MM-DDTHH:00:00Z). Input
@@ -17,6 +18,7 @@ import json
 import math
 import operator
 import os
+import pickle
 import typing
 import unicodedata
 from dataclasses import dataclass, field
@@ -26,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ozonet.alarms import HistoryRow, Thresholds
-from ozonet.errors import ConfigError
+from ozonet.errors import ConfigError, OzonetError
 from ozonet.proxy import (
     STRATEGY_AADT,
     STRATEGY_EXPLICIT,
@@ -87,6 +89,106 @@ def atomic_write(path, newline=None):
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+# Here, not in cli.py: under `python -m ozonet.cli` that module is __main__,
+# where Python 3.12's DeprecationWarning for a fork in a process with threads
+# (numpy's BLAS pool) would show on stderr by default. Forked, not spawned:
+# a spawned worker would import numpy and ozonet again and be sent the series.
+def map_shared(job, items) -> list:
+    """[job(item) for item in items], the items dealt over the CPUs this
+    process may use.
+
+    With n = min(CPUs, items) above 1, n - 1 forked workers take
+    items[k::n] (k = 1 .. n-1) and this process takes items[0::n]. A worker
+    stops at its first exception and sends its results, each pickled, and
+    that exception as one pickle over a pipe, then leaves through os._exit:
+    it never flushes this process's buffers or runs its exit handlers.
+    Results come back in item order; the first exception in item order is
+    raised, and no result or exception after it is unpickled. Every worker
+    is read and reaped before this returns or raises. With one CPU or one
+    item, or where the platform cannot fork, it is the plain loop.
+    """
+    items = list(items)
+    try:
+        n = min(len(os.sched_getaffinity(0)), len(items))
+        fork = os.fork
+    except AttributeError:      # no sched_getaffinity or fork on this platform
+        n = 1
+    if n < 2:
+        return [job(item) for item in items]
+    workers = []                # (pid, read end of its pipe) of shares 1 .. n-1
+    try:
+        for k in range(1, n):
+            read, write = os.pipe()
+            try:
+                pid = fork()
+            except OSError:
+                os.close(read)
+                os.close(write)
+                raise
+            if pid == 0:
+                _work_share(job, items[k::n], write)
+            os.close(write)
+            workers.append((pid, read))
+        shares = {0: (*_run_share(job, items[0::n]), lambda value: value)}
+    finally:
+        blobs = [_reap(pid, read) for pid, read in workers]
+    results = []
+    for i in range(len(items)):
+        k, j = i % n, i // n
+        if k not in shares:
+            shares[k] = (*_received(blobs[k - 1]), pickle.loads)
+        done, failure, load = shares[k]
+        if j == len(done):
+            raise load(failure)
+        results.append(load(done[j]))
+    return results
+
+
+def _run_share(job, share) -> tuple:
+    """(results, None), or (the results before the first exception, it)."""
+    done = []
+    try:
+        for item in share:
+            done.append(job(item))
+    except Exception as exc:
+        return done, exc
+    return done, None
+
+
+def _work_share(job, share, fd):
+    """A forked worker's whole life: run `share`, write what _run_share
+    gives to `fd` pickled, and leave through os._exit (never returns)."""
+    try:
+        done, failure = _run_share(lambda item: pickle.dumps(job(item)), share)
+        blob = None
+        if failure is not None:
+            try:
+                blob = pickle.dumps(failure)
+                pickle.loads(blob)      # some exceptions pickle but cannot be rebuilt
+            except Exception:
+                blob = pickle.dumps(RuntimeError(
+                    f"{type(failure).__qualname__} in a worker process: {failure}"))
+        with open(fd, "wb") as pipe:
+            pipe.write(pickle.dumps((done, blob)))
+    finally:
+        os._exit(0)
+
+
+def _reap(pid, fd) -> bytes:
+    """All that worker `pid` wrote to the pipe `fd`, read once it has ended."""
+    with open(fd, "rb") as pipe:
+        blob = pipe.read()
+    os.waitpid(pid, 0)
+    return blob
+
+
+def _received(blob) -> tuple:
+    try:
+        return pickle.loads(blob)
+    except Exception:       # a worker killed before it wrote its share
+        raise OzonetError("a worker process ended without sending its results") from None
 
 
 def _stats(column) -> list:

@@ -67,6 +67,9 @@ def scan_series_csv(paths) -> tuple[dict, ValidationReport]:
                     issues.append(SeriesIssue(path, lineno, "site_id", "empty site id"))
                     continue
                 try:
+                    # README: as float() reads them, but in ASCII and without "_"
+                    if not value_text.isascii() or "_" in value_text:
+                        raise ValueError(value_text)
                     value = float(value_text)
                 except ValueError:
                     issues.append(SeriesIssue(path, lineno, "value_ppb",

@@ -75,7 +75,7 @@ _STAMPS = ["2018-01-01T00:00:00Z", "2018-01-01T01:00:00Z", "2018-01-01T02:00:00Z
            "2018-01-01T00:00:00+02:00", "not-a-time", ""]
 _SITES = ["a", "b", " a ", '" b"', '"x,y"', '"say ""hi"""', "", "  "]
 _VALUES = ["1.5", " 42 ", "1e2", "-10", "500", "-10.000001", "500.000001", "forty", "",
-           "nan", "inf", "-inf"]
+           "nan", "inf", "-inf", "1_0", "１２"]
 _OTHER_LINES = ["", "   ", "2018-01-01T00:00:00Z,a", "2018-01-01T00:00:00Z,a,1,2", "x"]
 _HEADERS = ["timestamp,site_id,value_ppb", " timestamp , site_id ,value_ppb",
             "time,site,value", None]     # None: an empty file
@@ -1226,6 +1226,43 @@ class TestCommandsOnGeneratedSeries:
         assert {p for p in root.rglob("*")
                 if p != out_dir and out_dir not in p.parents} == before
         assert out_dir.exists() == (code != 1)
+
+    @settings(deadline=None, max_examples=25)
+    @given(st.lists(_good_rows.map(_good_line) | _BAD_LINES, max_size=8)
+           | st.lists(_good_rows, max_size=8, unique_by=lambda row: row[:2]).map(
+               lambda rows: list(map(_good_line, rows))),
+           st.sampled_from([0, 24, 744]), st.sampled_from([b"\n", b"\r\n"]))
+    def test_proxy_eval_outcome_is_an_exit_code(self, tmp_path_factory, lines, clean_hours,
+                                                newline):
+        # two references R and S, each with `clean_hours` valid rows after the
+        # generated lines' hours: proxy-eval exits 1 exactly when the file
+        # has an issue, else 0 or 2 (2 when no pair overlaps enough), with
+        # warning: lines and, when it fails, one error: line on stderr; no
+        # traceback, and no file outside --out
+        root = tmp_path_factory.mktemp("net")
+        network = root / "network.json"
+        save_network_config(NetworkConfig(
+            sites=[SiteRecord("R", "r", "reference", 34.0, -118.0),
+                   SiteRecord("S", "s", "reference", 34.1, -118.1)],
+            series=["s.csv"]), network)
+        clean = [f"{format_iso_hour(421380 + hour)},{site},{20 + hour % 7}".encode()
+                 for hour in range(clean_hours) for site in "RS"]
+        series = root / "s.csv"
+        series.write_bytes(newline.join([b"timestamp,site_id,value_ppb", *lines, *clean])
+                           + newline)
+        before, out_dir = set(root.rglob("*")), root / "out"
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["proxy-eval", str(network), "--out", str(out_dir)])
+        err = stderr.getvalue()
+        assert code in (0, 1, 2)
+        assert (code == 1) == (not scan_series_csv(series)[1].ok)
+        assert "Traceback" not in err
+        assert all(line.startswith(("warning: ", "error: ")) for line in err.splitlines())
+        assert len(re.findall("^error: ", err, re.M)) == (code != 0)
+        assert {p for p in root.rglob("*")
+                if p != out_dir and out_dir not in p.parents} == before
+        assert out_dir.exists() == (code == 0)
 
 
 class TestProxyEvalCommand:

@@ -276,6 +276,16 @@ MUTANTS = [
     Mutant("cmd_proxy_eval: one reference a runtime failure (exit 2)", "cli.py",
            'raise ConfigError("proxy evaluation needs', 'raise OzonetError("proxy evaluation needs',
            "test_io_cli.py::TestErrorExits::test_proxy_eval_with_one_reference"),
+    Mutant("map_shared: results taken in share order, not item order", "io.py",
+           "k, j = i % n, i // n", "k, j = divmod(i, -(-len(items) // n))",
+           "test_map_shared.py::TestMapShared::test_results_in_item_order[3-2]"),
+    Mutant("map_shared: a worker drops its failure", "io.py",
+           "pipe.write(pickle.dumps((done, blob)))", "pipe.write(pickle.dumps((done, None)))",
+           "test_map_shared.py::TestMapShared::test_first_failure_in_item_order_is_raised"
+           "[2-failing0-1]"),
+    Mutant("map_shared: the parent's own share skipped", "io.py",
+           "_run_share(job, items[0::n])", "_run_share(job, [])",
+           "test_map_shared.py::TestMapShared::test_results_in_item_order[3-2]"),
 ]
 
 
