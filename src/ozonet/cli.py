@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import io
 import os
+import shutil
 import sys
 from pathlib import Path
 
@@ -151,15 +152,36 @@ def cmd_run(args) -> int:
         jobs[len(summary)] = (site.site_id, proxy_label, sensor, proxy_series)
         summary.append(None)
 
-    def replay(site_id, proxy_label, sensor, proxy_series):
+    def replay(root, site_id, proxy_label, sensor, proxy_series):
         result = SiteEngine(site_id, sensor, proxy_series, config.thresholds).run()
-        ozio.write_corrected_csv(out / "corrected" / f"{site_id}.csv", result.rows)
-        ozio.write_chart_csv(out / "charts" / f"{site_id}.csv", result.rows)
+        ozio.write_corrected_csv(root / "corrected" / f"{site_id}.csv", result.rows)
+        ozio.write_chart_csv(root / "charts" / f"{site_id}.csv", result.rows)
         note = "" if result.monitored else "no monitored hours"
         return (site_id, proxy_label, result.monitored,
                 *result.alarm_fractions().values(), result.corrected_fraction(), note)
 
-    for index, row in zip(jobs, ozio.map_shared(lambda job: replay(*job), jobs.values())):
+    # The sites replay over the CPUs into a staging directory, and their
+    # files move into place in config order up to the first site that failed
+    # there or fails to move. That site and those after it replay here,
+    # writing in place: a failure leaves the files and the message of a
+    # serial run, whatever the CPU count.
+    replays = list(jobs.values())
+    stage = out / f".run-{os.getpid()}"
+    try:
+        rows = ozio.map_shared(lambda job: replay(stage, *job), replays)
+        for k, (site_id, *_) in enumerate(replays[:len(rows)]):
+            try:
+                for name in (Path("corrected", f"{site_id}.csv"),
+                             Path("charts", f"{site_id}.csv")):
+                    (out / name).parent.mkdir(parents=True, exist_ok=True)
+                    os.replace(stage / name, out / name)
+            except OSError:
+                del rows[k:]
+                break
+    finally:
+        shutil.rmtree(stage, ignore_errors=True)
+    rows += [replay(out, *job) for job in replays[len(rows):]]
+    for index, row in zip(jobs, rows):
         summary[index] = row
 
     header = (f"{'site':<14}{'proxy':<18}{'hours':>7}{'ks%':>7}{'a0%':>7}"
@@ -211,10 +233,13 @@ def cmd_proxy_eval(args) -> int:
         except InsufficientDataError as exc:
             return f"warning: {site_id}/{strategy}: {exc}"
 
-    for index, outcome in zip(jobs, ozio.map_shared(lambda job: score(*job), jobs.values())):
-        outcomes[index] = outcome
+    # pairs from the first that failed over the CPUs on are scored here, in
+    # order, so that a failure follows the warnings a serial run prints
+    done = dict(zip(jobs, ozio.map_shared(lambda job: score(*job), jobs.values())))
     scores = []
-    for outcome in outcomes:
+    for index, outcome in enumerate(outcomes):
+        if index in jobs:
+            outcome = done[index] if index in done else score(*jobs[index])
         if isinstance(outcome, str):
             print(outcome, file=sys.stderr)
         else:

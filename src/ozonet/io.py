@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from ozonet.alarms import HistoryRow, Thresholds
-from ozonet.errors import ConfigError, OzonetError
+from ozonet.errors import ConfigError
 from ozonet.proxy import (
     STRATEGY_AADT,
     STRATEGY_EXPLICIT,
@@ -96,82 +96,82 @@ def atomic_write(path, newline=None):
 # (numpy's BLAS pool) would show on stderr by default. Forked, not spawned:
 # a spawned worker would import numpy and ozonet again and be sent the series.
 def map_shared(job, items) -> list:
-    """[job(item) for item in items], the items dealt over the CPUs this
-    process may use.
+    """[job(item) for item in items], cut short at the first item whose job
+    raised, the items dealt over the CPUs this process may use.
 
-    With n = min(CPUs, items) above 1, n - 1 forked workers take
-    items[k::n] (k = 1 .. n-1) and this process takes items[0::n]. A worker
-    stops at its first exception and sends its results, each pickled, and
-    that exception as one pickle over a pipe, then leaves through os._exit:
-    it never flushes this process's buffers or runs its exit handlers.
-    Results come back in item order; the first exception in item order is
-    raised, and no result or exception after it is unpickled. Every worker
-    is read and reaped before this returns or raises. With one CPU or one
-    item, or where the platform cannot fork, it is the plain loop.
+    n = min(CPUs, items), at least 1: n - 1 forked workers take items[k::n]
+    (k = 1 .. n-1) and this process takes items[0::n]. Each stops at its
+    first exception. A worker sends the results before it, each pickled,
+    over a pipe as one pickle, then leaves through os._exit: it never
+    flushes this process's buffers or runs its exit handlers. The results
+    come back in item order up to the first item that has none (its job
+    raised, its result could not cross, or its worker could not be started
+    or died), and none after it is unpickled. The exception is dropped:
+    the caller runs the items from there on itself, so that a failure is
+    raised where and as the plain loop raises it. Every worker is read and
+    reaped before this returns or raises.
     """
     items = list(items)
     try:
-        n = min(len(os.sched_getaffinity(0)), len(items))
+        n = max(1, min(len(os.sched_getaffinity(0)), len(items)))
         fork = os.fork
     except AttributeError:      # no sched_getaffinity or fork on this platform
         n = 1
-    if n < 2:
-        return [job(item) for item in items]
-    workers = []                # (pid, read end of its pipe) of shares 1 .. n-1
+    workers = []                # (pid, read end of its pipe) of shares 1, 2, ...
     try:
         for k in range(1, n):
             read, write = os.pipe()
             try:
                 pid = fork()
-            except OSError:
+            except OSError:     # this share and those after it get no results
                 os.close(read)
                 os.close(write)
-                raise
+                break
             if pid == 0:
-                _work_share(job, items[k::n], write)
+                _work_share(job, items[k::n], write, [read, *(r for _, r in workers)])
             os.close(write)
             workers.append((pid, read))
-        shares = {0: (*_run_share(job, items[0::n]), lambda value: value)}
+        shares = [_run_share(job, items[0::n])]
     finally:
         blobs = [_reap(pid, read) for pid, read in workers]
+    shares += [_received(blob) for blob in blobs] + [[]] * (n - 1 - len(blobs))
     results = []
     for i in range(len(items)):
         k, j = i % n, i // n
-        if k not in shares:
-            shares[k] = (*_received(blobs[k - 1]), pickle.loads)
-        done, failure, load = shares[k]
-        if j == len(done):
-            raise load(failure)
-        results.append(load(done[j]))
+        if j == len(shares[k]):
+            break
+        if k == 0:
+            results.append(shares[0][j])
+            continue
+        try:
+            results.append(pickle.loads(shares[k][j]))
+        except Exception:
+            break
     return results
 
 
-def _run_share(job, share) -> tuple:
-    """(results, None), or (the results before the first exception, it)."""
+def _run_share(job, share) -> list:
+    """The results of `share` before the first item whose job raised."""
     done = []
-    try:
-        for item in share:
+    for item in share:
+        try:
             done.append(job(item))
-    except Exception as exc:
-        return done, exc
-    return done, None
+        except Exception:
+            break
+    return done
 
 
-def _work_share(job, share, fd):
-    """A forked worker's whole life: run `share`, write what _run_share
-    gives to `fd` pickled, and leave through os._exit (never returns)."""
+def _work_share(job, share, fd, others):
+    """A forked worker's whole life: close the read ends `others`, so that
+    a write to `fd` fails once this process has gone, run `share`, write what
+    _run_share gives to `fd` pickled, and leave through os._exit (never
+    returns)."""
     try:
-        done, failure = _run_share(lambda item: pickle.dumps(job(item)), share)
-        blob = None
-        if failure is not None:
-            try:
-                blob = pickle.dumps(failure)
-                pickle.loads(blob)      # some exceptions pickle but cannot be rebuilt
-            except Exception:
-                blob = pickle.dumps(RuntimeError(
-                    f"{type(failure).__qualname__} in a worker process: {failure}"))
+        for other in others:
+            os.close(other)
+        done = _run_share(lambda item: pickle.dumps(job(item)), share)
         with open(fd, "wb") as pipe:
-            pipe.write(pickle.dumps((done, blob)))
+            pipe.write(pickle.dumps(done))
     finally:
         os._exit(0)
 
@@ -184,11 +184,12 @@ def _reap(pid, fd) -> bytes:
     return blob
 
 
-def _received(blob) -> tuple:
+def _received(blob) -> list:
+    """A worker's pickled results; none from a worker that died first."""
     try:
         return pickle.loads(blob)
-    except Exception:       # a worker killed before it wrote its share
-        raise OzonetError("a worker process ended without sending its results") from None
+    except Exception:
+        return []
 
 
 def _stats(column) -> list:

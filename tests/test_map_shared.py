@@ -10,7 +10,6 @@ import signal
 import pytest
 
 from ozonet.cli import main
-from ozonet.errors import OzonetError
 from ozonet.io import map_shared
 from netsim_cases import monitor_network
 
@@ -26,11 +25,37 @@ def cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
+def plain(job, items):
+    """map_shared finished as the commands finish it: the items from the
+    first without a result on run here, so that this is the plain loop."""
+    items = list(items)
+    done = map_shared(job, items)
+    return done + [job(item) for item in items[len(done):]]
+
+
 class Rebuilt(Exception):
     """Pickles, but unpickling calls __init__ with one argument and fails."""
 
     def __init__(self, a, b):
         super().__init__(f"{a}{b}")
+
+
+UNPICKLED = []
+
+
+def _unpickled(item):
+    UNPICKLED.append(item)
+    return Noted(item)
+
+
+class Noted:
+    """Notes its item in UNPICKLED when it is unpickled."""
+
+    def __init__(self, item):
+        self.item = item
+
+    def __reduce__(self):
+        return _unpickled, (self.item,)
 
 
 class TestMapShared:
@@ -71,7 +96,8 @@ class TestMapShared:
         (4, {6, 5}, 5),         # two workers' second items
         (4, {9, 7}, 7),
     ])
-    def test_first_failure_in_item_order_is_raised(self, monkeypatch, count, failing, first):
+    def test_results_end_at_the_first_failure_in_item_order(self, monkeypatch, count,
+                                                            failing, first):
         cpus(monkeypatch, count)
 
         def job(item):
@@ -79,15 +105,16 @@ class TestMapShared:
                 raise ValueError(item)
             return item
 
+        assert map_shared(job, range(10)) == list(range(first))
         with pytest.raises(ValueError) as caught:
-            map_shared(job, range(10))
+            plain(job, range(10))
         assert caught.value.args == (first,)
 
     @pytest.mark.parametrize("count, first", [(2, 0), (2, 1), (4, 2)])
     def test_an_unpicklable_failure_does_not_mask_an_earlier_one(self, monkeypatch, count,
                                                                  first):
         # every later item fails with an exception local to this test, which
-        # a worker cannot pickle; the earlier failure is still the one raised
+        # a worker could not pickle; the earlier failure is still the one raised
         cpus(monkeypatch, count)
 
         class Local(Exception):
@@ -101,13 +128,12 @@ class TestMapShared:
             return item
 
         with pytest.raises(KeyError) as caught:
-            map_shared(job, range(8))
+            plain(job, range(8))
         assert caught.value.args == (first,)
 
     @pytest.mark.parametrize("error", [
         lambda item: type("Local", (Exception,), {})(item), lambda item: Rebuilt(item, "!")])
-    def test_a_first_failure_that_cannot_cross_arrives_as_a_stand_in(self, monkeypatch,
-                                                                       error):
+    def test_a_worker_failure_is_raised_as_itself(self, monkeypatch, error):
         cpus(monkeypatch, 2)
 
         def job(item):
@@ -115,28 +141,62 @@ class TestMapShared:
                 raise error(item)
             return item
 
-        with pytest.raises(RuntimeError, match=r"^(Local|Rebuilt) in a worker process: 1!?$"):
-            map_shared(job, range(4))
+        with pytest.raises(Exception, match=r"^1!?$") as caught:
+            plain(job, range(4))
+        assert type(caught.value).__name__ in ("Local", "Rebuilt")
 
-    def test_a_result_that_cannot_be_pickled_is_that_items_failure(self, monkeypatch):
+    def test_nothing_after_the_first_failure_is_unpickled(self, monkeypatch):
+        cpus(monkeypatch, 4)
+        UNPICKLED.clear()
+
+        def job(item):
+            if item == 6:
+                raise ValueError(item)
+            return Noted(item)
+
+        assert [noted.item for noted in map_shared(job, range(12))] == list(range(6))
+        # the workers' items before item 6 came back pickled; none after it did
+        assert UNPICKLED == [1, 2, 3, 5]
+
+    @pytest.mark.parametrize("result", [lambda item: lambda: item,
+                                        lambda item: Rebuilt(item, "!")])
+    def test_a_result_that_cannot_cross_is_computed_here(self, monkeypatch, result):
         cpus(monkeypatch, 2)
 
         def job(item):
-            return (lambda: item) if item == 3 else item
+            return result(item) if item == 3 else item
 
-        with pytest.raises(Exception, match="pickle"):
-            map_shared(job, range(6))
+        assert map_shared(job, range(6)) == [0, 1, 2]
+        assert plain(job, range(6))[4:] == [4, 5]
 
-    def test_a_worker_that_dies_is_a_runtime_error(self, monkeypatch):
+    def test_the_items_of_a_worker_that_dies_are_left_to_the_caller(self, monkeypatch):
         cpus(monkeypatch, 2)
+        parent = os.getpid()
 
         def job(item):
-            if item == 1:
+            if item == 3 and os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
             return item
 
-        with pytest.raises(OzonetError, match="worker process ended without"):
-            map_shared(job, range(4))
+        # the worker's share is lost whole: its first item ends the results
+        assert map_shared(job, range(6)) == [0]
+        assert plain(job, range(6)) == list(range(6))
+
+    def test_the_items_of_a_worker_that_cannot_start_are_left_to_the_caller(self,
+                                                                             monkeypatch):
+        cpus(monkeypatch, 4)
+        fork = os.fork
+        forks = []
+
+        def one_fork():
+            if forks:
+                raise BlockingIOError("no more processes")
+            forks.append(fork())
+            return forks[-1]
+
+        monkeypatch.setattr(os, "fork", one_fork)
+        assert map_shared(str, range(8)) == ["0", "1"]
+        assert plain(str, range(8)) == [str(i) for i in range(8)]
 
     def test_failure_in_the_parent_still_reaps_every_worker(self, monkeypatch):
         cpus(monkeypatch, 4)
@@ -147,7 +207,18 @@ class TestMapShared:
             return item
 
         parent = os.getpid()
-        with pytest.raises(ZeroDivisionError):
+        assert map_shared(job, range(12)) == []
+
+    def test_an_interrupt_in_the_parent_still_reaps_every_worker(self, monkeypatch):
+        cpus(monkeypatch, 4)
+
+        def job(item):
+            if os.getpid() == parent and item:
+                raise KeyboardInterrupt
+            return item
+
+        parent = os.getpid()
+        with pytest.raises(KeyboardInterrupt):
             map_shared(job, range(12))
 
 
@@ -210,18 +281,34 @@ class TestCommandsOnEveryCpuCount:
 
     @pytest.mark.parametrize("blocker", ["corrected", "charts"])
     def test_same_write_failure(self, network, tmp_path, monkeypatch, blocker):
-        # the first site's write fails, in this process, whatever the count;
-        # sites that other workers replayed meanwhile may have written their
-        # corrected file, whole
+        # the first site's write fails; no other site's file is left behind
         outcomes = [_outcome(monkeypatch, count, ["run", str(network / "network.json")],
                              tmp_path / f"{count}", blocker) for count in (1, 2, 4)]
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
         code, stdout, stderr, files = outcomes[0]
         assert code == 2 and stdout == ""
         assert stderr == f"error: cannot write output: [Errno 17] File exists: '<out>/{blocker}'\n"
-        for other in outcomes[1:]:
-            assert other[:3] == outcomes[0][:3]
-            assert {name: other[3][name] for name in files} == files
-            assert all(name.startswith("corrected/") for name in other[3].keys() - files)
+        assert sorted(files) == [blocker] + (["corrected/S00.csv"] if blocker == "charts" else [])
+
+    def test_same_failure_at_a_later_site(self, network, tmp_path, monkeypatch):
+        # S05's file is a directory: S00-S04 are written, and the files an
+        # earlier run left for S09 stay as they were, whatever the count
+        outcomes = []
+        for count in (1, 2, 4):
+            out = tmp_path / f"{count}"
+            (out / "corrected" / "S05.csv").mkdir(parents=True)
+            (out / "charts").mkdir()
+            for name in ("corrected/S09.csv", "charts/S09.csv"):
+                (out / name).write_text("an earlier run's file")
+            outcomes.append(_outcome(monkeypatch, count,
+                                     ["run", str(network / "network.json")], out))
+        assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
+        code, stdout, stderr, files = outcomes[0]
+        assert code == 2 and stdout == ""
+        assert stderr.startswith("error: cannot write output: [Errno 21] Is a directory: ")
+        assert sorted(files) == sorted([f"{kind}/S0{i}.csv" for kind in ("corrected", "charts")
+                                        for i in (0, 1, 2, 3, 4, 9)])
+        assert files["charts/S09.csv"] == b"an earlier run's file"
 
     def test_same_failure_of_the_scores_chart(self, network, tmp_path, monkeypatch):
         outcomes = []

@@ -279,13 +279,17 @@ MUTANTS = [
     Mutant("map_shared: results taken in share order, not item order", "io.py",
            "k, j = i % n, i // n", "k, j = divmod(i, -(-len(items) // n))",
            "test_map_shared.py::TestMapShared::test_results_in_item_order[3-2]"),
-    Mutant("map_shared: a worker drops its failure", "io.py",
-           "pipe.write(pickle.dumps((done, blob)))", "pipe.write(pickle.dumps((done, None)))",
-           "test_map_shared.py::TestMapShared::test_first_failure_in_item_order_is_raised"
-           "[2-failing0-1]"),
+    Mutant("map_shared: a share runs on past its first failure", "io.py",
+           "        except Exception:\n            break\n    return done",
+           "        except Exception:\n            continue\n    return done",
+           "test_map_shared.py::TestMapShared::"
+           "test_results_end_at_the_first_failure_in_item_order[2-failing0-1]"),
     Mutant("map_shared: the parent's own share skipped", "io.py",
            "_run_share(job, items[0::n])", "_run_share(job, [])",
            "test_map_shared.py::TestMapShared::test_results_in_item_order[3-2]"),
+    Mutant("cmd_run: a site whose files fail to move is not replayed in place", "cli.py",
+           "del rows[k:]", "pass",
+           "test_map_shared.py::TestCommandsOnEveryCpuCount::test_same_failure_at_a_later_site"),
 ]
 
 
