@@ -101,15 +101,14 @@ def map_shared(job, items) -> list:
 
     n = min(CPUs, items), at least 1: n - 1 forked workers take items[k::n]
     (k = 1 .. n-1) and this process takes items[0::n]. Each stops at its
-    first exception. A worker sends the results before it, each pickled,
-    over a pipe as one pickle, then leaves through os._exit: it never
-    flushes this process's buffers or runs its exit handlers. The results
-    come back in item order up to the first item that has none (its job
-    raised, its result could not cross, or its worker could not be started
-    or died), and none after it is unpickled. The exception is dropped:
-    the caller runs the items from there on itself, so that a failure is
-    raised where and as the plain loop raises it. Every worker is read and
-    reaped before this returns or raises.
+    first exception. A worker sends its results over a pipe as one pickle,
+    then leaves through os._exit: it never flushes this process's buffers
+    or runs its exit handlers. A worker that could not be started, died, or
+    whose results could not be pickled and unpickled sends none. The results
+    come back in item order up to the first item that has none, and the
+    exception is dropped: the caller runs the items from there on itself,
+    so that a failure is raised where and as the plain loop raises it.
+    Every worker is read and reaped before this returns or raises.
     """
     items = list(items)
     try:
@@ -133,20 +132,14 @@ def map_shared(job, items) -> list:
             workers.append((pid, read))
         shares = [_run_share(job, items[0::n])]
     finally:
-        blobs = [_reap(pid, read) for pid, read in workers]
-    shares += [_received(blob) for blob in blobs] + [[]] * (n - 1 - len(blobs))
+        received = [_reap(pid, read) for pid, read in workers]
+    shares += received + [[]] * (n - 1 - len(received))
     results = []
     for i in range(len(items)):
         k, j = i % n, i // n
         if j == len(shares[k]):
             break
-        if k == 0:
-            results.append(shares[0][j])
-            continue
-        try:
-            results.append(pickle.loads(shares[k][j]))
-        except Exception:
-            break
+        results.append(shares[k][j])
     return results
 
 
@@ -164,28 +157,24 @@ def _run_share(job, share) -> list:
 def _work_share(job, share, fd, others):
     """A forked worker's whole life: close the read ends `others`, so that
     a write to `fd` fails once this process has gone, run `share`, write what
-    _run_share gives to `fd` pickled, and leave through os._exit (never
-    returns)."""
+    _run_share gives to `fd` as one pickle, and leave through os._exit
+    (never returns)."""
     try:
         for other in others:
             os.close(other)
-        done = _run_share(lambda item: pickle.dumps(job(item)), share)
         with open(fd, "wb") as pipe:
-            pipe.write(pickle.dumps(done))
+            pipe.write(pickle.dumps(_run_share(job, share)))
     finally:
         os._exit(0)
 
 
-def _reap(pid, fd) -> bytes:
-    """All that worker `pid` wrote to the pipe `fd`, read once it has ended."""
+def _reap(pid, fd) -> list:
+    """The results that worker `pid` wrote to the pipe `fd`, read and
+    unpickled once it has ended; none from a worker that died first or
+    whose results did not pickle or unpickle."""
     with open(fd, "rb") as pipe:
         blob = pipe.read()
     os.waitpid(pid, 0)
-    return blob
-
-
-def _received(blob) -> list:
-    """A worker's pickled results; none from a worker that died first."""
     try:
         return pickle.loads(blob)
     except Exception:
@@ -275,8 +264,9 @@ _NO_HOUR = np.iinfo(np.int64).min
 
 
 def _read_csv(path: str):
-    """The rows of the CSV file at `path`, read as UTF-8, or the SeriesIssue
-    that says why they cannot be read."""
+    """The records of the CSV file at `path`, read as UTF-8, and the
+    physical line each starts on (a quoted field may hold line breaks); or
+    the SeriesIssue that says why they cannot be read."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
@@ -288,8 +278,12 @@ def _read_csv(path: str):
         line = data.count(b"\n", 0, exc.start) + 1
         return SeriesIssue(path, line, "-", f"not UTF-8 text: {exc}")
     reader = csv.reader(StringIO(text, newline=""))
+    records, starts = [], [1]
     try:
-        return list(reader)
+        for record in reader:
+            records.append(record)
+            starts.append(reader.line_num + 1)
+        return records, starts[:-1]
     except csv.Error as exc:
         return SeriesIssue(path, reader.line_num, "-", f"unreadable CSV: {exc}")
 
@@ -322,23 +316,25 @@ def scan_series_csv(paths) -> tuple[dict, ValidationReport]:
         paths = [paths]
     paths = list(map(str, paths))
     issues = []                         # ((file position, line), SeriesIssue)
-    rows, at_file, at_line = [], [], []  # each row, its file's position, its line
+    rows, at_file, at_line = [], [], []  # each row, its file's position, its first line
 
     def report(pos, line, column, message):
         issues.append(((pos, line), SeriesIssue(paths[pos], line, column, message)))
 
     for pos, path in enumerate(paths):
-        lines = _read_csv(path)
-        if isinstance(lines, SeriesIssue):
-            issues.append(((pos, lines.line), lines))
-        elif not lines:
+        read = _read_csv(path)
+        if isinstance(read, SeriesIssue):
+            issues.append(((pos, read.line), read))
+            continue
+        records, starts = read
+        if not records:
             report(pos, 1, "-", "empty file")
-        elif [h.strip() for h in lines[0]] != SERIES_HEADER:
-            report(pos, 1, "-", f"bad header {lines[0]!r}, expected {','.join(SERIES_HEADER)}")
+        elif [h.strip() for h in records[0]] != SERIES_HEADER:
+            report(pos, 1, "-", f"bad header {records[0]!r}, expected {','.join(SERIES_HEADER)}")
         else:
-            rows += lines[1:]
-            at_file += [pos] * (len(lines) - 1)
-            at_line += range(2, len(lines) + 1)
+            rows += records[1:]
+            at_file += [pos] * (len(records) - 1)
+            at_line += starts[1:]
 
     wrong = np.fromiter(map(len, rows), np.intp, len(rows)) != 3
     if wrong.any():

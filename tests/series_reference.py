@@ -48,7 +48,10 @@ def scan_series_csv(paths) -> tuple[dict, ValidationReport]:
                     path, 1, "-",
                     f"bad header {header!r}, expected {','.join(SERIES_HEADER)}"))
                 continue
-            for lineno, row in enumerate(reader, start=2):
+            # a record starts on the line after the one the last record ended on
+            end = reader.line_num
+            for row in reader:
+                lineno, end = end + 1, reader.line_num
                 if not row or (len(row) == 1 and not row[0].strip()):
                     continue
                 if len(row) != 3:

@@ -14,7 +14,7 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import Phase, example, given, settings
 from hypothesis import strategies as st
 
 from ozonet import DriftSegment, Scenario, SensorModel, SiteRecord, Thresholds, TimeSeries
@@ -73,7 +73,7 @@ def sim_dir(tmp_path):
 _STAMPS = ["2018-01-01T00:00:00Z", "2018-01-01T01:00:00Z", "2018-01-01T02:00:00Z",
            " 2018-01-01T01:00:00Z ", "2018-1-1T2:00:00Z", "2018-01-01T00:30:00Z",
            "2018-01-01T00:00:00+02:00", "not-a-time", ""]
-_SITES = ["a", "b", " a ", '" b"', '"x,y"', '"say ""hi"""', "", "  "]
+_SITES = ["a", "b", " a ", '" b"', '"x,y"', '"say ""hi"""', '"a\nb"', "", "  "]
 _VALUES = ["1.5", " 42 ", "1e2", "-10", "500", "-10.000001", "500.000001", "forty", "",
            "nan", "inf", "-inf", "1_0", "１２"]
 _OTHER_LINES = ["", "   ", "2018-01-01T00:00:00Z,a", "2018-01-01T00:00:00Z,a,1,2", "x"]
@@ -136,6 +136,20 @@ class TestSeriesCsv:
         message = str(report.issues[0])
         assert ":4" in message and ":2" in message     # both line numbers named
 
+    def test_a_record_that_spans_lines_is_numbered_by_its_first_line(self, tmp_path):
+        path = tmp_path / "s.csv"
+        write_rows(path, [
+            '2018-01-01T00:00:00Z,"A\nB",1.0',       # lines 2 and 3
+            "2018-01-01T01:00:00Z,C,abc",
+            "2018-01-01T02:00:00Z,C,1.0",
+            "2018-01-01T02:00:00Z,C,2.0",
+        ])
+        _, report = scan_series_csv(path)
+        assert [str(issue) for issue in report.issues] == [
+            f"{path}:4 [value_ppb] not a number: 'abc'",
+            f"{path}:6 [timestamp] duplicate of {path}:5 (site C at 2018-01-01T02:00:00Z)",
+        ]
+
     def test_non_utc_timestamp_rejected(self, tmp_path):
         path = tmp_path / "tz.csv"
         write_rows(path, ["2018-01-01T00:00:00+02:00,a,10.0"])
@@ -178,7 +192,10 @@ class TestSeriesCsv:
         _, report = scan_series_csv(path)
         assert not report.ok
 
-    @settings(deadline=None, max_examples=200)
+    # not shrunk: shrinking a failure of these files took minutes and
+    # hundreds of MB, and the first failing example already names the fault
+    @settings(deadline=None, max_examples=200,
+              phases=(Phase.explicit, Phase.reuse, Phase.generate, Phase.target))
     @given(st.lists(_series_files, min_size=2, max_size=2),
            st.sampled_from(["one", "two", "same"]))
     # the bounds are in range, the 3-field check is exact, and of a

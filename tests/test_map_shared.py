@@ -2,13 +2,20 @@
 and `proxy-eval` commands that replay their sites through it."""
 
 import contextlib
+import dataclasses
+import errno
 import io
 import json
 import os
 import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import ozonet
+from ozonet import io as ozio
 from ozonet.cli import main
 from ozonet.io import map_shared
 from netsim_cases import monitor_network
@@ -38,24 +45,6 @@ class Rebuilt(Exception):
 
     def __init__(self, a, b):
         super().__init__(f"{a}{b}")
-
-
-UNPICKLED = []
-
-
-def _unpickled(item):
-    UNPICKLED.append(item)
-    return Noted(item)
-
-
-class Noted:
-    """Notes its item in UNPICKLED when it is unpickled."""
-
-    def __init__(self, item):
-        self.item = item
-
-    def __reduce__(self):
-        return _unpickled, (self.item,)
 
 
 class TestMapShared:
@@ -145,19 +134,6 @@ class TestMapShared:
             plain(job, range(4))
         assert type(caught.value).__name__ in ("Local", "Rebuilt")
 
-    def test_nothing_after_the_first_failure_is_unpickled(self, monkeypatch):
-        cpus(monkeypatch, 4)
-        UNPICKLED.clear()
-
-        def job(item):
-            if item == 6:
-                raise ValueError(item)
-            return Noted(item)
-
-        assert [noted.item for noted in map_shared(job, range(12))] == list(range(6))
-        # the workers' items before item 6 came back pickled; none after it did
-        assert UNPICKLED == [1, 2, 3, 5]
-
     @pytest.mark.parametrize("result", [lambda item: lambda: item,
                                         lambda item: Rebuilt(item, "!")])
     def test_a_result_that_cannot_cross_is_computed_here(self, monkeypatch, result):
@@ -166,7 +142,8 @@ class TestMapShared:
         def job(item):
             return result(item) if item == 3 else item
 
-        assert map_shared(job, range(6)) == [0, 1, 2]
+        # the worker's share is lost whole: its first item ends the results
+        assert map_shared(job, range(6)) == [0]
         assert plain(job, range(6))[4:] == [4, 5]
 
     def test_the_items_of_a_worker_that_dies_are_left_to_the_caller(self, monkeypatch):
@@ -322,3 +299,106 @@ class TestCommandsOnEveryCpuCount:
         assert code == 2 and stdout == ""
         assert stderr.startswith("error: cannot write output: ")
         assert sorted(files) == ["proxy_scores.csv"]
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs at least 2 CPUs for the commands to fork")
+@pytest.mark.parametrize("command", ["run", "proxy-eval"])
+def test_the_commands_fork_quietly_as_the_main_module(network, tmp_path, command):
+    # under `python -m ozonet.cli` the command module is __main__, where
+    # Python 3.12 shows its DeprecationWarning for a fork in a process with
+    # threads; the fork happens in ozonet.io, so nothing is shown
+    src = str(Path(ozonet.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [
+        src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-m", "ozonet.cli", command,
+                           str(network / "network.json"), "--out", str(tmp_path / "out")],
+                          capture_output=True, env=env, timeout=120)
+    assert (done.returncode, done.stderr) == (0, b"")
+
+
+# Each output write of `run` failing in turn, on a network of six sensors:
+# the chart write of one site, wherever it happens (in a worker's staging
+# directory or in place), and the move of that site's staged files into
+# place. On every CPU count the exit code, the messages and the files left
+# are those of the serial run, and no staging directory, temporary file or
+# worker is left behind.
+
+SIX = [f"S0{i}" for i in range(6)]
+NO_ROOM = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.fixture(scope="module")
+def six_sensors(tmp_path_factory):
+    """The config of a four-day network of six sensors, and the stdout and
+    files of a run of it that nothing fails."""
+    root = tmp_path_factory.mktemp("six")
+    scenario = monitor_network(False, duration_hours=24 * 4)
+    scenario = dataclasses.replace(scenario, sites=[
+        spec for spec in scenario.sites
+        if spec.record.role == "reference" or spec.record.site_id in SIX])
+    (root / "scenario.json").write_text(json.dumps(scenario.to_dict()))
+    assert main(["simulate", str(root / "scenario.json"), "--out", str(root / "sim")]) == 0
+    config = root / "sim" / "network.json"
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(["run", str(config), "--out", str(root / "clean")]) == 0
+    clean = {str(p.relative_to(root / "clean")): p.read_bytes()
+             for p in (root / "clean").rglob("*") if p.is_file()}
+    return config, stdout.getvalue(), clean
+
+
+def _fail(monkeypatch, where, site):
+    """Make `site`'s chart write raise halfway ("chart"), in this process and
+    in the workers it forks, or the move of its files out of the staging
+    directory ("move")."""
+    name = f"{site}.csv"
+    if where == "chart":
+        write = ozio.write_chart_csv
+
+        def write_chart_csv(path, rows):
+            if Path(path).name != name:
+                return write(path, rows)
+            with ozio.atomic_write(path) as handle:
+                handle.write(",".join(ozio.CHART_HEADER))
+                raise NO_ROOM
+
+        monkeypatch.setattr(ozio, "write_chart_csv", write_chart_csv)
+    else:
+        replace = os.replace
+
+        def staged_replace(src, dst):
+            if Path(src).name == name and Path(src).parent.parent.name.startswith(".run-"):
+                raise NO_ROOM
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", staged_replace)
+
+
+@pytest.mark.parametrize("earlier", [False, True])
+@pytest.mark.parametrize("where", ["chart", "move"])
+@pytest.mark.parametrize("k", range(len(SIX)))
+def test_each_write_failing_in_turn(six_sensors, tmp_path, monkeypatch, earlier, where, k):
+    config, clean_stdout, clean = six_sensors
+    # an earlier run's files: one in the place of each file that run writes
+    before = {name: f"an earlier run's {name}".encode() for name in clean} if earlier else {}
+    if where == "chart":
+        # the sites before it and its corrected file are written; then it fails
+        written = [f"corrected/{site}.csv" for site in SIX[:k + 1]] + [
+            f"charts/{site}.csv" for site in SIX[:k]]
+        want = (2, "", f"error: cannot write output: {NO_ROOM}\n",
+                {**before, **{name: clean[name] for name in written}})
+    else:
+        # the site replays in place instead, and the run succeeds
+        want = (0, clean_stdout, "", {**before, **clean})
+    _fail(monkeypatch, where, SIX[k])
+    for count in (1, 2, 4):
+        out = tmp_path / f"{count}"
+        for name, data in before.items():
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (out / name).write_bytes(data)
+        assert _outcome(monkeypatch, count, ["run", str(config)], out) == want, count
+        assert [p.name for p in out.rglob("*")
+                if p.name.startswith(".run-") or p.name.endswith(".tmp")] == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)

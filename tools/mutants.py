@@ -259,6 +259,10 @@ MUTANTS = [
            "[0-9]{4}-[0-9]{2}-", "[0-9]{4}-[0-9]{1,2}-",
            "test_timeseries.py::TestIsoHours::"
            "test_rejects_what_is_not_zero_padded_ascii[2018-1-05T05:00:00Z]"),
+    Mutant("scan_series_csv: a record numbered one line after the last one's start", "io.py",
+           "starts.append(reader.line_num + 1)", "starts.append(starts[-1] + 1)",
+           "test_io_cli.py::TestSeriesCsv::"
+           "test_a_record_that_spans_lines_is_numbered_by_its_first_line"),
     Mutant("scan_series_csv: of a duplicate (site, hour) the last row is kept", "io.py",
            "again[1:] = ", "again[:-1] = ",
            "test_io_cli.py::TestSeriesCsv::test_duplicate_reports_both_lines"),
