@@ -46,6 +46,7 @@ engines join a batch thus decides only how much work is shared, never a row.
 
 from __future__ import annotations
 
+import operator
 import threading
 import weakref
 from dataclasses import dataclass, field
@@ -60,7 +61,6 @@ from ozonet.timeseries import (
     VALUE_MAX,
     VALUE_MIN,
     TimeSeries,
-    to_epoch_hour,
     window_bounds,
     window_complete,
 )
@@ -190,8 +190,7 @@ def update_persistence(ledger: AlarmLedger, stamp, flags, th: Thresholds) -> Ala
     the clock. The latch sets once the condition has held for more than
     tf_hours evaluated hours, i.e. on hour tf_hours + 1 of an episode.
     """
-    if type(stamp) is not int:      # SiteEngine.step passes a converted stamp
-        stamp = to_epoch_hour(stamp)
+    stamp = operator.index(stamp)
     if ledger.last_stamp is not None and stamp <= ledger.last_stamp:
         raise ValueError(f"out-of-order update: {stamp} after {ledger.last_stamp}")
     ledger.last_stamp = stamp
@@ -238,12 +237,12 @@ class SiteRunResult:
         return self._shares[3]
 
     def output_series(self) -> TimeSeries:
-        pairs = [(r.stamp, r.output_value) for r in self.rows if r.output_value is not None]
-        return TimeSeries.from_pairs(self.site_id, pairs)
+        rows = [r for r in self.rows if r.output_value is not None]
+        return TimeSeries(self.site_id, [r.stamp for r in rows], [r.output_value for r in rows])
 
     def raw_series(self) -> TimeSeries:
-        pairs = [(r.stamp, r.raw_value) for r in self.rows if r.raw_value is not None]
-        return TimeSeries.from_pairs(self.site_id, pairs)
+        rows = [r for r in self.rows if r.raw_value is not None]
+        return TimeSeries(self.site_id, [r.stamp for r in rows], [r.raw_value for r in rows])
 
 
 def _trended(offset, gain):
@@ -291,7 +290,7 @@ class SiteEngine:
         the sensor window is degenerate. The trend is the one left after the
         latest estimate entered (None while the history is empty).
         """
-        stamp = to_epoch_hour(stamp)
+        stamp = operator.index(stamp)
         last_stamp = self.ledger.last_stamp
         if last_stamp is not None and stamp <= last_stamp:
             raise ValueError("steps must advance in time")
@@ -353,8 +352,8 @@ class SiteEngine:
         holds the engine's history rows as they stand at the end of the run.
         """
         if len(self.sensor):
-            first = to_epoch_hour(start) if start is not None else int(self.sensor.hours[0])
-            last = to_epoch_hour(end) if end is not None else int(self.sensor.hours[-1])
+            first = operator.index(start) if start is not None else int(self.sensor.hours[0])
+            last = operator.index(end) if end is not None else int(self.sensor.hours[-1])
         if not len(self.sensor) or first > last:
             # no hour to evaluate
             return SiteRunResult(self.site_id, list(self.ledger.history))

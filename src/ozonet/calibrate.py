@@ -30,7 +30,7 @@ import numpy as np
 
 from ozonet import kernels
 from ozonet.errors import DegenerateWindowError, InsufficientDataError
-from ozonet.timeseries import WindowSlice, to_epoch_hour
+from ozonet.timeseries import WindowSlice
 
 # Elapsed hours are rescaled before fitting so tau^4 sums stay well
 # conditioned over multi-month histories; 2^-10 is exact in binary.
@@ -261,7 +261,7 @@ class EstimateHistory:
         """
         if not self.stamps:
             raise InsufficientDataError("no raw estimates recorded")
-        stamp = to_epoch_hour(stamp)
+        stamp = operator.index(stamp)
         tau = float(min(stamp, self.stamps[-1]) - self.stamps[0])
         offset, gain, fitted = self._fit_at(tau, self.offsets[-1], self.gains[-1])
         if not fitted:

@@ -330,15 +330,16 @@ def cmd_map(args) -> int:
             raise ConfigError(str(exc)) from exc
 
     full = grid(points)
-    ozio.write_grid_csv(out / "grid.csv", full)
     panels = [("all sites", full)]
     if args.split:
         ref_points = [(r, v) for r, v in points if r.role == ROLE_REFERENCE]
         if not ref_points:
             raise ConfigError("--split needs at least one reporting reference site")
-        ref = grid(ref_points)
-        ozio.write_grid_csv(out / "grid_reference.csv", ref)
-        panels.insert(0, ("reference only", ref))
+        panels.insert(0, ("reference only", grid(ref_points)))
+    # every grid is made before any file is written: an input error leaves --out as it was
+    ozio.write_grid_csv(out / "grid.csv", full)
+    if args.split:
+        ozio.write_grid_csv(out / "grid_reference.csv", panels[0][1])
     heatmap_svg(panels, out / "map.svg",
                 sites=[(r.latitude, r.longitude) for r, _ in points])
     print(f"wrote {out / 'grid.csv'} and {out / 'map.svg'} "

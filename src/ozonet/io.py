@@ -275,7 +275,9 @@ def _read_csv(path: str):
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        line = data.count(b"\n", 0, exc.start) + 1
+        # the lines that csv.reader would count up to the bad byte's: a bare
+        # "\r" ends one too
+        line = len(StringIO(data[:exc.start].decode("utf-8") + "x", newline="").readlines())
         return SeriesIssue(path, line, "-", f"not UTF-8 text: {exc}")
     reader = csv.reader(StringIO(text, newline=""))
     records, starts = [], [1]

@@ -8,37 +8,23 @@ Series are immutable after construction and safe to share across threads.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
-from datetime import datetime, timedelta, timezone
+from datetime import datetime, timedelta
 
 import numpy as np
 
-SECONDS_PER_HOUR = 3600
 VALUE_MIN = -10.0   # slight negative allowed for instrument noise
 VALUE_MAX = 500.0
 
-# Naive datetimes read as UTC: epoch hours are whole hours since _EPOCH.
+# Epoch hours are whole hours since _EPOCH, in UTC.
 _EPOCH = datetime(1970, 1, 1)
 _HOUR = timedelta(hours=1)
 # The last hour that a stamp names, 9999-12-31T23:00:00Z.
 HOUR_MAX = (datetime(9999, 12, 31, 23) - _EPOCH) // _HOUR
 # The stamp syntax that parse_iso_hour reads, before strptime checks the date.
 _ISO_SYNTAX = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}Z")
-
-
-def to_epoch_hour(stamp) -> int:
-    """Convert an int epoch-hour or an hour-aligned UTC datetime to epoch hours."""
-    if isinstance(stamp, (int, np.integer)):
-        return int(stamp)
-    if isinstance(stamp, datetime):
-        if stamp.tzinfo is None:
-            stamp = stamp.replace(tzinfo=timezone.utc)
-        seconds = stamp.timestamp()
-        if seconds % SECONDS_PER_HOUR:
-            raise ValueError(f"timestamp {stamp!r} is not aligned to a whole hour")
-        return int(seconds // SECONDS_PER_HOUR)
-    raise TypeError(f"cannot interpret {type(stamp).__name__} as an epoch hour")
 
 
 def parse_iso_hour(text: str) -> int:
@@ -77,7 +63,10 @@ class TimeSeries:
     values: np.ndarray   # float64, finite
 
     def __post_init__(self):
-        hours = np.asarray(self.hours, dtype=np.int64)
+        hours = np.asarray(self.hours)
+        if hours.size and hours.dtype.kind not in "iu":
+            raise TypeError(f"hours must be integers, got {hours.dtype}")
+        hours = hours.astype(np.int64, copy=False)
         values = np.asarray(self.values, dtype=np.float64)
         if hours.shape != values.shape or hours.ndim != 1:
             raise ValueError("hours and values must be 1-d arrays of equal length")
@@ -89,15 +78,6 @@ class TimeSeries:
             raise ValueError(f"values outside plausible range [{VALUE_MIN}, {VALUE_MAX}]")
         object.__setattr__(self, "hours", hours)
         object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_pairs(cls, site_id: str, pairs) -> "TimeSeries":
-        """Build from an iterable of (timestamp, value); timestamps may be
-        epoch-hour ints or hour-aligned UTC datetimes."""
-        pairs = list(pairs)
-        hours = np.array([to_epoch_hour(t) for t, _ in pairs], dtype=np.int64)
-        values = np.array([v for _, v in pairs], dtype=np.float64)
-        return cls(site_id, hours, values)
 
     def __len__(self) -> int:
         return int(self.hours.size)
@@ -149,7 +129,7 @@ def window(series: TimeSeries, end, td_hours: int) -> WindowSlice:
     """Slice of `series` over (end - td_hours, end]. An empty window is valid."""
     if td_hours <= 0:
         raise ValueError("window length must be positive")
-    end = to_epoch_hour(end)
+    end = operator.index(end)
     start = end - int(td_hours)
     lo, hi = window_bounds(series.hours, end, int(td_hours)).tolist()
     return WindowSlice(series.site_id, start, end, series.hours[lo:hi], series.values[lo:hi])

@@ -150,6 +150,17 @@ class TestSeriesCsv:
             f"{path}:6 [timestamp] duplicate of {path}:5 (site C at 2018-01-01T02:00:00Z)",
         ]
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+    def test_a_bad_byte_is_numbered_as_every_other_issue(self, tmp_path, newline):
+        # the bad value is on line 4, after a record on lines 2 and 3
+        path = tmp_path / "s.csv"
+        for value, column in ((b"\xff", "-"), (b"x", "value_ppb")):
+            path.write_bytes(newline.join([
+                b"timestamp,site_id,value_ppb", b'2018-01-01T00:00:00Z,"A' + newline + b'B",1.0',
+                b"2018-01-01T01:00:00Z,C," + value, b""]))
+            _, report = scan_series_csv(path)
+            assert [(issue.line, issue.column) for issue in report.issues] == [(4, column)]
+
     def test_non_utc_timestamp_rejected(self, tmp_path):
         path = tmp_path / "tz.csv"
         write_rows(path, ["2018-01-01T00:00:00+02:00,a,10.0"])
@@ -1179,10 +1190,8 @@ class TestErrorExits:
                      "--split", "--out", str(out)]) == 1
         assert capsys.readouterr() == (
             "", "error: --split needs at least one reporting reference site\n")
-        # the all-sites grid is written before the split is tried
-        assert sorted(p.name for p in out.iterdir()) == ["grid.csv"]
-        with open(out / "grid.csv", newline="") as handle:
-            assert next(csv.reader(handle)) == ["lat", "lon", "value_ppb"]
+        # the split is tried before any grid is written
+        assert not out.exists()
 
 
 # Lines of generated series files for the commands: valid rows of two sites
@@ -1202,6 +1211,33 @@ _BAD_LINES = st.sampled_from([
     b"2018-01-26T02:00:00Z,S,nan", b"2018-01-26T02:00:00Z,S,1e400",
     b"2018-01-26T02:00:00Z,S,500.5", b"2018-01-26T02:00:00Z,S,-10.5",
     b"2018-01-26T03:00:00Z,S\xff,10", b"\xfe\xff"])
+
+# Values of map's flags that it takes, and values that each make it fail,
+# all that argparse reads: an hour with no row and stamps that are no hour;
+# boxes that are empty, short, not numbers or too large for the cap; cells
+# and powers that are not positive, not finite or too extreme. A default is
+# None.
+_MAP_GOOD = {"--hour": [format_iso_hour(421368 + hour) for hour in (0, 5, 11)],
+             "--bbox": [None, "33.9,34.2,-118.2,-117.9"], "--cell": [None, "0.05"],
+             "--power": [None, "1"]}
+_MAP_BAD = {"--hour": [format_iso_hour(421368 + 12), "2018-1-26T1:00:00Z",
+                       "2018-01-26T01:30:00Z", "x"],
+            "--bbox": ["34.2,33.9,-118.2,-117.9", "1,2,3", "nan,1,2,3", "a,b,c,d",
+                       "-90,90,-180,180"],
+            "--cell": ["0", "-1", "1e-7", "inf", "nan"],
+            "--power": ["0", "-3", "400", "nan"]}
+
+
+@st.composite
+def _map_flags(draw):
+    """map's flags, at most one of them bad, and --split or not."""
+    bad = draw(st.none() | st.sampled_from(list(_MAP_BAD)))
+    flags = []
+    for flag, good in _MAP_GOOD.items():
+        value = draw(st.sampled_from(_MAP_BAD[flag] if flag == bad else good))
+        if value is not None:
+            flags.append(f"{flag}={value}")
+    return flags + draw(st.sampled_from([[], ["--split"]]))
 
 
 class TestCommandsOnGeneratedSeries:
@@ -1280,6 +1316,52 @@ class TestCommandsOnGeneratedSeries:
         assert {p for p in root.rglob("*")
                 if p != out_dir and out_dir not in p.parents} == before
         assert out_dir.exists() == (code == 0)
+
+    @settings(deadline=None, max_examples=100)
+    @given(st.sets(st.integers(0, 11)), st.just(b"") | _BAD_LINES, _map_flags(), st.booleans())
+    def test_map_outcome_is_an_exit_code(self, tmp_path_factory, r_hours, bad_line, flags,
+                                         earlier):
+        # S reports every hour of the file, the reference R at `r_hours`, and
+        # one more line may break the format (b"" is a blank line). map exits
+        # 0 or 1, 1 whenever the file has an issue, with one error: line on
+        # stderr and nothing on stdout when it fails; no traceback, no file
+        # outside --out, and a failure leaves --out as it was: the files of
+        # an earlier run in it byte-identical, or no --out at all
+        root = tmp_path_factory.mktemp("net")
+        network = root / "network.json"
+        save_network_config(NetworkConfig(
+            sites=[SiteRecord("R", "r", "reference", 34.0, -118.0),
+                   SiteRecord("S", "s", "low-cost", 34.1, -118.1)],
+            series=["s.csv"]), network)
+        series = root / "s.csv"
+        lines = [_good_line((hour, site, 20.0 + hour)) for hour in range(12)
+                 for site in "RS" if site == "S" or hour in r_hours]
+        series.write_bytes(b"\n".join([b"timestamp,site_id,value_ppb", *lines, bad_line, b""]))
+        out_dir = root / "out"
+        if earlier:
+            out_dir.mkdir()
+            for name in ("grid.csv", "grid_reference.csv", "map.svg", "notes.txt"):
+                (out_dir / name).write_text(f"an earlier run's {name}")
+        before = {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["map", str(network), *flags, "--out", str(out_dir)])
+        err = stderr.getvalue()
+        assert code in (0, 1)
+        assert code == 1 or scan_series_csv(series)[1].ok
+        assert "Traceback" not in err
+        assert len(re.findall("^error: ", err, re.M)) == len(err.splitlines()) == code
+        if code:
+            assert stdout.getvalue() == ""
+            assert {p: p.read_bytes() if p.is_file() else None
+                    for p in root.rglob("*")} == before
+        else:
+            written = {out_dir / name for name in ("grid.csv", "map.svg")} | (
+                {out_dir / "grid_reference.csv"} if "--split" in flags else set())
+            assert set(root.rglob("*")) == {*before, out_dir, *written}
+            for path, data in before.items():
+                if data is not None:
+                    assert (path.read_bytes() == data) == (path not in written)
 
 
 class TestProxyEvalCommand:

@@ -16,6 +16,7 @@ import pytest
 
 import ozonet
 from ozonet import io as ozio
+from ozonet import svgout
 from ozonet.cli import main
 from ozonet.io import map_shared
 from netsim_cases import monitor_network
@@ -398,6 +399,71 @@ def test_each_write_failing_in_turn(six_sensors, tmp_path, monkeypatch, earlier,
             (out / name).parent.mkdir(parents=True, exist_ok=True)
             (out / name).write_bytes(data)
         assert _outcome(monkeypatch, count, ["run", str(config)], out) == want, count
+        assert [p.name for p in out.rglob("*")
+                if p.name.startswith(".run-") or p.name.endswith(".tmp")] == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+
+# The files each command writes last, after every site or pair has run,
+# failing in turn: `run`'s summary.csv (on the six sensors), and
+# proxy-eval's proxy_scores.csv and proxy_eval.svg (on the 32-day network,
+# whose references overlap long enough to be scored). Only this process
+# writes them; the outcome is still that of the serial run on every CPU
+# count.
+
+@pytest.fixture(scope="module")
+def scored(network):
+    """The config, stdout, stderr and files of a proxy-eval of the 32-day
+    network that nothing fails."""
+    config = network / "network.json"
+    out = network / "scored"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        assert main(["proxy-eval", str(config), "--out", str(out)]) == 0
+    return (config, stdout.getvalue(), stderr.getvalue(),
+            {p.name: p.read_bytes() for p in out.iterdir()})
+
+
+def _fail_last_write(monkeypatch, name):
+    """Make the write of the output file `name` raise once its text is
+    written, before it replaces the file: through the one atomic_write of
+    every CSV writer and of the SVG charts."""
+    real = ozio.atomic_write
+
+    @contextlib.contextmanager
+    def atomic_write(path, newline=None):
+        with real(path, newline) as handle:
+            yield handle
+            if Path(path).name == name:
+                raise NO_ROOM
+
+    monkeypatch.setattr(ozio, "atomic_write", atomic_write)
+    monkeypatch.setattr(svgout, "atomic_write", atomic_write)
+
+
+@pytest.mark.parametrize("earlier", [False, True])
+@pytest.mark.parametrize("name", ["summary.csv", "proxy_scores.csv", "proxy_eval.svg"])
+def test_each_last_write_failing(six_sensors, scored, tmp_path, monkeypatch, earlier, name):
+    if name == "summary.csv":
+        # every site's files are written and the table printed; then it fails
+        (config, stdout, clean), stderr, command = six_sensors, "", "run"
+        written = [file for file in clean if file != name]
+    else:
+        # the scores table is printed only after both files are written
+        (config, _, stderr, clean), stdout, command = scored, "", "proxy-eval"
+        written = ["proxy_scores.csv"] if name == "proxy_eval.svg" else []
+    # an earlier run's files: one in the place of each file the command writes
+    before = {file: f"an earlier run's {file}".encode() for file in clean} if earlier else {}
+    want = (2, stdout, f"{stderr}error: cannot write output: {NO_ROOM}\n",
+            {**before, **{file: clean[file] for file in written}})
+    _fail_last_write(monkeypatch, name)
+    for count in (1, 2, 4):
+        out = tmp_path / f"{count}"
+        for file, data in before.items():
+            (out / file).parent.mkdir(parents=True, exist_ok=True)
+            (out / file).write_bytes(data)
+        assert _outcome(monkeypatch, count, [command, str(config)], out) == want, count
         assert [p.name for p in out.rglob("*")
                 if p.name.startswith(".run-") or p.name.endswith(".tmp")] == []
         with pytest.raises(ChildProcessError):

@@ -8,7 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ozonet import TimeSeries, align, window
+from ozonet import (
+    AlarmLedger,
+    EstimateHistory,
+    SiteEngine,
+    Thresholds,
+    TimeSeries,
+    align,
+    update_persistence,
+    window,
+)
 from ozonet.timeseries import format_iso_hour, parse_iso_hour
 
 
@@ -34,16 +43,52 @@ class TestConstruction:
         with pytest.raises(ValueError, match="range"):
             TimeSeries("x", np.array([1]), np.array([900.0]))
 
-    def test_from_pairs_accepts_datetimes(self):
-        from datetime import datetime, timezone
-
-        ts = TimeSeries.from_pairs("x", [(datetime(2018, 1, 1, 5, tzinfo=timezone.utc), 12.0)])
-        assert ts.hours[0] * 3600 == datetime(2018, 1, 1, 5, tzinfo=timezone.utc).timestamp()
+    def test_rejects_hours_that_are_not_integers(self):
+        with pytest.raises(TypeError, match="hours must be integers"):
+            TimeSeries("x", [1.5, 2.5], [1.0, 2.0])
+        assert len(TimeSeries("x", [], [])) == 0
 
     def test_value_at(self):
         ts = hourly("x", 10, [1.0, 2.0, 3.0])
         assert ts.value_at(11) == 2.0
         assert ts.value_at(99) is None
+
+
+def _hour_entries():
+    """Each entry that takes an hour, as a call of that hour on fresh state,
+    giving something that compares by value."""
+    sensor = hourly("s", 0, [20.0 + h % 5 for h in range(10)])
+    proxy = hourly("p", 0, [21.0 + h % 4 for h in range(10)])
+
+    def engine():
+        return SiteEngine("s", sensor, proxy, Thresholds(td_hours=4, tf_hours=2))
+
+    history = EstimateHistory("s")
+    history.append(0, 1.0, 1.0)
+    return {
+        "SiteEngine.step": lambda hour: engine().step(hour),
+        "SiteEngine.run-start": lambda hour: engine().run(hour, 8).rows,
+        "SiteEngine.run-end": lambda hour: engine().run(0, hour).rows,
+        "update_persistence": lambda hour: update_persistence(
+            AlarmLedger("s"), hour, (True, False, None), Thresholds()),
+        "EstimateHistory.trend_at": history.trend_at,
+        "window": lambda hour: window(sensor, hour, 4).hours.tolist(),
+    }
+
+
+class TestHourEntries:
+    # an hour is an epoch-hour integer, a Python or a numpy one, at every entry
+    @pytest.mark.parametrize("hour", [datetime(2018, 1, 1), 5.0, "5"],
+                             ids=["datetime", "float", "str"])
+    @pytest.mark.parametrize("entry", list(_hour_entries()))
+    def test_rejects_what_is_not_an_integer(self, entry, hour):
+        with pytest.raises(TypeError):
+            _hour_entries()[entry](hour)
+
+    @pytest.mark.parametrize("entry", list(_hour_entries()))
+    def test_takes_a_numpy_integer_as_the_int(self, entry):
+        call = _hour_entries()[entry]
+        assert call(np.int64(5)) == call(5)
 
 
 class TestWindow:

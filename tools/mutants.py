@@ -294,6 +294,21 @@ MUTANTS = [
     Mutant("cmd_run: a site whose files fail to move is not replayed in place", "cli.py",
            "del rows[k:]", "pass",
            "test_map_shared.py::TestCommandsOnEveryCpuCount::test_same_failure_at_a_later_site"),
+    Mutant("cmd_run: the site whose files fail to move counted as moved", "cli.py",
+           "del rows[k:]", "del rows[k + 1:]",
+           "test_map_shared.py::test_each_write_failing_in_turn[2-move-False]"),
+    Mutant("cmd_run: the fallback in place skips the first site left", "cli.py",
+           "replays[len(rows):]", "replays[len(rows) + 1:]",
+           "test_map_shared.py::test_each_write_failing_in_turn[2-chart-False]"),
+    Mutant("SiteEngine.step: a float hour read as an int", "alarms.py",
+           "stamp = operator.index(stamp)\n        last_stamp = self.ledger.last_stamp",
+           "stamp = int(stamp)\n        last_stamp = self.ledger.last_stamp",
+           "test_timeseries.py::TestHourEntries::"
+           "test_rejects_what_is_not_an_integer[SiteEngine.step-float]"),
+    Mutant("_read_csv: a bad byte's line counted by \\n alone", "io.py",
+           'line = len(StringIO(data[:exc.start].decode("utf-8") + "x", newline="").readlines())',
+           'line = data.count(b"\\n", 0, exc.start) + 1',
+           "test_io_cli.py::TestSeriesCsv::test_a_bad_byte_is_numbered_as_every_other_issue[cr]"),
 ]
 
 
