@@ -203,6 +203,7 @@ class EstimateHistory:
 
         Returns the trend's (offset, gain), which `trend` then holds.
         """
+        stamp = operator.index(stamp)
         if not (math.isfinite(offset) and math.isfinite(gain) and gain >= 0):
             raise ValueError(_ESTIMATE_RULE)
         if self.stamps and stamp <= self.stamps[-1]:
@@ -223,7 +224,10 @@ class EstimateHistory:
         Returns (offset, gain) arrays: for each new estimate, what `append`
         returns for it.
         """
-        stamps = np.asarray(stamps, dtype=np.int64)
+        stamps = np.asarray(stamps)
+        if stamps.size and stamps.dtype.kind not in "iu":
+            raise TypeError(f"stamps must be integers, got {stamps.dtype}")
+        stamps = stamps.astype(np.int64, copy=False)
         offsets = np.asarray(offsets, dtype=np.float64)
         gains = np.asarray(gains, dtype=np.float64)
         if stamps.ndim != 1 or offsets.shape != stamps.shape or gains.shape != stamps.shape:

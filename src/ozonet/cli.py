@@ -13,7 +13,6 @@ import argparse
 import dataclasses
 import io
 import os
-import shutil
 import sys
 from pathlib import Path
 
@@ -152,36 +151,20 @@ def cmd_run(args) -> int:
         jobs[len(summary)] = (site.site_id, proxy_label, sensor, proxy_series)
         summary.append(None)
 
-    def replay(root, site_id, proxy_label, sensor, proxy_series):
+    def replay(site_id, proxy_label, sensor, proxy_series):
         result = SiteEngine(site_id, sensor, proxy_series, config.thresholds).run()
-        ozio.write_corrected_csv(root / "corrected" / f"{site_id}.csv", result.rows)
-        ozio.write_chart_csv(root / "charts" / f"{site_id}.csv", result.rows)
         note = "" if result.monitored else "no monitored hours"
-        return (site_id, proxy_label, result.monitored,
-                *result.alarm_fractions().values(), result.corrected_fraction(), note)
+        return (ozio.corrected_csv(result.rows), ozio.chart_csv(result.rows),
+                (site_id, proxy_label, result.monitored, *result.alarm_fractions().values(),
+                 result.corrected_fraction(), note))
 
-    # The sites replay over the CPUs into a staging directory, and their
-    # files move into place in config order up to the first site that failed
-    # there or fails to move. That site and those after it replay here,
-    # writing in place: a failure leaves the files and the message of a
-    # serial run, whatever the CPU count.
-    replays = list(jobs.values())
-    stage = out / f".run-{os.getpid()}"
-    try:
-        rows = ozio.map_shared(lambda job: replay(stage, *job), replays)
-        for k, (site_id, *_) in enumerate(replays[:len(rows)]):
-            try:
-                for name in (Path("corrected", f"{site_id}.csv"),
-                             Path("charts", f"{site_id}.csv")):
-                    (out / name).parent.mkdir(parents=True, exist_ok=True)
-                    os.replace(stage / name, out / name)
-            except OSError:
-                del rows[k:]
-                break
-    finally:
-        shutil.rmtree(stage, ignore_errors=True)
-    rows += [replay(out, *job) for job in replays[len(rows):]]
-    for index, row in zip(jobs, rows):
+    # The sites replay over the CPUs, and this process writes each site's
+    # files in config order as its replay comes in: a failure leaves the
+    # files and the message of a serial run, whatever the CPU count.
+    replays = ozio.map_shared(lambda job: replay(*job), jobs.values())
+    for index, (corrected, chart, row) in zip(jobs, replays):
+        ozio.write_text(out / "corrected" / f"{row[0]}.csv", corrected)
+        ozio.write_text(out / "charts" / f"{row[0]}.csv", chart)
         summary[index] = row
 
     header = (f"{'site':<14}{'proxy':<18}{'hours':>7}{'ks%':>7}{'a0%':>7}"
@@ -210,7 +193,7 @@ def cmd_proxy_eval(args) -> int:
 
     medians = {}
     outcomes = []       # a warning or a score per (reference, strategy), in loop order
-    jobs = {}           # outcome index -> (site id, strategy, test series, proxy series)
+    jobs = []           # (site id, strategy, test series, proxy series) of each None outcome
     for site in refs:
         test_series = series_map.get(site.site_id)
         if test_series is None:
@@ -224,7 +207,7 @@ def cmd_proxy_eval(args) -> int:
             if proxy_series is None or not len(proxy_series):
                 outcomes.append(f"warning: {strategy} proxy for {site.site_id} has no data")
                 continue
-            jobs[len(outcomes)] = (site.site_id, strategy, test_series, proxy_series)
+            jobs.append((site.site_id, strategy, test_series, proxy_series))
             outcomes.append(None)
 
     def score(site_id, strategy, test_series, proxy_series):
@@ -233,13 +216,13 @@ def cmd_proxy_eval(args) -> int:
         except InsufficientDataError as exc:
             return f"warning: {site_id}/{strategy}: {exc}"
 
-    # pairs from the first that failed over the CPUs on are scored here, in
-    # order, so that a failure follows the warnings a serial run prints
-    done = dict(zip(jobs, ozio.map_shared(lambda job: score(*job), jobs.values())))
+    # each score comes in its pair's place among the warnings, so that a
+    # failure follows the warnings a serial run prints
+    scored = ozio.map_shared(lambda job: score(*job), jobs)
     scores = []
-    for index, outcome in enumerate(outcomes):
-        if index in jobs:
-            outcome = done[index] if index in done else score(*jobs[index])
+    for outcome in outcomes:
+        if outcome is None:
+            outcome = next(scored)
         if isinstance(outcome, str):
             print(outcome, file=sys.stderr)
         else:

@@ -1,5 +1,6 @@
 """File formats: series CSV, network configuration, result exports; and
-map_shared, which deals per-site jobs over forked workers.
+map_shared, which deals per-site jobs over forked workers that only
+compute: the caller writes the texts they return (write_text).
 
 The series format is a plain CSV with header `timestamp,site_id,value_ppb`;
 timestamps are ISO-8601 UTC on whole hours (YYYY-MM-DDTHH:00:00Z). Input
@@ -95,20 +96,20 @@ def atomic_write(path, newline=None):
 # where Python 3.12's DeprecationWarning for a fork in a process with threads
 # (numpy's BLAS pool) would show on stderr by default. Forked, not spawned:
 # a spawned worker would import numpy and ozonet again and be sent the series.
-def map_shared(job, items) -> list:
-    """[job(item) for item in items], cut short at the first item whose job
-    raised, the items dealt over the CPUs this process may use.
+def map_shared(job, items):
+    """An iterator over the values of map(job, items) that raises where map
+    raises, the items dealt over the CPUs this process may use.
 
     n = min(CPUs, items), at least 1: n - 1 forked workers take items[k::n]
-    (k = 1 .. n-1) and this process takes items[0::n]. Each stops at its
-    first exception. A worker sends its results over a pipe as one pickle,
-    then leaves through os._exit: it never flushes this process's buffers
-    or runs its exit handlers. A worker that could not be started, died, or
-    whose results could not be pickled and unpickled sends none. The results
-    come back in item order up to the first item that has none, and the
-    exception is dropped: the caller runs the items from there on itself,
-    so that a failure is raised where and as the plain loop raises it.
-    Every worker is read and reaped before this returns or raises.
+    (k = 1 .. n-1) and this process takes items[0::n]. Each share stops at
+    its first exception. A worker sends its results over a pipe as one
+    pickle, then leaves through os._exit: it never flushes this process's
+    buffers or runs its exit handlers. A worker that could not be started,
+    died, or whose results could not be pickled and unpickled sends none.
+    The iterator yields the results in item order up to the first item that
+    has none, the exception dropped; from there on it runs `job` here,
+    lazily, as map does. Every worker is read and reaped before this
+    returns or raises.
     """
     items = list(items)
     try:
@@ -140,7 +141,7 @@ def map_shared(job, items) -> list:
         if j == len(shares[k]):
             break
         results.append(shares[k][j])
-    return results
+    return itertools.chain(results, map(job, items[len(results):]))
 
 
 def _run_share(job, share) -> list:
@@ -197,15 +198,21 @@ def _csv_field(text: str) -> str:
     return text
 
 
-def _write_columns(path, header, blocks, end="\r\n"):
-    """CSV under `header` of each block of `blocks` in turn, a block being
-    one sequence of strings per field. Fields are written as given, so one
-    that needs quoting must come through _csv_field; lines end in `end`,
-    by default in "\r\n", as csv.writer ends them."""
+def _columns_text(header, blocks, end="\r\n"):
+    """CSV under `header` of each block of `blocks` in turn, a block being one
+    sequence of strings per field, as the header line and a str per block.
+    Fields are taken as given, so one that needs quoting must come through
+    _csv_field; lines end in `end`, by default in "\r\n", as csv.writer does."""
+    yield ",".join(header) + end
+    for columns in blocks:
+        yield end.join([*map(",".join, zip(*columns)), ""])
+
+
+def write_text(path, text):
+    """Write `text`, a str or an iterable of strs (a file too long to hold as
+    one), to `path` as it stands, through atomic_write."""
     with atomic_write(path, newline="") as handle:
-        handle.write(",".join(header) + end)
-        for columns in blocks:
-            handle.write(end.join([*map(",".join, zip(*columns)), ""]))
+        handle.writelines([text] if isinstance(text, str) else text)
 
 
 # ---------------------------------------------------------------- series CSV
@@ -418,56 +425,64 @@ def read_series_csv(paths) -> dict:
 
 def write_series_csv(path, series_map: dict):
     """Write all series sorted by (site_id, timestamp), one block per site."""
-    _write_columns(path, SERIES_HEADER, (
+    write_text(path, _columns_text(SERIES_HEADER, (
         (list(map(_iso_hour, ts.hours.tolist())), itertools.repeat(_csv_field(site_id)),
          [f"{v:.4f}" for v in ts.values.tolist()])
-        for site_id, ts in sorted(series_map.items())))
+        for site_id, ts in sorted(series_map.items()))))
 
 
 # ------------------------------------------------------------ result exports
 
-def write_chart_csv(path, rows):
-    """Control-chart history export, one row per stepped hour: the
-    HistoryRow fields in order, without the status."""
+def chart_csv(rows) -> str:
+    """Control-chart history text, one row per stepped hour: the HistoryRow
+    fields in order, without the status."""
     columns = list(zip(*rows)) or [()] * len(HistoryRow._fields)
-    _write_columns(path, CHART_HEADER, [[
+    return "".join(_columns_text(CHART_HEADER, [[
         list(map(_iso_hour, columns[0])), *map(_stats, columns[2:7]),
-        *map(_flags, columns[7:14]), *map(_stats, columns[14:])]])
+        *map(_flags, columns[7:14]), *map(_stats, columns[14:])]]))
+
+
+def corrected_csv(rows) -> str:
+    """Per-site corrected output text; hours without a sensor reading are gaps."""
+    rows = [r for r in rows if r.raw_value is not None]
+    stamp, *_, corrected, raw, output = list(zip(*rows)) or [()] * len(HistoryRow._fields)
+    return "".join(_columns_text(CORRECTED_HEADER, [[
+        list(map(_iso_hour, stamp)), [f"{v:.4f}" for v in raw], [f"{v:.4f}" for v in output],
+        _flags(corrected)]]))
+
+
+def write_chart_csv(path, rows):
+    write_text(path, chart_csv(rows))
 
 
 def write_corrected_csv(path, rows):
-    """Per-site corrected output; hours without a sensor reading are gaps."""
-    rows = [r for r in rows if r.raw_value is not None]
-    stamp, *_, corrected, raw, output = list(zip(*rows)) or [()] * len(HistoryRow._fields)
-    _write_columns(path, CORRECTED_HEADER, [[
-        list(map(_iso_hour, stamp)), [f"{v:.4f}" for v in raw], [f"{v:.4f}" for v in output],
-        _flags(corrected)]])
+    write_text(path, corrected_csv(rows))
 
 
 def write_proxy_scores_csv(path, scores):
     """One row per scored (reference site, strategy) pair, in `scores` order."""
-    _write_columns(path, PROXY_SCORE_HEADER, [zip(*(
+    write_text(path, _columns_text(PROXY_SCORE_HEADER, [zip(*(
         (_csv_field(s.site_id), _csv_field(s.strategy),
          *(f"{v:.4f}" for v in (s.alarm_fraction_ks, s.alarm_fraction_offset,
                                 s.alarm_fraction_gain, s.corrected_fraction, s.mab)),
-         "" if s.r2 is None else f"{s.r2:.4f}", str(s.monitored_hours)) for s in scores))])
+         "" if s.r2 is None else f"{s.r2:.4f}", str(s.monitored_hours)) for s in scores))]))
 
 
 def write_grid_csv(path, grid):
     """One row per cell of `grid`, row-major."""
     lats, lons = ([f"{v:.6f}" for v in axis.tolist()] for axis in (grid.lats, grid.lons))
-    _write_columns(path, ["lat", "lon", "value_ppb"], [[
+    write_text(path, _columns_text(["lat", "lon", "value_ppb"], [[
         [lat for lat in lats for _ in lons], lons * len(lats),
-        [f"{v:.4f}" for v in grid.values.ravel().tolist()]]])
+        [f"{v:.4f}" for v in grid.values.ravel().tolist()]]]))
 
 
 def write_summary_csv(path, summary):
     """The summary of `run`, one row per low-cost site: (site_id, proxy,
     monitored_hours, the three alarm fractions, the corrected fraction,
     note). Its lines end in "\n"."""
-    _write_columns(path, SUMMARY_HEADER, [zip(*(
+    write_text(path, _columns_text(SUMMARY_HEADER, [zip(*(
         (_csv_field(sid), _csv_field(proxy), str(hours), *(f"{v:.4f}" for v in fractions),
-         _csv_field(note)) for sid, proxy, hours, *fractions, note in summary))], end="\n")
+         _csv_field(note)) for sid, proxy, hours, *fractions, note in summary))], end="\n"))
 
 
 def write_json(path, payload: dict):

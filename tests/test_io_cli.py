@@ -1246,12 +1246,13 @@ class TestCommandsOnGeneratedSeries:
            # clean files too, so that run gets past the reader
            | st.lists(_good_rows, min_size=1, max_size=24, unique_by=lambda row: row[:2]).map(
                lambda rows: list(map(_good_line, rows))),
-           st.sampled_from([b"\n", b"\r\n"]))
-    def test_every_outcome_is_an_exit_code(self, tmp_path_factory, lines, newline):
+           st.sampled_from([b"\n", b"\r\n"]), st.booleans())
+    def test_every_outcome_is_an_exit_code(self, tmp_path_factory, lines, newline, earlier):
         # validate exits 0 or 1 and prints its issues as error: lines on
         # stdout; run exits 1 exactly when validate does, else 0 or 2, with
-        # one error: line on stderr when it fails; no traceback, and no file
-        # outside --out
+        # one error: line on stderr when it fails; no traceback, no file
+        # outside --out, and an input error leaves --out as it was: the files
+        # of an earlier run in it byte-identical, or no --out at all
         root = tmp_path_factory.mktemp("net")
         network = root / "network.json"
         save_network_config(NetworkConfig(
@@ -1260,7 +1261,12 @@ class TestCommandsOnGeneratedSeries:
             thresholds=Thresholds(td_hours=4, tf_hours=2), series=["s.csv"]), network)
         (root / "s.csv").write_bytes(newline.join([b"timestamp,site_id,value_ppb", *lines])
                                      + newline)
-        before, out_dir = set(root.rglob("*")), root / "out"
+        out_dir = root / "out"
+        if earlier:
+            for name in ("summary.csv", "charts/S.csv", "corrected/S.csv", "notes.txt"):
+                (out_dir / name).parent.mkdir(parents=True, exist_ok=True)
+                (out_dir / name).write_text(f"an earlier run's {name}")
+        before = {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
         outcome = {}
         for command, extra in (("validate", []), ("run", ["--out", str(out_dir)])):
             stdout, stderr = io.StringIO(), io.StringIO()
@@ -1276,22 +1282,33 @@ class TestCommandsOnGeneratedSeries:
         assert "Traceback" not in err
         errors = [line for line in err.splitlines() if line.startswith("error: ")]
         assert len(errors) == (code != 0)
-        assert {p for p in root.rglob("*")
-                if p != out_dir and out_dir not in p.parents} == before
-        assert out_dir.exists() == (code != 1)
+        after = {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+        if code == 1:
+            assert after == before
+        else:
+            # S's files when it was monitored, and the summary either way
+            written = {out_dir / "summary.csv"} | ({
+                out_dir / "charts" / "S.csv", out_dir / "corrected" / "S.csv"} if code == 0
+                else set())
+            assert set(after) == {*before, *written, *(path.parent for path in written)}
+            for path, data in before.items():
+                if data is not None:
+                    assert (after[path] == data) == (path not in written)
 
     @settings(deadline=None, max_examples=25)
     @given(st.lists(_good_rows.map(_good_line) | _BAD_LINES, max_size=8)
            | st.lists(_good_rows, max_size=8, unique_by=lambda row: row[:2]).map(
                lambda rows: list(map(_good_line, rows))),
-           st.sampled_from([0, 24, 744]), st.sampled_from([b"\n", b"\r\n"]))
+           st.sampled_from([0, 24, 744]), st.sampled_from([b"\n", b"\r\n"]), st.booleans())
     def test_proxy_eval_outcome_is_an_exit_code(self, tmp_path_factory, lines, clean_hours,
-                                                newline):
+                                                newline, earlier):
         # two references R and S, each with `clean_hours` valid rows after the
         # generated lines' hours: proxy-eval exits 1 exactly when the file
         # has an issue, else 0 or 2 (2 when no pair overlaps enough), with
         # warning: lines and, when it fails, one error: line on stderr; no
-        # traceback, and no file outside --out
+        # traceback, no file outside --out, and a failure leaves --out as it
+        # was: the files of an earlier run in it byte-identical, or no --out
+        # at all
         root = tmp_path_factory.mktemp("net")
         network = root / "network.json"
         save_network_config(NetworkConfig(
@@ -1303,7 +1320,12 @@ class TestCommandsOnGeneratedSeries:
         series = root / "s.csv"
         series.write_bytes(newline.join([b"timestamp,site_id,value_ppb", *lines, *clean])
                            + newline)
-        before, out_dir = set(root.rglob("*")), root / "out"
+        out_dir = root / "out"
+        if earlier:
+            out_dir.mkdir()
+            for name in ("proxy_scores.csv", "proxy_eval.svg", "notes.txt"):
+                (out_dir / name).write_text(f"an earlier run's {name}")
+        before = {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(["proxy-eval", str(network), "--out", str(out_dir)])
@@ -1313,9 +1335,15 @@ class TestCommandsOnGeneratedSeries:
         assert "Traceback" not in err
         assert all(line.startswith(("warning: ", "error: ")) for line in err.splitlines())
         assert len(re.findall("^error: ", err, re.M)) == (code != 0)
-        assert {p for p in root.rglob("*")
-                if p != out_dir and out_dir not in p.parents} == before
-        assert out_dir.exists() == (code == 0)
+        after = {p: p.read_bytes() if p.is_file() else None for p in root.rglob("*")}
+        if code:
+            assert after == before
+        else:
+            written = {out_dir / "proxy_scores.csv", out_dir / "proxy_eval.svg"}
+            assert set(after) == {*before, out_dir, *written}
+            for path, data in before.items():
+                if data is not None:
+                    assert (after[path] == data) == (path not in written)
 
     @settings(deadline=None, max_examples=100)
     @given(st.sets(st.integers(0, 11)), st.just(b"") | _BAD_LINES, _map_flags(), st.booleans())

@@ -33,12 +33,16 @@ def cpus(monkeypatch, count):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
 
 
-def plain(job, items):
-    """map_shared finished as the commands finish it: the items from the
-    first without a result on run here, so that this is the plain loop."""
-    items = list(items)
-    done = map_shared(job, items)
-    return done + [job(item) for item in items[len(done):]]
+def drained(values):
+    """The values an iterator gives before it raises, and what it raises as
+    (type, args), or None."""
+    taken = []
+    try:
+        for value in values:
+            taken.append(value)
+    except Exception as exc:
+        return taken, (type(exc), exc.args)
+    return taken, None
 
 
 class Rebuilt(Exception):
@@ -54,7 +58,7 @@ class TestMapShared:
     def test_results_in_item_order(self, monkeypatch, count, size):
         cpus(monkeypatch, count)
         parent = os.getpid()
-        results = map_shared(lambda item: (item * item, os.getpid()), range(size))
+        results = list(map_shared(lambda item: (item * item, os.getpid()), range(size)))
         assert [value for value, _ in results] == [i * i for i in range(size)]
         # item i ran in share i % n, and share 0 is this process's own
         n = min(count, size)
@@ -62,6 +66,40 @@ class TestMapShared:
         assert all(pid == parent for pid in pids[0::max(n, 1)])
         assert len({*pids[:n]}) == n
         assert all(pids[i] == pids[i % n] for i in range(size))
+
+    @pytest.mark.parametrize("count", [1, 2, 4])
+    @pytest.mark.parametrize("at", [None, *range(9)])
+    def test_equals_map_with_a_failure_anywhere(self, monkeypatch, count, at):
+        # the same values, then the same exception, as map gives
+        cpus(monkeypatch, count)
+
+        def job(item):
+            return 100 // (item - at) if at is not None else item
+
+        assert drained(map_shared(job, range(9))) == drained(map(job, range(9)))
+
+    def test_every_worker_is_reaped_before_it_returns(self, monkeypatch):
+        cpus(monkeypatch, 4)
+        values = map_shared(lambda item: (item, os.getpid()), range(8))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len({pid for _, pid in values}) == 4
+
+    def test_the_items_from_the_first_without_a_result_run_lazily(self, monkeypatch):
+        cpus(monkeypatch, 1)
+        calls = []
+
+        def job(item):
+            calls.append(item)
+            return 10 // (item - 2)
+
+        values = map_shared(job, range(6))
+        assert calls == [0, 1, 2]           # this process's share, up to its failure
+        assert [next(values), next(values)] == [-5, -10]
+        assert calls == [0, 1, 2]
+        with pytest.raises(ZeroDivisionError):
+            next(values)
+        assert calls == [0, 1, 2, 2]
 
     @pytest.mark.parametrize("count, size", [(1, 5), (4, 1), (4, 0)])
     def test_one_cpu_or_one_item_never_forks(self, monkeypatch, count, size):
@@ -71,11 +109,11 @@ class TestMapShared:
             raise AssertionError("forked")
 
         monkeypatch.setattr(os, "fork", no_fork)
-        assert map_shared(str, range(size)) == [str(i) for i in range(size)]
+        assert list(map_shared(str, range(size))) == [str(i) for i in range(size)]
 
     def test_a_platform_without_affinity_runs_the_plain_loop(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity")
-        assert map_shared(str, range(3)) == ["0", "1", "2"]
+        assert list(map_shared(str, range(3))) == ["0", "1", "2"]
 
     @pytest.mark.parametrize("count, failing, first", [
         (2, {1, 2}, 1),         # a worker's item before the parent's
@@ -95,10 +133,7 @@ class TestMapShared:
                 raise ValueError(item)
             return item
 
-        assert map_shared(job, range(10)) == list(range(first))
-        with pytest.raises(ValueError) as caught:
-            plain(job, range(10))
-        assert caught.value.args == (first,)
+        assert drained(map_shared(job, range(10))) == (list(range(first)), (ValueError, (first,)))
 
     @pytest.mark.parametrize("count, first", [(2, 0), (2, 1), (4, 2)])
     def test_an_unpicklable_failure_does_not_mask_an_earlier_one(self, monkeypatch, count,
@@ -117,9 +152,7 @@ class TestMapShared:
                 raise Local(item)
             return item
 
-        with pytest.raises(KeyError) as caught:
-            plain(job, range(8))
-        assert caught.value.args == (first,)
+        assert drained(map_shared(job, range(8))) == (list(range(first)), (KeyError, (first,)))
 
     @pytest.mark.parametrize("error", [
         lambda item: type("Local", (Exception,), {})(item), lambda item: Rebuilt(item, "!")])
@@ -132,20 +165,22 @@ class TestMapShared:
             return item
 
         with pytest.raises(Exception, match=r"^1!?$") as caught:
-            plain(job, range(4))
+            list(map_shared(job, range(4)))
         assert type(caught.value).__name__ in ("Local", "Rebuilt")
 
     @pytest.mark.parametrize("result", [lambda item: lambda: item,
                                         lambda item: Rebuilt(item, "!")])
     def test_a_result_that_cannot_cross_is_computed_here(self, monkeypatch, result):
         cpus(monkeypatch, 2)
+        parent = os.getpid()
 
         def job(item):
-            return result(item) if item == 3 else item
+            return result(item) if item == 3 else (item, os.getpid())
 
-        # the worker's share is lost whole: its first item ends the results
-        assert map_shared(job, range(6)) == [0]
-        assert plain(job, range(6))[4:] == [4, 5]
+        # the worker's share is lost whole: every item from its first on ran here
+        values = list(map_shared(job, range(6)))
+        assert values[:3] + values[4:] == [(i, parent) for i in (0, 1, 2, 4, 5)]
+        assert type(values[3]) is type(result(3))
 
     def test_the_items_of_a_worker_that_dies_are_left_to_the_caller(self, monkeypatch):
         cpus(monkeypatch, 2)
@@ -154,17 +189,17 @@ class TestMapShared:
         def job(item):
             if item == 3 and os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGKILL)
-            return item
+            return item, os.getpid()
 
-        # the worker's share is lost whole: its first item ends the results
-        assert map_shared(job, range(6)) == [0]
-        assert plain(job, range(6)) == list(range(6))
+        # the worker's share is lost whole: every item from its first on ran here
+        assert list(map_shared(job, range(6))) == [(i, parent) for i in range(6)]
 
     def test_the_items_of_a_worker_that_cannot_start_are_left_to_the_caller(self,
                                                                              monkeypatch):
         cpus(monkeypatch, 4)
         fork = os.fork
         forks = []
+        parent = os.getpid()
 
         def one_fork():
             if forks:
@@ -173,8 +208,9 @@ class TestMapShared:
             return forks[-1]
 
         monkeypatch.setattr(os, "fork", one_fork)
-        assert map_shared(str, range(8)) == ["0", "1"]
-        assert plain(str, range(8)) == [str(i) for i in range(8)]
+        # items 0 and 1 come from the two shares that ran, the rest ran here
+        assert list(map_shared(lambda item: (item, os.getpid()), range(8))) == [
+            (i, forks[0] if i == 1 else parent) for i in range(8)]
 
     def test_failure_in_the_parent_still_reaps_every_worker(self, monkeypatch):
         cpus(monkeypatch, 4)
@@ -185,7 +221,10 @@ class TestMapShared:
             return item
 
         parent = os.getpid()
-        assert map_shared(job, range(12)) == []
+        values = map_shared(job, range(12))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert drained(values) == ([], (ZeroDivisionError, (0,)))
 
     def test_an_interrupt_in_the_parent_still_reaps_every_worker(self, monkeypatch):
         cpus(monkeypatch, 4)
@@ -319,11 +358,11 @@ def test_the_commands_fork_quietly_as_the_main_module(network, tmp_path, command
 
 
 # Each output write of `run` failing in turn, on a network of six sensors:
-# the chart write of one site, wherever it happens (in a worker's staging
-# directory or in place), and the move of that site's staged files into
-# place. On every CPU count the exit code, the messages and the files left
-# are those of the serial run, and no staging directory, temporary file or
-# worker is left behind.
+# the chart text of one site failing halfway through its write, and the
+# move of that site's corrected file from its temporary file into place.
+# This process writes every file, whatever the CPU count; on every count the
+# exit code, the messages and the files left are those of the serial run,
+# and no temporary file or worker is left behind.
 
 SIX = [f"S0{i}" for i in range(6)]
 NO_ROOM = OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
@@ -350,30 +389,28 @@ def six_sensors(tmp_path_factory):
 
 
 def _fail(monkeypatch, where, site):
-    """Make `site`'s chart write raise halfway ("chart"), in this process and
-    in the workers it forks, or the move of its files out of the staging
-    directory ("move")."""
-    name = f"{site}.csv"
+    """Make `site`'s chart write raise halfway ("chart"), or the move of its
+    corrected file into place ("move")."""
     if where == "chart":
-        write = ozio.write_chart_csv
+        write = ozio.write_text
 
-        def write_chart_csv(path, rows):
-            if Path(path).name != name:
-                return write(path, rows)
+        def write_text(path, text):
+            if Path(path).parts[-2:] != ("charts", f"{site}.csv"):
+                return write(path, text)
             with ozio.atomic_write(path) as handle:
                 handle.write(",".join(ozio.CHART_HEADER))
                 raise NO_ROOM
 
-        monkeypatch.setattr(ozio, "write_chart_csv", write_chart_csv)
+        monkeypatch.setattr(ozio, "write_text", write_text)
     else:
         replace = os.replace
 
-        def staged_replace(src, dst):
-            if Path(src).name == name and Path(src).parent.parent.name.startswith(".run-"):
+        def corrected_replace(src, dst):
+            if Path(dst).parts[-2:] == ("corrected", f"{site}.csv"):
                 raise NO_ROOM
             replace(src, dst)
 
-        monkeypatch.setattr(os, "replace", staged_replace)
+        monkeypatch.setattr(os, "replace", corrected_replace)
 
 
 @pytest.mark.parametrize("earlier", [False, True])
@@ -383,15 +420,12 @@ def test_each_write_failing_in_turn(six_sensors, tmp_path, monkeypatch, earlier,
     config, clean_stdout, clean = six_sensors
     # an earlier run's files: one in the place of each file that run writes
     before = {name: f"an earlier run's {name}".encode() for name in clean} if earlier else {}
-    if where == "chart":
-        # the sites before it and its corrected file are written; then it fails
-        written = [f"corrected/{site}.csv" for site in SIX[:k + 1]] + [
-            f"charts/{site}.csv" for site in SIX[:k]]
-        want = (2, "", f"error: cannot write output: {NO_ROOM}\n",
-                {**before, **{name: clean[name] for name in written}})
-    else:
-        # the site replays in place instead, and the run succeeds
-        want = (0, clean_stdout, "", {**before, **clean})
+    # the sites before it are written, and its corrected file when its chart
+    # fails; then it fails
+    written = [f"corrected/{site}.csv" for site in SIX[:k + (where == "chart")]] + [
+        f"charts/{site}.csv" for site in SIX[:k]]
+    want = (2, "", f"error: cannot write output: {NO_ROOM}\n",
+            {**before, **{name: clean[name] for name in written}})
     _fail(monkeypatch, where, SIX[k])
     for count in (1, 2, 4):
         out = tmp_path / f"{count}"
@@ -399,8 +433,7 @@ def test_each_write_failing_in_turn(six_sensors, tmp_path, monkeypatch, earlier,
             (out / name).parent.mkdir(parents=True, exist_ok=True)
             (out / name).write_bytes(data)
         assert _outcome(monkeypatch, count, ["run", str(config)], out) == want, count
-        assert [p.name for p in out.rglob("*")
-                if p.name.startswith(".run-") or p.name.endswith(".tmp")] == []
+        assert list(out.rglob(".*")) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -464,7 +497,6 @@ def test_each_last_write_failing(six_sensors, scored, tmp_path, monkeypatch, ear
             (out / file).parent.mkdir(parents=True, exist_ok=True)
             (out / file).write_bytes(data)
         assert _outcome(monkeypatch, count, [command, str(config)], out) == want, count
-        assert [p.name for p in out.rglob("*")
-                if p.name.startswith(".run-") or p.name.endswith(".tmp")] == []
+        assert list(out.rglob(".*")) == []
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)

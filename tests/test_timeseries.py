@@ -63,15 +63,21 @@ def _hour_entries():
     def engine():
         return SiteEngine("s", sensor, proxy, Thresholds(td_hours=4, tf_hours=2))
 
-    history = EstimateHistory("s")
-    history.append(0, 1.0, 1.0)
+    def history():
+        estimates = EstimateHistory("s")
+        estimates.append(0, 1.0, 1.0)
+        return estimates
+
     return {
         "SiteEngine.step": lambda hour: engine().step(hour),
         "SiteEngine.run-start": lambda hour: engine().run(hour, 8).rows,
         "SiteEngine.run-end": lambda hour: engine().run(0, hour).rows,
         "update_persistence": lambda hour: update_persistence(
             AlarmLedger("s"), hour, (True, False, None), Thresholds()),
-        "EstimateHistory.trend_at": history.trend_at,
+        "EstimateHistory.trend_at": history().trend_at,
+        "EstimateHistory.append": lambda hour: history().append(hour, 2.0, 1.0),
+        "EstimateHistory.extend": lambda hour: [
+            a.tolist() for a in history().extend([hour], [2.0], [1.0])],
         "window": lambda hour: window(sensor, hour, 4).hours.tolist(),
     }
 

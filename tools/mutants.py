@@ -291,20 +291,35 @@ MUTANTS = [
     Mutant("map_shared: the parent's own share skipped", "io.py",
            "_run_share(job, items[0::n])", "_run_share(job, [])",
            "test_map_shared.py::TestMapShared::test_results_in_item_order[3-2]"),
-    Mutant("cmd_run: a site whose files fail to move is not replayed in place", "cli.py",
-           "del rows[k:]", "pass",
-           "test_map_shared.py::TestCommandsOnEveryCpuCount::test_same_failure_at_a_later_site"),
-    Mutant("cmd_run: the site whose files fail to move counted as moved", "cli.py",
-           "del rows[k:]", "del rows[k + 1:]",
-           "test_map_shared.py::test_each_write_failing_in_turn[2-move-False]"),
-    Mutant("cmd_run: the fallback in place skips the first site left", "cli.py",
-           "replays[len(rows):]", "replays[len(rows) + 1:]",
+    Mutant("map_shared: the lazy tail skips the first item left", "io.py",
+           "items[len(results):]", "items[len(results) + 1:]",
+           "test_map_shared.py::TestMapShared::"
+           "test_the_items_of_a_worker_that_dies_are_left_to_the_caller"),
+    Mutant("map_shared: results taken past the first item that has none", "io.py",
+           "if j == len(shares[k]):\n            break",
+           "if j >= len(shares[k]):\n            continue",
+           "test_map_shared.py::TestMapShared::"
+           "test_the_items_of_a_worker_that_dies_are_left_to_the_caller"),
+    Mutant("cmd_run: a site's chart written before its corrected file", "cli.py",
+           '        ozio.write_text(out / "corrected" / f"{row[0]}.csv", corrected)\n'
+           '        ozio.write_text(out / "charts" / f"{row[0]}.csv", chart)',
+           '        ozio.write_text(out / "charts" / f"{row[0]}.csv", chart)\n'
+           '        ozio.write_text(out / "corrected" / f"{row[0]}.csv", corrected)',
            "test_map_shared.py::test_each_write_failing_in_turn[2-chart-False]"),
     Mutant("SiteEngine.step: a float hour read as an int", "alarms.py",
            "stamp = operator.index(stamp)\n        last_stamp = self.ledger.last_stamp",
            "stamp = int(stamp)\n        last_stamp = self.ledger.last_stamp",
            "test_timeseries.py::TestHourEntries::"
            "test_rejects_what_is_not_an_integer[SiteEngine.step-float]"),
+    Mutant("EstimateHistory.append: a float hour taken as it is", "calibrate.py",
+           "stamp = operator.index(stamp)\n        if not (math.isfinite(offset)",
+           "if not (math.isfinite(offset)",
+           "test_timeseries.py::TestHourEntries::"
+           "test_rejects_what_is_not_an_integer[EstimateHistory.append-float]"),
+    Mutant("EstimateHistory.extend: float hours floored", "calibrate.py",
+           'if stamps.size and stamps.dtype.kind not in "iu":', "if False:",
+           "test_timeseries.py::TestHourEntries::"
+           "test_rejects_what_is_not_an_integer[EstimateHistory.extend-float]"),
     Mutant("_read_csv: a bad byte's line counted by \\n alone", "io.py",
            'line = len(StringIO(data[:exc.start].decode("utf-8") + "x", newline="").readlines())',
            'line = data.count(b"\\n", 0, exc.start) + 1',
