@@ -278,11 +278,13 @@ class SiteEngine:
     def step(self, stamp, measured: tuple | None = None) -> HistoryRow:
         """Evaluate one hour; appends and returns the history row.
 
-        The hour comes from the engine's slot or from a batch (see the
-        module docstring), unless `measured` holds what `run` already
-        measured for it in its array passes. Either way this
-        is the one place where measurements become breaches, clock updates
-        and a correction.
+        The hour is measured by the engine's slot when a batch has measured
+        it for this engine, else by the slot that a batch this engine runs
+        returns (see the module docstring); an estimate inside the sanity
+        band then enters the history. Or `measured` holds what `run` already
+        measured for the hour in its array passes, its estimates already in
+        the history. Either way this is the one place where measurements
+        become breaches, clock updates and a correction.
 
         A measurement is the tuple (raw_value, p_ks, offset_raw, gain_raw,
         offset_trend, gain_trend). p_ks is None when the windows are
@@ -295,8 +297,18 @@ class SiteEngine:
         if last_stamp is not None and stamp <= last_stamp:
             raise ValueError("steps must advance in time")
         th = self.thresholds
-        raw_value, p_ks, offset_raw, gain_raw, offset_trend, gain_trend = (
-            self._measure(stamp) if measured is None else measured)
+        if measured is None:
+            slot = self._slot
+            if slot is None or slot[0] != stamp:
+                slot = _measure_together(self, stamp)[0]
+            _, raw_value, p_ks, offset_raw, gain_raw = slot
+        else:
+            raw_value, p_ks, offset_raw, gain_raw, offset_trend, gain_trend = measured
+        trended = offset_raw is not None and _trended(offset_raw, gain_raw)
+        if measured is None:
+            if trended:
+                self.history.append(stamp, offset_raw, gain_raw)
+            offset_trend, gain_trend = self.history.trend or (None, None)
 
         if p_ks is None:
             # insufficient windows: every clock freezes
@@ -310,8 +322,7 @@ class SiteEngine:
             # an estimate kept out of the trend is assessed directly, so the
             # breach fires without contaminating the trend
             status = STATUS_OK
-            offset, gain = ((offset_trend, gain_trend) if _trended(offset_raw, gain_raw)
-                            else (offset_raw, gain_raw))
+            offset, gain = (offset_trend, gain_trend) if trended else (offset_raw, gain_raw)
             flags = _breaches(p_ks, offset, gain, th)
         ledger = update_persistence(self.ledger, stamp, flags, th)
 
@@ -328,19 +339,6 @@ class SiteEngine:
                          *flags, *ledger.latched, corrected, raw_value, output_value)
         ledger.history.append(row)
         return row
-
-    def _measure(self, stamp: int) -> tuple:
-        """The measurement tuple that `step` takes for the hour `stamp`: the
-        slot when a batch has measured the hour for this engine, else what a
-        batch this engine runs returns. An estimate inside the sanity band
-        enters the history."""
-        slot = self._slot
-        if slot is None or slot[0] != stamp:
-            slot = _measure_together(self, stamp)[0]
-        _, raw_value, p, offset, gain = slot
-        if offset is not None and _trended(offset, gain):
-            self.history.append(stamp, offset, gain)
-        return (raw_value, p, offset, gain) + (self.history.trend or (None, None))
 
     def run(self, start=None, end=None) -> SiteRunResult:
         """Evaluate every hour of the sensor's span (or the given range).

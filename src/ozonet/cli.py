@@ -378,10 +378,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # a character the locale's encoding lacks (a UTF-8 site id under the C
-    # locale) is escaped on stdout, as Python escapes it on stderr
-    if isinstance(sys.stdout, io.TextIOWrapper):
-        sys.stdout.reconfigure(errors="backslashreplace")
+    # escape what a stream cannot encode (a UTF-8 site id under the C locale,
+    # a lone surrogate in a file name), as Python's own stderr does
+    for stream in (sys.stdout, sys.stderr):
+        if isinstance(stream, io.TextIOWrapper):
+            stream.reconfigure(errors="backslashreplace")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -277,7 +277,7 @@ def _read_csv(path: str):
     try:
         with open(path, "rb") as handle:
             data = handle.read()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:     # ValueError: a NUL or lone surrogate
         return SeriesIssue(path, 0, "-", f"cannot open: {exc}")
     try:
         text = data.decode("utf-8")
@@ -546,17 +546,17 @@ def check_site_ids(sites):
     """ValueError naming the first of `sites` (SiteRecords) whose id is not
     one safe file-name component that a series file can spell. `run` names
     each site's outputs charts/<site_id>.csv and corrected/<site_id>.csv, so
-    an id must not be empty, '.' or '..', nor hold a '/', a '\\' or a
-    control character; and the series reader strips every field, so it must
-    not begin or end in whitespace."""
+    an id must not be empty, '.' or '..', nor hold a '/', a '\\', a control
+    character or a lone surrogate (no UTF-8 file holds one); and the series
+    reader strips every field, so it must not begin or end in whitespace."""
     for i, site in enumerate(sites):
         sid = site.site_id
         if sid in ("", ".", "..") or "/" in sid or "\\" in sid or sid != sid.strip() or any(
-                unicodedata.category(c) == "Cc" for c in sid):
+                unicodedata.category(c) in ("Cc", "Cs") for c in sid):
             raise ValueError(f"'sites[{i}].site_id' {sid!r} is not one safe file name: "
                              "an id names its output files, so it must not be empty, "
-                             "'.' or '..', nor hold '/', '\\' or a control character, "
-                             "nor begin or end in whitespace")
+                             "'.' or '..', nor hold '/', '\\', a control character or "
+                             "a lone surrogate, nor begin or end in whitespace")
 
 
 _JSON_KINDS = {dict: "object", list: "array", str: "string", bool: "boolean",

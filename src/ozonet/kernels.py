@@ -9,9 +9,10 @@ def ks_distance(a, b, m, n) -> np.ndarray:
     """Sup distance between the two empirical CDFs of each pair of rows,
     each normalised by 1/(n+1).
 
-    Row r of `a` holds m[r] finite samples followed by +inf padding, and
-    likewise `b` with n[r]; each row's distance is that of its samples
-    alone, bit for bit, whatever the padding.
+    Row r of `a` holds m[r] >= 1 finite samples followed by +inf padding,
+    and likewise `b` with n[r] >= 1, as every caller ensures: `_measure_rows`
+    takes assessed windows, `ks_statistic` rejects an empty sample. Each row's
+    distance is that of its samples alone, bit for bit, whatever the padding.
 
     F(x) counts points strictly below x, so each curve is left-continuous
     and steps just after each sample value. The sup is attained at a pooled
@@ -29,8 +30,6 @@ def ks_distance(a, b, m, n) -> np.ndarray:
     a = np.sort(np.asarray(a, dtype=np.float64), axis=1)
     b = np.sort(np.asarray(b, dtype=np.float64), axis=1)
     m, n = np.asarray(m), np.asarray(n)
-    if m.size and (m.min() < 1 or n.min() < 1):
-        raise ValueError("samples must be non-empty")
     pooled = np.concatenate((a, b), axis=1)
     order = np.argsort(pooled, axis=1, kind="stable")
     count_a = np.cumsum(order < a.shape[1], axis=1)

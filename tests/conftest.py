@@ -1,5 +1,6 @@
 """Shared pytest wiring: per-criterion pass/fail lines for the acceptance run,
-and the Hypothesis profile that the mutation check loads."""
+the Hypothesis profile that the mutation check loads, and the one that runs
+the command properties longer."""
 
 import re
 
@@ -10,6 +11,11 @@ from hypothesis import Phase, settings
 # the shrunk one) is wasted time there. The suite itself keeps the default.
 settings.register_profile("mutants", phases=(Phase.explicit, Phase.reuse, Phase.generate,
                                              Phase.target))
+
+# The properties of whole commands (test_command_properties.py) take a few
+# examples in Tier-1, and this profile's budget when it is loaded, as CI does:
+#     pytest --hypothesis-profile deep tests/test_command_properties.py
+settings.register_profile("deep", deadline=None, max_examples=150)
 
 _ACCEPTANCE_RESULTS = {}
 _ACCEPTANCE_PATTERN = re.compile(r"test_c(\d+)_(\w+)")

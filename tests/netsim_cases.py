@@ -95,3 +95,24 @@ def pair_scenario(sensor_model: SensorModel | None = None, seed: int = 7,
     return Scenario(seed=seed, start_hour=START_HOUR, duration_hours=duration_hours,
                     sites=sites, regional_sigma=0.5, regional_bound=6.0,
                     reference_noise_sigma=0.5)
+
+
+def small_network(seed: int = 20180102, duration_hours: int = 24 * 14) -> Scenario:
+    """Two references and four low-cost sites over two weeks, small enough to
+    run the commands on many times: S00 ramps its gain to 2.0 and S01 its
+    offset to 12 ppb over days 1-4, S02 flatlines from day 5, and S03 stays
+    clean."""
+    truth = monitor_truth()
+    sites = [SiteSpec(SiteRecord(f"R{i:02d}", f"ref-{i}", "reference",
+                                 33.8 + 0.2 * i, -118.2), truth) for i in range(2)]
+    drifts = [(DriftSegment(24, 96, "gain_ramp", 2.0),),
+              (DriftSegment(24, 96, "offset_ramp", 12.0),),
+              (DriftSegment(120, duration_hours, "flatline"),),
+              ()]
+    for i, drift in enumerate(drifts):
+        rec = SiteRecord(f"S{i:02d}", f"lc-{i}", "low-cost",
+                         33.8 + 0.2 * (i % 2) + 0.01, -118.2 + 0.01 * (i + 1))
+        sites.append(SiteSpec(rec, truth, SensorModel(noise_sigma=1.0, drift=drift)))
+    return Scenario(seed=seed, start_hour=START_HOUR, duration_hours=duration_hours,
+                    sites=sites, regional_sigma=0.5, regional_bound=6.0,
+                    reference_noise_sigma=0.5)

@@ -914,6 +914,23 @@ class TestValidateCommand:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and issue in err
 
+    @pytest.mark.parametrize("name", ["observed\x00.csv", "observed\ud800.csv"],
+                             ids=["nul", "lone-surrogate"])
+    def test_series_name_that_no_file_has_is_an_issue(self, sim_dir, capsys, name):
+        # the config's JSON can name a series file with a NUL or a lone
+        # surrogate, which no file system call takes
+        network = sim_dir / "network.json"
+        config = json.loads(network.read_text())
+        config["series"] = [name]
+        network.write_text(json.dumps(config))
+        # the name as printed: a stream escapes what it cannot encode
+        issue = re.compile(r"error: \S*/observed\S*\.csv:0 \[-\] cannot open: ")
+        assert main(["validate", str(network)]) == 1
+        assert issue.match(capsys.readouterr().out)
+        assert main(["run", str(network), "--out", str(sim_dir / "out")]) == 1
+        assert issue.match(capsys.readouterr().err)
+        assert not (sim_dir / "out").exists()
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_config_that_is_not_utf8_is_input_error(self, sim_dir, capsys, command):
         network = sim_dir / "network.json"
@@ -1018,6 +1035,23 @@ class TestRunCommand:
             assert err.startswith(f"error: bad configuration: 'sites[{index}].site_id' ")
         assert sorted(p.name for p in sim_dir.rglob("*")) == sorted(
             ["network.json", "observed.csv", "truth.csv", "manifest.json"])
+
+    @pytest.mark.parametrize("site_id", ["L\ud800C", "\udcff"])
+    def test_lone_surrogate_site_id_is_config_error(self, sim_dir, capsys, site_id):
+        # JSON can write a lone surrogate ("\ud800"), which no UTF-8 series
+        # file spells, and which summary.csv could not hold
+        network = sim_dir / "network.json"
+        config = json.loads(network.read_text())
+        index = [s["site_id"] for s in config["sites"]].index("LC")
+        config["sites"][index]["site_id"] = site_id
+        network.write_text(json.dumps(config))
+        out = sim_dir / "out"
+        for command in ("validate", "run", "proxy-eval"):
+            args = [command, str(network)] + (["--out", str(out)] if command != "validate" else [])
+            assert main(args) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: bad configuration: 'sites[{index}].site_id' ")
+        assert not out.exists()
 
     def test_unencodable_site_id_is_output_error(self, tmp_path):
         # under a locale whose file system encoding lacks a character of a

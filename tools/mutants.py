@@ -102,10 +102,10 @@ MUTANTS = [
     Mutant("_terms: the u^3 sum written as u^4", "calibrate.py",
            "u2 * u, u2 * u2,", "u2 * u2, u2 * u2,",
            "test_calibrate.py::TestQuadraticTrend::test_coefficients_recover_exact_quadratic"),
-    Mutant("SiteEngine._measure: a slot serves another hour", "alarms.py",
+    Mutant("SiteEngine.step: a slot serves another hour", "alarms.py",
            "if slot is None or slot[0] != stamp:", "if slot is None:",
            "test_alarms.py::TestEngine::test_trend_band_edges_enter_the_trend[gain-min]"),
-    Mutant("SiteEngine._measure: a later hour's slot serves an earlier one", "alarms.py",
+    Mutant("SiteEngine.step: a later hour's slot serves an earlier one", "alarms.py",
            "slot[0] != stamp", "slot[0] < stamp",
            "test_alarms.py::TestLockstepBatch::test_batches_step_as_private_engines_and_run"),
     Mutant("_measure_together: peers not in step join the batch", "alarms.py",
@@ -320,6 +320,20 @@ MUTANTS = [
            'if stamps.size and stamps.dtype.kind not in "iu":', "if False:",
            "test_timeseries.py::TestHourEntries::"
            "test_rejects_what_is_not_an_integer[EstimateHistory.extend-float]"),
+    Mutant("window_bounds: a window that reads one hour ahead", "timeseries.py",
+           '(ends - td_hours, ends), "right"', '(ends - td_hours + 1, ends + 1), "right"',
+           "test_command_properties.py::TestRunOnASmallNetwork::"
+           "test_a_run_cut_after_an_hour_writes_a_prefix_of_the_whole_run"),
+    Mutant("scan_series_csv: valid rows sorted by site alone", "io.py",
+           "np.lexsort((hours[valid], codes[valid]))", 'np.argsort(codes[valid], kind="stable")',
+           "test_command_properties.py::TestRunOnASmallNetwork::"
+           "test_row_order_of_the_series_file_changes_no_byte"),
+    Mutant("check_site_ids: a lone surrogate accepted", "io.py",
+           'category(c) in ("Cc", "Cs")', 'category(c) == "Cc"',
+           "test_io_cli.py::TestRunCommand::test_lone_surrogate_site_id_is_config_error[\\udcff]"),
+    Mutant("_read_csv: a series name that no file has raises", "io.py",
+           "except (OSError, ValueError) as exc:", "except OSError as exc:",
+           "test_io_cli.py::TestValidateCommand::test_series_name_that_no_file_has_is_an_issue[nul]"),
     Mutant("_read_csv: a bad byte's line counted by \\n alone", "io.py",
            'line = len(StringIO(data[:exc.start].decode("utf-8") + "x", newline="").readlines())',
            'line = data.count(b"\\n", 0, exc.start) + 1',
