@@ -23,7 +23,7 @@ import pickle
 import typing
 import unicodedata
 from dataclasses import dataclass, field
-from io import StringIO
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
@@ -270,31 +270,48 @@ class ValidationReport:
 _NO_HOUR = np.iinfo(np.int64).min
 
 
-def _read_csv(path: str):
-    """The records of the CSV file at `path`, read as UTF-8, and the
-    physical line each starts on (a quoted field may hold line breaks); or
-    the SeriesIssue that says why they cannot be read."""
+def _read_csv(path: str, report, distinct: dict, columns):
+    """Append to `columns` the stamp and site id (each the str that `distinct`
+    holds for its text), value text and first line of each three-field record
+    of the UTF-8 CSV file at `path`; report(line, column, message) each issue.
+    A file that cannot be read or has a bad header has that one issue and no row."""
     try:
         with open(path, "rb") as handle:
             data = handle.read()
     except (OSError, ValueError) as exc:     # ValueError: a NUL or lone surrogate
-        return SeriesIssue(path, 0, "-", f"cannot open: {exc}")
+        return report(0, "-", f"cannot open: {exc}")
     try:
-        text = data.decode("utf-8")
+        data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the lines that csv.reader would count up to the bad byte's: a bare
-        # "\r" ends one too
-        line = len(StringIO(data[:exc.start].decode("utf-8") + "x", newline="").readlines())
-        return SeriesIssue(path, line, "-", f"not UTF-8 text: {exc}")
-    reader = csv.reader(StringIO(text, newline=""))
-    records, starts = [], [1]
+        # csv.reader's count of lines up to the bad byte's: a bare "\r" ends one too
+        return report(len((data[:exc.start] + b"x").splitlines()), "-", f"not UTF-8 text: {exc}")
+    reader = csv.reader(TextIOWrapper(BytesIO(data), encoding="utf-8", newline=""))
+    stamps, sites, texts, lines = columns
+    first, wrong = len(lines), []       # wrong: (line, field count) of each bad record
     try:
+        header = next(reader, None)
+        start = reader.line_num + 1     # a record starts after the last one's end
         for record in reader:
-            records.append(record)
-            starts.append(reader.line_num + 1)
-        return records, starts[:-1]
+            if len(record) == 3:
+                stamp, site, text = record
+                stamps.append(distinct.setdefault(stamp, stamp))
+                sites.append(distinct.setdefault(site, site))
+                texts.append(text)
+                lines.append(start)
+            elif record and (len(record) > 1 or record[0].strip()):     # else a blank line
+                wrong.append((start, len(record)))
+            start = reader.line_num + 1
+        if header is None:
+            return report(1, "-", "empty file")
+        if [h.strip() for h in header] == SERIES_HEADER:
+            for line, count in wrong:
+                report(line, "-", f"expected 3 fields, got {count}")
+            return
+        report(1, "-", f"bad header {header!r}, expected {','.join(SERIES_HEADER)}")
     except csv.Error as exc:
-        return SeriesIssue(path, reader.line_num, "-", f"unreadable CSV: {exc}")
+        report(reader.line_num, "-", f"unreadable CSV: {exc}")
+    for column in columns:
+        del column[first:]
 
 
 def _number(text: str):
@@ -317,45 +334,24 @@ def scan_series_csv(paths) -> tuple[dict, ValidationReport]:
 
     Each bad line gets one issue, for the first check it fails: field
     count, timestamp, site id, number, range, then duplicate (site, hour),
-    of which the first valid row is kept. The checks run over whole columns
-    of the rows of all files; issues come in file and line order, and
-    sites in order of their first valid row.
+    of which the first valid row is kept. The field count is checked as a
+    record is read, the rest over whole columns; issues come in file and
+    line order, and sites in order of their first valid row.
     """
     if isinstance(paths, (str, Path)):
         paths = [paths]
     paths = list(map(str, paths))
     issues = []                         # ((file position, line), SeriesIssue)
-    rows, at_file, at_line = [], [], []  # each row, its file's position, its first line
+    columns = stamps, sites, texts, at_line = [], [], [], []  # each row's fields and line
+    at_file = []                        # each row's file position
+    distinct = {}                       # text -> its one str, of stamps and site ids
 
     def report(pos, line, column, message):
         issues.append(((pos, line), SeriesIssue(paths[pos], line, column, message)))
 
     for pos, path in enumerate(paths):
-        read = _read_csv(path)
-        if isinstance(read, SeriesIssue):
-            issues.append(((pos, read.line), read))
-            continue
-        records, starts = read
-        if not records:
-            report(pos, 1, "-", "empty file")
-        elif [h.strip() for h in records[0]] != SERIES_HEADER:
-            report(pos, 1, "-", f"bad header {records[0]!r}, expected {','.join(SERIES_HEADER)}")
-        else:
-            rows += records[1:]
-            at_file += [pos] * (len(records) - 1)
-            at_line += starts[1:]
-
-    wrong = np.fromiter(map(len, rows), np.intp, len(rows)) != 3
-    if wrong.any():
-        for i in np.flatnonzero(wrong).tolist():
-            row = rows[i]
-            if row and (len(row) > 1 or row[0].strip()):     # else a blank line
-                report(at_file[i], at_line[i], "-", f"expected 3 fields, got {len(row)}")
-        keep = (~wrong).tolist()
-        rows, at_file, at_line = (list(itertools.compress(column, keep))
-                                  for column in (rows, at_file, at_line))
-    fields = list(itertools.chain.from_iterable(rows))
-    stamps, sites, texts = fields[0::3], fields[1::3], fields[2::3]
+        _read_csv(path, functools.partial(report, pos), distinct, columns)
+        at_file += [pos] * (len(at_line) - len(at_file))
     n = len(stamps)
 
     # Fields are stripped where they are read: each distinct stamp and site
@@ -516,6 +512,8 @@ class NetworkConfig:
 
     def __post_init__(self):
         check_site_ids(self.sites)
+        if "\0" in self.output_dir:     # no file system call takes one
+            raise ValueError(f"'output_dir' {self.output_dir!r} holds a NUL")
         ids = [s.site_id for s in self.sites]
         if len(ids) != len(set(ids)):
             raise ConfigError("site ids must be unique")

@@ -1,9 +1,11 @@
 """Properties of whole commands, run in this process.
 
 `run` on a small simulated network is causal (what it writes for an hour
-depends on no later reading) and blind to the row order of its series file.
-A network config with one bad field is an input error of `validate` and
-`run` that prints one error line and changes no file.
+depends on no later reading), blind to the row order of its series file,
+and blind to how its rows are split over several files. A network config
+with one bad field is an input error of every network command that prints
+one error line and changes no file, whether the output directory comes
+from --out or from the config.
 """
 
 import contextlib
@@ -89,6 +91,38 @@ class TestRunOnASmallNetwork:
             assert lines == network.files[name].splitlines(keepends=True)[:hour + 2], name
 
     @budget(6)
+    @given(st.integers(2, 4), st.integers(0, 2**32 - 1))
+    def test_a_series_split_over_files_reads_as_one_file(self, network, tmp_path_factory,
+                                                        parts, seed):
+        # the rows dealt over `parts` files, each with its own header, in any
+        # order; every file gets one row before the rest are dealt at random
+        rng = random.Random(seed)
+        rows = list(network.rows)
+        rng.shuffle(rows)
+        shares = [rows[k:k + 1] for k in range(parts)]
+        for row in rows[parts:]:
+            shares[rng.randrange(parts)].append(row)
+        root = tmp_path_factory.mktemp("split")
+        paths = [root / f"part{k}.csv" for k in range(parts)]
+        for path, share in zip(paths, shares):
+            path.write_text(network.header + "".join(share))
+        code, stdout, _ = command("run", network.config, *paths, "--out", root / "out")
+        assert code == 0
+        assert stdout == network.stdout
+        assert files(root / "out") == network.files
+        # one row of a file after the first, where the file's position
+        # shows, made bad: the issue names that file and the row's line in it
+        k = rng.randrange(1, parts)
+        i = rng.randrange(len(shares[k]))
+        stamp, site, _ = shares[k][i].split(",")
+        shares[k][i] = f"{stamp},{site},x\n"
+        paths[k].write_text(network.header + "".join(shares[k]))
+        code, stdout, _ = command("validate", network.config, *paths)
+        assert code == 1
+        assert [line for line in stdout.splitlines() if line.startswith("error: ")] == [
+            f"error: {paths[k]}:{i + 2} [value_ppb] not a number: 'x'"]
+
+    @budget(6)
     @given(st.integers(0, 2**32 - 1))
     def test_row_order_of_the_series_file_changes_no_byte(self, network, tmp_path_factory,
                                                          seed):
@@ -103,15 +137,19 @@ class TestRunOnASmallNetwork:
 # ------------------------------------------------------------ bad configs
 
 # A valid config in which every field is set and no value is null, so that a
-# value of another JSON kind is wrong wherever it goes.
+# value of another JSON kind is wrong wherever it goes. Two references and
+# 744 h of series (proxy-eval scores a pair over 720 h at least) give every
+# network command something to write.
 _CONFIG = NetworkConfig(
     sites=[SiteRecord("R", "r", "reference", 34.0, -118.0, 10.0, 900.0, "urban"),
-           SiteRecord("S", "s", "low-cost", 34.1, -118.1, 12.0, 1000.0, "road")],
+           SiteRecord("S", "s", "low-cost", 34.1, -118.1, 12.0, 1000.0, "road"),
+           SiteRecord("Q", "q", "reference", 34.2, -118.2, 14.0, 1100.0, "rural")],
     proxy=ProxyPolicy(overrides={"S": "R"}), series=["s.csv"]).to_dict()
 _NULLABLE = ("elevation_m", "aadt_5km", "land_use")
 _SERIES = "timestamp,site_id,value_ppb\n" + "".join(
     f"{format_iso_hour(START_HOUR + hour)},{site},{20 + hour % 7}\n"
-    for hour in range(30) for site in "RS")
+    for hour in range(744) for site in "RSQ")
+_SITE_IDS = {site["site_id"] for site in _CONFIG["sites"]}
 
 
 def _kind(value) -> str:
@@ -159,7 +197,7 @@ def _wrong_kind(path):
 def _new_key(path):
     """A key that the object at `path` does not hold; in the overrides, one
     that names no site."""
-    taken = set(_at(path)) | ({"R", "S"} if path == ("proxy", "overrides") else set())
+    taken = set(_at(path)) | (_SITE_IDS if path == ("proxy", "overrides") else set())
     return st.text(max_size=6).filter(lambda key: key not in taken).map(
         lambda key: path + (key,))
 
@@ -181,7 +219,8 @@ _RAW = "<raw number>"
 
 # (what, path, value): a value of a kind the field does not take, a key that
 # is no field, an odd site id, a number written as text that no float holds,
-# or a series name that no file can have; or None for the valid config
+# a series name that no file can have, or an output directory that none can
+# have; or None for the valid config
 _BAD_FIELDS = st.one_of(
     st.just(None),
     st.sampled_from(_PATHS).flatmap(
@@ -193,6 +232,7 @@ _BAD_FIELDS = st.one_of(
     st.tuples(st.just("number"), st.sampled_from(_PATHS), _RAW_NUMBERS),
     st.tuples(st.just("series"), st.just(("series", 0)),
               _around(st.just("\x00") | st.characters(categories=["Cs"]))),
+    st.tuples(st.just("output dir"), st.just(("output_dir",)), _around(st.just("\x00"))),
 )
 
 
@@ -233,3 +273,29 @@ class TestBadConfigs:
             assert len(errors) == code
             if code == 1:
                 assert files(root) == before
+
+    @budget(30)
+    @given(_BAD_FIELDS)
+    def test_one_bad_field_ends_every_writing_command_as_an_input_error(
+            self, tmp_path_factory, bad):
+        # run, proxy-eval and map, each with --out and without it, when the
+        # config's output_dir names the directory
+        root = tmp_path_factory.mktemp("config")
+        out = root / "out"
+        (root / "network.json").write_text(_config_text(bad).replace(
+            '"output_dir": "out"', f'"output_dir": {json.dumps(str(out))}'))
+        (root / "s.csv").write_text(_SERIES)
+        for name in ("summary.csv", "proxy_scores.csv", "grid.csv"):
+            (out / name).parent.mkdir(parents=True, exist_ok=True)
+            (out / name).write_text(f"an earlier run's {name}")
+        before = files(root)
+        for args in (["run"], ["proxy-eval"], ["map", "--hour", format_iso_hour(START_HOUR)]):
+            for where in ([], ["--out", out]):
+                code, stdout, stderr = command(args[0], root / "network.json", *args[1:],
+                                               *where)
+                assert code == (0 if bad is None else 1)
+                errors = [line for line in (stdout + stderr).splitlines()
+                          if line.startswith("error: ")]
+                assert len(errors) == code
+                if code == 1:
+                    assert files(root) == before

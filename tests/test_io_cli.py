@@ -161,6 +161,19 @@ class TestSeriesCsv:
             _, report = scan_series_csv(path)
             assert [(issue.line, issue.column) for issue in report.issues] == [(4, column)]
 
+    def test_a_bad_byte_comes_before_an_unreadable_record(self, tmp_path):
+        # the whole file is checked as UTF-8 before it is parsed, so a record
+        # that csv cannot read (a field over its limit) more than the 8 KiB
+        # that a text stream decodes at a time before the bad byte is no issue
+        path = tmp_path / "s.csv"
+        path.write_bytes(b"timestamp,site_id,value_ppb\n"
+                         + b'2018-01-01T00:00:00Z,"' + b"x" * 200_000 + b'",1.0\n'
+                         + b"2018-01-01T01:00:00Z,a,1.0\n" * 1000
+                         + b"2018-01-01T02:00:00Z,a,\xff\n")
+        _, report = scan_series_csv(path)
+        assert [(issue.line, issue.message.split(":")[0]) for issue in report.issues] == [
+            (1003, "not UTF-8 text")]
+
     def test_non_utc_timestamp_rejected(self, tmp_path):
         path = tmp_path / "tz.csv"
         write_rows(path, ["2018-01-01T00:00:00+02:00,a,10.0"])
@@ -553,6 +566,22 @@ class TestNetworkConfig:
         assert capsys.readouterr().err == (
             f"error: bad configuration: {shown} is beyond the range of a finite number\n")
         assert not (sim_dir / "out").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["validate"], ["run"], ["proxy-eval"], ["map", "--hour", "2018-01-27T12:00:00Z"]],
+        ids=["validate", "run", "proxy-eval", "map"])
+    def test_output_dir_holding_a_nul_is_input_error(self, sim_dir, capsys, command):
+        # without --out, the commands that write take the config's output_dir;
+        # two references give proxy-eval a pair to write
+        network = sim_dir / "network.json"
+        config = json.loads(network.read_text())
+        config["output_dir"] = str(sim_dir / "o\0ut")
+        for site in config["sites"]:
+            site["role"] = "reference"
+        network.write_text(json.dumps(config))
+        assert main([command[0], str(network), *command[1:]]) == 1
+        assert capsys.readouterr().err == (
+            f"error: bad configuration: 'output_dir' {config['output_dir']!r} holds a NUL\n")
 
     def test_valid_numbers_keep_their_kind(self):
         assert json_loads('[72, -3, 1.5, 1e-400, 1e308]') == [72, -3, 1.5, 0.0, 1e308]

@@ -248,8 +248,9 @@ MUTANTS = [
     Mutant("scan_series_csv: VALUE_MAX itself out of range", "io.py",
            "(values <= VALUE_MAX)", "(values < VALUE_MAX)",
            "test_io_cli.py::TestSeriesCsv::test_columnar_reader_equals_per_row_reader"),
-    Mutant("scan_series_csv: rows of four fields pass the 3-field check", "io.py",
-           "len(rows)) != 3", "len(rows)) < 3",
+    Mutant("_read_csv: records of four fields pass the 3-field check", "io.py",
+           "if len(record) == 3:\n                stamp, site, text = record\n",
+           "if len(record) >= 3:\n                stamp, site, text = record[:3]\n",
            "test_io_cli.py::TestSeriesCsv::test_columnar_reader_equals_per_row_reader"),
     Mutant("_number: a value holding an underscore read as a number", "io.py",
            'if "_" in text or not text.isascii():', "if not text.isascii():",
@@ -259,8 +260,9 @@ MUTANTS = [
            "[0-9]{4}-[0-9]{2}-", "[0-9]{4}-[0-9]{1,2}-",
            "test_timeseries.py::TestIsoHours::"
            "test_rejects_what_is_not_zero_padded_ascii[2018-1-05T05:00:00Z]"),
-    Mutant("scan_series_csv: a record numbered one line after the last one's start", "io.py",
-           "starts.append(reader.line_num + 1)", "starts.append(starts[-1] + 1)",
+    Mutant("_read_csv: a record numbered one line after the last one's start", "io.py",
+           "wrong.append((start, len(record)))\n            start = reader.line_num + 1",
+           "wrong.append((start, len(record)))\n            start += 1",
            "test_io_cli.py::TestSeriesCsv::"
            "test_a_record_that_spans_lines_is_numbered_by_its_first_line"),
     Mutant("scan_series_csv: of a duplicate (site, hour) the last row is kept", "io.py",
@@ -335,9 +337,19 @@ MUTANTS = [
            "except (OSError, ValueError) as exc:", "except OSError as exc:",
            "test_io_cli.py::TestValidateCommand::test_series_name_that_no_file_has_is_an_issue[nul]"),
     Mutant("_read_csv: a bad byte's line counted by \\n alone", "io.py",
-           'line = len(StringIO(data[:exc.start].decode("utf-8") + "x", newline="").readlines())',
-           'line = data.count(b"\\n", 0, exc.start) + 1',
+           'len((data[:exc.start] + b"x").splitlines())', 'data.count(b"\\n", 0, exc.start) + 1',
            "test_io_cli.py::TestSeriesCsv::test_a_bad_byte_is_numbered_as_every_other_issue[cr]"),
+    Mutant("_read_csv: the UTF-8 check dropped", "io.py",
+           'data.decode("utf-8")\n    except UnicodeDecodeError',
+           'pass\n    except UnicodeDecodeError',
+           "test_io_cli.py::TestSeriesCsv::test_a_bad_byte_comes_before_an_unreadable_record"),
+    Mutant("scan_series_csv: every row placed in the first file", "io.py",
+           "[pos] *", "[0] *",
+           "test_command_properties.py::TestRunOnASmallNetwork::"
+           "test_a_series_split_over_files_reads_as_one_file"),
+    Mutant("NetworkConfig: an output_dir holding a NUL accepted", "io.py",
+           'if "\\0" in self.output_dir:', "if False:",
+           "test_io_cli.py::TestNetworkConfig::test_output_dir_holding_a_nul_is_input_error[run]"),
 ]
 
 
