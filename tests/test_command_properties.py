@@ -137,19 +137,27 @@ class TestRunOnASmallNetwork:
 # ------------------------------------------------------------ bad configs
 
 # A valid config in which every field is set and no value is null, so that a
-# value of another JSON kind is wrong wherever it goes. Two references and
-# 744 h of series (proxy-eval scores a pair over 720 h at least) give every
-# network command something to write.
+# value of another JSON kind is wrong wherever it goes.
 _CONFIG = NetworkConfig(
     sites=[SiteRecord("R", "r", "reference", 34.0, -118.0, 10.0, 900.0, "urban"),
-           SiteRecord("S", "s", "low-cost", 34.1, -118.1, 12.0, 1000.0, "road"),
-           SiteRecord("Q", "q", "reference", 34.2, -118.2, 14.0, 1100.0, "rural")],
+           SiteRecord("S", "s", "low-cost", 34.1, -118.1, 12.0, 1000.0, "road")],
     proxy=ProxyPolicy(overrides={"S": "R"}), series=["s.csv"]).to_dict()
 _NULLABLE = ("elevation_m", "aadt_5km", "land_use")
 _SERIES = "timestamp,site_id,value_ppb\n" + "".join(
     f"{format_iso_hour(START_HOUR + hour)},{site},{20 + hour % 7}\n"
+    for hour in range(30) for site in "RS")
+
+# The same with a second reference Q and 744 h of series (proxy-eval scores
+# a pair over 720 h at least), so that every writing command has something
+# to write.
+_WRITING_CONFIG = NetworkConfig(
+    sites=[SiteRecord("R", "r", "reference", 34.0, -118.0, 10.0, 900.0, "urban"),
+           SiteRecord("S", "s", "low-cost", 34.1, -118.1, 12.0, 1000.0, "road"),
+           SiteRecord("Q", "q", "reference", 34.2, -118.2, 14.0, 1100.0, "rural")],
+    proxy=ProxyPolicy(overrides={"S": "R"}), series=["s.csv"]).to_dict()
+_WRITING_SERIES = "timestamp,site_id,value_ppb\n" + "".join(
+    f"{format_iso_hour(START_HOUR + hour)},{site},{20 + hour % 7}\n"
     for hour in range(744) for site in "RSQ")
-_SITE_IDS = {site["site_id"] for site in _CONFIG["sites"]}
 
 
 def _kind(value) -> str:
@@ -177,27 +185,25 @@ def _paths(value, path=()):
         yield from _paths(item, path + (key,))
 
 
-def _at(path):
-    value = _CONFIG
+def _at(config, path):
+    value = config
     for key in path:
         value = value[key]
     return value
 
 
-_PATHS = list(_paths(_CONFIG))
-_OBJECTS = [path for path in _PATHS if isinstance(_at(path), dict)]
-
-
-def _wrong_kind(path):
+def _wrong_kind(config, path):
     """A value of a JSON kind that the field at `path` does not take."""
-    kinds = {_kind(_at(path))} | ({"null"} if path and path[-1] in _NULLABLE else set())
+    kinds = {_kind(_at(config, path))} | (
+        {"null"} if path and path[-1] in _NULLABLE else set())
     return st.one_of([_VALUES[kind] for kind in _VALUES if kind not in kinds])
 
 
-def _new_key(path):
+def _new_key(config, path):
     """A key that the object at `path` does not hold; in the overrides, one
     that names no site."""
-    taken = set(_at(path)) | (_SITE_IDS if path == ("proxy", "overrides") else set())
+    taken = set(_at(config, path)) | ({site["site_id"] for site in config["sites"]}
+                                      if path == ("proxy", "overrides") else set())
     return st.text(max_size=6).filter(lambda key: key not in taken).map(
         lambda key: path + (key,))
 
@@ -217,31 +223,42 @@ _RAW_NUMBERS = (st.sampled_from(["1e400", "-1e400", "NaN", "Infinity", "-Infinit
                             st.integers(10**399, 10**400 - 1).map(str)).map("".join))
 _RAW = "<raw number>"
 
-# (what, path, value): a value of a kind the field does not take, a key that
-# is no field, an odd site id, a number written as text that no float holds,
-# a series name that no file can have, or an output directory that none can
-# have; or None for the valid config
-_BAD_FIELDS = st.one_of(
-    st.just(None),
-    st.sampled_from(_PATHS).flatmap(
-        lambda path: st.tuples(st.just("kind"), st.just(path), _wrong_kind(path))),
-    st.tuples(st.just("key"), st.sampled_from(_OBJECTS).flatmap(_new_key),
-              st.one_of(list(_VALUES.values()))),
-    st.tuples(st.just("site id"), st.sampled_from([("sites", 0, "site_id"),
-                                                   ("sites", 1, "site_id")]), _ODD_IDS),
-    st.tuples(st.just("number"), st.sampled_from(_PATHS), _RAW_NUMBERS),
-    st.tuples(st.just("series"), st.just(("series", 0)),
-              _around(st.just("\x00") | st.characters(categories=["Cs"]))),
-    st.tuples(st.just("output dir"), st.just(("output_dir",)), _around(st.just("\x00"))),
-)
+
+def _bad_fields(config):
+    """(what, path, value) of one bad field of `config`: a value of a kind
+    the field does not take, a key that is no field, an odd site id, a number
+    written as text that no float holds, or a series name that no file can
+    have; or None for the valid config."""
+    paths = list(_paths(config))
+    objects = [path for path in paths if isinstance(_at(config, path), dict)]
+    return st.one_of(
+        st.just(None),
+        st.sampled_from(paths).flatmap(lambda path: st.tuples(
+            st.just("kind"), st.just(path), _wrong_kind(config, path))),
+        st.tuples(st.just("key"),
+                  st.sampled_from(objects).flatmap(lambda path: _new_key(config, path)),
+                  st.one_of(list(_VALUES.values()))),
+        st.tuples(st.just("site id"), st.sampled_from([("sites", 0, "site_id"),
+                                                       ("sites", 1, "site_id")]), _ODD_IDS),
+        st.tuples(st.just("number"), st.sampled_from(paths), _RAW_NUMBERS),
+        st.tuples(st.just("series"), st.just(("series", 0)),
+                  _around(st.just("\x00") | st.characters(categories=["Cs"]))),
+    )
 
 
-def _config_text(bad) -> str:
-    """The valid config's text, with the bad field `bad` set in it."""
+_BAD_FIELDS = _bad_fields(_CONFIG)
+# the writing commands also get an output directory that no directory can have
+_WRITING_BAD_FIELDS = _bad_fields(_WRITING_CONFIG) | st.tuples(
+    st.just("output dir"), st.just(("output_dir",)), _around(st.just("\x00")))
+
+
+def _config_text(bad, valid=_CONFIG) -> str:
+    """The text of the valid config `valid`, with the bad field `bad` set in
+    it."""
     if bad is None:
-        return json.dumps(_CONFIG)
+        return json.dumps(valid)
     what, path, value = bad
-    config = [copy.deepcopy(_CONFIG)]
+    config = [copy.deepcopy(valid)]
     target, path = config, (0, *path)
     for key in path[:-1]:
         target = target[key]
@@ -275,16 +292,16 @@ class TestBadConfigs:
                 assert files(root) == before
 
     @budget(30)
-    @given(_BAD_FIELDS)
+    @given(_WRITING_BAD_FIELDS)
     def test_one_bad_field_ends_every_writing_command_as_an_input_error(
             self, tmp_path_factory, bad):
         # run, proxy-eval and map, each with --out and without it, when the
         # config's output_dir names the directory
         root = tmp_path_factory.mktemp("config")
         out = root / "out"
-        (root / "network.json").write_text(_config_text(bad).replace(
+        (root / "network.json").write_text(_config_text(bad, _WRITING_CONFIG).replace(
             '"output_dir": "out"', f'"output_dir": {json.dumps(str(out))}'))
-        (root / "s.csv").write_text(_SERIES)
+        (root / "s.csv").write_text(_WRITING_SERIES)
         for name in ("summary.csv", "proxy_scores.csv", "grid.csv"):
             (out / name).parent.mkdir(parents=True, exist_ok=True)
             (out / name).write_text(f"an earlier run's {name}")
